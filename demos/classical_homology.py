@@ -3,7 +3,7 @@ Classical mod-2 homology on small cell complexes
 ================================================
 
 Builds the standard desk-scale complexes cell by cell, computes their
-Betti numbers with the elimination engine, and cross-checks every answer
+Betti numbers with the column-reduction engine, and cross-checks every answer
 against the brute-force enumeration oracle.
 """
 
@@ -37,7 +37,7 @@ sphere = CellComplex().add_cell("v", 0).add_cell("f", 2)
 disk = from_simplices([("A", "B", "C"), ("B", "C", "E"), ("C", "D", "E")])
 
 # ----------------------------------------------------------------------
-# Betti numbers via Gaussian elimination over the two-element field,
+# Betti numbers via column reduction over the two-element field,
 # then the same numbers by enumerating every chain.
 
 for name, k in [("circle", circle), ("torus", torus),

@@ -8,7 +8,6 @@ from .homology import (
     DimensionHomology,
     HomologyResult,
     boundary_of,
-    chain_add,
     cycle_basis,
     homology,
     is_boundary,
@@ -26,14 +25,12 @@ from .descriptive import (
     chain_inclusion,
     derive_subcomplex,
     descriptive_homology,
-    project,
 )
 from .bundle import (
     Chart,
     GaugeReport,
     GaugeViolation,
     TransitionFunction,
-    local_trivialization_check,
     make_chart,
     transition,
     verify_cocycle,
@@ -56,14 +53,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CellComplex", "CellId", "Skeleton", "Violation", "from_simplices",
-    "Chain", "DimensionHomology", "HomologyResult", "boundary_of", "chain_add",
+    "Chain", "DimensionHomology", "HomologyResult", "boundary_of",
     "cycle_basis", "homology", "is_boundary", "oracle_homology", "rank_mod2",
     "Descriptor", "DescriptorBall", "DescriptiveSubcomplex", "ProbeAssignment",
     "alpha_spectrum", "assign_probe", "ball_members", "chain_inclusion",
-    "derive_subcomplex", "descriptive_homology", "project",
+    "derive_subcomplex", "descriptive_homology",
     "Chart", "GaugeReport", "GaugeViolation", "TransitionFunction",
-    "local_trivialization_check", "make_chart", "transition", "verify_cocycle",
-    "with_overrides",
+    "make_chart", "transition", "verify_cocycle", "with_overrides",
     "PersistenceSignature", "Scenario", "ScenarioStep", "TransitionTrace",
     "betti_curve", "build_scenario", "compare_signatures", "signature",
     "transition_evolution",

@@ -185,7 +185,7 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
     charts = sorted(charts, key=lambda c: c.id)
     if not charts:
         raise ValueError("at least one chart is required")
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
     by_id = {c.id: c for c in charts}
     if len(by_id) != len(charts):
@@ -245,16 +245,3 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
 
     return GaugeReport(tolerance=tolerance, violations=tuple(violations))
 
-
-def local_trivialization_check(probe: ProbeAssignment, chart: Chart) -> bool:
-    """Whether the chart is an honest local view of the probe.
-
-    True iff every chart cell belongs to the probe's complex and the
-    chart section equals the probe there.
-    """
-    for cell in chart.cells:
-        if cell not in probe.complex:
-            return False
-        if chart.section[cell] != probe[cell]:
-            return False
-    return True

@@ -178,24 +178,40 @@ class CellComplex:
         }
         return Skeleton(parent=self, level=n, complex=CellComplex(cells, incidence))
 
+    def odd_faces(self, cell_id: CellId) -> tuple[CellId, ...]:
+        """The faces of a cell with odd degree, in sorted id order: the
+        support of the cell's mod-2 boundary."""
+        return tuple(sorted(f for f, d in self._faces.get(cell_id, {}).items() if d % 2))
+
+    def boundary_columns(self, p: int) -> list[int]:
+        """The mod-2 boundary map from p-cells to (p-1)-cells as bitsets.
+
+        One int per sorted p-cell; bit i is set when the i-th sorted
+        (p-1)-cell is an odd face. Faces of any other dimension are
+        ignored. Every column is 0 for p = 0.
+        """
+        if p < 0:
+            raise ValueError(f"dimension must be non-negative, got {p}")
+        row_bit = {cid: 1 << i for i, cid in enumerate(self.cells_of_dim(p - 1))}
+        return [sum(row_bit.get(f, 0) for f in self.odd_faces(cid))
+                for cid in self.cells_of_dim(p)]
+
     def boundary_matrix(self, p: int) -> np.ndarray:
         """Mod-2 boundary matrix from p-cells to (p-1)-cells.
 
         Rows are indexed by the sorted (p-1)-cells, columns by the sorted
-        p-cells; entry (i, j) is the incidence degree mod 2. Dimensions
-        with no cells give the corresponding empty shape.
+        p-cells; entry (i, j) is bit i of ``boundary_columns(p)[j]``.
+        Dimensions with no cells give the corresponding empty shape.
         """
         if p < 1:
             raise ValueError(f"boundary matrix requires p >= 1, got {p}")
-        rows = self.cells_of_dim(p - 1)
-        cols = self.cells_of_dim(p)
-        mat = np.zeros((len(rows), len(cols)), dtype=np.uint8)
-        row_pos = {cid: i for i, cid in enumerate(rows)}
-        for j, cid in enumerate(cols):
-            for fid, deg in self._faces.get(cid, {}).items():
-                if deg % 2 and fid in row_pos:
-                    mat[row_pos[fid], j] = 1
-        return mat
+        rows = len(self.cells_of_dim(p - 1))
+        cols = self.boundary_columns(p)
+        width = (rows + 7) // 8
+        packed = np.frombuffer(b"".join(c.to_bytes(width, "little") for c in cols),
+                               dtype=np.uint8).reshape(len(cols), width)
+        bits = np.unpackbits(packed, axis=1, count=rows, bitorder="little")
+        return np.ascontiguousarray(bits.T)
 
     # -- validation --------------------------------------------------------
 

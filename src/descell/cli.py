@@ -9,12 +9,13 @@ input bytes and flags always produce the same output bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .bundle import verify_cocycle
 from .cellcomplex import CellComplex
 from .descriptive import DescriptorBall, alpha_spectrum, derive_subcomplex
-from .errors import DescellError, TooLargeError
+from .errors import DescellError, InvalidComplexError, TooLargeError
 from .formats import (
     ParseDiagnostic,
     emit_signature,
@@ -46,7 +47,10 @@ def _read_file(path: str) -> str | None:
             return fh.read()
     except OSError as exc:
         print(f"descell: error: {exc}", file=sys.stderr)
-        return None
+    except UnicodeDecodeError as exc:
+        print(f"descell: error: {path}: not UTF-8 text ({exc.reason} at byte {exc.start})",
+              file=sys.stderr)
+    return None
 
 
 def _load_complex(path: str) -> CellComplex | None:
@@ -80,9 +84,32 @@ def _parse_alpha(text: str) -> tuple[float, ...] | None:
         parts = text.split(";")
         if not parts or any(not p.strip() for p in parts):
             return None
-        return tuple(float(p) for p in parts)
+        alpha = tuple(float(p) for p in parts)
     except ValueError:
         return None
+    return alpha if all(math.isfinite(v) for v in alpha) else None
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type: a finite real number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
 
 
 def _fmt_alpha(alpha: tuple[float, ...]) -> str:
@@ -109,12 +136,12 @@ def cmd_homology(args) -> int:
     complex = _load_complex(args.complex)
     if complex is None:
         return USAGE_ERROR
-    violations = complex.validate()
-    if violations:
-        for v in violations:
+    try:
+        result = homology(complex, max_p=args.max_dim)
+    except InvalidComplexError as exc:
+        for v in exc.violations:
             print(str(v), file=sys.stderr)
         return _fail("complex is invalid", SEMANTIC_ERROR)
-    result = homology(complex, max_p=args.max_dim)
     if args.oracle:
         try:
             reference = oracle_homology(complex, max_cells=args.oracle_bound)
@@ -244,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--alpha", help="ball center, ';'-joined reals")
     group.add_argument("--spectrum", action="store_true",
                        help="one block per observed descriptor value")
-    p.add_argument("--delta", type=float, default=0.0, help="ball radius (default 0)")
-    p.add_argument("--dim", type=int, default=2,
+    p.add_argument("--delta", type=_non_negative_float, default=0.0,
+                   help="ball radius (default 0)")
+    p.add_argument("--dim", type=_non_negative_int, default=2,
                    help="dimension of the cells selected by the ball (default 2)")
     p.add_argument("--mode", choices=("remove", "retain"), default="remove")
     p.set_defaults(func=cmd_descriptive)
@@ -254,12 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("complex")
     p.add_argument("--probe", required=True, help="descriptor CSV path")
     p.add_argument("--charts", required=True, help="chart file path")
-    p.add_argument("--tolerance", type=float, default=0.0)
+    p.add_argument("--tolerance", type=_non_negative_float, default=0.0)
     p.set_defaults(func=cmd_gauge)
 
     p = sub.add_parser("persist", help="signature table of a scenario")
     p.add_argument("scenario", help="scenario file path")
-    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--delta", type=_non_negative_float, default=0.0)
     p.add_argument("--mode", choices=("remove", "retain"), default="remove")
     p.add_argument("--max-dim", dest="max_dim", type=int, default=None)
     p.add_argument("--out", default=None, help="write the CSV here and print the row count")

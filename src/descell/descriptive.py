@@ -44,7 +44,7 @@ class DescriptorBall:
     def __post_init__(self):
         object.__setattr__(self, "center", _as_descriptor(self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise ValueError(f"radius must be non-negative, got {self.radius}")
 
     def contains(self, value: Descriptor) -> bool:
@@ -120,11 +120,6 @@ def assign_probe(complex: CellComplex,
     if missing:
         raise MissingCellError(f"cells without descriptors: {', '.join(missing)}")
     return ProbeAssignment(complex, values, arity if arity is not None else 0)
-
-
-def project(probe: ProbeAssignment) -> CellComplex:
-    """Forget the descriptors: the bundle projection onto the base."""
-    return probe.complex
 
 
 def ball_members(probe: ProbeAssignment, ball: DescriptorBall, p: int) -> set[CellId]:

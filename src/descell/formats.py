@@ -405,7 +405,7 @@ def load_scenario_file(sf: ScenarioFile, base_dir: str,
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             diags.append(ParseDiagnostic(rel_path, 0, "error", str(exc), "io"))
             return None
 
@@ -440,7 +440,7 @@ def load_scenario(path: str) -> tuple[Scenario | None, list[ParseDiagnostic]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return None, [ParseDiagnostic(path, 0, "error", str(exc), "io")]
     sf, diags = parse_scenario(text, path)
     if sf is None:

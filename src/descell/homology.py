@@ -1,16 +1,19 @@
 """Mod-2 chain arithmetic and cellular homology.
 
 Chains are supports: a p-chain is the set of p-cells carrying
-coefficient 1, and addition is symmetric difference. The engine computes
-cycle and boundary ranks by Gaussian elimination over the two-element
-field; ``oracle_homology`` recomputes the same numbers by exhaustive
+coefficient 1, and addition is symmetric difference. The engine holds
+each boundary map as one int bitset per column and reduces it once,
+left to right, over the two-element field; that one reduction gives the
+boundary rank, an echelon basis of the image and a kernel basis.
+``oracle_homology`` recomputes the same numbers by exhaustive
 enumeration of every chain, as an independent cross-check on small
 complexes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -138,18 +141,56 @@ def boundary_of(complex: CellComplex, chain: Chain) -> Chain:
         return Chain(max(chain.dim - 1, -1))
     out: set[CellId] = set()
     for cid in chain.support:
-        for fid, deg in complex.faces(cid).items():
-            if deg % 2:
-                out ^= {fid}
+        out.symmetric_difference_update(complex.odd_faces(cid))
     return Chain(chain.dim - 1, frozenset(out))
 
 
-def chain_add(c1: Chain, c2: Chain) -> Chain:
-    """Functional alias for ``c1 + c2``."""
-    return c1 + c2
+# -- GF(2) column reduction ---------------------------------------------------
 
 
-# -- GF(2) linear algebra ---------------------------------------------------
+def _reduce(columns: Iterable[int], pivots: dict[int, int] | None = None,
+            ) -> tuple[dict[int, int], dict[int, int]]:
+    """Left-to-right column reduction over GF(2), columns as int bitsets.
+
+    Each column is cleared of its top bit by adding the column stored
+    under that bit, until it is zero or its top bit is free. Returns:
+
+    - the pivot map, top bit -> reduced column: an echelon basis of the
+      span of ``pivots`` (extended in place when given) and ``columns``;
+    - for each column j that reduces to zero, in ascending order, a
+      combination bitset over column indices: bit j plus the earlier
+      nonzero columns it was reduced by. Their sum lies in the span of
+      the given pivots; without any, the combinations are a kernel
+      basis, each the unique kernel vector with j as its only free
+      column, which is what a reduced row echelon form yields.
+    """
+    pivots = {} if pivots is None else pivots
+    combos: dict[int, int] = {}
+    dependent: dict[int, int] = {}
+    for j, col in enumerate(columns):
+        combo = 1 << j
+        while col:
+            top = col.bit_length() - 1
+            other = pivots.get(top)
+            if other is None:
+                pivots[top] = col
+                combos[top] = combo
+                break
+            col ^= other
+            combo ^= combos.get(top, 0)
+        else:
+            dependent[j] = combo
+    return pivots, dependent
+
+
+def _chain(p: int, cells: tuple[CellId, ...], bits: int) -> Chain:
+    """The p-chain whose support is the cells at the set bit positions."""
+    support = []
+    while bits:
+        low = bits & -bits
+        support.append(cells[low.bit_length() - 1])
+        bits ^= low
+    return Chain(p, frozenset(support))
 
 
 def rank_mod2(matrix) -> int:
@@ -158,105 +199,28 @@ def rank_mod2(matrix) -> int:
     Accepts anything ``np.asarray`` does; the input is copied, never
     modified. Entries are reduced mod 2 first.
     """
-    mat = (np.asarray(matrix, dtype=np.int64) % 2).astype(np.uint8)
+    mat = np.asarray(matrix, dtype=np.int64) % 2
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={mat.ndim}")
-    _, pivots = _rref_mod2(mat)
+    packed = np.packbits(mat.T.astype(bool), axis=1, bitorder="little")
+    pivots, _ = _reduce([int.from_bytes(row.tobytes(), "little") for row in packed])
     return len(pivots)
 
 
-def _rref_mod2(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(2) with XOR row operations.
-
-    Returns the reduced copy and the pivot column list.
-    """
-    red = mat.copy()
-    m, n = red.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        hit = -1
-        for r in range(row, m):
-            if red[r, col]:
-                hit = r
-                break
-        if hit < 0:
-            continue
-        if hit != row:
-            red[[row, hit]] = red[[hit, row]]
-        for r in range(m):
-            if r != row and red[r, col]:
-                red[r] ^= red[row]
-        pivots.append(col)
-        row += 1
-    return red, pivots
-
-
-def _null_space_mod2(mat: np.ndarray) -> list[np.ndarray]:
-    """Basis of the kernel of a GF(2) matrix, one indicator per free
-    column, in ascending free-column order."""
-    m, n = mat.shape
-    red, pivots = _rref_mod2(mat)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        vec = np.zeros(n, dtype=np.uint8)
-        vec[free] = 1
-        for row, pcol in enumerate(pivots):
-            if red[row, free]:
-                vec[pcol] = 1
-        basis.append(vec)
-    return basis
-
-
-class _Gf2Span:
-    """Incremental GF(2) span over bitmask-encoded vectors."""
-
-    def __init__(self):
-        self._rows: dict[int, int] = {}
-
-    def add(self, vec: int) -> bool:
-        """Insert a vector; True if it enlarged the span."""
-        while vec:
-            lead = vec.bit_length() - 1
-            other = self._rows.get(lead)
-            if other is None:
-                self._rows[lead] = vec
-                return True
-            vec ^= other
-        return False
-
-
-def _to_bits(vec: np.ndarray) -> int:
-    out = 0
-    for i, v in enumerate(vec):
-        if v:
-            out |= 1 << i
-    return out
-
-
-# -- homology: reduction engine ---------------------------------------------
+# -- homology -------------------------------------------------------------------
 
 
 def cycle_basis(complex: CellComplex, p: int) -> list[Chain]:
     """A basis of the p-cycle space (kernel of the boundary map).
 
-    Dimension 0 returns the singleton vertex chains; higher dimensions
-    return the deterministic null-space basis of the boundary matrix.
+    One cycle per p-cell that the column reduction of the boundary
+    matrix finds dependent on the sorted cells before it: that cell plus
+    the unique set of earlier independent cells its boundary cancels
+    against. Dimension 0 therefore gives the singleton vertex chains.
     """
-    if p < 0:
-        raise ValueError(f"dimension must be non-negative, got {p}")
-    cols = complex.cells_of_dim(p)
-    if not cols:
-        return []
-    if p == 0:
-        return [Chain(0, frozenset({cid})) for cid in cols]
-    basis = _null_space_mod2(complex.boundary_matrix(p))
-    return [Chain(p, frozenset(cols[i] for i in np.flatnonzero(vec))) for vec in basis]
+    _, kernel = _reduce(complex.boundary_columns(p))
+    cells = complex.cells_of_dim(p)
+    return [_chain(p, cells, z) for z in kernel.values()]
 
 
 def is_boundary(complex: CellComplex, chain: Chain) -> bool:
@@ -264,24 +228,21 @@ def is_boundary(complex: CellComplex, chain: Chain) -> bool:
     _check_chain(complex, chain)
     if not chain.support:
         return True
-    cols = complex.cells_of_dim(chain.dim)
-    pos = {cid: i for i, cid in enumerate(cols)}
-    target = np.zeros(len(cols), dtype=np.uint8)
-    for cid in chain.support:
-        target[pos[cid]] = 1
-    mat = complex.boundary_matrix(chain.dim + 1)
-    if mat.shape[1] == 0:
-        return False
-    augmented = np.hstack([mat, target[:, None]])
-    return rank_mod2(mat) == rank_mod2(augmented)
+    pos = {cid: i for i, cid in enumerate(complex.cells_of_dim(chain.dim))}
+    target = sum(1 << pos[cid] for cid in chain.support)
+    image, _ = _reduce(complex.boundary_columns(chain.dim + 1))
+    return bool(_reduce([target], image)[1])
 
 
 def homology(complex: CellComplex, max_p: int | None = None) -> HomologyResult:
     """Cycle ranks, boundary ranks, Betti numbers and generators.
 
-    Generators for dimension p are the kernel basis chains that extend
-    the boundary image to a basis of the cycle space, taken in the
-    deterministic cell order, so output is reproducible run to run.
+    Each boundary map is reduced once. The reduction of the map into
+    dimension p gives the cycle basis of dimension p (as ``cycle_basis``
+    does); the reduction of the map out of it gives the boundary rank and
+    an echelon basis of the boundary image. Generators are the cycles,
+    in kernel basis order, that are not in the span of the image and the
+    cycles picked before them, so output is reproducible run to run.
 
     Raises:
         InvalidComplexError: the complex fails ``validate``.
@@ -292,26 +253,18 @@ def homology(complex: CellComplex, max_p: int | None = None) -> HomologyResult:
     if max_p is None:
         max_p = complex.max_dim
     records = []
+    kernel = _reduce(complex.boundary_columns(0))[1].values()
     for p in range(0, max_p + 1):
-        cols = complex.cells_of_dim(p)
-        kernel = cycle_basis(complex, p)
-        z_p = len(kernel)
-        image_mat = complex.boundary_matrix(p + 1)
-        b_p = rank_mod2(image_mat)
-        span = _Gf2Span()
-        for j in range(image_mat.shape[1]):
-            span.add(_to_bits(image_mat[:, j]))
-        generators = []
-        pos = {cid: i for i, cid in enumerate(cols)}
-        for cyc in kernel:
-            bits = 0
-            for cid in cyc.support:
-                bits |= 1 << pos[cid]
-            if span.add(bits):
-                generators.append(cyc)
+        cells = complex.cells_of_dim(p)
+        image, next_kernel = _reduce(complex.boundary_columns(p + 1))
+        b_p = len(image)
+        bounded = _reduce(kernel, image)[1]
+        generators = tuple(_chain(p, cells, z)
+                           for i, z in enumerate(kernel) if i not in bounded)
         records.append(DimensionHomology(
-            dim=p, n_cells=len(cols), cycle_rank=z_p, boundary_rank=b_p,
-            betti=z_p - b_p, generators=tuple(generators)))
+            dim=p, n_cells=len(cells), cycle_rank=len(kernel), boundary_rank=b_p,
+            betti=len(kernel) - b_p, generators=generators))
+        kernel = next_kernel.values()
     return HomologyResult(tuple(records))
 
 

@@ -94,6 +94,24 @@ def square_step_table(temp_j, area_j=0.75):
     return rows
 
 
+def grid_surface(k, flip=False):
+    """A k x k grid triangulation (k >= 4) with opposite sides glued:
+    the torus, or with ``flip`` the Klein bottle, whose second gluing
+    reverses the direction of the side. 6 k**2 cells."""
+    def vertex(i, j):
+        if i == k:
+            i, j = 0, (-j if flip else j)
+        return f"v{i}x{j % k}"
+
+    triangles = []
+    for i in range(k):
+        for j in range(k):
+            a, b = vertex(i, j), vertex(i + 1, j)
+            c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
+            triangles += [(a, b, c), (a, c, d)]
+    return from_simplices(triangles)
+
+
 # -- random generators ----------------------------------------------------
 
 

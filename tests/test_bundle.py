@@ -6,7 +6,6 @@ import support
 from descell import (
     TransitionFunction,
     assign_probe,
-    local_trivialization_check,
     make_chart,
     transition,
     verify_cocycle,
@@ -192,19 +191,11 @@ def test_verify_cocycle_needs_charts():
 def test_negative_tolerance_rejected(disk3_probe):
     with pytest.raises(ValueError):
         verify_cocycle([make_chart(disk3_probe, {"A"}, "c")], tolerance=-1.0)
+    with pytest.raises(ValueError):
+        verify_cocycle([make_chart(disk3_probe, {"A"}, "c")], tolerance=float("nan"))
 
 
-# -- trivialization and group action -------------------------------------
-
-
-def test_local_trivialization_by_construction(disk3_probe):
-    chart = make_chart(disk3_probe, {"A", "B", "C-D-E"}, "c")
-    assert local_trivialization_check(disk3_probe, chart)
-
-
-def test_local_trivialization_detects_alteration(disk3_probe):
-    chart = with_overrides(make_chart(disk3_probe, {"A", "B"}, "c"), {"A": (3.0,)})
-    assert not local_trivialization_check(disk3_probe, chart)
+# -- group action -------------------------------------------------------
 
 
 def test_translations_form_group_acting_freely():

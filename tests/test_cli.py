@@ -73,6 +73,12 @@ def test_homology_generators(capsys):
 
 def test_homology_invalid_complex(capsys):
     assert main(["homology", str(DATA / "broken_dd.cw")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "composite-odd [f v0] composite boundary coefficient 1 is odd\n"
+        "composite-odd [f v1] composite boundary coefficient 1 is odd\n"
+        "descell: error: complex is invalid\n")
 
 
 def test_homology_oracle_bound_failure(capsys):
@@ -213,6 +219,50 @@ def test_persist_single_step(tmp_path, capsys):
     thetas = {line.split(",")[0] for line in out.splitlines()
               if line and not line.startswith(("#", "theta"))}
     assert thetas == {"0.0"}
+
+
+# -- hostile input -------------------------------------------------------------------
+
+DISK = str(DATA / "disk3.cw")
+PROBE = str(DATA / "disk3_probe.csv")
+COOLING = str(DATA / "cooling.scenario")
+
+
+@pytest.mark.parametrize("args,code", [
+    (("validate", "{latin1}"), 2),
+    (("homology", "{latin1}", "--generators"), 2),
+    (("descriptive", DISK, "--probe", "{latin1}", "--alpha", "0.5"), 2),
+    (("gauge", DISK, "--probe", PROBE, "--charts", "{latin1}"), 2),
+    (("persist", "{latin1}"), 2),
+    (("persist", "{latin1_step}"), 1),
+    (("descriptive", DISK, "--probe", PROBE, "--alpha", "0.5", "--delta", "-1"), 2),
+    (("descriptive", DISK, "--probe", PROBE, "--alpha", "0.5", "--delta", "nan"), 2),
+    (("descriptive", DISK, "--probe", PROBE, "--alpha", "0.5", "--dim", "-1"), 2),
+    (("descriptive", DISK, "--probe", PROBE, "--alpha", "nan"), 2),
+    (("descriptive", DISK, "--probe", PROBE, "--alpha", "inf"), 2),
+    (("gauge", DISK, "--probe", PROBE, "--charts", str(DATA / "charts_ok.chart"),
+      "--tolerance", "-1"), 2),
+    (("gauge", DISK, "--probe", PROBE, "--charts", str(DATA / "charts_override.chart"),
+      "--tolerance", "nan"), 2),
+    (("persist", COOLING, "--delta", "-1"), 2),
+    (("persist", COOLING, "--delta", "nan"), 2),
+], ids=lambda v: " ".join(a.rsplit("/", 1)[-1] for a in v) if isinstance(v, tuple) else None)
+def test_hostile_input_fails_cleanly(args, code, tmp_path, capsys):
+    """Undecodable files and out-of-range options end with an error
+    message and exit code, never a traceback."""
+    latin1 = tmp_path / "latin1.cw"
+    latin1.write_bytes(b"cell caf\xe9 0\n")
+    step = tmp_path / "step.scenario"
+    step.write_text(f"complex {DATA / 'square.cw'}\nstep 0.0 {latin1}\n")
+    argv = [a.format(latin1=latin1, latin1_step=step) for a in args]
+    try:
+        result = main(argv)
+    except SystemExit as exc:
+        result = exc.code
+    assert result == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err
 
 
 # -- determinism -------------------------------------------------------------------

@@ -18,7 +18,6 @@ from descell import (
     descriptive_homology,
     homology,
     oracle_homology,
-    project,
 )
 from descell.errors import (
     ArityMismatchError,
@@ -46,13 +45,13 @@ def four_arcs():
 def test_assign_probe_disk(disk3, disk3_probe):
     assert disk3_probe.arity == 1
     assert disk3_probe["C-D-E"] == (0.9,)
-    assert project(disk3_probe) == disk3
+    assert disk3_probe.complex == disk3
 
 
 def test_assign_probe_empty():
     probe = assign_probe(CellComplex(), [])
     assert probe.arity == 0
-    assert project(probe) == CellComplex()
+    assert probe.complex == CellComplex()
 
 
 def test_assign_probe_missing_cell(circle):
@@ -75,12 +74,6 @@ def test_assign_probe_arity_mismatch(circle):
         assign_probe(circle, [("v", (1.0,)), ("a", (0.0, 1.0))])
 
 
-def test_project_survives_reassignment(circle):
-    p1 = assign_probe(circle, [("v", (1.0,)), ("a", (2.0,))])
-    p2 = assign_probe(circle, [("v", (9.0,)), ("a", (9.0,))])
-    assert project(p1) == project(p2) == circle
-
-
 # -- descriptor balls -------------------------------------------------------
 
 
@@ -100,6 +93,8 @@ def test_ball_members_outside_image(disk3_probe):
 def test_ball_radius_must_be_nonnegative():
     with pytest.raises(ValueError):
         DescriptorBall((0.0,), -1.0)
+    with pytest.raises(ValueError):
+        DescriptorBall((0.0,), float("nan"))
 
 
 def test_ball_predicate_matches_norm_inequality():
