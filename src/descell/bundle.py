@@ -101,19 +101,21 @@ def transition(chart_i: Chart, chart_j: Chart) -> TransitionFunction:
         EmptyOverlapError: the charts share no cells.
         ArityMismatchError: the charts carry different descriptor arities.
     """
-    if chart_i.arity != chart_j.arity:
-        raise ArityMismatchError(
-            f"charts {chart_i.id!r} and {chart_j.id!r} have arities "
-            f"{chart_i.arity} and {chart_j.arity}")
+    _check_arities(chart_i, chart_j)
     overlap = chart_i.cells & chart_j.cells
     if not overlap:
         raise EmptyOverlapError(
             f"charts {chart_i.id!r} and {chart_j.id!r} do not overlap")
-    values = {
-        cid: tuple(a - b for a, b in zip(chart_i.section[cid], chart_j.section[cid]))
-        for cid in sorted(overlap)
-    }
+    values = {cid: _vec_sub(chart_i.section[cid], chart_j.section[cid])
+              for cid in sorted(overlap)}
     return TransitionFunction(pair=(chart_i.id, chart_j.id), values=values)
+
+
+def _check_arities(chart_i: Chart, chart_j: Chart) -> None:
+    if chart_i.arity != chart_j.arity:
+        raise ArityMismatchError(
+            f"charts {chart_i.id!r} and {chart_j.id!r} have arities "
+            f"{chart_i.arity} and {chart_j.arity}")
 
 
 @dataclass(frozen=True)
@@ -172,76 +174,106 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
 
     Per cell of each overlap the residuals checked are t_ii, t_ij + t_ji
     and t_ik - (t_ij + t_jk); residual norms above tolerance are
-    reported. Transitions default to pointwise section differences; a
-    ``transitions`` table overrides selected pairs, which is how
-    non-section-derived (hence potentially inconsistent) data gets
-    vetted. With ``probe`` given, every chart section is additionally
-    compared against the probe ("trivialization" identity), so charts
-    that no longer restrict the global assignment are flagged.
+    reported, per identity in chart-id then cell order. Transitions
+    default to pointwise section differences, taken cell by cell from
+    the two sections with the same arithmetic as ``transition()``, so
+    no ``TransitionFunction`` is built; the default t_ii is zero and
+    cannot fail. A ``transitions`` table overrides selected ordered
+    pairs, which is how non-section-derived (hence potentially
+    inconsistent) data gets vetted; a supplied transition is checked
+    only at the cells it lists. With ``probe`` given, every chart
+    section is additionally compared against the probe
+    ("trivialization" identity), so charts that no longer restrict the
+    global assignment are flagged.
 
     Absent overlaps make the corresponding checks vacuous; a single
     chart yields only its reflexivity (and trivialization) rows.
+
+    Raises:
+        ValueError: no charts, duplicate chart ids, or a negative or nan
+            tolerance.
+        ArityMismatchError: two overlapping charts carry different
+            arities and at least one direction of the pair is not
+            supplied.
     """
     charts = sorted(charts, key=lambda c: c.id)
     if not charts:
         raise ValueError("at least one chart is required")
     if not tolerance >= 0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
-    by_id = {c.id: c for c in charts}
-    if len(by_id) != len(charts):
+    if len({c.id for c in charts}) != len(charts):
         raise ValueError("chart ids must be unique")
-
-    def trans(i: str, j: str) -> TransitionFunction:
-        if transitions and (i, j) in transitions:
-            return transitions[(i, j)]
-        if i == j:
-            zero = (0.0,) * by_id[i].arity
-            return TransitionFunction((i, i), {c: zero for c in by_id[i].cells})
-        return transition(by_id[i], by_id[j])
+    table = transitions or {}
 
     violations: list[GaugeViolation] = []
 
     def record(identity: str, ids: tuple[str, ...], cell: CellId, residual: Descriptor):
-        norm = _norm(residual)
-        if norm > tolerance:
-            violations.append(GaugeViolation(identity, ids, cell, residual, norm))
+        # An all-zero residual has norm 0.0, which never exceeds a tolerance >= 0.
+        if any(residual):
+            norm = _norm(residual)
+            if norm > tolerance:
+                violations.append(GaugeViolation(identity, ids, cell, residual, norm))
 
-    ids = [c.id for c in charts]
-    for i in ids:
-        t_ii = trans(i, i)
-        for cell in t_ii.cells():
-            record("reflexivity", (i,), cell, t_ii.values[cell])
+    # Where the sections involved agree at a cell, every section difference
+    # there is +-0.0, or nan for an infinite or nan component, so no residual
+    # built from them is reported: nan norms never exceed the tolerance.
+    # Residuals of section-derived transitions are therefore computed only
+    # at cells where two of the sections differ; a supplied transition is
+    # suspect at every cell it lists.
+    def transition_at(ci: Chart, cj: Chart, overlap: frozenset[CellId], differ: set[CellId]):
+        """t_ij as a function of the cell, the cells it is given on, and
+        the cells where it can break an identity."""
+        if (ci.id, cj.id) in table:
+            values = table[(ci.id, cj.id)].values
+            given = set(values)
+            return values.__getitem__, given, given
+        _check_arities(ci, cj)
+        si, sj = ci.section, cj.section
+        return (lambda cell: _vec_sub(si[cell], sj[cell])), overlap, differ
 
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            i, j = ids[a], ids[b]
-            if not (by_id[i].cells & by_id[j].cells):
+    for chart in charts:
+        if (chart.id, chart.id) in table:
+            t_ii = table[(chart.id, chart.id)]
+            for cell in t_ii.cells():
+                record("reflexivity", (chart.id,), cell, t_ii.values[cell])
+
+    # forward[a, b]: the overlap and t_ij as from transition_at, for each
+    # overlapping pair a < b
+    forward = {}
+    for a, ci in enumerate(charts):
+        for b in range(a + 1, len(charts)):
+            cj = charts[b]
+            overlap = ci.cells & cj.cells
+            if not overlap:
                 continue
-            t_ij, t_ji = trans(i, j), trans(j, i)
-            for cell in sorted(set(t_ij.values) & set(t_ji.values)):
-                record("symmetry", (i, j), cell,
-                       _vec_add(t_ij.values[cell], t_ji.values[cell]))
+            si, sj = ci.section, cj.section
+            differ = {cell for cell in overlap if si[cell] != sj[cell]}
+            t_ij, given_ij, suspect_ij = transition_at(ci, cj, overlap, differ)
+            t_ji, given_ji, suspect_ji = transition_at(cj, ci, overlap, differ)
+            forward[a, b] = overlap, t_ij, given_ij, suspect_ij
+            for cell in sorted(given_ij & given_ji & (suspect_ij | suspect_ji)):
+                record("symmetry", (ci.id, cj.id), cell, _vec_add(t_ij(cell), t_ji(cell)))
 
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            for c in range(b + 1, len(ids)):
-                i, j, k = ids[a], ids[b], ids[c]
-                triple = by_id[i].cells & by_id[j].cells & by_id[k].cells
-                if not triple:
-                    continue
-                t_ij, t_jk, t_ik = trans(i, j), trans(j, k), trans(i, k)
-                # Supplied tables may omit cells; only shared keys are checkable.
-                checkable = triple & set(t_ij.values) & set(t_jk.values) & set(t_ik.values)
-                for cell in sorted(checkable):
-                    composed = _vec_add(t_ij.values[cell], t_jk.values[cell])
-                    record("cocycle", (i, j, k), cell,
-                           _vec_sub(t_ik.values[cell], composed))
+    for (a, b), (overlap, t_ij, given_ij, suspect_ij) in forward.items():
+        for c in range(b + 1, len(charts)):
+            triple = overlap & charts[c].cells
+            if not triple:
+                continue
+            _, t_jk, given_jk, suspect_jk = forward[b, c]
+            _, t_ik, given_ik, suspect_ik = forward[a, c]
+            suspect = suspect_ij | suspect_jk | suspect_ik
+            if not suspect:
+                continue
+            ids = (charts[a].id, charts[b].id, charts[c].id)
+            for cell in sorted(triple & given_ij & given_jk & given_ik & suspect):
+                composed = _vec_add(t_ij(cell), t_jk(cell))
+                record("cocycle", ids, cell, _vec_sub(t_ik(cell), composed))
 
     if probe is not None:
         for chart in charts:
             for cell in sorted(chart.cells):
-                record("trivialization", (chart.id,), cell,
-                       _vec_sub(chart.section[cell], probe[cell]))
+                section, reference = chart.section[cell], probe[cell]
+                if section != reference:
+                    record("trivialization", (chart.id,), cell, _vec_sub(section, reference))
 
     return GaugeReport(tolerance=tolerance, violations=tuple(violations))
-

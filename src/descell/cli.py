@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", help="Betti numbers and ranks of a complex")
     p.add_argument("complex")
-    p.add_argument("--max-dim", dest="max_dim", type=int, default=None)
+    p.add_argument("--max-dim", dest="max_dim", type=_non_negative_int, default=None)
     p.add_argument("--generators", action="store_true",
                    help="also print a generator line per homology class")
     p.add_argument("--oracle", action="store_true",
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario file path")
     p.add_argument("--delta", type=_non_negative_float, default=0.0)
     p.add_argument("--mode", choices=("remove", "retain"), default="remove")
-    p.add_argument("--max-dim", dest="max_dim", type=int, default=None)
+    p.add_argument("--max-dim", dest="max_dim", type=_non_negative_int, default=None)
     p.add_argument("--out", default=None, help="write the CSV here and print the row count")
     p.set_defaults(func=cmd_persist)
 

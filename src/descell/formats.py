@@ -7,11 +7,14 @@ and CRLF. Parsing never raises for bad content: each parser returns
 error-severity diagnostic is present.
 
 Formats:
-  complex      ``cell <id> <dim>`` and ``bnd <id> <face>:<degree> ...``
-               lines, '#' comments, two-pass resolution.
-  descriptors  CSV with header ``cell,f1,...,fn``, one row per cell.
+  complex      ``cell <id> <dim>`` (0 <= dim <= MAX_CELL_DIM) and
+               ``bnd <id> <face>:<degree> ...`` lines, '#' comments,
+               two-pass resolution.
+  descriptors  CSV with header ``cell,f1,...,fn``, one row per cell,
+               finite values.
   charts       ``chart <id>`` blocks of ``member <cell>`` lines plus
-               optional ``override <cell> <f1> ... <fn>`` lines.
+               optional ``override <cell> <f1> ... <fn>`` lines with
+               finite values.
   scenario     ``complex <path>`` then ``step <theta> <csv-path>`` lines.
   signature    CSV ``theta,alpha,dim,betti`` with alpha components
                joined by ';', preceded by '# key value' metadata lines.
@@ -19,6 +22,7 @@ Formats:
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable
@@ -62,6 +66,11 @@ def _fmt_float(value: float) -> str:
 
 # -- complex format -----------------------------------------------------
 
+MAX_CELL_DIM = 64
+"""The highest cell dimension the complex format accepts. Homology keeps
+and prints one record per dimension up to the top one, so without a
+bound a two-line file could ask for millions of them."""
+
 
 def parse_complex(text: str, filename: str = "<complex>",
                   ) -> tuple[CellComplex | None, list[ParseDiagnostic]]:
@@ -90,6 +99,9 @@ def parse_complex(text: str, filename: str = "<complex>",
                 continue
             if dim < 0:
                 err(lineno, f"dimension {dim} is negative")
+                continue
+            if dim > MAX_CELL_DIM:
+                err(lineno, f"dimension {dim} exceeds the bound {MAX_CELL_DIM}")
                 continue
             cells[cid] = dim
         elif words[0] == "bnd":
@@ -192,9 +204,14 @@ def parse_descriptors(text: str, complex: CellComplex,
             err(lineno, f"unknown cell {cid!r}", "reference")
             continue
         try:
-            rows[cid] = tuple(float(f) for f in fields[1:])
+            desc = tuple(float(f) for f in fields[1:])
         except ValueError:
             err(lineno, f"non-numeric descriptor value in {raw.strip()!r}")
+            continue
+        if not all(map(math.isfinite, desc)):
+            err(lineno, f"non-finite descriptor value in {raw.strip()!r}")
+            continue
+        rows[cid] = desc
     missing = sorted(set(complex.cells) - set(rows))
     if missing:
         err(0, f"cells without descriptors: {', '.join(missing)}", "coverage")
@@ -291,6 +308,9 @@ def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
                 desc = tuple(float(w) for w in words[2:])
             except ValueError:
                 err(lineno, f"non-numeric override value in {line!r}")
+                continue
+            if not all(map(math.isfinite, desc)):
+                err(lineno, f"non-finite override value in {line!r}")
                 continue
             current[3][cell] = (lineno, desc)
         else:

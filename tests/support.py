@@ -1,13 +1,13 @@
 """Shared builders and random generators for the test suite.
 
-Random descriptor values come from a dyadic grid (k/64) so descriptor
-subtraction is exact in floating point and tolerance-0 checks are
-meaningful.
+Random descriptor values come from a dyadic grid (k/64) by default, so
+descriptor subtraction is exact in floating point and tolerance-0 checks
+are meaningful; ``decimal_value`` draws values whose differences round.
 """
 
 from itertools import combinations
 
-from descell import CellComplex, Chain, assign_probe, from_simplices
+from descell import CellComplex, Chain, assign_probe, from_simplices, make_chart
 
 GRID = 64
 
@@ -94,10 +94,9 @@ def square_step_table(temp_j, area_j=0.75):
     return rows
 
 
-def grid_surface(k, flip=False):
-    """A k x k grid triangulation (k >= 4) with opposite sides glued:
-    the torus, or with ``flip`` the Klein bottle, whose second gluing
-    reverses the direction of the side. 6 k**2 cells."""
+def _grid_triangles(k, flip=False):
+    """The triangles of ``grid_surface``, two per grid square, square
+    (i, j) at positions 2 (i k + j) and 2 (i k + j) + 1."""
     def vertex(i, j):
         if i == k:
             i, j = 0, (-j if flip else j)
@@ -109,7 +108,34 @@ def grid_surface(k, flip=False):
             a, b = vertex(i, j), vertex(i + 1, j)
             c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
             triangles += [(a, b, c), (a, c, d)]
-    return from_simplices(triangles)
+    return triangles
+
+
+def grid_surface(k, flip=False):
+    """A k x k grid triangulation (k >= 4) with opposite sides glued:
+    the torus, or with ``flip`` the Klein bottle, whose second gluing
+    reverses the direction of the side. 6 k**2 cells."""
+    return from_simplices(_grid_triangles(k, flip))
+
+
+def grid_windows(k, grid, window):
+    """Cell sets of a chart cover of the torus ``grid_surface(k)``: the
+    closures of window x window blocks of grid squares, their corners on
+    a cols x rows lattice, so pairwise and triple overlaps are common."""
+    cols, rows = grid
+    triangles = _grid_triangles(k)
+    windows = []
+    for n in range(cols * rows):
+        x0, y0 = n % cols * k // cols, n // cols * k // rows
+        cells = set()
+        for idx, tri in enumerate(triangles):
+            i, j = divmod(idx // 2, k)
+            if (i - x0) % k < window and (j - y0) % k < window:
+                verts = sorted(tri)
+                cells.update("-".join(face) for r in (1, 2, 3)
+                             for face in combinations(verts, r))
+        windows.append(cells)
+    return windows
 
 
 # -- random generators ----------------------------------------------------
@@ -117,6 +143,12 @@ def grid_surface(k, flip=False):
 
 def grid_value(rng):
     return rng.randrange(0, GRID + 1) / GRID
+
+
+def decimal_value(rng):
+    """A multiple of 1/10, which floating point cannot hold exactly, so
+    differences of such values round."""
+    return rng.randrange(-50, 51) / 10
 
 
 def random_simplicial_complex(rng, max_vertices=10):
@@ -199,10 +231,22 @@ def random_chain(rng, k, dim=None):
     return Chain(dim, frozenset(cells))
 
 
-def random_probe_table(rng, k, arity=2):
-    return [(cid, tuple(grid_value(rng) for _ in range(arity)))
+def random_probe_table(rng, k, arity=2, value=grid_value):
+    return [(cid, tuple(value(rng) for _ in range(arity)))
             for cid in sorted(k.cells)]
 
 
-def random_probe(rng, k, arity=2):
-    return assign_probe(k, random_probe_table(rng, k, arity))
+def random_probe(rng, k, arity=2, value=grid_value):
+    return assign_probe(k, random_probe_table(rng, k, arity, value))
+
+
+def random_cover(rng, k, probe, n_charts):
+    """Charts drawn from one probe, forced to overlap pairwise via a
+    shared anchor cell."""
+    cells = sorted(k.cells)
+    anchor = rng.choice(cells)
+    charts = []
+    for i in range(n_charts):
+        members = {anchor} | {c for c in cells if rng.random() < 0.5}
+        charts.append(make_chart(probe, members, f"u{i}"))
+    return charts

@@ -24,18 +24,6 @@ def scalar_probe(k, offset=0.0):
                             for i, cid in enumerate(sorted(k.cells))])
 
 
-def random_cover(rng, k, probe, n_charts):
-    """Charts drawn from one probe, forced to overlap pairwise via a
-    shared anchor cell."""
-    cells = sorted(k.cells)
-    anchor = rng.choice(cells)
-    charts = []
-    for i in range(n_charts):
-        members = {anchor} | {c for c in cells if rng.random() < 0.5}
-        charts.append(make_chart(probe, members, f"u{i}"))
-    return charts
-
-
 # -- charts ---------------------------------------------------------------
 
 
@@ -126,7 +114,7 @@ def test_common_probe_cover_clean_at_zero_tolerance():
     for _ in range(25):
         k = support.random_cw_complex(rng)
         probe = support.random_probe(rng, k, arity=2)
-        charts = random_cover(rng, k, probe, rng.randint(2, 5))
+        charts = support.random_cover(rng, k, probe, rng.randint(2, 5))
         report = verify_cocycle(charts, tolerance=0.0, probe=probe)
         assert report.clean
 

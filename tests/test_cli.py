@@ -246,15 +246,36 @@ COOLING = str(DATA / "cooling.scenario")
       "--tolerance", "nan"), 2),
     (("persist", COOLING, "--delta", "-1"), 2),
     (("persist", COOLING, "--delta", "nan"), 2),
+    (("homology", str(DATA / "torus.cw"), "--max-dim", "-1"), 2),
+    (("persist", COOLING, "--max-dim", "-1"), 2),
+    (("homology", "{deep}"), 2),
+    (("validate", "{deep}"), 2),
+    (("descriptive", DISK, "--probe", "{nan_probe}", "--alpha", "0.5"), 2),
+    (("descriptive", DISK, "--probe", "{inf_probe}", "--spectrum"), 2),
+    (("gauge", DISK, "--probe", "{nan_probe}", "--charts", str(DATA / "charts_ok.chart")), 2),
+    (("gauge", DISK, "--probe", PROBE, "--charts", "{inf_chart}"), 2),
+    (("gauge", DISK, "--probe", PROBE, "--charts", "{nan_chart}"), 2),
 ], ids=lambda v: " ".join(a.rsplit("/", 1)[-1] for a in v) if isinstance(v, tuple) else None)
 def test_hostile_input_fails_cleanly(args, code, tmp_path, capsys):
-    """Undecodable files and out-of-range options end with an error
-    message and exit code, never a traceback."""
+    """Undecodable files, non-finite values, out-of-range cell
+    dimensions and out-of-range options end with an error message and
+    exit code, never a traceback."""
     latin1 = tmp_path / "latin1.cw"
     latin1.write_bytes(b"cell caf\xe9 0\n")
     step = tmp_path / "step.scenario"
     step.write_text(f"complex {DATA / 'square.cw'}\nstep 0.0 {latin1}\n")
-    argv = [a.format(latin1=latin1, latin1_step=step) for a in args]
+    deep = tmp_path / "deep.cw"
+    deep.write_text("cell v 0\ncell b 5000000\n")
+    probe_text = (DATA / "disk3_probe.csv").read_text()
+    files = {"latin1": latin1, "latin1_step": step, "deep": deep}
+    for name, text in (
+            ("nan_probe", probe_text.replace("A,0.0", "A,nan")),
+            ("inf_probe", probe_text.replace("A,0.0", "A,-inf")),
+            ("inf_chart", (DATA / "charts_override.chart").read_text().replace("0.77", "inf")),
+            ("nan_chart", (DATA / "charts_override.chart").read_text().replace("0.77", "NaN"))):
+        files[name] = tmp_path / name
+        files[name].write_text(text)
+    argv = [a.format(**files) for a in args]
     try:
         result = main(argv)
     except SystemExit as exc:

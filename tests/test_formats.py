@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
 import support
 from descell import CellComplex, make_chart, signature, with_overrides
 from descell.formats import (
+    MAX_CELL_DIM,
     ScenarioFile,
     emit_charts,
     emit_complex,
@@ -55,6 +58,15 @@ def test_parse_dimension_mismatch_diagnostic():
     k, diags = parse_complex(text)
     assert k is None
     assert any("dimension" in d.message for d in diags)
+
+
+def test_parse_cell_dimension_bound():
+    k, diags = parse_complex(f"cell v 0\ncell b {MAX_CELL_DIM}\n")
+    assert not diags and k.max_dim == MAX_CELL_DIM
+    k, diags = parse_complex(f"cell v 0\ncell b {MAX_CELL_DIM + 1}\n")
+    assert k is None
+    assert [(d.line, d.severity) for d in diags] == [(2, "error")]
+    assert "exceeds the bound" in diags[0].message
 
 
 def test_parse_accepts_crlf_and_comments():
@@ -146,11 +158,12 @@ def test_parse_descriptors_duplicate(circle):
     assert any("duplicate" in d.message for d in diags)
 
 
-def test_parse_descriptors_non_numeric(circle):
-    text = "cell,f1\nv,apple\na,0.0\n"
+@pytest.mark.parametrize("value", ["apple", "nan", "-inf", "1e999"])
+def test_parse_descriptors_non_numeric(circle, value):
+    text = f"cell,f1\nv,{value}\na,0.0\n"
     table, diags = parse_descriptors(text, circle)
     assert table is None
-    assert any(d.line == 2 for d in diags)
+    assert any(d.line == 2 and d.code == "syntax" for d in diags)
 
 
 def test_parse_descriptors_coverage(circle):
