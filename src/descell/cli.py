@@ -17,6 +17,7 @@ from .cellcomplex import CellComplex
 from .descriptive import DescriptorBall, alpha_spectrum, derive_subcomplex
 from .errors import DescellError, InvalidComplexError, TooLargeError
 from .formats import (
+    MAX_CELL_DIM,
     ParseDiagnostic,
     emit_signature,
     load_probe,
@@ -109,6 +110,16 @@ def _non_negative_int(text: str) -> int:
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
+def _max_dim(text: str) -> int:
+    """argparse type: an integer from 0 to ``MAX_CELL_DIM``, the bound on
+    cell dimensions in complex files."""
+    value = _non_negative_int(text)
+    if value > MAX_CELL_DIM:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer from 0 to {MAX_CELL_DIM}, got {text!r}")
     return value
 
 
@@ -254,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", help="Betti numbers and ranks of a complex")
     p.add_argument("complex")
-    p.add_argument("--max-dim", dest="max_dim", type=_non_negative_int, default=None)
+    p.add_argument("--max-dim", dest="max_dim", type=_max_dim, default=None)
     p.add_argument("--generators", action="store_true",
                    help="also print a generator line per homology class")
     p.add_argument("--oracle", action="store_true",
@@ -289,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario file path")
     p.add_argument("--delta", type=_non_negative_float, default=0.0)
     p.add_argument("--mode", choices=("remove", "retain"), default="remove")
-    p.add_argument("--max-dim", dest="max_dim", type=_non_negative_int, default=None)
+    p.add_argument("--max-dim", dest="max_dim", type=_max_dim, default=None)
     p.add_argument("--out", default=None, help="write the CSV here and print the row count")
     p.set_defaults(func=cmd_persist)
 

@@ -143,15 +143,14 @@ class DescriptiveSubcomplex:
     removed: frozenset[CellId]
 
 
-def derive_subcomplex(probe: ProbeAssignment, ball: DescriptorBall,
-                      p: int = 2, mode: str = "remove") -> DescriptiveSubcomplex:
-    """Delete (or keep only) the p-cells inside a descriptor ball.
+def removed_cells(probe: ProbeAssignment, ball: DescriptorBall,
+                  p: int = 2, mode: str = "remove") -> frozenset[CellId]:
+    """The cells ``derive_subcomplex`` deletes for a descriptor ball.
 
-    In "remove" mode the p-cells inside the ball are deleted; in
-    "retain" mode the p-cells outside the ball are deleted. Cells of
-    dimension below p always survive. Every higher cell whose closure
-    meets a deleted cell is deleted too, so the result is face-closed
-    and passes validation whenever the base does.
+    In "remove" mode these are the p-cells inside the ball; in "retain"
+    mode the p-cells outside it. Cells of dimension below p always
+    survive. Every higher cell whose closure meets a deleted cell is
+    deleted too, so each surviving cell keeps all of its faces.
     """
     if mode not in ("remove", "retain"):
         raise ValueError(f"mode must be 'remove' or 'retain', got {mode!r}")
@@ -159,16 +158,25 @@ def derive_subcomplex(probe: ProbeAssignment, ball: DescriptorBall,
         raise ValueError(f"dimension must be non-negative, got {p}")
     base = probe.complex
     members = ball_members(probe, ball, p)
-    if mode == "remove":
-        removed = set(members)
-    else:
-        removed = set(base.cells_of_dim(p)) - members
+    removed = members if mode == "remove" else set(base.cells_of_dim(p)) - members
     # Upward cascade: one ascending sweep suffices because faces of a
     # q-cell were settled at q-1.
     for q in range(p + 1, base.max_dim + 1):
         for cid in base.cells_of_dim(q):
             if any(fid in removed for fid in base.faces(cid)):
                 removed.add(cid)
+    return frozenset(removed)
+
+
+def derive_subcomplex(probe: ProbeAssignment, ball: DescriptorBall,
+                      p: int = 2, mode: str = "remove") -> DescriptiveSubcomplex:
+    """Delete (or keep only) the p-cells inside a descriptor ball.
+
+    The deleted cells, cofaces included, are ``removed_cells``. The
+    result is face-closed and passes validation whenever the base does.
+    """
+    removed = removed_cells(probe, ball, p, mode)
+    base = probe.complex
     cells = {cid: d for cid, d in base.cells.items() if cid not in removed}
     incidence = {
         (c, f): deg for (c, f), deg in base.incidence.items()
@@ -176,7 +184,7 @@ def derive_subcomplex(probe: ProbeAssignment, ball: DescriptorBall,
     }
     return DescriptiveSubcomplex(
         probe=probe, ball=ball, dim=p, mode=mode,
-        complex=CellComplex(cells, incidence), removed=frozenset(removed))
+        complex=CellComplex(cells, incidence), removed=removed)
 
 
 def descriptive_homology(probe: ProbeAssignment, ball: DescriptorBall,

@@ -15,7 +15,8 @@ Formats:
   charts       ``chart <id>`` blocks of ``member <cell>`` lines plus
                optional ``override <cell> <f1> ... <fn>`` lines with
                finite values.
-  scenario     ``complex <path>`` then ``step <theta> <csv-path>`` lines.
+  scenario     ``complex <path>`` then ``step <theta> <csv-path>`` lines
+               with finite thetas.
   signature    CSV ``theta,alpha,dim,betti`` with alpha components
                joined by ';', preceded by '# key value' metadata lines.
 """
@@ -390,6 +391,9 @@ def parse_scenario(text: str, filename: str = "<scenario>",
                 theta = float(theta_s)
             except ValueError:
                 err(lineno, f"theta {theta_s!r} is not a number")
+                continue
+            if not math.isfinite(theta):
+                err(lineno, f"theta {theta_s!r} is not finite")
                 continue
             steps.append((theta, path))
         else:

@@ -183,6 +183,11 @@ def _reduce(columns: Iterable[int], pivots: dict[int, int] | None = None,
     return pivots, dependent
 
 
+def _rank(columns: Iterable[int]) -> int:
+    """Rank over GF(2) of int-bitset columns: the size of their pivot map."""
+    return len(_reduce(columns)[0])
+
+
 def _chain(p: int, cells: tuple[CellId, ...], bits: int) -> Chain:
     """The p-chain whose support is the cells at the set bit positions."""
     support = []
@@ -203,8 +208,7 @@ def rank_mod2(matrix) -> int:
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={mat.ndim}")
     packed = np.packbits(mat.T.astype(bool), axis=1, bitorder="little")
-    pivots, _ = _reduce([int.from_bytes(row.tobytes(), "little") for row in packed])
-    return len(pivots)
+    return _rank(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 # -- homology -------------------------------------------------------------------

@@ -11,25 +11,29 @@ translation between two regions' descriptions across the steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import compress
+from typing import Callable, Iterable, Mapping
 
 from .cellcomplex import CellComplex, CellId
-from .descriptive import (
+from .descriptive import (  # noqa: F401  (descriptive_homology stays importable here)
     Descriptor,
     DescriptorBall,
     ProbeAssignment,
     alpha_spectrum,
     assign_probe,
     descriptive_homology,
+    removed_cells,
 )
 from .errors import (
     ArityMismatchError,
     EmptyOverlapError,
     ForeignCellError,
+    InvalidComplexError,
     MetadataMismatchError,
     NonMonotoneThetaError,
     StepCountMismatchError,
 )
+from .homology import _rank
 
 
 @dataclass(frozen=True)
@@ -79,14 +83,53 @@ def build_scenario(complex: CellComplex,
     return Scenario(complex=complex, steps=tuple(built))
 
 
+def _masked_betti(base: CellComplex, max_p: int,
+                  ) -> Callable[[frozenset[CellId]], tuple[int, ...]]:
+    """Betti numbers 0 .. max_p of the sub-complexes of ``base`` that
+    ``removed_cells`` carves, as a function of the removed set.
+
+    The base is validated and its boundary columns built once. A cell
+    that survives keeps all of its faces, so the surviving columns are
+    zero on every removed row, and betti_q = n_q - rank d_q - rank
+    d_(q+1) over the surviving cells and columns alone. Each distinct
+    removed set is reduced once, and a dimension that loses no cell
+    keeps the base's rank.
+
+    The function raises what ``homology`` raises on the sub-complex
+    ``derive_subcomplex`` builds: InvalidComplexError with the base's
+    violations whose cells all survive, in order, less the dangling-face
+    ones, which the sub-complex drops with the incidence entry.
+    """
+    checked = [v for v in base.validate() if v.code != "dangling-face"]
+    cells = [base.cells_of_dim(q) for q in range(max_p + 2)]
+    columns = [base.boundary_columns(q) for q in range(max_p + 2)]
+    full_ranks = [_rank(cols) for cols in columns]
+    memo: dict[frozenset[CellId], tuple[int, ...]] = {}
+
+    def betti(removed: frozenset[CellId]) -> tuple[int, ...]:
+        found = memo.get(removed)
+        if found is None:
+            violations = [v for v in checked if removed.isdisjoint(v.cells)]
+            if violations:
+                raise InvalidComplexError(violations)
+            masks = [[cid not in removed for cid in ids] for ids in cells]
+            ranks = [rank if all(mask) else _rank(compress(cols, mask))
+                     for mask, cols, rank in zip(masks, columns, full_ranks)]
+            found = memo[removed] = tuple(
+                sum(masks[q]) - ranks[q] - ranks[q + 1] for q in range(max_p + 1))
+        return found
+
+    return betti
+
+
 def betti_curve(scenario: Scenario, ball: DescriptorBall, p: int,
                 mode: str = "remove", removal_dim: int = 2) -> list[tuple[float, int]]:
-    """The dimension-p Betti number per step for one descriptor ball."""
-    out = []
-    for step in scenario.steps:
-        hom = descriptive_homology(step.probe, ball, removal_dim, mode, max_p=p)
-        out.append((step.theta, hom.betti(p)))
-    return out
+    """The dimension-p Betti number per step for one descriptor ball:
+    ``descriptive_homology(step.probe, ball, removal_dim, mode,
+    max_p=p).betti(p)``, computed as ``signature`` computes its entries."""
+    betti = _masked_betti(scenario.complex, p)
+    return [(step.theta, betti(removed_cells(step.probe, ball, removal_dim, mode))[p])
+            for step in scenario.steps]
 
 
 @dataclass(frozen=True)
@@ -133,8 +176,14 @@ def signature(scenario: Scenario, delta: float = 0.0, mode: str = "remove",
               max_p: int | None = None, removal_dim: int = 2) -> PersistenceSignature:
     """Betti signature over every observed descriptor value and step.
 
-    Per-step and per-alpha entries are independent computations, so the
-    table is deterministic regardless of evaluation order.
+    Entry (step, alpha, p) is ``descriptive_homology(step.probe,
+    DescriptorBall(alpha, delta), removal_dim, mode, max_p).betti(p)``,
+    and the first entry whose sub-complex is invalid raises its
+    InvalidComplexError. Every step's probe lies on ``scenario.complex``
+    (``build_scenario`` sees to that), so the entries are cell masks on
+    that one complex: it is validated once, and entries that remove the
+    same cells share one reduction. The table does not depend on the
+    evaluation order.
     """
     if max_p is None:
         max_p = scenario.complex.max_dim
@@ -143,13 +192,14 @@ def signature(scenario: Scenario, delta: float = 0.0, mode: str = "remove",
         alphas.update(alpha_spectrum(step.probe, removal_dim))
     sorted_alphas = tuple(sorted(alphas))
     dims = tuple(range(0, max_p + 1))
+    betti = _masked_betti(scenario.complex, max_p)
     table: dict[tuple[int, Descriptor, int], int] = {}
     for ti, step in enumerate(scenario.steps):
         for alpha in sorted_alphas:
-            hom = descriptive_homology(
-                step.probe, DescriptorBall(alpha, delta), removal_dim, mode, max_p=max_p)
+            bettis = betti(removed_cells(
+                step.probe, DescriptorBall(alpha, delta), removal_dim, mode))
             for p in dims:
-                table[(ti, alpha, p)] = hom.betti(p)
+                table[(ti, alpha, p)] = bettis[p]
     return PersistenceSignature(
         mode=mode, delta=float(delta), removal_dim=removal_dim,
         thetas=scenario.thetas, alphas=sorted_alphas, dims=dims, table=table)

@@ -66,6 +66,13 @@ def test_homology_max_dim_zero(capsys):
     assert out == "dim 0 cells 1 cycle_rank 1 boundary_rank 0 betti 1\nbetti 1\n"
 
 
+def test_homology_max_dim_at_cell_dimension_bound(capsys):
+    assert main(["homology", str(DATA / "torus.cw"), "--max-dim", "64"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 66
+    assert lines[-2] == "dim 64 cells 0 cycle_rank 0 boundary_rank 0 betti 0"
+
+
 def test_homology_generators(capsys):
     assert main(["homology", str(DATA / "circle.cw"), "--generators"]) == 0
     assert "gen 1 a" in capsys.readouterr().out
@@ -248,6 +255,11 @@ COOLING = str(DATA / "cooling.scenario")
     (("persist", COOLING, "--delta", "nan"), 2),
     (("homology", str(DATA / "torus.cw"), "--max-dim", "-1"), 2),
     (("persist", COOLING, "--max-dim", "-1"), 2),
+    (("homology", str(DATA / "torus.cw"), "--max-dim", "5000000"), 2),
+    (("homology", str(DATA / "torus.cw"), "--max-dim", "65"), 2),
+    (("persist", COOLING, "--max-dim", "100000"), 2),
+    (("persist", "{nan_theta}"), 2),
+    (("persist", "{inf_theta}"), 2),
     (("homology", "{deep}"), 2),
     (("validate", "{deep}"), 2),
     (("descriptive", DISK, "--probe", "{nan_probe}", "--alpha", "0.5"), 2),
@@ -268,6 +280,11 @@ def test_hostile_input_fails_cleanly(args, code, tmp_path, capsys):
     deep.write_text("cell v 0\ncell b 5000000\n")
     probe_text = (DATA / "disk3_probe.csv").read_text()
     files = {"latin1": latin1, "latin1_step": step, "deep": deep}
+    for name, theta in (("nan_theta", "nan"), ("inf_theta", "inf")):
+        files[name] = tmp_path / f"{name}.scenario"
+        files[name].write_text(f"complex {DATA / 'square.cw'}\n"
+                               f"step 0.0 {DATA / 'cooling_step1.csv'}\n"
+                               f"step {theta} {DATA / 'cooling_step2.csv'}\n")
     for name, text in (
             ("nan_probe", probe_text.replace("A,0.0", "A,nan")),
             ("inf_probe", probe_text.replace("A,0.0", "A,-inf")),

@@ -1,12 +1,14 @@
-"""Property tests: the descriptor and chart parsers never raise.
+"""Property tests: the descriptor, chart and scenario parsers never raise.
 
-Whatever text they get, ``parse_descriptors``, ``load_probe`` and
-``parse_charts`` return an artifact or error diagnostics, and the
-artifact is None exactly when there is an error. The texts mix arbitrary
+Whatever text they get, ``parse_descriptors``, ``load_probe``,
+``parse_charts`` and ``parse_scenario`` return an artifact or error
+diagnostics, and the artifact is None exactly when there is an error. The texts mix arbitrary
 strings with lines built from the formats' own words, real cell ids and
 awkward numbers (``nan``, ``inf``, overflowing exponents), so most of
 them get past the header and the directive checks.
 """
+
+import math
 
 import pytest
 
@@ -16,7 +18,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import support  # noqa: E402
-from descell.formats import has_errors, load_probe, parse_charts, parse_descriptors  # noqa: E402
+from descell.formats import (  # noqa: E402
+    has_errors,
+    load_probe,
+    parse_charts,
+    parse_descriptors,
+    parse_scenario,
+)
 
 COMPLEX = support.disk3()
 PROBE = support.disk3_probe()
@@ -57,6 +65,12 @@ block = members.flatmap(lambda ms: st.builds(
     st.lists(st.tuples(st.sampled_from(ms + ["X"]), st.sampled_from(VALUES)), max_size=3)))
 chart_text = st.lists(block | chart_line, max_size=6).map("\n".join) | st.text()
 
+scenario_line = (free_line
+                 | st.builds("complex {}".format, st.sampled_from(["a.cw", "", "a b.cw"]))
+                 | st.builds("step {} {}".format, st.sampled_from(VALUES + ["-1.5", "2"]),
+                             st.sampled_from(["s.csv", "", "# c"])))
+scenario_text = st.lists(scenario_line, max_size=6).map("\n".join) | st.text()
+
 
 @settings(max_examples=200, deadline=None)
 @given(csv_text)
@@ -72,3 +86,12 @@ def test_descriptor_parsers_never_raise(text):
 def test_parse_charts_never_raises(text):
     charts, diags = parse_charts(text, PROBE)
     assert (charts is None) == has_errors(diags)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario_text)
+def test_parse_scenario_never_raises(text):
+    sf, diags = parse_scenario(text)
+    assert (sf is None) == has_errors(diags)
+    if sf is not None:
+        assert all(math.isfinite(theta) for theta, _ in sf.steps)
