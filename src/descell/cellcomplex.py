@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import DimensionMismatchError, DuplicateIdError, MissingFaceError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CellId = str
 
@@ -203,6 +204,8 @@ class CellComplex:
         p-cells; entry (i, j) is bit i of ``boundary_columns(p)[j]``.
         Dimensions with no cells give the corresponding empty shape.
         """
+        import numpy as np
+
         if p < 1:
             raise ValueError(f"boundary matrix requires p >= 1, got {p}")
         rows = len(self.cells_of_dim(p - 1))

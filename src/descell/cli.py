@@ -14,7 +14,7 @@ import sys
 
 from .bundle import verify_cocycle
 from .cellcomplex import CellComplex
-from .descriptive import DescriptorBall, alpha_spectrum, derive_subcomplex
+from .descriptive import DescriptorBall, alpha_spectrum, removed_cells
 from .errors import DescellError, InvalidComplexError, TooLargeError
 from .formats import (
     MAX_CELL_DIM,
@@ -25,8 +25,8 @@ from .formats import (
     parse_charts,
     parse_complex,
 )
-from .homology import homology, oracle_homology
-from .persistence import signature
+from .homology import MAX_ORACLE_CELLS, homology, oracle_homology
+from .persistence import _masked_betti, signature
 
 USAGE_ERROR = 2
 SEMANTIC_ERROR = 1
@@ -113,14 +113,21 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _max_dim(text: str) -> int:
-    """argparse type: an integer from 0 to ``MAX_CELL_DIM``, the bound on
-    cell dimensions in complex files."""
-    value = _non_negative_int(text)
-    if value > MAX_CELL_DIM:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer from 0 to {MAX_CELL_DIM}, got {text!r}")
-    return value
+def _int_up_to(limit: int):
+    """argparse type: an integer from 0 to ``limit``."""
+    def parse(text: str) -> int:
+        value = _non_negative_int(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer from 0 to {limit}, got {text!r}")
+        return value
+    return parse
+
+
+# Dimensions are bounded like the cells of complex files; the oracle's
+# cell count like the chains it can enumerate.
+_max_dim = _int_up_to(MAX_CELL_DIM)
+_oracle_bound = _int_up_to(MAX_ORACLE_CELLS)
 
 
 def _fmt_alpha(alpha: tuple[float, ...]) -> str:
@@ -178,7 +185,12 @@ def cmd_descriptive(args) -> int:
     complex = _load_complex(args.complex)
     if complex is None:
         return USAGE_ERROR
-    if complex.validate():
+    # A parsed complex declares every face it names, so it is invalid
+    # exactly when its sub-complex with nothing removed is.
+    betti = _masked_betti(complex, complex.max_dim)
+    try:
+        betti(frozenset())
+    except InvalidComplexError:
         return _fail("complex is invalid", SEMANTIC_ERROR)
     probe, code = _load_probe_for(complex, args.probe)
     if probe is None:
@@ -194,11 +206,9 @@ def cmd_descriptive(args) -> int:
                 f"alpha has arity {len(alpha)}, probe has {probe.arity}", USAGE_ERROR)
         alphas = [alpha]
     for alpha in alphas:
-        sub = derive_subcomplex(probe, DescriptorBall(alpha, args.delta),
-                                args.dim, args.mode)
-        result = homology(sub.complex, max_p=complex.max_dim)
-        betti = " ".join(str(b) for b in result.betti_vector())
-        print(f"alpha {_fmt_alpha(alpha)} cells {len(sub.complex)} betti {betti}")
+        removed = removed_cells(probe, DescriptorBall(alpha, args.delta), args.dim, args.mode)
+        bettis = " ".join(str(b) for b in betti(removed))
+        print(f"alpha {_fmt_alpha(alpha)} cells {len(complex) - len(removed)} betti {bettis}")
     return 0
 
 
@@ -270,8 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print a generator line per homology class")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the enumeration oracle")
-    p.add_argument("--oracle-bound", dest="oracle_bound", type=int, default=14,
-                   help="cell-count bound for the oracle (default 14)")
+    p.add_argument("--oracle-bound", dest="oracle_bound", type=_oracle_bound,
+                   default=14, help="cell-count bound for the oracle, "
+                   f"0 to {MAX_ORACLE_CELLS} (default 14)")
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("descriptive",

@@ -13,9 +13,7 @@ complexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .cellcomplex import CellComplex, CellId
 from .errors import (
@@ -24,6 +22,9 @@ from .errors import (
     InvalidComplexError,
     TooLargeError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -204,6 +205,8 @@ def rank_mod2(matrix) -> int:
     Accepts anything ``np.asarray`` does; the input is copied, never
     modified. Entries are reduced mod 2 first.
     """
+    import numpy as np
+
     mat = np.asarray(matrix, dtype=np.int64) % 2
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={mat.ndim}")
@@ -274,10 +277,17 @@ def homology(complex: CellComplex, max_p: int | None = None) -> HomologyResult:
 
 # -- homology: enumeration oracle ---------------------------------------
 
+# Most cells of one dimension the oracle enumerates chains over: 2**20
+# chains already take about 0.2 GB and a second, and each further cell
+# doubles both.
+MAX_ORACLE_CELLS = 20
+
 
 def _indicator_rows(n: int) -> np.ndarray:
     """All 2**n subset indicators of an n-set, one per row."""
-    if n > 26:
+    import numpy as np
+
+    if n > MAX_ORACLE_CELLS:
         raise TooLargeError(f"cannot enumerate 2**{n} chains")
     idx = np.arange(2 ** n, dtype=np.uint32)
     return ((idx[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
@@ -286,6 +296,8 @@ def _indicator_rows(n: int) -> np.ndarray:
 def _dense_boundary(complex: CellComplex, p: int) -> np.ndarray:
     # Built here from the raw incidence table so the oracle does not share
     # the engine's matrix path.
+    import numpy as np
+
     rows = complex.cells_of_dim(p - 1)
     cols = complex.cells_of_dim(p)
     mat = np.zeros((len(rows), len(cols)), dtype=np.uint8)
@@ -316,6 +328,8 @@ def oracle_homology(complex: CellComplex, max_cells: int = 14) -> HomologyResult
         max_cells: refuse complexes with more cells than this
             (TooLargeError), since the cost is exponential.
     """
+    import numpy as np
+
     if len(complex) > max_cells:
         raise TooLargeError(
             f"complex has {len(complex)} cells, enumeration bound is {max_cells}")

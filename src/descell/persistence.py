@@ -127,6 +127,8 @@ def betti_curve(scenario: Scenario, ball: DescriptorBall, p: int,
     """The dimension-p Betti number per step for one descriptor ball:
     ``descriptive_homology(step.probe, ball, removal_dim, mode,
     max_p=p).betti(p)``, computed as ``signature`` computes its entries."""
+    if p < 0:
+        raise ValueError(f"dimension must be non-negative, got {p}")
     betti = _masked_betti(scenario.complex, p)
     return [(step.theta, betti(removed_cells(step.probe, ball, removal_dim, mode))[p])
             for step in scenario.steps]

@@ -1,11 +1,22 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import support
+from descell import (
+    CellComplex,
+    DescriptorBall,
+    alpha_spectrum,
+    assign_probe,
+    derive_subcomplex,
+    homology,
+)
 from descell.cli import main
+from descell.formats import emit_complex, emit_descriptors
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "tests" / "data"
@@ -123,6 +134,86 @@ def test_descriptive_retain_large_delta(capsys):
                  "--alpha", "0.5", "--delta", "99", "--mode", "retain"])
     assert code == 0
     assert capsys.readouterr().out == "alpha 0.5 cells 15 betti 1 0 0\n"
+
+
+@pytest.mark.parametrize("args,expected", [
+    (("--spectrum",),
+     "alpha 0.2 cells 14 betti 1 1 0\nalpha 0.5 cells 14 betti 1 1 0\n"
+     "alpha 0.9 cells 14 betti 1 1 0\n"),
+    (("--spectrum", "--mode", "retain"),
+     "alpha 0.2 cells 13 betti 1 2 0\nalpha 0.5 cells 13 betti 1 2 0\n"
+     "alpha 0.9 cells 13 betti 1 2 0\n"),
+    (("--alpha", "0.5", "--delta", "0.25"), "alpha 0.5 cells 14 betti 1 1 0\n"),
+    (("--alpha", "0.5", "--delta", "0.25", "--mode", "retain"),
+     "alpha 0.5 cells 13 betti 1 2 0\n"),
+    (("--spectrum", "--dim", "1", "--delta", "0.3"), "alpha 0.0 cells 5 betti 5 0 0\n"),
+    (("--spectrum", "--dim", "1", "--delta", "0.3", "--mode", "retain"),
+     "alpha 0.0 cells 15 betti 1 0 0\n"),
+], ids=" ".join)
+def test_descriptive_disk3_output(args, expected, capsys):
+    assert main(["descriptive", str(DATA / "disk3.cw"),
+                 "--probe", str(DATA / "disk3_probe.csv"), *args]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def _descriptive_reference(base, probe, delta, dim, mode):
+    """``descell descriptive --spectrum`` stdout computed the direct way:
+    build each sub-complex and run ``homology`` on it."""
+    if base.validate():
+        return 1, ""
+    lines = []
+    for alpha in alpha_spectrum(probe, dim):
+        sub = derive_subcomplex(probe, DescriptorBall(alpha, delta), dim, mode)
+        betti = " ".join(str(b) for b in homology(sub.complex, base.max_dim).betti_vector())
+        lines.append(f"alpha {';'.join(repr(v) for v in alpha)} "
+                     f"cells {len(sub.complex)} betti {betti}\n")
+    return 0, "".join(lines)
+
+
+def test_descriptive_matches_per_alpha_homology(tmp_path, capsys):
+    rng = random.Random(53)
+    for i in range(120):
+        base = (support.random_cw_complex(rng) if i % 2
+                else support.random_simplicial_complex(rng, max_vertices=7))
+        if i % 3 == 0:
+            # an even degree on a 2- or 3-cell's odd face can leave a composite-odd defect
+            incidence = dict(base.incidence)
+            odd = sorted(key for key, deg in incidence.items()
+                         if deg % 2 and base.dim_of(key[0]) > 1)
+            if odd:
+                incidence[rng.choice(odd)] = 2
+                base = CellComplex(base.cells, incidence)
+        table = support.random_probe_table(rng, base, arity=rng.choice((1, 2)),
+                                           value=lambda r: r.randrange(0, 4) / 4)
+        (tmp_path / "k.cw").write_text(emit_complex(base))
+        (tmp_path / "p.csv").write_text(emit_descriptors(table))
+        probe = assign_probe(base, table)
+        delta, dim = rng.choice((0.0, 0.3)), rng.randrange(3)
+        mode = rng.choice(("remove", "retain"))
+        code = main(["descriptive", str(tmp_path / "k.cw"), "--probe", str(tmp_path / "p.csv"),
+                     "--spectrum", "--delta", str(delta), "--dim", str(dim), "--mode", mode])
+        assert (code, capsys.readouterr().out) == _descriptive_reference(
+            base, probe, delta, dim, mode)
+
+
+def test_descriptive_invalid_complex(tmp_path, capsys):
+    probe = tmp_path / "p.csv"
+    probe.write_text("cell,f1\nv0,0\nv1,0\na,0\nf,1\n")
+    assert main(["descriptive", str(DATA / "broken_dd.cw"), "--probe", str(probe),
+                 "--spectrum"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "descell: error: complex is invalid\n")
+
+
+def test_descriptive_spectrum_validates_once(monkeypatch, capsys):
+    calls = []
+    validate = CellComplex.validate
+    monkeypatch.setattr(CellComplex, "validate",
+                        lambda self, *a: calls.append(1) or validate(self, *a))
+    assert main(["descriptive", str(DATA / "disk3.cw"),
+                 "--probe", str(DATA / "disk3_probe.csv"), "--spectrum"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert len(calls) == 1
 
 
 def test_descriptive_malformed_alpha(capsys):
@@ -257,6 +348,8 @@ COOLING = str(DATA / "cooling.scenario")
     (("persist", COOLING, "--max-dim", "-1"), 2),
     (("homology", str(DATA / "torus.cw"), "--max-dim", "5000000"), 2),
     (("homology", str(DATA / "torus.cw"), "--max-dim", "65"), 2),
+    (("homology", str(DATA / "torus.cw"), "--oracle", "--oracle-bound", "-1"), 2),
+    (("homology", str(DATA / "torus.cw"), "--oracle", "--oracle-bound", "21"), 2),
     (("persist", COOLING, "--max-dim", "100000"), 2),
     (("persist", "{nan_theta}"), 2),
     (("persist", "{inf_theta}"), 2),

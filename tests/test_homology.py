@@ -20,6 +20,7 @@ from descell.errors import (
     InvalidComplexError,
     TooLargeError,
 )
+from descell.homology import MAX_ORACLE_CELLS
 
 
 # -- chain arithmetic ----------------------------------------------------
@@ -268,6 +269,15 @@ def test_oracle_too_large():
     with pytest.raises(TooLargeError):
         oracle_homology(k)
     assert oracle_homology(k, max_cells=15).betti_vector() == (1, 0, 0)
+
+
+def test_oracle_enumeration_cap():
+    # 21 loops on one vertex: 2**21 one-chains, past MAX_ORACLE_CELLS,
+    # even when the caller lifts the cell-count bound.
+    assert MAX_ORACLE_CELLS == 20
+    k = support.wedge_of_circles(MAX_ORACLE_CELLS + 1)
+    with pytest.raises(TooLargeError, match=r"2\*\*21 chains"):
+        oracle_homology(k, max_cells=100)
 
 
 def test_oracle_matches_engine():

@@ -105,6 +105,11 @@ def test_retain_full_image_gives_classical_curve(square):
         assert [b for _, b in curve] == [base] * 3
 
 
+def test_betti_curve_negative_dimension():
+    with pytest.raises(ValueError, match="dimension must be non-negative, got -1"):
+        betti_curve(cooling_scenario(), DescriptorBall(RED, 0.0), -1)
+
+
 def test_step_independence():
     scen = cooling_scenario()
     full = betti_curve(scen, DescriptorBall(RED, 0.0), 1, "remove", 2)
