@@ -13,6 +13,7 @@ degree (e.g. 2) if the contact matters for sub-complex derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -47,36 +48,61 @@ class CellComplex:
     ``cells`` maps cell id to dimension; ``incidence`` maps
     (cell, face) pairs to nonzero integer degrees. All query methods are
     pure, so instances are safe to share across threads. ``add_cell``
-    returns a new complex rather than mutating.
+    returns a new complex rather than mutating. The mod-2 boundary
+    columns are built at construction; the face and coface maps behind
+    ``faces``, ``cofaces`` and ``odd_faces`` on first use.
     """
 
     def __init__(self,
                  cells: Mapping[CellId, int] | None = None,
                  incidence: Mapping[tuple[CellId, CellId], int] | None = None):
         self._cells: dict[CellId, int] = {str(k): int(v) for k, v in (cells or {}).items()}
+        by_dim: dict[int, list[CellId]] = {}
         for cid, dim in self._cells.items():
             if dim < 0:
                 raise ValueError(f"cell {cid!r} has negative dimension {dim}")
+            by_dim.setdefault(dim, []).append(cid)
         # Net-zero degrees are indistinguishable from absence mod 2: drop them.
         self._incidence: dict[tuple[CellId, CellId], int] = {
-            (str(c), str(f)): int(d)
-            for (c, f), d in (incidence or {}).items() if int(d) != 0
+            (str(c), str(f)): deg
+            for (c, f), d in (incidence or {}).items() if (deg := int(d)) != 0
         }
-
-        by_dim: dict[int, list[CellId]] = {}
-        for cid, dim in self._cells.items():
-            by_dim.setdefault(dim, []).append(cid)
         self._by_dim: dict[int, tuple[CellId, ...]] = {
             d: tuple(sorted(ids)) for d, ids in by_dim.items()
         }
 
+        # The compiled form: each cell's index in its dimension's sorted
+        # ids, and per dimension the mod-2 boundary columns over those
+        # indices. Entries that are not (p, p-1) between declared cells
+        # go to ``_malformed`` instead, for ``validate`` to report.
+        index = {cid: i for ids in self._by_dim.values() for i, cid in enumerate(ids)}
+        columns = {d: [0] * len(ids) for d, ids in self._by_dim.items()}
+        cells = self._cells
+        malformed = []
+        for (cid, fid), deg in self._incidence.items():
+            cd = cells.get(cid)
+            fd = cells.get(fid)
+            if cd is None or fd is None or cd != fd + 1:
+                malformed.append((cid, fid))
+            elif deg % 2:
+                columns[cd][index[cid]] |= 1 << index[fid]
+        self._columns: dict[int, tuple[int, ...]] = {
+            d: tuple(cols) for d, cols in columns.items()}
+        self._malformed = malformed
+
+    @cached_property
+    def _faces(self) -> dict[CellId, dict[CellId, int]]:
         faces: dict[CellId, dict[CellId, int]] = {}
-        cofaces: dict[CellId, set[CellId]] = {}
         for (cid, fid), deg in self._incidence.items():
             faces.setdefault(cid, {})[fid] = deg
+        return faces
+
+    @cached_property
+    def _cofaces(self) -> dict[CellId, tuple[CellId, ...]]:
+        cofaces: dict[CellId, set[CellId]] = {}
+        for cid, fid in self._incidence:
             cofaces.setdefault(fid, set()).add(cid)
-        self._faces = faces
-        self._cofaces = {k: tuple(sorted(v)) for k, v in cofaces.items()}
+        return {k: tuple(sorted(v)) for k, v in cofaces.items()}
 
     # -- basic queries -------------------------------------------------
 
@@ -184,18 +210,17 @@ class CellComplex:
         support of the cell's mod-2 boundary."""
         return tuple(sorted(f for f, d in self._faces.get(cell_id, {}).items() if d % 2))
 
-    def boundary_columns(self, p: int) -> list[int]:
+    def boundary_columns(self, p: int) -> tuple[int, ...]:
         """The mod-2 boundary map from p-cells to (p-1)-cells as bitsets.
 
         One int per sorted p-cell; bit i is set when the i-th sorted
         (p-1)-cell is an odd face. Faces of any other dimension are
-        ignored. Every column is 0 for p = 0.
+        ignored. Every column is 0 for p = 0. The tuple is built once,
+        at construction, and every call returns that same tuple.
         """
         if p < 0:
             raise ValueError(f"dimension must be non-negative, got {p}")
-        row_bit = {cid: 1 << i for i, cid in enumerate(self.cells_of_dim(p - 1))}
-        return [sum(row_bit.get(f, 0) for f in self.odd_faces(cid))
-                for cid in self.cells_of_dim(p)]
+        return self._columns.get(p, ())
 
     def boundary_matrix(self, p: int) -> np.ndarray:
         """Mod-2 boundary matrix from p-cells to (p-1)-cells.
@@ -228,7 +253,7 @@ class CellComplex:
         coefficients that are nonzero but even (harmless mod 2).
         """
         issues: list[Violation] = []
-        for cid, fid in sorted(self._incidence):
+        for cid, fid in sorted(self._malformed):
             cd = self._cells.get(cid)
             fd = self._cells.get(fid)
             if cd is None:
@@ -245,10 +270,21 @@ class CellComplex:
                     f"incidence relates dimensions ({cd}, {fd}), expected ({fd + 1}, {fd})"))
 
         # Composite boundary coefficients, restricted to well-formed entries.
+        # A coefficient's parity is the bit of the XOR of the cell's face
+        # columns, so without warnings only a cell with an odd one needs
+        # the integer walk, for the message.
         for p in sorted(self._by_dim):
             if p < 2:
                 continue
-            for cid in self._by_dim[p]:
+            lower = self._columns.get(p - 1, ())
+            for cid, col in zip(self._by_dim[p], self._columns[p]):
+                odd = 0
+                while col:
+                    low = col & -col
+                    odd ^= lower[low.bit_length() - 1]
+                    col ^= low
+                if not (odd or include_warnings):
+                    continue
                 composite: dict[CellId, int] = {}
                 for rid, d1 in self._faces.get(cid, {}).items():
                     if self._cells.get(rid) != p - 1:

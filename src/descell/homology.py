@@ -5,6 +5,8 @@ coefficient 1, and addition is symmetric difference. The engine holds
 each boundary map as one int bitset per column and reduces it once,
 left to right, over the two-element field; that one reduction gives the
 boundary rank, an echelon basis of the image and a kernel basis.
+``homology`` reduces the maps from the top dimension down and skips the
+columns that the map above shows to be dependent (clearing).
 ``oracle_homology`` recomputes the same numbers by exhaustive
 enumeration of every chain, as an independent cross-check on small
 complexes.
@@ -13,7 +15,7 @@ complexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Container, Iterable
 
 from .cellcomplex import CellComplex, CellId
 from .errors import (
@@ -184,9 +186,12 @@ def _reduce(columns: Iterable[int], pivots: dict[int, int] | None = None,
     return pivots, dependent
 
 
-def _rank(columns: Iterable[int]) -> int:
-    """Rank over GF(2) of int-bitset columns: the size of their pivot map."""
-    return len(_reduce(columns)[0])
+def _reduce_cleared(columns: Iterable[int], cleared: Container[int],
+                    ) -> tuple[dict[int, int], dict[int, int]]:
+    """``_reduce`` with the columns at the indices in ``cleared`` taken
+    as zero. Given the pivot map of the reduced d_(p+1), these are the
+    columns of d_p that would reduce to zero anyway (see ``homology``)."""
+    return _reduce(0 if j in cleared else col for j, col in enumerate(columns))
 
 
 def _chain(p: int, cells: tuple[CellId, ...], bits: int) -> Chain:
@@ -211,7 +216,7 @@ def rank_mod2(matrix) -> int:
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={mat.ndim}")
     packed = np.packbits(mat.T.astype(bool), axis=1, bitorder="little")
-    return _rank(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return len(_reduce(int.from_bytes(row.tobytes(), "little") for row in packed)[0])
 
 
 # -- homology -------------------------------------------------------------------
@@ -244,12 +249,26 @@ def is_boundary(complex: CellComplex, chain: Chain) -> bool:
 def homology(complex: CellComplex, max_p: int | None = None) -> HomologyResult:
     """Cycle ranks, boundary ranks, Betti numbers and generators.
 
-    Each boundary map is reduced once. The reduction of the map into
-    dimension p gives the cycle basis of dimension p (as ``cycle_basis``
-    does); the reduction of the map out of it gives the boundary rank and
-    an echelon basis of the boundary image. Generators are the cycles,
-    in kernel basis order, that are not in the span of the image and the
-    cycles picked before them, so output is reproducible run to run.
+    Each boundary map is reduced once, from d_(max_p+1) down to d_0,
+    with clearing: before d_p is reduced, every p-column whose index is
+    a pivot of the reduced d_(p+1) is zeroed (``_reduce_cleared``). The
+    generators are the same as a full reduction would pick, by three
+    steps:
+
+    - a cleared column j is the top bit of a boundary b in the image, and
+      d_p b = 0 makes column j a sum of the columns before it, so the full
+      reduction takes it to zero too;
+    - a column reduced to zero never becomes a pivot, so every other
+      column's pivot and kernel combination is unchanged;
+    - adding the kernel vectors z_j in ascending j to the image raises
+      its dimension by 1 - [j is a pivot of d_(p+1)], so the cycles that
+      are not in the span of the image and the cycles before them are
+      exactly the z_j of the dependent, uncleared columns.
+
+    So ``cycle_rank`` counts the dependent columns, cleared ones
+    included, the generators are the combinations of the dependent,
+    uncleared columns in ascending order (as ``cycle_basis`` gives
+    them), and the output is reproducible run to run.
 
     Raises:
         InvalidComplexError: the complex fails ``validate``.
@@ -260,19 +279,19 @@ def homology(complex: CellComplex, max_p: int | None = None) -> HomologyResult:
     if max_p is None:
         max_p = complex.max_dim
     records = []
-    kernel = _reduce(complex.boundary_columns(0))[1].values()
-    for p in range(0, max_p + 1):
-        cells = complex.cells_of_dim(p)
-        image, next_kernel = _reduce(complex.boundary_columns(p + 1))
-        b_p = len(image)
-        bounded = _reduce(kernel, image)[1]
-        generators = tuple(_chain(p, cells, z)
-                           for i, z in enumerate(kernel) if i not in bounded)
-        records.append(DimensionHomology(
-            dim=p, n_cells=len(cells), cycle_rank=len(kernel), boundary_rank=b_p,
-            betti=len(kernel) - b_p, generators=generators))
-        kernel = next_kernel.values()
-    return HomologyResult(tuple(records))
+    image: dict[int, int] = {}
+    for p in range(max_p + 1, -1, -1):
+        pivots, kernel = _reduce_cleared(complex.boundary_columns(p), image)
+        if p <= max_p:
+            cells = complex.cells_of_dim(p)
+            generators = tuple(_chain(p, cells, z)
+                               for j, z in kernel.items() if j not in image)
+            records.append(DimensionHomology(
+                dim=p, n_cells=len(cells), cycle_rank=len(kernel),
+                boundary_rank=len(image), betti=len(kernel) - len(image),
+                generators=generators))
+        image = pivots
+    return HomologyResult(tuple(reversed(records)))
 
 
 # -- homology: enumeration oracle ---------------------------------------

@@ -11,7 +11,6 @@ translation between two regions' descriptions across the steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Callable, Iterable, Mapping
 
 from .cellcomplex import CellComplex, CellId
@@ -33,7 +32,7 @@ from .errors import (
     NonMonotoneThetaError,
     StepCountMismatchError,
 )
-from .homology import _rank
+from .homology import _reduce_cleared
 
 
 @dataclass(frozen=True)
@@ -88,12 +87,15 @@ def _masked_betti(base: CellComplex, max_p: int,
     """Betti numbers 0 .. max_p of the sub-complexes of ``base`` that
     ``removed_cells`` carves, as a function of the removed set.
 
-    The base is validated and its boundary columns built once. A cell
-    that survives keeps all of its faces, so the surviving columns are
-    zero on every removed row, and betti_q = n_q - rank d_q - rank
-    d_(q+1) over the surviving cells and columns alone. Each distinct
-    removed set is reduced once, and a dimension that loses no cell
-    keeps the base's rank.
+    The base is validated once, and its boundary columns are the ones
+    it compiled at construction. A cell that survives keeps all of its
+    faces, so the surviving columns are zero on every removed row, and
+    betti_q = n_q - rank d_q - rank d_(q+1) with the removed columns
+    taken as zero. Each distinct removed set is reduced once, from the
+    top map down with the clearing ``homology`` uses; a map that loses
+    no cell keeps the base's pivots. The base maps are reduced without
+    clearing, because the base itself may fail validation where the
+    sub-complexes pass it.
 
     The function raises what ``homology`` raises on the sub-complex
     ``derive_subcomplex`` builds: InvalidComplexError with the base's
@@ -103,7 +105,7 @@ def _masked_betti(base: CellComplex, max_p: int,
     checked = [v for v in base.validate() if v.code != "dangling-face"]
     cells = [base.cells_of_dim(q) for q in range(max_p + 2)]
     columns = [base.boundary_columns(q) for q in range(max_p + 2)]
-    full_ranks = [_rank(cols) for cols in columns]
+    base_pivots = [_reduce_cleared(cols, ())[0] for cols in columns]
     memo: dict[frozenset[CellId], tuple[int, ...]] = {}
 
     def betti(removed: frozenset[CellId]) -> tuple[int, ...]:
@@ -113,8 +115,16 @@ def _masked_betti(base: CellComplex, max_p: int,
             if violations:
                 raise InvalidComplexError(violations)
             masks = [[cid not in removed for cid in ids] for ids in cells]
-            ranks = [rank if all(mask) else _rank(compress(cols, mask))
-                     for mask, cols, rank in zip(masks, columns, full_ranks)]
+            ranks = [0] * (max_p + 2)
+            image: dict[int, int] = {}
+            for q in range(max_p + 1, -1, -1):
+                if all(masks[q]):
+                    image = base_pivots[q]
+                else:
+                    image = _reduce_cleared(
+                        (col if keep else 0 for col, keep in zip(columns[q], masks[q])),
+                        image)[0]
+                ranks[q] = len(image)
             found = memo[removed] = tuple(
                 sum(masks[q]) - ranks[q] - ranks[q + 1] for q in range(max_p + 1))
         return found

@@ -118,6 +118,67 @@ def grid_surface(k, flip=False):
     return from_simplices(_grid_triangles(k, flip))
 
 
+# Side gluings of the k x k grid square that ``grid_surface`` cannot
+# make simplicial, as pairs of maps t -> point for t in 0..k: point
+# src(t) is glued to point dst(t), and the edge src(t)-src(t+1) to the
+# edge dst(t)-dst(t+1).
+GLUINGS = {
+    "rp2": lambda k: [(lambda t: (0, t), lambda t: (k, k - t)),
+                      (lambda t: (t, 0), lambda t: (k - t, k))],
+    "sphere": lambda k: [(lambda t: (0, t), lambda t: (t, 0)),
+                         (lambda t: (k, t), lambda t: (t, k))],
+}
+
+
+def glued_surface(kind, k):
+    """The k x k grid, each square cut along its (i, j)-(i+1, j+1)
+    diagonal, with its sides glued as ``GLUINGS[kind]`` says. Gluing can
+    make two edges share both ends, so the result is a cell complex but
+    not always a simplicial one; every degree is 1, or 2 where a cell
+    meets one face twice. 2 k**2 triangles."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        a, b = find(a), find(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+
+    def edge(p, q):
+        return ("e",) + (p + q if p <= q else q + p)
+
+    for src, dst in GLUINGS[kind](k):
+        for t in range(k + 1):
+            union(src(t), dst(t))
+        for t in range(k):
+            union(edge(src(t), src(t + 1)), edge(dst(t), dst(t + 1)))
+
+    def name(x):
+        return "x".join(map(str, find(x)))
+
+    cells, incidence = {}, {}
+    for i in range(k):
+        for j in range(k):
+            a, b, c, d = (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)
+            for n, tri in enumerate(((a, b, d), (a, c, d))):
+                tid = f"t{i}x{j}x{n}"
+                cells[tid] = 2
+                for p, q in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])):
+                    eid = name(edge(p, q))
+                    incidence[(tid, eid)] = incidence.get((tid, eid), 0) + 1
+                    if eid not in cells:
+                        cells[eid] = 1
+                        for v in (p, q):
+                            vid = "v" + name(v)
+                            cells[vid] = 0
+                            incidence[(eid, vid)] = incidence.get((eid, vid), 0) + 1
+    return CellComplex(cells, incidence)
+
+
 def grid_windows(k, grid, window):
     """Cell sets of a chart cover of the torus ``grid_surface(k)``: the
     closures of window x window blocks of grid squares, their corners on
@@ -219,6 +280,33 @@ def random_cw_complex(rng, max_cells=12):
             pick = rng.choice(faces2)
             k = k.add_cell(f"c{serial}", 3, [(pick, 2)])
     return k
+
+
+def random_incidence_complex(rng, max_cells=16):
+    """A random complex whose incidence table need not be valid.
+
+    Degrees run from -3 to 3, so they are odd, even, negative or zero
+    (zero entries vanish at construction). Most entries join adjacent
+    dimensions; some join other dimensions and some name undeclared
+    cells. Composite boundary coefficients are often odd.
+    """
+    cells = {f"c{i}": rng.randint(0, 3) for i in range(rng.randint(1, max_cells))}
+    ids = sorted(cells)
+    incidence = {}
+    for cid in ids:
+        below = [f for f in ids if cells[f] == cells[cid] - 1]
+        for _ in range(rng.randint(0, 4)):
+            roll = rng.random()
+            if roll < 0.8 and below:
+                fid = rng.choice(below)
+            elif roll < 0.92:
+                fid = rng.choice(ids)
+            else:
+                fid = f"ghost{rng.randint(0, 1)}"
+            incidence[(cid, fid)] = rng.randint(-3, 3)
+    if rng.random() < 0.1:
+        incidence[(f"phantom{rng.randint(0, 1)}", rng.choice(ids))] = rng.choice((-1, 2))
+    return CellComplex(cells, incidence)
 
 
 def random_chain(rng, k, dim=None):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import support
-from descell import CellComplex, from_simplices
+from descell import CellComplex, from_simplices, homology
 from descell.errors import (
     DimensionMismatchError,
     DuplicateIdError,
@@ -185,6 +185,24 @@ def test_boundary_matrices_compose_to_zero():
         for p in range(1, k.max_dim + 1):
             prod = k.boundary_matrix(p) @ k.boundary_matrix(p + 1) % 2
             assert not prod.any()
+
+
+def test_boundary_columns_are_built_once():
+    k = support.grid_surface(5)
+    assert k.boundary_columns(2) is k.boundary_columns(2)
+    assert isinstance(k.boundary_columns(1), tuple)
+    assert k.boundary_columns(0) == (0,) * 25 and k.boundary_columns(3) == ()
+
+
+def test_homology_builds_no_face_maps():
+    # The face and coface maps are built on first use; validation and
+    # homology read only the compiled columns.
+    k = support.grid_surface(5)
+    homology(k, 3)
+    assert "_faces" not in vars(k) and "_cofaces" not in vars(k)
+    assert k.odd_faces("v0x0-v0x1") == ("v0x0", "v0x1")
+    assert "_faces" in vars(k) and "_cofaces" not in vars(k)
+    assert k.cofaces("v0x0-v0x1") == ("v0x0-v0x1-v1x1", "v0x0-v0x1-v4x0")
 
 
 def test_boundary_matrix_ordering_is_sorted(disk3):

@@ -18,6 +18,9 @@ from descell import cycle_basis, homology, rank_mod2
 engine = importlib.import_module("descell.homology")
 
 
+MAX_PS = (None, 0, 1, 3)
+
+
 def _text(result):
     return result.to_text(include_generators=True)
 
@@ -31,6 +34,17 @@ def test_random_corpus_matches_reference():
             assert cycle_basis(k, p) == dense_reference.cycle_basis(k, p)
 
 
+@pytest.mark.parametrize("max_p", MAX_PS)
+def test_truncated_homology_matches_reference(max_p):
+    # Clearing starts from the map above max_p, so each cut-off gives
+    # the reduction different columns to skip.
+    rng = random.Random(1011)
+    for i in range(150):
+        k = (support.random_cw_complex(rng, max_cells=40) if i % 2
+             else support.random_simplicial_complex(rng, max_vertices=9))
+        assert _text(homology(k, max_p)) == _text(dense_reference.homology(k, max_p))
+
+
 @pytest.mark.parametrize("flip", [False, True], ids=["torus", "klein"])
 def test_surfaces_match_reference(flip):
     k = support.grid_surface(13, flip)
@@ -38,6 +52,8 @@ def test_surfaces_match_reference(flip):
     result = homology(k)
     assert result.betti_vector() == (1, 2, 1)
     assert _text(result) == _text(dense_reference.homology(k))
+    for max_p in (0, 1):
+        assert _text(homology(k, max_p)) == _text(dense_reference.homology(k, max_p))
 
 
 def test_rank_matches_reference():
@@ -53,7 +69,8 @@ def test_homology_reduces_each_boundary_map_once(monkeypatch):
     reduce = engine._reduce
 
     def counted(columns, pivots=None):
-        calls.append((list(columns), pivots is None))
+        columns = list(columns)
+        calls.append((columns, pivots))
         return reduce(columns, pivots)
 
     monkeypatch.setattr(engine, "_reduce", counted)
@@ -61,10 +78,21 @@ def test_homology_reduces_each_boundary_map_once(monkeypatch):
     cases = [support.grid_surface(5), support.grid_surface(5, flip=True),
              support.torus(), support.disk3()]
     cases += [support.random_cw_complex(rng, max_cells=30) for _ in range(20)]
+    cleared = 0
     for k in cases:
-        calls.clear()
-        homology(k)
-        boundary_maps = [cols for cols, fresh in calls if fresh]
-        assert boundary_maps == [k.boundary_columns(p) for p in range(k.max_dim + 2)]
-        # the other calls only reduce cycles against an image already found
-        assert sum(not fresh for _, fresh in calls) == k.max_dim + 1
+        for max_p in MAX_PS:
+            calls.clear()
+            homology(k, max_p)
+            top = k.max_dim if max_p is None else max_p
+            # One reduction per map, d_(top+1) down to d_0, and no second
+            # pass that reduces cycles against an image.
+            assert [pivots for _, pivots in calls] == [None] * (top + 2)
+            image = {}
+            for (columns, _), p in zip(calls, range(top + 1, -1, -1)):
+                full = k.boundary_columns(p)
+                # The map's columns, but those at the pivots of the map
+                # above are cleared.
+                assert columns == [0 if j in image else col for j, col in enumerate(full)]
+                cleared += sum(col != 0 for j, col in enumerate(full) if j in image)
+                image = reduce(columns)[0]
+    assert cleared > 100

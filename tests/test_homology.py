@@ -249,6 +249,26 @@ def test_to_text_torus(torus):
     assert text.endswith("betti 1 2 1\n")
 
 
+# Surfaces of 10**3 to 10**4 cells and their known mod-2 Betti numbers.
+LARGE_SURFACES = {
+    "torus": (lambda: support.grid_surface(48), (1, 2, 1)),  # 13,824 cells
+    "klein": (lambda: support.grid_surface(40, flip=True), (1, 2, 1)),  # 9,600 cells
+    "rp2": (lambda: support.glued_surface("rp2", 36), (1, 1, 1)),  # 7,777 cells
+    "sphere": (lambda: support.glued_surface("sphere", 24), (1, 0, 1)),  # 3,458 cells
+}
+
+
+@pytest.mark.parametrize("kind", LARGE_SURFACES)
+def test_large_surfaces_known_answers(kind):
+    build, known = LARGE_SURFACES[kind]
+    k = build()
+    assert len(k) > 1000
+    assert k.validate() == []  # every composite coefficient even: dd = 0 mod 2
+    betti = homology(k).betti_vector()
+    assert betti == known
+    assert k.euler_characteristic() == sum((-1) ** p * b for p, b in enumerate(betti))
+
+
 # -- oracle ---------------------------------------------------------------
 
 

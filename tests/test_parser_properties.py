@@ -1,4 +1,5 @@
-"""Property tests: the descriptor, chart and scenario parsers never raise.
+"""Property tests: the descriptor, chart and scenario parsers never raise,
+and the complex format round-trips.
 
 Whatever text they get, ``parse_descriptors``, ``load_probe``,
 ``parse_charts`` and ``parse_scenario`` return an artifact or error
@@ -6,9 +7,14 @@ diagnostics, and the artifact is None exactly when there is an error. The texts 
 strings with lines built from the formats' own words, real cell ids and
 awkward numbers (``nan``, ``inf``, overflowing exponents), so most of
 them get past the header and the directive checks.
+
+The round trip ``parse_complex(emit_complex(k)) == k`` must also give
+the same compiled boundary columns, on random CW and simplicial
+complexes and on random tables with negative, even and odd degrees.
 """
 
 import math
+import random
 
 import pytest
 
@@ -18,10 +24,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import support  # noqa: E402
+from descell import CellComplex  # noqa: E402
 from descell.formats import (  # noqa: E402
+    emit_complex,
     has_errors,
     load_probe,
     parse_charts,
+    parse_complex,
     parse_descriptors,
     parse_scenario,
 )
@@ -95,3 +104,28 @@ def test_parse_scenario_never_raises(text):
     assert (sf is None) == has_errors(diags)
     if sf is not None:
         assert all(math.isfinite(theta) for theta, _ in sf.steps)
+
+
+def adjacent_only(k):
+    """``k`` less its dangling and wrong-dimension entries, which the
+    complex format cannot express."""
+    dims = k.cells
+    return CellComplex(dims, {(c, f): deg for (c, f), deg in k.incidence.items()
+                              if c in dims and f in dims and dims[c] == dims[f] + 1})
+
+
+complexes = st.builds(
+    lambda build, seed: build(random.Random(seed)),
+    st.sampled_from([lambda rng: support.random_cw_complex(rng, max_cells=30),
+                     lambda rng: support.random_simplicial_complex(rng, max_vertices=8),
+                     lambda rng: adjacent_only(support.random_incidence_complex(rng))]),
+    st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(complexes)
+def test_complex_round_trip(k):
+    again, diags = parse_complex(emit_complex(k))
+    assert diags == [] and again == k
+    for p in range(k.max_dim + 2):
+        assert again.boundary_columns(p) == k.boundary_columns(p)

@@ -4,6 +4,7 @@ import pytest
 
 import support
 from descell import (
+    CellComplex,
     DescriptorBall,
     PersistenceSignature,
     betti_curve,
@@ -133,6 +134,19 @@ def test_signature_shape_and_red_curve():
     assert sig.curve(RED, 1) == [(0.0, 1), (1.0, 0), (2.0, 0)]
     # the other region opens its own hole at every step
     assert sig.curve((0.25, 0.25), 1) == [(0.0, 1), (1.0, 1), (2.0, 1)]
+
+
+def test_signature_on_invalid_base_entry_that_removes_the_defect():
+    # Face t hangs on the single edge x, so the base fails validation and
+    # its edge column is a pivot row of d_2 that d_1 does not make
+    # dependent: clearing it on the base would undercount rank d_1. The
+    # entry that removes t is a valid segment.
+    k = CellComplex({"a": 0, "b": 0, "x": 1, "t": 2},
+                    {("x", "a"): 1, ("x", "b"): 1, ("t", "x"): 1})
+    assert [v.code for v in k.validate()] == ["composite-odd"] * 2
+    table = [(cid, (1.0 if cid == "t" else 0.0,)) for cid in k.cells]
+    sig = signature(build_scenario(k, [(0.0, table)]))
+    assert list(sig.rows()) == [(0.0, (1.0,), 0, 1), (0.0, (1.0,), 1, 0), (0.0, (1.0,), 2, 0)]
 
 
 def test_constant_scenario_constant_curves(square):
