@@ -57,7 +57,7 @@ class DescriptorBall:
 class ProbeAssignment:
     """A complex together with one descriptor per cell.
 
-    Immutable; build through ``assign_probe``.
+    Immutable; ``assign_probe`` builds one from a table it checks.
     """
 
     def __init__(self, complex: CellComplex, values: Mapping[CellId, Descriptor], arity: int):

@@ -6,6 +6,11 @@ and CRLF. Parsing never raises for bad content: each parser returns
 ``(artifact, diagnostics)`` where the artifact is None whenever an
 error-severity diagnostic is present.
 
+Each parser checks every value once and builds its artifact from the
+rows it checked, through ``ProbeAssignment``, ``Chart`` and ``Scenario``.
+The library constructors ``assign_probe``, ``make_chart``,
+``with_overrides`` and ``build_scenario`` keep their own checks.
+
 Formats:
   complex      ``cell <id> <dim>`` (0 <= dim <= MAX_CELL_DIM) and
                ``bnd <id> <face>:<degree> ...`` lines, '#' comments,
@@ -14,11 +19,12 @@ Formats:
                finite values.
   charts       ``chart <id>`` blocks of ``member <cell>`` lines plus
                optional ``override <cell> <f1> ... <fn>`` lines with
-               finite values.
+               finite values, at most one per cell and block.
   scenario     ``complex <path>`` then ``step <theta> <csv-path>`` lines
                with finite thetas.
   signature    CSV ``theta,alpha,dim,betti`` with alpha components
-               joined by ';', preceded by '# key value' metadata lines.
+               joined by ';', finite values and non-negative dimensions,
+               preceded by '# key value' metadata lines.
 """
 
 from __future__ import annotations
@@ -28,11 +34,11 @@ import os
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bundle import Chart, make_chart, with_overrides
+from .bundle import Chart
 from .cellcomplex import CellComplex, CellId
-from .descriptive import Descriptor, ProbeAssignment, assign_probe
+from .descriptive import Descriptor, ProbeAssignment
 from .errors import DescellError
-from .persistence import PersistenceSignature, Scenario, build_scenario
+from .persistence import PersistenceSignature, Scenario, ScenarioStep
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,15 @@ class ParseDiagnostic:
 
 def has_errors(diagnostics: Iterable[ParseDiagnostic]) -> bool:
     return any(d.severity == "error" for d in diagnostics)
+
+
+def _diagnostics(filename: str):
+    """An empty diagnostics list and a function that appends an error to it."""
+    diags: list[ParseDiagnostic] = []
+
+    def err(line: int, message: str, code: str = "syntax"):
+        diags.append(ParseDiagnostic(filename, line, "error", message, code))
+    return diags, err
 
 
 def _logical_lines(text: str):
@@ -76,13 +91,9 @@ bound a two-line file could ask for millions of them."""
 def parse_complex(text: str, filename: str = "<complex>",
                   ) -> tuple[CellComplex | None, list[ParseDiagnostic]]:
     """Parse the cell/bnd format; two passes, so declaration order is free."""
-    diags: list[ParseDiagnostic] = []
+    diags, err = _diagnostics(filename)
     cells: dict[CellId, int] = {}
     bnd_lines: list[tuple[int, list[str]]] = []
-
-    def err(line: int, message: str, code: str = "syntax"):
-        diags.append(ParseDiagnostic(filename, line, "error", message, code))
-
     for lineno, line in _logical_lines(text):
         words = line.split()
         if words[0] == "cell":
@@ -174,11 +185,7 @@ def parse_descriptors(text: str, complex: CellComplex,
     with code "coverage" so callers can treat them as semantic rather
     than syntactic failures.
     """
-    diags: list[ParseDiagnostic] = []
-
-    def err(line: int, message: str, code: str = "syntax"):
-        diags.append(ParseDiagnostic(filename, line, "error", message, code))
-
+    diags, err = _diagnostics(filename)
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         err(1, "missing header row")
@@ -240,15 +247,12 @@ def emit_descriptors(table: Iterable[tuple[CellId, Descriptor]]) -> str:
 
 def load_probe(csv_text: str, complex: CellComplex, filename: str = "<descriptors>",
                ) -> tuple[ProbeAssignment | None, list[ParseDiagnostic]]:
-    """Parse a descriptor CSV and assemble the probe in one step."""
+    """Parse a descriptor CSV and assemble the probe from its rows, which
+    pass every check ``assign_probe`` makes."""
     table, diags = parse_descriptors(csv_text, complex, filename)
     if table is None:
         return None, diags
-    try:
-        return assign_probe(complex, table), diags
-    except DescellError as exc:
-        diags.append(ParseDiagnostic(filename, 0, "error", str(exc), "coverage"))
-        return None, diags
+    return ProbeAssignment(complex, dict(table), len(table[0][1]) if table else 0), diags
 
 
 # -- chart file ---------------------------------------------------------
@@ -257,13 +261,9 @@ def load_probe(csv_text: str, complex: CellComplex, filename: str = "<descriptor
 def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
                  ) -> tuple[list[Chart] | None, list[ParseDiagnostic]]:
     """Parse chart blocks; sections default to the probe, overrides win."""
-    diags: list[ParseDiagnostic] = []
-
-    def err(line: int, message: str, code: str = "syntax"):
-        diags.append(ParseDiagnostic(filename, line, "error", message, code))
-
-    blocks: list[tuple[int, str, list, dict]] = []
-    current: tuple[int, str, list, dict] | None = None
+    diags, err = _diagnostics(filename)
+    blocks: list[tuple[int, str, set, dict]] = []
+    current: tuple[int, str, set, dict] | None = None
     seen_ids: set[str] = set()
     for lineno, line in _logical_lines(text):
         words = line.split()
@@ -278,7 +278,7 @@ def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
                 current = None
                 continue
             seen_ids.add(cid)
-            current = (lineno, cid, [], {})
+            current = (lineno, cid, set(), {})
             blocks.append(current)
         elif words[0] == "member":
             if current is None:
@@ -295,7 +295,7 @@ def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
                 err(lineno, f"cell {cell!r} listed twice in chart {current[1]!r}",
                     "reference")
                 continue
-            current[2].append(cell)
+            current[2].add(cell)
         elif words[0] == "override":
             if current is None:
                 err(lineno, "override line before any chart declaration")
@@ -313,6 +313,10 @@ def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
             if not all(map(math.isfinite, desc)):
                 err(lineno, f"non-finite override value in {line!r}")
                 continue
+            if cell in current[3]:
+                err(lineno, f"override for {cell!r} given twice in chart {current[1]!r}",
+                    "reference")
+                continue
             current[3][cell] = (lineno, desc)
         else:
             err(lineno, f"unknown directive {words[0]!r}")
@@ -328,8 +332,8 @@ def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
                     "reference")
         if has_errors(diags):
             continue
-        chart = make_chart(probe, members, cid)
-        charts.append(with_overrides(chart, {c: d for c, (_, d) in overrides.items()}))
+        section = {c: overrides[c][1] if c in overrides else probe[c] for c in members}
+        charts.append(Chart(cid, members, section, probe.arity))
     if has_errors(diags):
         return None, diags
     return sorted(charts, key=lambda c: c.id), diags
@@ -363,11 +367,7 @@ class ScenarioFile:
 
 def parse_scenario(text: str, filename: str = "<scenario>",
                    ) -> tuple[ScenarioFile | None, list[ParseDiagnostic]]:
-    diags: list[ParseDiagnostic] = []
-
-    def err(line: int, message: str, code: str = "syntax"):
-        diags.append(ParseDiagnostic(filename, line, "error", message, code))
-
+    diags, err = _diagnostics(filename)
     complex_path: str | None = None
     steps: list[tuple[float, str]] = []
     for lineno, line in _logical_lines(text):
@@ -441,19 +441,19 @@ def load_scenario_file(sf: ScenarioFile, base_dir: str,
     if complex is None:
         return None, diags
 
-    tables = []
+    steps = []
     for theta, rel_path in sf.steps:
         csv_text = read(rel_path)
         if csv_text is None:
             return None, diags
-        table, tdiags = parse_descriptors(csv_text, complex, rel_path)
-        diags.extend(tdiags)
-        if table is None:
+        probe, pdiags = load_probe(csv_text, complex, rel_path)
+        diags.extend(pdiags)
+        if probe is None:
             return None, diags
-        tables.append((theta, table))
+        steps.append(ScenarioStep(theta, probe))
 
     try:
-        return build_scenario(complex, tables), diags
+        return Scenario(complex, tuple(steps)), diags
     except DescellError as exc:
         diags.append(ParseDiagnostic("<scenario>", 0, "error", str(exc), "reference"))
         return None, diags
@@ -495,7 +495,8 @@ def emit_curves(sig: PersistenceSignature) -> dict[str, str]:
 
 def emit_signature(sig: PersistenceSignature) -> str:
     """Signature CSV with its settings as '#' metadata lines, so the
-    file alone reconstructs the object."""
+    file alone reconstructs the object, provided it has a row: with no
+    alphas, ``parse_signature`` reads back ``thetas == dims == ()``."""
     lines = [
         f"# mode {sig.mode}",
         f"# delta {_fmt_float(sig.delta)}",
@@ -510,11 +511,9 @@ def emit_signature(sig: PersistenceSignature) -> str:
 
 def parse_signature(text: str, filename: str = "<signature>",
                     ) -> tuple[PersistenceSignature | None, list[ParseDiagnostic]]:
-    diags: list[ParseDiagnostic] = []
-
-    def err(line: int, message: str, code: str = "syntax"):
-        diags.append(ParseDiagnostic(filename, line, "error", message, code))
-
+    """Parse the CSV ``emit_signature`` writes. Thetas, alphas and dims
+    are read from the rows, so a signature with no row does not round-trip."""
+    diags, err = _diagnostics(filename)
     meta: dict[str, str] = {}
     header_line = None
     rows: list[tuple[float, Descriptor, int, int]] = []
@@ -546,6 +545,12 @@ def parse_signature(text: str, filename: str = "<signature>",
             betti = int(fields[3])
         except ValueError:
             err(lineno, f"malformed row {line!r}")
+            continue
+        if not (math.isfinite(theta) and all(map(math.isfinite, alpha))):
+            err(lineno, f"non-finite value in row {line!r}")
+            continue
+        if p < 0:
+            err(lineno, f"negative dimension {p}")
             continue
         if betti < 0:
             err(lineno, f"negative betti {betti}")

@@ -43,10 +43,22 @@ class ScenarioStep:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A base complex described at successive parameter values."""
+    """A base complex described at successive parameter values. Raises
+    NonMonotoneThetaError unless the thetas increase strictly, and
+    ArityMismatchError unless every step has the same arity."""
 
     complex: CellComplex
     steps: tuple[ScenarioStep, ...]
+
+    def __post_init__(self):
+        for last, step in zip(self.steps, self.steps[1:]):
+            if step.theta <= last.theta:
+                raise NonMonotoneThetaError(
+                    f"theta {step.theta!r} does not increase past {last.theta!r}")
+            if step.probe.arity != self.steps[0].probe.arity:
+                raise ArityMismatchError(
+                    f"step at theta {step.theta!r} has arity {step.probe.arity}, "
+                    f"expected {self.steps[0].probe.arity}")
 
     @property
     def thetas(self) -> tuple[float, ...]:
@@ -56,30 +68,11 @@ class Scenario:
 def build_scenario(complex: CellComplex,
                    steps: Iterable[tuple[float, Iterable[tuple[CellId, Iterable[float]]]]],
                    ) -> Scenario:
-    """Assemble a scenario from (theta, descriptor table) pairs.
-
-    Raises:
-        NonMonotoneThetaError: thetas not strictly increasing.
-        ArityMismatchError: steps disagree on descriptor arity.
-        Plus whatever ``assign_probe`` raises for a bad table.
-    """
-    built: list[ScenarioStep] = []
-    last: float | None = None
-    arity: int | None = None
-    for theta, table in steps:
-        theta = float(theta)
-        if last is not None and theta <= last:
-            raise NonMonotoneThetaError(
-                f"theta {theta!r} does not increase past {last!r}")
-        last = theta
-        probe = assign_probe(complex, table)
-        if arity is None:
-            arity = probe.arity
-        elif probe.arity != arity:
-            raise ArityMismatchError(
-                f"step at theta {theta!r} has arity {probe.arity}, expected {arity}")
-        built.append(ScenarioStep(theta=theta, probe=probe))
-    return Scenario(complex=complex, steps=tuple(built))
+    """Assemble a scenario from (theta, descriptor table) pairs. Raises what
+    ``assign_probe`` raises for a bad table, then what ``Scenario`` raises."""
+    return Scenario(complex=complex, steps=tuple(
+        ScenarioStep(theta=float(theta), probe=assign_probe(complex, table))
+        for theta, table in steps))
 
 
 def _masked_betti(base: CellComplex, max_p: int,
@@ -192,10 +185,10 @@ def signature(scenario: Scenario, delta: float = 0.0, mode: str = "remove",
     DescriptorBall(alpha, delta), removal_dim, mode, max_p).betti(p)``,
     and the first entry whose sub-complex is invalid raises its
     InvalidComplexError. Every step's probe lies on ``scenario.complex``
-    (``build_scenario`` sees to that), so the entries are cell masks on
-    that one complex: it is validated once, and entries that remove the
-    same cells share one reduction. The table does not depend on the
-    evaluation order.
+    (``build_scenario`` and ``load_scenario`` see to that), so the entries
+    are cell masks on that one complex: it is validated once, and entries
+    that remove the same cells share one reduction. The table does not
+    depend on the evaluation order.
     """
     if max_p is None:
         max_p = scenario.complex.max_dim

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import support
-from descell import CellComplex, make_chart, signature, with_overrides
+from descell import CellComplex, build_scenario, make_chart, signature, with_overrides
 from descell.formats import (
     MAX_CELL_DIM,
     ScenarioFile,
@@ -231,6 +231,16 @@ def test_parse_charts_override_non_member(disk3_probe):
     assert charts is None and has_errors(diags)
 
 
+def test_parse_charts_repeated_override(disk3_probe):
+    text = ("chart c\nmember A\noverride A 1.0\noverride A 2.0\n"
+            "chart d\nmember A\noverride A 3.0\n")
+    charts, diags = parse_charts(text, disk3_probe, "c.chart")
+    assert charts is None
+    assert [str(d) for d in diags] == [
+        "c.chart:4: error: override for 'A' given twice in chart 'c'"]
+    assert diags[0].code == "reference"
+
+
 def test_charts_roundtrip(disk3_probe):
     c1 = make_chart(disk3_probe, {"A", "B", "C"}, "one")
     c2 = with_overrides(make_chart(disk3_probe, {"B", "C", "D"}, "two"), {"D": (0.5,)})
@@ -310,6 +320,23 @@ def test_signature_malformed_row():
     assert parsed is None
 
 
+SIGNATURE_HEAD = "# mode remove\n# delta 0.0\n# rdim 2\ntheta,alpha,dim,betti\n"
+
+
+@pytest.mark.parametrize("row,message", [
+    ("nan,1.0,0,1", "non-finite value in row 'nan,1.0,0,1'"),
+    ("-inf,1.0,0,1", "non-finite value in row '-inf,1.0,0,1'"),
+    ("0.0,1.0;inf,0,1", "non-finite value in row '0.0,1.0;inf,0,1'"),
+    ("0.0,1e999,0,1", "non-finite value in row '0.0,1e999,0,1'"),
+    ("0.0,1.0,-3,1", "negative dimension -3"),
+    ("nan,inf,-3,1", "non-finite value in row 'nan,inf,-3,1'"),
+])
+def test_signature_rejects_non_finite_and_negative_values(row, message):
+    parsed, diags = parse_signature(SIGNATURE_HEAD + "0.0,1.0,0,1\n" + row + "\n", "s.csv")
+    assert parsed is None
+    assert [(d.line, d.code, d.message) for d in diags] == [(6, "syntax", message)]
+
+
 def test_signature_rejects_ragged_table():
     text = ("# mode remove\n# delta 0.0\n# rdim 2\n"
             "theta,alpha,dim,betti\n"
@@ -334,3 +361,225 @@ def test_curve_export():
     assert len(curves) == 4 * 3
     red = curves["curve_0.75;0.75_dim1.csv"]
     assert red == "theta,betti\n0.0,1\n1.0,0\n2.0,0\n"
+
+
+# -- hostile ingest corpus ---------------------------------------------------------
+#
+# Texts with several defects each; every diagnostic is pinned with its line,
+# code, message and position in the list.
+
+HOSTILE_CHARTS = [
+    ('member A\n'
+     'chart a\n'
+     'member A\n'
+     'member A\n'
+     'member nope\n'
+     'override A 1.0 2.0\n'
+     'override B x\n'
+     'override C nan\n'
+     'chart a\n'
+     'chart b c\n'
+     'bogus line\n'
+     'chart empty\n'
+     'override Z 1.0\n'
+     'chart d\n'
+     'member B\n'
+     'override C 0.5\n',
+     [
+         (1, 'syntax', 'member line before any chart declaration'),
+         (4, 'reference', "cell 'A' listed twice in chart 'a'"),
+         (5, 'reference', "unknown cell 'nope'"),
+         (6, 'syntax', "expected 'override <cell>' plus 1 values, got 'override A 1.0 2.0'"),
+         (7, 'syntax', "non-numeric override value in 'override B x'"),
+         (8, 'syntax', "non-finite override value in 'override C nan'"),
+         (9, 'reference', "chart 'a' declared twice"),
+         (10, 'syntax', "expected 'chart <id>', got 'chart b c'"),
+         (11, 'syntax', "unknown directive 'bogus'"),
+         (12, 'reference', "chart 'empty' has no members"),
+         (16, 'reference', "override for 'C', which is not a member of 'd'"),
+     ]),
+    ('# header comment\r\n'
+     'override A 1.0\r\n'
+     'chart x # trailing\r\n'
+     'member\tA\r\n'
+     'member A B\r\n'
+     'override A\r\n'
+     'override A inf\r\n'
+     'override A -1e999\r\n'
+     '\r\n'
+     'chart y\r\n'
+     'member A-B\r\n'
+     'member A-B\r\n'
+     'override A-B 1e999\r\n'
+     'override E 0.25\r\n'
+     'chart\r\n',
+     [
+         (2, 'syntax', 'override line before any chart declaration'),
+         (5, 'syntax', "expected 'member <cell>', got 'member A B'"),
+         (6, 'syntax', "expected 'override <cell>' plus 1 values, got 'override A'"),
+         (7, 'syntax', "non-finite override value in 'override A inf'"),
+         (8, 'syntax', "non-finite override value in 'override A -1e999'"),
+         (12, 'reference', "cell 'A-B' listed twice in chart 'y'"),
+         (13, 'syntax', "non-finite override value in 'override A-B 1e999'"),
+         (15, 'syntax', "expected 'chart <id>', got 'chart'"),
+         (14, 'reference', "override for 'E', which is not a member of 'y'"),
+     ]),
+    ('chart p\n'
+     'override B 0.5\n'
+     'override D 0.5\n'
+     'member B\n'
+     'chart q\n'
+     'chart r\n'
+     'member C\n'
+     'member Q\n'
+     'override C 0x1p-2\n'
+     'chart p\n'
+     'member D\n',
+     [
+         (8, 'reference', "unknown cell 'Q'"),
+         (9, 'syntax', "non-numeric override value in 'override C 0x1p-2'"),
+         (10, 'reference', "chart 'p' declared twice"),
+         (11, 'syntax', 'member line before any chart declaration'),
+         (3, 'reference', "override for 'D', which is not a member of 'p'"),
+         (5, 'reference', "chart 'q' has no members"),
+     ]),
+]
+
+HOSTILE_DESCRIPTORS = [
+    ('cell,f1\n'
+     'A,0.0\n'
+     'A,1.0\n'
+     'zz,1.0\n'
+     'B,1.0,2.0\n'
+     'C,apple\n'
+     'D,nan\n'
+     'E,-inf\n'
+     'A-B,1e999\n'
+     '\n'
+     'A-C , 0.5 \n',
+     [
+         (3, 'reference', "duplicate row for cell 'A'"),
+         (4, 'reference', "unknown cell 'zz'"),
+         (5, 'syntax', 'expected 2 fields, got 3'),
+         (6, 'syntax', "non-numeric descriptor value in 'C,apple'"),
+         (7, 'syntax', "non-finite descriptor value in 'D,nan'"),
+         (8, 'syntax', "non-finite descriptor value in 'E,-inf'"),
+         (9, 'syntax', "non-finite descriptor value in 'A-B,1e999'"),
+         (0, 'coverage', 'cells without descriptors: A-B, A-B-C, B, B-C, B-C-E, B-E, '
+                         'C, C-D, C-D-E, C-E, D, D-E, E'),
+     ]),
+    ('cell,f1,f2\r\n'
+     'A,1,2\r\n'
+     'B,1\r\n'
+     'C,1,2,3\r\n'
+     ',1,2\r\n'
+     'A-B,1_0,0x1p-2\r\n'
+     'A-C,1,\r\n'
+     'B-C,Infinity,0\r\n',
+     [
+         (3, 'syntax', 'expected 3 fields, got 2'),
+         (4, 'syntax', 'expected 3 fields, got 4'),
+         (5, 'reference', "unknown cell ''"),
+         (6, 'syntax', "non-numeric descriptor value in 'A-B,1_0,0x1p-2'"),
+         (7, 'syntax', "non-numeric descriptor value in 'A-C,1,'"),
+         (8, 'syntax', "non-finite descriptor value in 'B-C,Infinity,0'"),
+         (0, 'coverage', 'cells without descriptors: A-B, A-B-C, A-C, B, B-C, B-C-E, '
+                         'B-E, C, C-D, C-D-E, C-E, D, D-E, E'),
+     ]),
+    ('cell\n'
+     'A\n',
+     [
+         (1, 'syntax', "header must be 'cell,f1,...,fn', got 'cell'"),
+     ]),
+    ('id,f1\n'
+     'A,1\n',
+     [
+         (1, 'syntax', "header must be 'cell,f1,...,fn', got 'id,f1'"),
+     ]),
+]
+
+
+
+@pytest.mark.parametrize("text,expected", HOSTILE_CHARTS)
+def test_hostile_charts_diagnostics(disk3_probe, text, expected):
+    charts, diags = parse_charts(text, disk3_probe, "h.chart")
+    assert charts is None
+    assert all(d.file == "h.chart" and d.severity == "error" for d in diags)
+    assert [(d.line, d.code, d.message) for d in diags] == expected
+
+
+@pytest.mark.parametrize("text,expected", HOSTILE_DESCRIPTORS)
+def test_hostile_descriptors_diagnostics(disk3, text, expected):
+    table, diags = parse_descriptors(text, disk3, "h.csv")
+    assert table is None
+    assert all(d.file == "h.csv" and d.severity == "error" for d in diags)
+    assert [(d.line, d.code, d.message) for d in diags] == expected
+    assert load_probe(text, disk3, "h.csv") == (None, diags)
+
+
+# -- each input is checked once ------------------------------------------------------
+
+
+def write_scenario(tmp_path, data_dir, steps):
+    (tmp_path / "k.cw").write_text((data_dir / "square.cw").read_text())
+    lines = ["complex k.cw"]
+    for i, (theta, csv_text) in enumerate(steps):
+        (tmp_path / f"s{i}.csv").write_text(csv_text)
+        lines.append(f"step {theta} s{i}.csv")
+    (tmp_path / "x.scenario").write_text("\n".join(lines) + "\n")
+    return str(tmp_path / "x.scenario")
+
+
+@pytest.mark.parametrize("steps,message", [
+    ([(1.0, 2), (1.0, 2)], "theta 1.0 does not increase past 1.0"),
+    ([(1.0, 2), (0.5, 2), (2.0, 1)], "theta 0.5 does not increase past 1.0"),
+    ([(0.0, 2), (1.0, 1)], "step at theta 1.0 has arity 1, expected 2"),
+])
+def test_load_scenario_reports_scenario_invariants(tmp_path, data_dir, steps, message):
+    square = support.square()
+    csv = {2: emit_descriptors(support.square_step_table(0.5)),
+           1: emit_descriptors((cid, (0.5,)) for cid in square.cells)}
+    scenario, diags = load_scenario(write_scenario(
+        tmp_path, data_dir, [(theta, csv[arity]) for theta, arity in steps]))
+    assert scenario is None
+    assert [str(d) for d in diags] == [f"<scenario>:0: error: {message}"]
+    assert diags[0].code == "reference"
+
+
+def test_parsers_do_not_call_the_checking_constructors(monkeypatch, data_dir, disk3,
+                                                       disk3_probe):
+    """parse_charts builds charts without make_chart or with_overrides, and
+    load_probe and load_scenario build probes without assign_probe."""
+    import descell
+    from descell import bundle, descriptive, formats, persistence
+
+    calls = []
+    for name in ("make_chart", "with_overrides", "assign_probe", "build_scenario"):
+        for module in (descell, bundle, descriptive, formats, persistence):
+            real = getattr(module, name, None)
+            if real is not None:
+                def spy(*args, _real=real, _name=name, **kwargs):
+                    calls.append(_name)
+                    return _real(*args, **kwargs)
+                monkeypatch.setattr(module, name, spy)
+
+    charts, _ = parse_charts((data_dir / "charts_override.chart").read_text(), disk3_probe)
+    assert len(charts) == 2
+    probe, _ = load_probe((data_dir / "disk3_probe.csv").read_text(), disk3)
+    assert probe == disk3_probe
+    scenario, _ = load_scenario(str(data_dir / "cooling.scenario"))
+    assert scenario.thetas == (0.0, 1.0, 2.0)
+    assert calls == []
+
+
+def test_parsed_artifacts_equal_the_checked_constructions(data_dir, disk3, disk3_probe):
+    charts, _ = parse_charts((data_dir / "charts_override.chart").read_text(), disk3_probe)
+    left, right = charts
+    assert left == make_chart(disk3_probe, left.cells, "left")
+    assert right == with_overrides(make_chart(disk3_probe, right.cells, "right"),
+                                   {"C": (0.77,)})
+    scenario, _ = load_scenario(str(data_dir / "cooling.scenario"))
+    tables = [(theta, parse_descriptors((data_dir / name).read_text(), support.square())[0])
+              for theta, name in ((0.0, "cooling_step1.csv"), (1.0, "cooling_step2.csv"),
+                                  (2.0, "cooling_step3.csv"))]
+    assert scenario == build_scenario(support.square(), tables)

@@ -1,16 +1,21 @@
-"""Property tests: the descriptor, chart and scenario parsers never raise,
-and the complex format round-trips.
+"""Property tests: the descriptor, chart, scenario and signature parsers
+never raise, and all five formats round-trip.
 
 Whatever text they get, ``parse_descriptors``, ``load_probe``,
-``parse_charts`` and ``parse_scenario`` return an artifact or error
-diagnostics, and the artifact is None exactly when there is an error. The texts mix arbitrary
-strings with lines built from the formats' own words, real cell ids and
-awkward numbers (``nan``, ``inf``, overflowing exponents), so most of
-them get past the header and the directive checks.
+``parse_charts``, ``parse_scenario`` and ``parse_signature`` return an
+artifact or error diagnostics, and the artifact is None exactly when
+there is an error. The texts mix arbitrary strings with lines built
+from the formats' own words, real cell ids and awkward numbers
+(``nan``, ``inf``, overflowing exponents), so most of them get past the
+header and the directive checks.
 
 The round trip ``parse_complex(emit_complex(k)) == k`` must also give
 the same compiled boundary columns, on random CW and simplicial
 complexes and on random tables with negative, even and odd degrees.
+``parse(emit(x)) == x`` also holds for descriptor tables, charts with
+overrides, scenario files and signatures with at least one row; a
+signature with no alphas has no rows and reads back without its thetas
+and dimensions.
 """
 
 import math
@@ -24,15 +29,27 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import support  # noqa: E402
-from descell import CellComplex  # noqa: E402
+from descell import (  # noqa: E402
+    CellComplex,
+    PersistenceSignature,
+    assign_probe,
+    make_chart,
+    with_overrides,
+)
 from descell.formats import (  # noqa: E402
+    ScenarioFile,
+    emit_charts,
     emit_complex,
+    emit_descriptors,
+    emit_scenario,
+    emit_signature,
     has_errors,
     load_probe,
     parse_charts,
     parse_complex,
     parse_descriptors,
     parse_scenario,
+    parse_signature,
 )
 
 COMPLEX = support.disk3()
@@ -106,6 +123,25 @@ def test_parse_scenario_never_raises(text):
         assert all(math.isfinite(theta) for theta, _ in sf.steps)
 
 
+signature_line = (free_line
+                  | st.sampled_from(["# mode remove", "# delta 0.5", "# rdim 2", "# delta x",
+                                     "# rdim -1", "theta,alpha,dim,betti"])
+                  | st.lists(st.sampled_from(VALUES + ["0", "-3", "1;2", "0.5;nan"]),
+                             min_size=4, max_size=4).map(",".join))
+signature_text = st.lists(signature_line, max_size=8).map("\n".join) | st.text()
+
+
+@settings(max_examples=200, deadline=None)
+@given(signature_text)
+def test_parse_signature_never_raises(text):
+    sig, diags = parse_signature(text)
+    assert (sig is None) == has_errors(diags)
+    if sig is not None:
+        assert all(map(math.isfinite, sig.thetas))
+        assert all(math.isfinite(v) for alpha in sig.alphas for v in alpha)
+        assert all(p >= 0 for p in sig.dims)
+
+
 def adjacent_only(k):
     """``k`` less its dangling and wrong-dimension entries, which the
     complex format cannot express."""
@@ -129,3 +165,65 @@ def test_complex_round_trip(k):
     assert diags == [] and again == k
     for p in range(k.max_dim + 2):
         assert again.boundary_columns(p) == k.boundary_columns(p)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+word_id = st.from_regex(r"[A-Za-z0-9_.-]{1,6}", fullmatch=True)
+path = st.from_regex(r"[A-Za-z0-9_./-]([A-Za-z0-9_. /-]{0,8}[A-Za-z0-9_./-])?",
+                     fullmatch=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(complexes, st.integers(1, 3), st.data())
+def test_descriptors_round_trip(k, arity, data):
+    table = [(cid, tuple(data.draw(st.tuples(*[finite] * arity))))
+             for cid in data.draw(st.permutations(sorted(k.cells)))]
+    text = emit_descriptors(table)
+    assert parse_descriptors(text, k) == (sorted(table), [])
+    assert load_probe(text, k) == (assign_probe(k, table), [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(complexes, st.integers(1, 3), st.data())
+def test_charts_round_trip(k, arity, data):
+    cells = sorted(k.cells)
+    probe = assign_probe(k, [(cid, data.draw(st.tuples(*[finite] * arity))) for cid in cells])
+    charts = []
+    for cid in data.draw(st.lists(word_id, min_size=1, max_size=4, unique=True)):
+        members = data.draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
+        overrides = data.draw(st.dictionaries(st.sampled_from(members),
+                                              st.tuples(*[finite] * arity)))
+        charts.append(with_overrides(make_chart(probe, members, cid), overrides))
+    parsed = parse_charts(emit_charts(charts, probe), probe)
+    assert parsed == (sorted(charts, key=lambda c: c.id), [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(ScenarioFile, path,
+                 st.lists(st.tuples(finite, path), min_size=1, max_size=5).map(tuple)))
+def test_scenario_file_round_trip(sf):
+    assert parse_scenario(emit_scenario(sf)) == (sf, [])
+
+
+def sorted_unique(elements):
+    return st.lists(elements, min_size=1, max_size=4, unique=True).map(sorted).map(tuple)
+
+
+@st.composite
+def signatures(draw):
+    arity = draw(st.integers(1, 3))
+    thetas = draw(sorted_unique(finite))
+    alphas = draw(sorted_unique(st.tuples(*[finite] * arity)))
+    dims = draw(sorted_unique(st.integers(0, 64)))
+    table = {(ti, alpha, p): draw(st.integers(0, 10**6))
+             for ti in range(len(thetas)) for alpha in alphas for p in dims}
+    return PersistenceSignature(
+        mode=draw(st.sampled_from(["remove", "retain"])), delta=draw(finite),
+        removal_dim=draw(st.integers(0, 64)), thetas=thetas, alphas=alphas, dims=dims,
+        table=table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signatures())
+def test_signature_round_trip(sig):
+    assert parse_signature(emit_signature(sig)) == (sig, [])

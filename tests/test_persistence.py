@@ -7,6 +7,9 @@ from descell import (
     CellComplex,
     DescriptorBall,
     PersistenceSignature,
+    Scenario,
+    ScenarioStep,
+    assign_probe,
     betti_curve,
     build_scenario,
     compare_signatures,
@@ -15,6 +18,7 @@ from descell import (
     transition_evolution,
 )
 from descell.errors import (
+    ArityMismatchError,
     EmptyOverlapError,
     MetadataMismatchError,
     MissingCellError,
@@ -80,6 +84,31 @@ def test_decreasing_theta_rejected(square):
 def test_probe_errors_propagate(square):
     with pytest.raises(MissingCellError):
         build_scenario(square, [(0.0, [("tI", (1.0, 1.0))])])
+
+
+def unary_table(k):
+    return [(cid, (0.5,)) for cid in k.cells]
+
+
+@pytest.mark.parametrize("steps,error,message", [
+    ([(0.0, 2), (0.0, 2)], NonMonotoneThetaError, "theta 0.0 does not increase past 0.0"),
+    ([(1.0, 2), (0.5, 2)], NonMonotoneThetaError, "theta 0.5 does not increase past 1.0"),
+    ([(0.0, 2), (1.0, 2), (2.0, 1)], ArityMismatchError,
+     "step at theta 2.0 has arity 1, expected 2"),
+    ([(0.0, 1), (1.0, 2), (1.0, 1)], ArityMismatchError,
+     "step at theta 1.0 has arity 2, expected 1"),
+    ([(0.0, 2), (-1.0, 1)], NonMonotoneThetaError, "theta -1.0 does not increase past 0.0"),
+])
+def test_hand_built_scenario_keeps_the_invariants(square, steps, error, message):
+    """A Scenario built directly raises what build_scenario raises."""
+    tables = [(theta, support.square_step_table(0.5) if arity == 2 else unary_table(square))
+              for theta, arity in steps]
+    with pytest.raises(error) as built:
+        build_scenario(square, tables)
+    with pytest.raises(error) as direct:
+        Scenario(square, tuple(ScenarioStep(theta, assign_probe(square, table))
+                               for theta, table in tables))
+    assert str(built.value) == str(direct.value) == message
 
 
 # -- betti curves -----------------------------------------------------------
