@@ -189,6 +189,35 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
     Absent overlaps make the corresponding checks vacuous; a single
     chart yields only its reflexivity (and trivialization) rows.
 
+    The work grows with the cells where sections deviate, not with the
+    overlaps, and the report is the same as a walk over every cell of
+    every overlap and triple:
+
+    1. Where the sections involved agree at a cell, every section
+       difference there is +-0.0, or nan for an infinite or nan
+       component, so no residual built from them is reported: a nan
+       norm never exceeds the tolerance. A default transition can
+       break an identity only at cells where its two sections differ;
+       a supplied one is suspect at every cell it lists.
+    2. Each cell's reference value is its section value in the first
+       chart, in id order, that holds it, and each chart keeps the
+       cells where its value differs from that reference: one
+       comparison per chart cell. Tuple equality compares components
+       by identity, then ``==``, which on floats is an equivalence
+       (0.0 == -0.0, and a nan equals only itself). So two charts that
+       both match the reference agree with each other, every cell where
+       two sections differ is a deviation of one of them, and comparing
+       the two sections on their deviations alone finds every such cell.
+    3. A triple is checked at the suspect cells of its three transitions
+       that lie in all three charts and in every supplied transition's
+       cells. Only those cells are looked at; a triple with a pair that
+       does not overlap is empty and skipped.
+    4. Only the cells where a section differs from the probe are sorted
+       for the trivialization rows.
+
+    Every reported residual is computed with the same operations, in the
+    same order, as the walk over every cell, so it is the same bit for bit.
+
     Raises:
         ValueError: no charts, duplicate chart ids, or a negative or nan
             tolerance.
@@ -214,22 +243,17 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
             if norm > tolerance:
                 violations.append(GaugeViolation(identity, ids, cell, residual, norm))
 
-    # Where the sections involved agree at a cell, every section difference
-    # there is +-0.0, or nan for an infinite or nan component, so no residual
-    # built from them is reported: nan norms never exceed the tolerance.
-    # Residuals of section-derived transitions are therefore computed only
-    # at cells where two of the sections differ; a supplied transition is
-    # suspect at every cell it lists.
-    def transition_at(ci: Chart, cj: Chart, overlap: frozenset[CellId], differ: set[CellId]):
-        """t_ij as a function of the cell, the cells it is given on, and
-        the cells where it can break an identity."""
+    def transition_at(ci: Chart, cj: Chart, differ: set[CellId]):
+        """t_ij as a function of the cell, the cells it is given on (None
+        for the whole overlap), and the cells where it can break an
+        identity."""
         if (ci.id, cj.id) in table:
             values = table[(ci.id, cj.id)].values
             given = set(values)
             return values.__getitem__, given, given
         _check_arities(ci, cj)
         si, sj = ci.section, cj.section
-        return (lambda cell: _vec_sub(si[cell], sj[cell])), overlap, differ
+        return (lambda cell: _vec_sub(si[cell], sj[cell])), None, differ
 
     for chart in charts:
         if (chart.id, chart.id) in table:
@@ -237,43 +261,66 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
             for cell in t_ii.cells():
                 record("reflexivity", (chart.id,), cell, t_ii.values[cell])
 
-    # forward[a, b]: the overlap and t_ij as from transition_at, for each
-    # overlapping pair a < b
+    reference: dict[CellId, Descriptor] = {}
+    for chart in reversed(charts):
+        reference.update(chart.section)
+    deviations = [{cell for cell, value in chart.section.items() if value != reference[cell]}
+                  for chart in charts]
+
+    # forward[a, b]: t_ij, given_ij and suspect_ij as from transition_at,
+    # for each overlapping pair a < b
     forward = {}
     for a, ci in enumerate(charts):
+        cells_i, si = ci.cells, ci.section
         for b in range(a + 1, len(charts)):
             cj = charts[b]
-            overlap = ci.cells & cj.cells
-            if not overlap:
+            cells_j, sj = cj.cells, cj.section
+            if cells_i.isdisjoint(cells_j):
                 continue
-            si, sj = ci.section, cj.section
-            differ = {cell for cell in overlap if si[cell] != sj[cell]}
-            t_ij, given_ij, suspect_ij = transition_at(ci, cj, overlap, differ)
-            t_ji, given_ji, suspect_ji = transition_at(cj, ci, overlap, differ)
-            forward[a, b] = overlap, t_ij, given_ij, suspect_ij
-            for cell in sorted(given_ij & given_ji & (suspect_ij | suspect_ji)):
+            differ = {cell for cell in deviations[a] | deviations[b]
+                      if cell in cells_i and cell in cells_j and si[cell] != sj[cell]}
+            t_ij, given_ij, suspect_ij = transition_at(ci, cj, differ)
+            t_ji, given_ji, suspect_ji = transition_at(cj, ci, differ)
+            forward[a, b] = t_ij, given_ij, suspect_ij
+            if given_ij is None and given_ji is None:
+                symmetric = differ
+            else:
+                overlap = cells_i & cells_j
+                symmetric = ((overlap if given_ij is None else given_ij)
+                             & (overlap if given_ji is None else given_ji)
+                             & (suspect_ij | suspect_ji))
+            for cell in sorted(symmetric):
                 record("symmetry", (ci.id, cj.id), cell, _vec_add(t_ij(cell), t_ji(cell)))
 
-    for (a, b), (overlap, t_ij, given_ij, suspect_ij) in forward.items():
+    for (a, b), (t_ij, given_ij, suspect_ij) in forward.items():
         for c in range(b + 1, len(charts)):
-            triple = overlap & charts[c].cells
-            if not triple:
+            jk, ik = forward.get((b, c)), forward.get((a, c))
+            if jk is None or ik is None:
                 continue
-            _, t_jk, given_jk, suspect_jk = forward[b, c]
-            _, t_ik, given_ik, suspect_ik = forward[a, c]
-            suspect = suspect_ij | suspect_jk | suspect_ik
-            if not suspect:
+            t_jk, given_jk, suspect_jk = jk
+            t_ik, given_ik, suspect_ik = ik
+            if not (suspect_ij or suspect_jk or suspect_ik):
                 continue
+            given = [g for g in (given_ij, given_jk, given_ik) if g is not None]
+            checked = (suspect_ij | suspect_jk | suspect_ik).intersection(
+                charts[a].cells, charts[b].cells, charts[c].cells, *given)
             ids = (charts[a].id, charts[b].id, charts[c].id)
-            for cell in sorted(triple & given_ij & given_jk & given_ik & suspect):
+            for cell in sorted(checked):
                 composed = _vec_add(t_ij(cell), t_jk(cell))
                 record("cocycle", ids, cell, _vec_sub(t_ik(cell), composed))
 
     if probe is not None:
-        for chart in charts:
-            for cell in sorted(chart.cells):
-                section, reference = chart.section[cell], probe[cell]
-                if section != reference:
-                    record("trivialization", (chart.id,), cell, _vec_sub(section, reference))
+        values = probe.values
+        # Off its deviations a section equals the reference, so it differs
+        # from the probe where the reference does. A cell off the probe is
+        # among the rows, so probe[cell] raises the KeyError a walk over
+        # every sorted cell would.
+        off = {cell for cell, value in reference.items() if value != values.get(cell)}
+        for chart, deviant in zip(charts, deviations):
+            section = chart.section
+            rows = (off & chart.cells) - deviant
+            rows.update(cell for cell in deviant if section[cell] != values.get(cell))
+            for cell in sorted(rows):
+                record("trivialization", (chart.id,), cell, _vec_sub(section[cell], probe[cell]))
 
     return GaugeReport(tolerance=tolerance, violations=tuple(violations))

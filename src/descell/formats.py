@@ -24,7 +24,8 @@ Formats:
                with finite thetas.
   signature    CSV ``theta,alpha,dim,betti`` with alpha components
                joined by ';', finite values and non-negative dimensions,
-               preceded by '# key value' metadata lines.
+               preceded by '# key value' metadata lines: mode remove or
+               retain, delta >= 0, rdim >= 0.
 """
 
 from __future__ import annotations
@@ -512,7 +513,8 @@ def emit_signature(sig: PersistenceSignature) -> str:
 def parse_signature(text: str, filename: str = "<signature>",
                     ) -> tuple[PersistenceSignature | None, list[ParseDiagnostic]]:
     """Parse the CSV ``emit_signature`` writes. Thetas, alphas and dims
-    are read from the rows, so a signature with no row does not round-trip."""
+    are read from the rows, so a signature with no row does not round-trip.
+    The mode must be remove or retain, and delta and rdim non-negative."""
     diags, err = _diagnostics(filename)
     meta: dict[str, str] = {}
     header_line = None
@@ -570,6 +572,14 @@ def parse_signature(text: str, filename: str = "<signature>",
         removal_dim = int(meta["rdim"])
     except ValueError:
         err(0, "malformed metadata values")
+        return None, diags
+    if meta["mode"] not in ("remove", "retain"):
+        err(0, f"mode must be 'remove' or 'retain', got {meta['mode']!r}")
+    if not delta >= 0:
+        err(0, f"delta must be non-negative, got {meta['delta']}")
+    if removal_dim < 0:
+        err(0, f"rdim must be non-negative, got {removal_dim}")
+    if has_errors(diags):
         return None, diags
 
     thetas = tuple(sorted({r[0] for r in rows}))

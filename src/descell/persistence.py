@@ -44,13 +44,19 @@ class ScenarioStep:
 @dataclass(frozen=True)
 class Scenario:
     """A base complex described at successive parameter values. Raises
-    NonMonotoneThetaError unless the thetas increase strictly, and
-    ArityMismatchError unless every step has the same arity."""
+    ForeignCellError unless every step's probe lies on ``complex`` (the
+    same object, or an equal complex), NonMonotoneThetaError unless the
+    thetas increase strictly, and ArityMismatchError unless every step
+    has the same arity."""
 
     complex: CellComplex
     steps: tuple[ScenarioStep, ...]
 
     def __post_init__(self):
+        for step in self.steps:
+            if step.probe.complex is not self.complex and step.probe.complex != self.complex:
+                raise ForeignCellError(
+                    f"step at theta {step.theta!r} has a probe on a different complex")
         for last, step in zip(self.steps, self.steps[1:]):
             if step.theta <= last.theta:
                 raise NonMonotoneThetaError(
@@ -185,7 +191,7 @@ def signature(scenario: Scenario, delta: float = 0.0, mode: str = "remove",
     DescriptorBall(alpha, delta), removal_dim, mode, max_p).betti(p)``,
     and the first entry whose sub-complex is invalid raises its
     InvalidComplexError. Every step's probe lies on ``scenario.complex``
-    (``build_scenario`` and ``load_scenario`` see to that), so the entries
+    (``Scenario`` checks that when it is built), so the entries
     are cell masks on that one complex: it is validated once, and entries
     that remove the same cells share one reduction. The table does not
     depend on the evaluation order.

@@ -337,6 +337,30 @@ def test_signature_rejects_non_finite_and_negative_values(row, message):
     assert [(d.line, d.code, d.message) for d in diags] == [(6, "syntax", message)]
 
 
+@pytest.mark.parametrize("head,messages", [
+    ("# mode remove\n# delta nan\n# rdim 2\n", ["delta must be non-negative, got nan"]),
+    ("# mode remove\n# delta -0.25\n# rdim 2\n", ["delta must be non-negative, got -0.25"]),
+    ("# mode remove\n# delta 0.0\n# rdim -4\n", ["rdim must be non-negative, got -4"]),
+    ("# mode sideways\n# delta 0.0\n# rdim 2\n",
+     ["mode must be 'remove' or 'retain', got 'sideways'"]),
+    ("# mode up\n# delta -inf\n# rdim -1\n",
+     ["mode must be 'remove' or 'retain', got 'up'", "delta must be non-negative, got -inf",
+      "rdim must be non-negative, got -1"]),
+])
+def test_signature_rejects_bad_metadata(head, messages):
+    parsed, diags = parse_signature(head + "theta,alpha,dim,betti\n0.0,1.0,0,1\n", "s.csv")
+    assert parsed is None
+    assert [(d.line, d.code, d.message) for d in diags] == [(0, "syntax", m) for m in messages]
+
+
+def test_signature_accepts_signed_zero_and_infinite_delta():
+    for delta in ("-0.0", "inf"):
+        text = f"# mode retain\n# delta {delta}\n# rdim 0\ntheta,alpha,dim,betti\n0.0,1.0,0,1\n"
+        parsed, diags = parse_signature(text)
+        assert not diags and parsed.delta == float(delta)
+        assert emit_signature(parsed) == text
+
+
 def test_signature_rejects_ragged_table():
     text = ("# mode remove\n# delta 0.0\n# rdim 2\n"
             "theta,alpha,dim,betti\n"

@@ -19,14 +19,23 @@ import support
 from descell import (
     Chart,
     GaugeReport,
+    ProbeAssignment,
     TransitionFunction,
     make_chart,
     transition,
     verify_cocycle,
     with_overrides,
 )
+from descell.cli import main
 from descell.errors import ArityMismatchError
-from descell.formats import load_probe, parse_charts, parse_complex
+from descell.formats import (
+    emit_charts,
+    emit_complex,
+    emit_descriptors,
+    load_probe,
+    parse_charts,
+    parse_complex,
+)
 
 DATA = Path(__file__).parent / "data"
 TOLERANCES = (0.0, 1e-12, 0.5)
@@ -199,3 +208,160 @@ def test_torus_cover_matches_reference():
                 charts[n] = with_overrides(charts[n], {cell: decimal_vector(rng, 2)})
     (report,) = assert_same(charts, tolerances=(0.0,), probe=probe)
     assert {v.identity for v in report.violations} == {"cocycle", "trivialization"}
+
+
+# -- the reference value per cell ---------------------------------------------
+#
+# verify_cocycle compares each chart with one reference value per cell, the
+# value in the first chart that holds it, and compares two charts only where
+# one of them deviates from it. These covers put the odd values where that
+# matters, each checked with no table and with a partial one.
+
+
+def partial_table(rng, charts):
+    """Supplied transitions for about a third of the ordered pairs of
+    overlapping charts, a chart with itself included: each lists about
+    half of its overlap, and one value in three is replaced."""
+    table = {}
+    for ci in charts:
+        for cj in charts:
+            if rng.random() < 2 / 3 or not ci.cells & cj.cells:
+                continue
+            if ci is cj:
+                values = {cell: (0.0,) * ci.arity for cell in ci.cells}
+            else:
+                values = dict(transition(ci, cj).values)
+            for cell in rng.sample(sorted(values), len(values) // 2):
+                del values[cell]
+            for cell in sorted(values):
+                if rng.random() < 1 / 3:
+                    values[cell] = decimal_vector(rng, ci.arity)
+            table[(ci.id, cj.id)] = TransitionFunction((ci.id, cj.id), values)
+    return table
+
+
+def holders(charts, cell):
+    return [n for n, chart in enumerate(charts) if cell in chart.cells]
+
+
+def assert_same_with_and_without_table(rng, charts, probe):
+    """Symmetry and reflexivity rows come only from a table, so a test
+    that sees them has met tables too."""
+    return (assert_same(charts, probe=probe)
+            + assert_same(charts, probe=probe, transitions=partial_table(rng, charts)))
+
+
+def test_first_holder_carries_the_odd_value():
+    """The first chart holding a cell overrides it, so the reference is
+    the odd value and the other holders, which agree with the probe,
+    all deviate from it; sometimes a later holder is odd as well. Half
+    of the odd values keep the probe's first component."""
+    rng = random.Random(2718)
+    seen = Counter()
+
+    def odd(value):
+        return (value[0] if rng.random() < 0.5 else support.decimal_value(rng),
+                support.decimal_value(rng))
+    for _ in range(40):
+        k = support.random_cw_complex(rng, max_cells=16)
+        probe = support.random_probe(rng, k, 2, support.decimal_value)
+        charts = support.random_cover(rng, k, probe, rng.randint(2, 5))
+        for cell in rng.sample(sorted(k.cells), min(len(k), 3)):
+            held = holders(charts, cell)
+            if len(held) < 2:
+                continue
+            first, *rest = held
+            seen["odd first"] += 1
+            charts[first] = with_overrides(charts[first], {cell: odd(probe[cell])})
+            if rng.random() < 0.5:
+                n = rng.choice(rest)
+                charts[n] = with_overrides(charts[n], {cell: odd(probe[cell])})
+        seen += tally(assert_same_with_and_without_table(rng, charts, probe))
+    assert seen["odd first"] > 40
+    assert all(seen[identity] for identity in IDENTITIES)
+
+
+def test_two_holders_agree_off_the_reference():
+    """Two later holders of a cell override it with equal values (the
+    same tuple, equal tuples, or ones that differ only in the sign of a
+    zero) that the first holder does not carry: both deviate from the
+    reference, and they agree with each other."""
+    rng = random.Random(1414)
+    seen = Counter()
+    for _ in range(40):
+        k = support.random_cw_complex(rng, max_cells=16)
+        probe = support.random_probe(rng, k, 2, support.decimal_value)
+        charts = support.random_cover(rng, k, probe, rng.randint(3, 5))
+        for cell in rng.sample(sorted(k.cells), min(len(k), 3)):
+            held = holders(charts, cell)
+            if len(held) < 3:
+                continue
+            m, n = rng.sample(held[1:], 2)
+            value = decimal_vector(rng, 2)
+            kind = rng.choice(("same", "equal", "signed zero"))
+            seen[kind] += 1
+            if kind == "same":
+                other = value
+            elif kind == "equal":
+                other = tuple(v for v in value)
+            else:
+                value, other = (0.0, value[1]), (-0.0, value[1])
+            charts[m] = Chart(charts[m].id, charts[m].cells,
+                              {**charts[m].section, cell: value}, 2)
+            charts[n] = Chart(charts[n].id, charts[n].cells,
+                              {**charts[n].section, cell: other}, 2)
+            if rng.random() < 0.5:
+                charts[held[0]] = with_overrides(charts[held[0]],
+                                                 {cell: decimal_vector(rng, 2)})
+        seen += tally(assert_same_with_and_without_table(rng, charts, probe))
+    assert seen["same"] and seen["equal"] and seen["signed zero"]
+    assert all(seen[identity] for identity in IDENTITIES)
+
+
+def test_shared_and_distinct_nan_objects_match_reference():
+    """A nan equals only itself: sections holding one nan object agree
+    there, and sections holding distinct nan objects differ. Neither
+    gives a reported residual, but the two cases take different paths."""
+    rng = random.Random(4242)
+    shared = float("nan")
+    draws = (lambda: (shared, 0.5), lambda: (float("nan"), 0.5),
+             lambda: (shared, rng.choice((0.1, 0.3))), lambda: decimal_vector(rng, 2))
+    seen = Counter()
+    for _ in range(40):
+        k = support.random_cw_complex(rng, max_cells=12)
+        probe = ProbeAssignment(k, {cell: rng.choice(draws)() for cell in k.cells}, 2)
+        charts = [Chart(c.id, c.cells,
+                        {cell: rng.choice(draws)() if rng.random() < 0.5 else c.section[cell]
+                         for cell in sorted(c.cells)}, 2)
+                  for c in support.random_cover(rng, k, probe, rng.randint(2, 4))]
+        for chart in charts:
+            for value in chart.section.values():
+                seen["shared nan" if value[0] is shared else
+                     "own nan" if value[0] != value[0] else "number"] += 1
+        seen += tally(assert_same_with_and_without_table(rng, charts, probe))
+    assert seen["shared nan"] and seen["own nan"]
+    assert all(seen[identity] for identity in IDENTITIES)
+
+
+@pytest.mark.parametrize("overrides", [0, 3])
+def test_gauge_command_on_the_benchmark_cover(tmp_path, capsys, overrides):
+    """``descell gauge`` on the 24-chart torus cover, written to files,
+    prints the reference report and exits 0 on a clean one, 1 otherwise."""
+    rng = random.Random(24 + overrides)
+    k = support.grid_surface(10)
+    probe = support.random_probe(rng, k, 2, support.decimal_value)
+    charts = [make_chart(probe, cells, f"ch{n:02d}")
+              for n, cells in enumerate(support.grid_windows(10, (6, 4), 5))]
+    for n in rng.sample(range(len(charts)), overrides):
+        cell = rng.choice(sorted(charts[n].cells))
+        charts[n] = with_overrides(charts[n], {cell: decimal_vector(rng, 2)})
+    paths = {name: tmp_path / name for name in ("torus.cw", "probe.csv", "cover.chart")}
+    paths["torus.cw"].write_text(emit_complex(k))
+    paths["probe.csv"].write_text(emit_descriptors(probe.values.items()))
+    paths["cover.chart"].write_text(emit_charts(charts, probe))
+    code = main(["gauge", str(paths["torus.cw"]), "--probe", str(paths["probe.csv"]),
+                 "--charts", str(paths["cover.chart"])])
+    expected = gauge_reference.verify_cocycle(charts, probe=probe)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (0 if expected.clean else 1, expected.to_text(), "")
+    assert expected.clean == (overrides == 0)

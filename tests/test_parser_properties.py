@@ -125,7 +125,8 @@ def test_parse_scenario_never_raises(text):
 
 signature_line = (free_line
                   | st.sampled_from(["# mode remove", "# delta 0.5", "# rdim 2", "# delta x",
-                                     "# rdim -1", "theta,alpha,dim,betti"])
+                                     "# rdim -1", "# delta nan", "# delta -0.5",
+                                     "# mode sideways", "theta,alpha,dim,betti"])
                   | st.lists(st.sampled_from(VALUES + ["0", "-3", "1;2", "0.5;nan"]),
                              min_size=4, max_size=4).map(",".join))
 signature_text = st.lists(signature_line, max_size=8).map("\n".join) | st.text()
@@ -140,6 +141,7 @@ def test_parse_signature_never_raises(text):
         assert all(map(math.isfinite, sig.thetas))
         assert all(math.isfinite(v) for alpha in sig.alphas for v in alpha)
         assert all(p >= 0 for p in sig.dims)
+        assert sig.mode in ("remove", "retain") and sig.delta >= 0 and sig.removal_dim >= 0
 
 
 def adjacent_only(k):
@@ -218,7 +220,8 @@ def signatures(draw):
     table = {(ti, alpha, p): draw(st.integers(0, 10**6))
              for ti in range(len(thetas)) for alpha in alphas for p in dims}
     return PersistenceSignature(
-        mode=draw(st.sampled_from(["remove", "retain"])), delta=draw(finite),
+        mode=draw(st.sampled_from(["remove", "retain"])),
+        delta=draw(finite.filter(lambda v: v >= 0)),
         removal_dim=draw(st.integers(0, 64)), thetas=thetas, alphas=alphas, dims=dims,
         table=table)
 

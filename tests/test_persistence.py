@@ -20,6 +20,7 @@ from descell import (
 from descell.errors import (
     ArityMismatchError,
     EmptyOverlapError,
+    ForeignCellError,
     MetadataMismatchError,
     MissingCellError,
     NonMonotoneThetaError,
@@ -109,6 +110,18 @@ def test_hand_built_scenario_keeps_the_invariants(square, steps, error, message)
         Scenario(square, tuple(ScenarioStep(theta, assign_probe(square, table))
                                for theta, table in tables))
     assert str(built.value) == str(direct.value) == message
+
+
+def test_hand_built_scenario_needs_probes_on_its_complex(square, disk3_probe):
+    """A step whose probe describes another complex is refused; one on an
+    equal complex built separately is accepted."""
+    with pytest.raises(ForeignCellError) as direct:
+        Scenario(square, (ScenarioStep(0.0, disk3_probe),))
+    assert str(direct.value) == "step at theta 0.0 has a probe on a different complex"
+    step = ScenarioStep(0.0, assign_probe(support.square(), support.square_step_table(0.5)))
+    assert step.probe.complex is not square
+    assert signature(Scenario(square, (step,))) == signature(build_scenario(
+        square, [(0.0, support.square_step_table(0.5))]))
 
 
 # -- betti curves -----------------------------------------------------------
