@@ -29,7 +29,13 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Chart:
-    """A cell subset with its local section."""
+    """A cell subset with its local section.
+
+    Raises:
+        ForeignCellError: the section's cells are not the chart's cells.
+        ArityMismatchError: a section value does not have ``arity``
+            components.
+    """
 
     id: str
     cells: frozenset[CellId]
@@ -39,9 +45,15 @@ class Chart:
     def __post_init__(self):
         object.__setattr__(self, "cells", frozenset(self.cells))
         object.__setattr__(self, "section", dict(self.section))
-        if set(self.section) != set(self.cells):
+        if self.section.keys() != self.cells:
             raise ForeignCellError(
                 f"chart {self.id!r} section must cover exactly its cells")
+        # No Python-level loop: parse_charts builds every chart through here.
+        wrong = set(map(len, self.section.values())) - {self.arity}
+        if wrong:
+            raise ArityMismatchError(
+                f"chart {self.id!r} has arity {self.arity}, "
+                f"but a section value has arity {min(wrong)}")
 
 
 def make_chart(probe: ProbeAssignment, cells: Iterable[CellId], chart_id: str) -> Chart:
@@ -223,7 +235,8 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
             tolerance.
         ArityMismatchError: two overlapping charts carry different
             arities and at least one direction of the pair is not
-            supplied.
+            supplied, or ``probe`` is given and a chart's arity is not
+            the probe's.
     """
     charts = sorted(charts, key=lambda c: c.id)
     if not charts:
@@ -232,6 +245,11 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
     if len({c.id for c in charts}) != len(charts):
         raise ValueError("chart ids must be unique")
+    if probe is not None:
+        for chart in charts:
+            if chart.arity != probe.arity:
+                raise ArityMismatchError(
+                    f"chart {chart.id!r} has arity {chart.arity}, probe has {probe.arity}")
     table = transitions or {}
 
     violations: list[GaugeViolation] = []

@@ -48,9 +48,12 @@ class CellComplex:
     ``cells`` maps cell id to dimension; ``incidence`` maps
     (cell, face) pairs to nonzero integer degrees. All query methods are
     pure, so instances are safe to share across threads. ``add_cell``
-    returns a new complex rather than mutating. The mod-2 boundary
-    columns are built at construction; the face and coface maps behind
-    ``faces``, ``cofaces`` and ``odd_faces`` on first use.
+    returns a new complex rather than mutating. Construction only
+    normalises the tables and sorts each dimension's ids. The compiled
+    form (the mod-2 boundary columns and the malformed entries) is built
+    on the first ``boundary_columns`` or ``validate`` call, and the face
+    and coface maps behind ``faces``, ``cofaces`` and ``odd_faces`` on
+    their first use; each is built at most once.
     """
 
     def __init__(self,
@@ -71,10 +74,12 @@ class CellComplex:
             d: tuple(sorted(ids)) for d, ids in by_dim.items()
         }
 
-        # The compiled form: each cell's index in its dimension's sorted
-        # ids, and per dimension the mod-2 boundary columns over those
-        # indices. Entries that are not (p, p-1) between declared cells
-        # go to ``_malformed`` instead, for ``validate`` to report.
+    @cached_property
+    def _compiled(self) -> tuple[dict[int, tuple[int, ...]], list[tuple[CellId, CellId]]]:
+        """The compiled form: per dimension, the mod-2 boundary columns
+        over each dimension's sorted ids, and the incidence entries that
+        are not (p, p-1) between declared cells, for ``validate`` to
+        report."""
         index = {cid: i for ids in self._by_dim.values() for i, cid in enumerate(ids)}
         columns = {d: [0] * len(ids) for d, ids in self._by_dim.items()}
         cells = self._cells
@@ -86,9 +91,7 @@ class CellComplex:
                 malformed.append((cid, fid))
             elif deg % 2:
                 columns[cd][index[cid]] |= 1 << index[fid]
-        self._columns: dict[int, tuple[int, ...]] = {
-            d: tuple(cols) for d, cols in columns.items()}
-        self._malformed = malformed
+        return {d: tuple(cols) for d, cols in columns.items()}, malformed
 
     @cached_property
     def _faces(self) -> dict[CellId, dict[CellId, int]]:
@@ -216,11 +219,11 @@ class CellComplex:
         One int per sorted p-cell; bit i is set when the i-th sorted
         (p-1)-cell is an odd face. Faces of any other dimension are
         ignored. Every column is 0 for p = 0. The tuple is built once,
-        at construction, and every call returns that same tuple.
+        on first use, and every call returns that same tuple.
         """
         if p < 0:
             raise ValueError(f"dimension must be non-negative, got {p}")
-        return self._columns.get(p, ())
+        return self._compiled[0].get(p, ())
 
     def boundary_matrix(self, p: int) -> np.ndarray:
         """Mod-2 boundary matrix from p-cells to (p-1)-cells.
@@ -252,8 +255,9 @@ class CellComplex:
         With ``include_warnings`` the report also lists composite
         coefficients that are nonzero but even (harmless mod 2).
         """
+        columns, malformed = self._compiled
         issues: list[Violation] = []
-        for cid, fid in sorted(self._malformed):
+        for cid, fid in sorted(malformed):
             cd = self._cells.get(cid)
             fd = self._cells.get(fid)
             if cd is None:
@@ -276,8 +280,8 @@ class CellComplex:
         for p in sorted(self._by_dim):
             if p < 2:
                 continue
-            lower = self._columns.get(p - 1, ())
-            for cid, col in zip(self._by_dim[p], self._columns[p]):
+            lower = columns.get(p - 1, ())
+            for cid, col in zip(self._by_dim[p], columns[p]):
                 odd = 0
                 while col:
                     low = col & -col

@@ -44,7 +44,7 @@ def _print_diags(diags: list[ParseDiagnostic]) -> None:
 
 def _read_file(path: str) -> str | None:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         print(f"descell: error: {exc}", file=sys.stderr)

@@ -2,14 +2,21 @@
 
 All formats are line-oriented UTF-8; emitters write LF endings and a
 canonical ordering so output bytes are stable, parsers accept both LF
-and CRLF. Parsing never raises for bad content: each parser returns
-``(artifact, diagnostics)`` where the artifact is None whenever an
-error-severity diagnostic is present.
+and CRLF. The file readers here and in the CLI decode with
+``utf-8-sig``, so a leading byte order mark is dropped. Parsing never
+raises for bad content: each parser returns ``(artifact, diagnostics)``
+where the artifact is None whenever an error-severity diagnostic is
+present.
 
 Each parser checks every value once and builds its artifact from the
 rows it checked, through ``ProbeAssignment``, ``Chart`` and ``Scenario``.
 The library constructors ``assign_probe``, ``make_chart``,
-``with_overrides`` and ``build_scenario`` keep their own checks.
+``with_overrides`` and ``build_scenario`` keep their own checks. The
+per-row work is C-level: each line is split once, and stripped only to
+quote it in a diagnostic; cell ids are looked up in the complex's
+``cells`` and section values in the probe's ``values``, each fetched
+once per call; a boundary face is tested against the ids of the one
+dimension it may have.
 
 Formats:
   complex      ``cell <id> <dim>`` (0 <= dim <= MAX_CELL_DIM) and
@@ -94,12 +101,21 @@ def parse_complex(text: str, filename: str = "<complex>",
     """Parse the cell/bnd format; two passes, so declaration order is free."""
     diags, err = _diagnostics(filename)
     cells: dict[CellId, int] = {}
+    ids_of_dim: dict[int, set[CellId]] = {}
     bnd_lines: list[tuple[int, list[str]]] = []
-    for lineno, line in _logical_lines(text):
+    # Each line is cut at '#' only when it holds one, split once, and
+    # stripped only to quote it in a diagnostic. The loop is written out
+    # here and in parse_charts, not shared through a generator, because
+    # resuming one per line cost about a tenth of the chart parse.
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         words = line.split()
+        if not words:
+            continue
         if words[0] == "cell":
             if len(words) != 3:
-                err(lineno, f"expected 'cell <id> <dim>', got {line!r}")
+                err(lineno, f"expected 'cell <id> <dim>', got {line.strip()!r}")
                 continue
             _, cid, dim_s = words
             if cid in cells:
@@ -117,21 +133,26 @@ def parse_complex(text: str, filename: str = "<complex>",
                 err(lineno, f"dimension {dim} exceeds the bound {MAX_CELL_DIM}")
                 continue
             cells[cid] = dim
+            ids_of_dim.setdefault(dim, set()).add(cid)
         elif words[0] == "bnd":
             if len(words) < 3:
-                err(lineno, f"expected 'bnd <id> <face>:<degree> ...', got {line!r}")
+                err(lineno, f"expected 'bnd <id> <face>:<degree> ...', got {line.strip()!r}")
                 continue
-            bnd_lines.append((lineno, words[1:]))
+            bnd_lines.append((lineno, words))
         else:
             err(lineno, f"unknown directive {words[0]!r}")
 
     incidence: dict[tuple[CellId, CellId], int] = {}
     for lineno, words in bnd_lines:
-        cid = words[0]
-        if cid not in cells:
+        cid = words[1]
+        dim = cells.get(cid)
+        if dim is None:
             err(lineno, f"bnd references undeclared cell {cid!r}", "reference")
             continue
-        for entry in words[1:]:
+        # A face is tested against the ids one dimension down; only a
+        # miss looks up whether it is undeclared or of another dimension.
+        faces = ids_of_dim.get(dim - 1, ())
+        for entry in words[2:]:
             fid, sep, deg_s = entry.rpartition(":")
             if not sep or not fid:
                 err(lineno, f"expected '<face>:<degree>', got {entry!r}")
@@ -141,13 +162,12 @@ def parse_complex(text: str, filename: str = "<complex>",
             except ValueError:
                 err(lineno, f"degree {deg_s!r} is not an integer")
                 continue
-            if fid not in cells:
-                err(lineno, f"bnd references undeclared face {fid!r}", "reference")
-                continue
-            if cells[fid] != cells[cid] - 1:
-                err(lineno,
-                    f"face {fid!r} has dimension {cells[fid]}, expected {cells[cid] - 1}",
-                    "reference")
+            if fid not in faces:
+                if fid not in cells:
+                    err(lineno, f"bnd references undeclared face {fid!r}", "reference")
+                else:
+                    err(lineno, f"face {fid!r} has dimension {cells[fid]}, expected {dim - 1}",
+                        "reference")
                 continue
             incidence[(cid, fid)] = incidence.get((cid, fid), 0) + deg
 
@@ -197,23 +217,26 @@ def parse_descriptors(text: str, complex: CellComplex,
         return None, diags
     arity = len(header) - 1
 
+    cells = complex.cells
     rows: dict[CellId, Descriptor] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        fields = [f.strip() for f in raw.split(",")]
+        fields = raw.split(",")
         if len(fields) != arity + 1:
-            err(lineno, f"expected {arity + 1} fields, got {len(fields)}")
+            # A blank line has one field, and the arity is at least 1.
+            if raw.strip():
+                err(lineno, f"expected {arity + 1} fields, got {len(fields)}")
             continue
-        cid = fields[0]
+        cid = fields[0].strip()
         if cid in rows:
             err(lineno, f"duplicate row for cell {cid!r}", "reference")
             continue
-        if cid not in complex:
+        if cid not in cells:
             err(lineno, f"unknown cell {cid!r}", "reference")
             continue
         try:
-            desc = tuple(float(f) for f in fields[1:])
+            # float() strips whitespace but not U+001F, which str.strip()
+            # removes and splitlines() leaves inside a line.
+            desc = tuple(map(float, map(str.strip, fields[1:])))
         except ValueError:
             err(lineno, f"non-numeric descriptor value in {raw.strip()!r}")
             continue
@@ -221,7 +244,7 @@ def parse_descriptors(text: str, complex: CellComplex,
             err(lineno, f"non-finite descriptor value in {raw.strip()!r}")
             continue
         rows[cid] = desc
-    missing = sorted(set(complex.cells) - set(rows))
+    missing = sorted(cells.keys() - rows.keys())
     if missing:
         err(0, f"cells without descriptors: {', '.join(missing)}", "coverage")
     if has_errors(diags):
@@ -263,14 +286,20 @@ def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
                  ) -> tuple[list[Chart] | None, list[ParseDiagnostic]]:
     """Parse chart blocks; sections default to the probe, overrides win."""
     diags, err = _diagnostics(filename)
+    cells = probe.complex.cells
+    arity = probe.arity
     blocks: list[tuple[int, str, set, dict]] = []
     current: tuple[int, str, set, dict] | None = None
     seen_ids: set[str] = set()
-    for lineno, line in _logical_lines(text):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         words = line.split()
+        if not words:
+            continue
         if words[0] == "chart":
             if len(words) != 2:
-                err(lineno, f"expected 'chart <id>', got {line!r}")
+                err(lineno, f"expected 'chart <id>', got {line.strip()!r}")
                 current = None
                 continue
             cid = words[1]
@@ -286,10 +315,10 @@ def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
                 err(lineno, "member line before any chart declaration")
                 continue
             if len(words) != 2:
-                err(lineno, f"expected 'member <cell>', got {line!r}")
+                err(lineno, f"expected 'member <cell>', got {line.strip()!r}")
                 continue
             cell = words[1]
-            if cell not in probe.complex:
+            if cell not in cells:
                 err(lineno, f"unknown cell {cell!r}", "reference")
                 continue
             if cell in current[2]:
@@ -301,18 +330,18 @@ def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
             if current is None:
                 err(lineno, "override line before any chart declaration")
                 continue
-            if len(words) != 2 + probe.arity:
+            if len(words) != 2 + arity:
                 err(lineno,
-                    f"expected 'override <cell>' plus {probe.arity} values, got {line!r}")
+                    f"expected 'override <cell>' plus {arity} values, got {line.strip()!r}")
                 continue
             cell = words[1]
             try:
-                desc = tuple(float(w) for w in words[2:])
+                desc = tuple(map(float, words[2:]))
             except ValueError:
-                err(lineno, f"non-numeric override value in {line!r}")
+                err(lineno, f"non-numeric override value in {line.strip()!r}")
                 continue
             if not all(map(math.isfinite, desc)):
-                err(lineno, f"non-finite override value in {line!r}")
+                err(lineno, f"non-finite override value in {line.strip()!r}")
                 continue
             if cell in current[3]:
                 err(lineno, f"override for {cell!r} given twice in chart {current[1]!r}",
@@ -322,7 +351,6 @@ def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
         else:
             err(lineno, f"unknown directive {words[0]!r}")
 
-    charts: list[Chart] = []
     for lineno, cid, members, overrides in blocks:
         if not members:
             err(lineno, f"chart {cid!r} has no members", "reference")
@@ -331,12 +359,15 @@ def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
             if cell not in members:
                 err(oline, f"override for {cell!r}, which is not a member of {cid!r}",
                     "reference")
-        if has_errors(diags):
-            continue
-        section = {c: overrides[c][1] if c in overrides else probe[c] for c in members}
-        charts.append(Chart(cid, members, section, probe.arity))
     if has_errors(diags):
         return None, diags
+
+    values = probe.values
+    charts: list[Chart] = []
+    for _, cid, members, overrides in blocks:
+        section = {cell: values[cell] for cell in members}
+        section.update((cell, desc) for cell, (_, desc) in overrides.items())
+        charts.append(Chart(cid, members, section, arity))
     return sorted(charts, key=lambda c: c.id), diags
 
 
@@ -428,7 +459,7 @@ def load_scenario_file(sf: ScenarioFile, base_dir: str,
     def read(rel_path: str) -> str | None:
         path = os.path.join(base_dir, rel_path)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 return fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             diags.append(ParseDiagnostic(rel_path, 0, "error", str(exc), "io"))
@@ -463,7 +494,7 @@ def load_scenario_file(sf: ScenarioFile, base_dir: str,
 def load_scenario(path: str) -> tuple[Scenario | None, list[ParseDiagnostic]]:
     """Read, parse and resolve a scenario file from disk."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         return None, [ParseDiagnostic(path, 0, "error", str(exc), "io")]

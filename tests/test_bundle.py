@@ -4,6 +4,7 @@ import pytest
 
 import support
 from descell import (
+    Chart,
     TransitionFunction,
     assign_probe,
     make_chart,
@@ -54,6 +55,28 @@ def test_with_overrides_checks_membership(disk3_probe):
         with_overrides(chart, {"C": (0.0,)})
     with pytest.raises(ArityMismatchError):
         with_overrides(chart, {"A": (0.0, 1.0)})
+
+
+def test_chart_checks_section_arity():
+    # A short value used to be zipped against the others and truncated,
+    # so this family verified as OK.
+    with pytest.raises(ArityMismatchError, match="'a' has arity 2.*arity 1"):
+        Chart("a", {"A"}, {"A": (1.0,)}, 2)
+    with pytest.raises(ArityMismatchError):
+        Chart("b", {"A", "B"}, {"A": (5.0, 7.0), "B": (5.0, 7.0, 1.0)}, 2)
+    assert Chart("c", {"A"}, {"A": (2.0, 9.0)}, 2).arity == 2
+    with pytest.raises(ForeignCellError):
+        Chart("d", {"A", "B"}, {"A": (2.0, 9.0)}, 2)
+
+
+def test_verify_cocycle_checks_probe_arity(disk3_probe):
+    # Trivialization residuals used to be truncated to the shorter vector.
+    wide = assign_probe(disk3_probe.complex,
+                        [(c, v * 2) for c, v in disk3_probe.values.items()])
+    charts = [make_chart(disk3_probe, {"A", "B"}, "i"), make_chart(wide, {"B", "C"}, "j")]
+    with pytest.raises(ArityMismatchError, match="chart 'j' has arity 2, probe has 1"):
+        verify_cocycle(charts, probe=disk3_probe)
+    assert verify_cocycle(charts[1:], probe=wide).clean
 
 
 # -- transitions ------------------------------------------------------------

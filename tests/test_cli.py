@@ -278,6 +278,37 @@ def test_gauge_single_chart(tmp_path, capsys):
     assert capsys.readouterr().out == "OK\n"
 
 
+def test_byte_order_mark_is_accepted(tmp_path, capsys):
+    """Spreadsheet CSV exports and some editors start a file with one."""
+    names = ("disk3.cw", "disk3_probe.csv", "charts_override.chart", "cooling.scenario",
+             "square.cw", "cooling_step1.csv", "cooling_step2.csv", "cooling_step3.csv")
+    for name in names:
+        (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes())
+    for args in (["validate", "disk3.cw"],
+                 ["homology", "disk3.cw", "--generators"],
+                 ["descriptive", "disk3.cw", "--probe", "disk3_probe.csv", "--spectrum"],
+                 ["gauge", "disk3.cw", "--probe", "disk3_probe.csv",
+                  "--charts", "charts_override.chart"],
+                 ["persist", "cooling.scenario"]):
+        outcomes = []
+        for folder in (DATA, tmp_path):
+            code = main([str(folder / a) if a in names else a for a in args])
+            outcomes.append((code, capsys.readouterr()))
+        assert outcomes[0] == outcomes[1] and outcomes[0][1].err == ""
+
+
+def test_gauge_never_compiles_the_complex_and_homology_once(monkeypatch, capsys):
+    compiled = CellComplex.__dict__["_compiled"]
+    build, built = compiled.func, []
+    monkeypatch.setattr(compiled, "func", lambda k: built.append(k) or build(k))
+    assert main(["gauge", str(DATA / "disk3.cw"), "--probe", str(DATA / "disk3_probe.csv"),
+                 "--charts", str(DATA / "charts_override.chart")]) == 1
+    assert built == []
+    assert main(["homology", str(DATA / "torus.cw"), "--generators"]) == 0
+    assert len(built) == 1
+    capsys.readouterr()
+
+
 # -- persist -----------------------------------------------------------------------
 
 

@@ -3,7 +3,14 @@ import random
 import pytest
 
 import support
-from descell import CellComplex, build_scenario, make_chart, signature, with_overrides
+from descell import (
+    CellComplex,
+    ProbeAssignment,
+    build_scenario,
+    make_chart,
+    signature,
+    with_overrides,
+)
 from descell.formats import (
     MAX_CELL_DIM,
     ScenarioFile,
@@ -196,6 +203,25 @@ def test_load_probe(disk3, data_dir):
 
 
 # -- chart file ----------------------------------------------------------------
+
+
+def test_parsing_a_cover_makes_no_per_row_method_calls(monkeypatch):
+    # The benchmark's cover: 24 charts of a 600-cell torus, about 4,100
+    # member lines, read against its 600-row probe.
+    rng = random.Random(24)
+    k = support.grid_surface(10)
+    probe = support.random_probe(rng, k, 2, support.decimal_value)
+    charts = [make_chart(probe, cells, f"ch{n:02d}")
+              for n, cells in enumerate(support.grid_windows(10, (6, 4), 5))]
+    charts[3] = with_overrides(charts[3], {min(charts[3].cells): (0.5, 0.25)})
+    csv_text, chart_text = emit_descriptors(probe.values.items()), emit_charts(charts, probe)
+
+    def per_row_call(*args):
+        raise AssertionError("a method call per row")
+    monkeypatch.setattr(CellComplex, "__contains__", per_row_call)
+    monkeypatch.setattr(ProbeAssignment, "__getitem__", per_row_call)
+    assert load_probe(csv_text, k) == (probe, [])
+    assert parse_charts(chart_text, probe) == (charts, [])
 
 
 def test_parse_charts_ok(data_dir, disk3_probe):

@@ -1,0 +1,238 @@
+"""Differential tests: the complex, descriptor and chart parsers against
+the earlier ones.
+
+``formats_reference`` holds the parsers as they were when every line
+was cut at '#' and stripped, every face was looked up in the whole
+declared-cell table and every member and section value went through a
+method call. On hostile texts both must return equal artifacts and the
+same diagnostics: text, line number, code and order.
+
+The texts mix the formats' own words with tabs, U+001F (whitespace
+that ``float()`` does not strip and ``splitlines`` does not break on),
+U+3000, CRLF, U+0085 and U+2028 line breaks, '#' comments, numbers
+written ``+1``, ``1_0``, with an Arabic-Indic digit (U+0663) or with
+5,000 digits, faces that repeat with zero net degree, undeclared and
+wrong-dimension faces, and repeated rows, members and overrides.
+"""
+
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import formats_reference  # noqa: E402
+import support  # noqa: E402
+from descell import assign_probe  # noqa: E402
+from descell.formats import (  # noqa: E402
+    emit_complex,
+    parse_charts,
+    parse_complex,
+    parse_descriptors,
+)
+
+BIG = "7" * 5000
+SEPARATORS = [" ", "\t", "\x1f", "\u3000", " \t "]
+BREAKS = ["\n", "\r\n", "\r", "\u0085", "\u2028"]
+NUMBERS = ["0", "1", "2", "-1", "+1", "1_0", "\u0663", BIG, "-" + BIG, "0.5", "x", ""]
+VALUES = ["0.25", "-0", "+1", "1_0", "\u0663", "1e999", "nan", "inf", BIG, "x", "",
+          "0.5\x1f", "\x1f0.5", "\u30000.5", "\t0.5 "]
+
+
+def line_of(words, commented_out=True):
+    """Words joined by one separator, maybe padded, with or without a
+    '#' comment, which may start the line."""
+    return st.builds(str.join, st.sampled_from(SEPARATORS), words).flatmap(
+        lambda line: st.sampled_from([line, f"\t{line}\x1f ", line + "#c", line + " # bnd x:1"]
+                                     + ["#" + line] * commented_out))
+
+
+def text_of(lines):
+    """Lines joined by assorted breaks; some lines are blank or whitespace."""
+    line = lines | st.sampled_from(["", " ", "\x1f", "\u3000\t"])
+    return st.lists(st.tuples(line, st.sampled_from(BREAKS)), max_size=14).map(
+        lambda pairs: "".join(a + b for a, b in pairs))
+
+
+# -- complex ----------------------------------------------------------------
+
+IDS = ["v", "w", "e", "f", "t", "X"]
+cell_id = st.sampled_from(IDS)
+# Mostly sensible dimensions, so many texts declare a usable complex.
+dim = st.sampled_from(["0", "0", "1", "1", "2"]) | st.sampled_from(NUMBERS + ["65", "64"])
+face = st.builds("{}:{}".format, cell_id, st.sampled_from(["1", "-1", "2", "3"]))
+odd_entry = (st.builds("{}:{}".format, cell_id, st.sampled_from(NUMBERS))
+             | st.sampled_from(["v", ":1", "v:", "a:b:1", "v::1", "X:1"]))
+# A face listed with opposite degrees nets to zero.
+cancelling = cell_id.map(lambda f: [f"{f}:1", f"{f}:-1"])
+bnd_words = st.builds(
+    lambda cid, faces, extra: ["bnd", cid] + faces + extra, cell_id,
+    st.lists(face | odd_entry, max_size=4),
+    cancelling | st.just([]))
+cell_words = st.builds(lambda cid, d: ["cell", cid, d], cell_id, dim)
+other_words = st.lists(st.sampled_from(["cell", "bnd", "Cell", "v", "1", "v:1"])
+                       | st.text(max_size=3), min_size=1, max_size=4)
+
+# Every cell of a small valid complex declared, then boundary lines that
+# name only faces one dimension down, so many texts parse to a complex.
+DECLARED = [["cell", "v", "0"], ["cell", "w", "0"], ["cell", "e", "1"], ["cell", "f", "1"],
+            ["cell", "t", "2"]]
+FACES = {"e": ["v", "w"], "f": ["v", "w"], "t": ["e", "f"]}
+degree = st.sampled_from(["1", "-1", "2", "3", "+1", "1_0", "\u0663"])
+good_bnd = st.sampled_from(sorted(FACES)).flatmap(lambda cid: st.lists(
+    st.builds("{}:{}".format, st.sampled_from(FACES[cid]), degree), min_size=1,
+    max_size=4).map(lambda entries: ["bnd", cid] + entries))
+
+
+@st.composite
+def complex_texts(draw):
+    lines = DECLARED + draw(st.lists(good_bnd, max_size=5))
+    lines = [draw(line_of(st.just(words), commented_out=False)) for words in lines]
+    lines += draw(st.lists(line_of(cell_words | bnd_words | other_words), max_size=2))
+    return "".join(line + draw(st.sampled_from(BREAKS)) for line in draw(st.permutations(lines)))
+
+
+complex_text = (complex_texts()
+                | text_of(line_of(cell_words | bnd_words | other_words))
+                | st.text())
+
+
+@settings(max_examples=200, deadline=None)
+@given(complex_text)
+def test_parse_complex_matches_reference(text):
+    assert parse_complex(text, "k.cw") == formats_reference.parse_complex(text, "k.cw")
+
+
+def test_parse_complex_matches_reference_on_surfaces():
+    rng = random.Random(12)
+    for k in (support.grid_surface(6), support.grid_surface(5, flip=True)):
+        lines = emit_complex(k).splitlines()
+        # Declarations after their use, a comment, CRLF, a duplicate,
+        # a wrong-dimension face and an undeclared one.
+        rng.shuffle(lines)
+        lines[3] += " # comment"
+        lines.append(lines[0])
+        lines.append("bnd " + k.cells_of_dim(2)[0] + " " + k.cells_of_dim(0)[0] + ":1 nope:1")
+        text = "\r\n".join(lines)
+        assert parse_complex(text) == formats_reference.parse_complex(text)
+        text = "\n".join(lines[:-2])
+        got = parse_complex(text)
+        assert got == formats_reference.parse_complex(text) and got == (k, [])
+
+
+# -- descriptors --------------------------------------------------------------
+
+COMPLEX = support.disk3()
+CELLS = sorted(COMPLEX.cells)
+
+
+def padded(cid):
+    return st.sampled_from([cid, f" {cid}", f"{cid}\x1f", f"\u3000{cid}\t"])
+
+
+header = st.sampled_from(["cell,f1", "cell,f1,f2", " cell , f1 ", "cell\x1f,f1", "cell",
+                          "\ufeffcell,f1", "id,f1", ",", "cell,f1,"])
+row = st.builds(lambda cid, values, sep: sep.join([cid] + values),
+                st.sampled_from(CELLS + ["X", ""]).flatmap(padded),
+                st.lists(st.sampled_from(VALUES), min_size=0, max_size=3),
+                st.sampled_from([",", ";"]))
+GOOD_HEADERS = {1: ["cell,f1", " cell , f1 ", "cell\x1f,f1\x1f"], 2: ["cell,\u3000f1,f2"]}
+good_value = st.sampled_from(["0.25", "-0", "+1", "1_0", "\u0663", "0.5\x1f", "\x1f0.5",
+                              "\u30000.5", "\t0.5 "])
+
+
+@st.composite
+def csv_texts(draw):
+    """A row for every cell with finite values, some of them padded with
+    whitespace, plus a few hostile or blank rows."""
+    arity = draw(st.sampled_from(sorted(GOOD_HEADERS)))
+    lines = [draw(padded(cid)) + "," + ",".join(draw(st.lists(good_value, min_size=arity,
+                                                              max_size=arity)))
+             for cid in draw(st.permutations(CELLS))]
+    lines += draw(st.lists(row | st.sampled_from(["", " ", "\x1f"]), max_size=2))
+    lines = [draw(st.sampled_from(GOOD_HEADERS[arity]))] + draw(st.permutations(lines))
+    return "".join(line + draw(st.sampled_from(BREAKS)) for line in lines)
+
+
+csv_text = (csv_texts()
+            | st.builds(lambda head, body: head + body, header,
+                        text_of(row).map(lambda body: "\n" + body))
+            | st.text())
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_text)
+def test_parse_descriptors_matches_reference(text):
+    assert (parse_descriptors(text, COMPLEX, "p.csv")
+            == formats_reference.parse_descriptors(text, COMPLEX, "p.csv"))
+
+
+def test_unit_separator_around_a_value_is_accepted():
+    text = "cell,f1\n" + "\n".join(f"{c},\x1f0.5\x1f" for c in CELLS)
+    table, diags = parse_descriptors(text, COMPLEX)
+    assert diags == [] and table == [(c, (0.5,)) for c in CELLS]
+    assert (table, diags) == formats_reference.parse_descriptors(text, COMPLEX)
+
+
+# -- charts ---------------------------------------------------------------------
+
+PROBES = [support.disk3_probe(),
+          assign_probe(COMPLEX, [(c, (i / 4, -i / 8)) for i, c in enumerate(CELLS)])]
+chart_cell = st.sampled_from(CELLS[:5] + ["X"])
+chart_words = (st.builds(lambda cid: ["chart", cid], st.sampled_from(["a", "b", "c"]))
+               | st.builds(lambda cid: ["member", cid], chart_cell)
+               | st.sampled_from([["member"], ["member", "A", "B"], ["chart", "a", "b"]])
+               | st.builds(lambda cid, values: ["override", cid] + values, chart_cell,
+                           st.lists(st.sampled_from(VALUES[:9]), min_size=1, max_size=3))
+               | st.lists(st.sampled_from(["chart", "member", "override", "a", "A"])
+                          | st.text(max_size=3), min_size=1, max_size=3))
+
+
+override_value = st.sampled_from(["0.5", "-0", "+1", "1_0", "\u0663", "1e-3", "2.5E-1"])
+
+
+@st.composite
+def chart_cases(draw):
+    """A probe and well-formed blocks with overrides of its arity, plus a
+    few hostile lines, so that many texts parse to charts."""
+    probe = draw(st.sampled_from(PROBES))
+    lines = []
+    for cid in draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, unique=True)):
+        members = draw(st.lists(st.sampled_from(CELLS), min_size=1, max_size=6, unique=True))
+        lines += [["chart", cid]] + [["member", cell] for cell in members]
+        for cell in draw(st.lists(st.sampled_from(members), max_size=2, unique=True)):
+            values = draw(st.lists(override_value, min_size=probe.arity, max_size=probe.arity))
+            lines.append(["override", cell] + values)
+    lines = [draw(line_of(st.just(words), commented_out=False)) for words in lines]
+    for hostile in draw(st.lists(line_of(chart_words), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), hostile)
+    return "".join(line + draw(st.sampled_from(BREAKS)) for line in lines), probe
+
+
+chart_text = text_of(line_of(chart_words)) | st.text()
+
+
+@settings(max_examples=200, deadline=None)
+@given(chart_cases() | st.tuples(chart_text, st.sampled_from(PROBES)))
+def test_parse_charts_matches_reference(case):
+    text, probe = case
+    assert (parse_charts(text, probe, "c.chart")
+            == formats_reference.parse_charts(text, probe, "c.chart"))
+
+
+def test_parse_charts_matches_reference_on_torus_cover():
+    rng = random.Random(10)
+    k = support.grid_surface(10)
+    probe = support.random_probe(rng, k, 2, support.decimal_value)
+    lines = []
+    for n, cells in enumerate(support.grid_windows(10, (6, 4), 5)):
+        lines.append(f"chart ch{n:02d}  # window {n}")
+        lines += [f"\tmember {c}" for c in sorted(cells)]
+        lines.append(f"override {min(cells)} 0.5 {n}")
+    text = "\r\n".join(lines)
+    charts, diags = parse_charts(text, probe)
+    assert diags == [] and len(charts) == 24
+    assert (charts, diags) == formats_reference.parse_charts(text, probe)

@@ -157,7 +157,8 @@ def test_supplied_tables_match_reference():
 
 def test_mixed_arities_match_reference():
     """Overlapping charts of different arities raise unless the table
-    supplies both directions of the pair; disjoint ones never do."""
+    supplies both directions of the pair; disjoint ones never do. A
+    probe raises unless every chart has its arity."""
     rng = random.Random(8)
     k = support.grid_surface(4)
     narrow = support.random_probe(rng, k, 1, support.decimal_value)
@@ -177,10 +178,15 @@ def test_mixed_arities_match_reference():
         with pytest.raises(ArityMismatchError):
             verify_cocycle(charts, transitions=table)
         assert len(set(messages)) == 1
-    for charts, kwargs in (([a, b], {"transitions": both, "probe": wide}),
-                           ([a, c, d], {"probe": narrow})):
+    for charts, kwargs in (([a, b], {"transitions": both}), ([a, c], {"probe": narrow})):
         reports = assert_same(charts, **kwargs)
         assert all(isinstance(r, GaugeReport) for r in reports)
+    # A probe of another arity than a chart's raises. The reference zips
+    # the two vectors and reports truncated trivialization residuals.
+    for charts, kwargs in (([a, b], {"transitions": both, "probe": wide}),
+                           ([a, c, d], {"probe": narrow})):
+        with pytest.raises(ArityMismatchError, match="probe has"):
+            verify_cocycle(charts, **kwargs)
 
 
 def test_data_files_match_reference():

@@ -1,13 +1,14 @@
-"""Property tests: the descriptor, chart, scenario and signature parsers
-never raise, and all five formats round-trip.
+"""Property tests: the parsers never raise, and all five formats
+round-trip.
 
-Whatever text they get, ``parse_descriptors``, ``load_probe``,
-``parse_charts``, ``parse_scenario`` and ``parse_signature`` return an
-artifact or error diagnostics, and the artifact is None exactly when
-there is an error. The texts mix arbitrary strings with lines built
-from the formats' own words, real cell ids and awkward numbers
-(``nan``, ``inf``, overflowing exponents), so most of them get past the
-header and the directive checks.
+Whatever text they get, ``parse_complex``, ``parse_descriptors``,
+``load_probe``, ``parse_charts``, ``parse_scenario`` and
+``parse_signature`` return an artifact or error diagnostics, and the
+artifact is None exactly when there is an error. The texts mix
+arbitrary strings with lines built from the formats' own words, real
+cell ids and awkward numbers (``nan``, ``inf``, overflowing exponents,
+5,000-digit integers), so most of them get past the header and the
+directive checks.
 
 The round trip ``parse_complex(emit_complex(k)) == k`` must also give
 the same compiled boundary columns, on random CW and simplicial
@@ -57,7 +58,7 @@ PROBE = support.disk3_probe()
 CELLS = sorted(COMPLEX.cells)
 VALUES = ["0.5", "-0", "1e999", "-1e999", "nan", "NaN", "inf", "-inf", "Infinity",
           "0x1p-2", "1_0", "", " ", "apple"]
-WORDS = ["cell", "chart", "member", "override", "#", ",", "f1", "X"] + CELLS + VALUES
+WORDS = ["cell", "bnd", "chart", "member", "override", "#", ",", "f1", "X"] + CELLS + VALUES
 
 word = st.sampled_from(WORDS) | st.text(max_size=4)
 free_line = st.lists(word, max_size=5).flatmap(
@@ -96,6 +97,23 @@ scenario_line = (free_line
                  | st.builds("step {} {}".format, st.sampled_from(VALUES + ["-1.5", "2"]),
                              st.sampled_from(["s.csv", "", "# c"])))
 scenario_text = st.lists(scenario_line, max_size=6).map("\n".join) | st.text()
+
+
+complex_line = (free_line
+                | st.builds("cell {} {}".format, st.sampled_from(CELLS + ["X"]),
+                            st.sampled_from(["0", "1", "2", "-1", "65", "9" * 5000] + VALUES))
+                | st.builds("bnd {} {}".format, st.sampled_from(CELLS + ["X"]),
+                            st.lists(st.builds("{}:{}".format, st.sampled_from(CELLS + ["X"]),
+                                               st.sampled_from(["1", "-1", "2"] + VALUES)),
+                                     max_size=3).map(" ".join)))
+complex_text = st.lists(complex_line, max_size=10).map("\n".join) | st.text()
+
+
+@settings(max_examples=200, deadline=None)
+@given(complex_text)
+def test_parse_complex_never_raises(text):
+    k, diags = parse_complex(text)
+    assert (k is None) == has_errors(diags)
 
 
 @settings(max_examples=200, deadline=None)
