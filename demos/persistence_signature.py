@@ -93,5 +93,5 @@ print("distance between repeated runs:", compare_signatures(sig, again))
 
 trace = transition_evolution(scenario, REGION_I, REGION_J)
 print("\ntranslation of region I relative to region J, per step:")
-for theta, values in trace.entries:
-    print(f"  theta {theta}: {values[trace.overlap[0]]}")
+for theta, vec in trace.entries:
+    print(f"  theta {theta}: {vec}")

@@ -3,11 +3,12 @@
 A complex is a finite set of abstract cells, each with a non-negative
 dimension, plus an incidence table mapping (p-cell, (p-1)-cell) pairs to
 integer degrees. Attaching maps are not represented; the degree table is
-the input data. Degrees are stored as given, but all homology arithmetic
-downstream reduces them mod 2, so a net-zero degree carries no
-information and is normalized away at construction time. A face with
-even multiplicity should therefore be recorded with an even nonzero
-degree (e.g. 2) if the contact matters for sub-complex derivation.
+the input data. Ids are ``str``, dimensions and degrees ``int``, stored
+as given; all homology arithmetic downstream reduces degrees mod 2, so
+a net-zero degree carries no information and is dropped at construction
+time. A face with even multiplicity should therefore be recorded with
+an even nonzero degree (e.g. 2) if the contact matters for sub-complex
+derivation. The mod-2 boundary columns are compiled on first use.
 """
 
 from __future__ import annotations
@@ -45,11 +46,13 @@ class Violation:
 class CellComplex:
     """A finite cell complex, immutable after construction.
 
-    ``cells`` maps cell id to dimension; ``incidence`` maps
-    (cell, face) pairs to nonzero integer degrees. All query methods are
+    ``cells`` maps ``str`` ids to ``int`` dimensions; ``incidence`` maps
+    (cell, face) id pairs to ``int`` degrees. Construction stores both as
+    given, with no conversion: it rejects a negative dimension, drops zero
+    degrees and sorts each dimension's ids. ``add_cell`` and
+    ``from_simplices`` convert their own arguments. All query methods are
     pure, so instances are safe to share across threads. ``add_cell``
-    returns a new complex rather than mutating. Construction only
-    normalises the tables and sorts each dimension's ids. The compiled
+    returns a new complex rather than mutating. The compiled
     form (the mod-2 boundary columns and the malformed entries) is built
     on the first ``boundary_columns`` or ``validate`` call, and the face
     and coface maps behind ``faces``, ``cofaces`` and ``odd_faces`` on
@@ -59,7 +62,7 @@ class CellComplex:
     def __init__(self,
                  cells: Mapping[CellId, int] | None = None,
                  incidence: Mapping[tuple[CellId, CellId], int] | None = None):
-        self._cells: dict[CellId, int] = {str(k): int(v) for k, v in (cells or {}).items()}
+        self._cells: dict[CellId, int] = dict(cells or {})
         by_dim: dict[int, list[CellId]] = {}
         for cid, dim in self._cells.items():
             if dim < 0:
@@ -67,8 +70,7 @@ class CellComplex:
             by_dim.setdefault(dim, []).append(cid)
         # Net-zero degrees are indistinguishable from absence mod 2: drop them.
         self._incidence: dict[tuple[CellId, CellId], int] = {
-            (str(c), str(f)): deg
-            for (c, f), d in (incidence or {}).items() if (deg := int(d)) != 0
+            pair: deg for pair, deg in (incidence or {}).items() if deg
         }
         self._by_dim: dict[int, tuple[CellId, ...]] = {
             d: tuple(sorted(ids)) for d, ids in by_dim.items()
@@ -185,7 +187,7 @@ class CellComplex:
                     f"face {fid!r} has dimension {self._cells[fid]}, expected {dim - 1}")
             acc[fid] = acc.get(fid, 0) + int(deg)
         cells = dict(self._cells)
-        cells[cell_id] = dim
+        cells[cell_id] = int(dim)
         incidence = dict(self._incidence)
         for fid, deg in acc.items():
             if deg != 0:

@@ -19,14 +19,16 @@ from .errors import DescellError, InvalidComplexError, TooLargeError
 from .formats import (
     MAX_CELL_DIM,
     ParseDiagnostic,
+    _fmt_descriptor,
     emit_signature,
     load_probe,
     load_scenario,
     parse_charts,
     parse_complex,
+    read_text,
 )
-from .homology import MAX_ORACLE_CELLS, homology, oracle_homology
-from .persistence import _masked_betti, signature
+from .homology import MAX_ORACLE_CELLS, _masked_betti, homology, oracle_homology
+from .persistence import signature
 
 USAGE_ERROR = 2
 SEMANTIC_ERROR = 1
@@ -44,8 +46,7 @@ def _print_diags(diags: list[ParseDiagnostic]) -> None:
 
 def _read_file(path: str) -> str | None:
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return fh.read()
+        return read_text(path)
     except OSError as exc:
         print(f"descell: error: {exc}", file=sys.stderr)
     except UnicodeDecodeError as exc:
@@ -130,10 +131,6 @@ _max_dim = _int_up_to(MAX_CELL_DIM)
 _oracle_bound = _int_up_to(MAX_ORACLE_CELLS)
 
 
-def _fmt_alpha(alpha: tuple[float, ...]) -> str:
-    return ";".join(repr(v) for v in alpha)
-
-
 # -- commands ------------------------------------------------------------
 
 
@@ -208,7 +205,7 @@ def cmd_descriptive(args) -> int:
     for alpha in alphas:
         removed = removed_cells(probe, DescriptorBall(alpha, args.delta), args.dim, args.mode)
         bettis = " ".join(str(b) for b in betti(removed))
-        print(f"alpha {_fmt_alpha(alpha)} cells {len(complex) - len(removed)} betti {bettis}")
+        print(f"alpha {_fmt_descriptor(alpha)} cells {len(complex) - len(removed)} betti {bettis}")
     return 0
 
 

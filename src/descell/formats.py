@@ -2,14 +2,14 @@
 
 All formats are line-oriented UTF-8; emitters write LF endings and a
 canonical ordering so output bytes are stable, parsers accept both LF
-and CRLF. The file readers here and in the CLI decode with
-``utf-8-sig``, so a leading byte order mark is dropped. Parsing never
-raises for bad content: each parser returns ``(artifact, diagnostics)``
-where the artifact is None whenever an error-severity diagnostic is
-present.
+and CRLF. ``read_text`` reads every input file, here and in the CLI,
+and drops a leading byte order mark. Parsing never raises for bad
+content: each parser returns ``(artifact, diagnostics)`` where the
+artifact is None whenever an error-severity diagnostic is present.
 
 Each parser checks every value once and builds its artifact from the
-rows it checked, through ``ProbeAssignment``, ``Chart`` and ``Scenario``.
+rows it checked, through ``ProbeAssignment``, ``Chart`` and ``Scenario``;
+``parse_descriptors`` returns the sorted rows of ``load_probe``'s probe.
 The library constructors ``assign_probe``, ``make_chart``,
 ``with_overrides`` and ``build_scenario`` keep their own checks. The
 per-row work is C-level: each line is split once, and stripped only to
@@ -86,6 +86,19 @@ def _logical_lines(text: str):
 
 def _fmt_float(value: float) -> str:
     return repr(float(value))
+
+
+def _fmt_descriptor(value: Descriptor) -> str:
+    return ";".join(map(_fmt_float, value))
+
+
+def read_text(path: str) -> str:
+    """A UTF-8 file's text, decoded in one piece so that the offsets of a
+    UnicodeDecodeError count from its first byte; a leading byte order
+    mark is dropped and CRLF and CR become LF, as in text-mode ``open``."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 # -- complex format -----------------------------------------------------
@@ -196,10 +209,10 @@ def emit_complex(complex: CellComplex) -> str:
 # -- descriptor CSV -----------------------------------------------------
 
 
-def parse_descriptors(text: str, complex: CellComplex,
-                      filename: str = "<descriptors>",
-                      ) -> tuple[list[tuple[CellId, Descriptor]] | None, list[ParseDiagnostic]]:
-    """Parse a descriptor CSV against a complex.
+def load_probe(csv_text: str, complex: CellComplex, filename: str = "<descriptors>",
+               ) -> tuple[ProbeAssignment | None, list[ParseDiagnostic]]:
+    """Parse a descriptor CSV against a complex and build the probe from
+    the rows it checked, which pass every check ``assign_probe`` makes.
 
     The table must cover every cell of the complex exactly once with a
     uniform arity inferred from the header. Coverage gaps are reported
@@ -207,7 +220,7 @@ def parse_descriptors(text: str, complex: CellComplex,
     than syntactic failures.
     """
     diags, err = _diagnostics(filename)
-    lines = text.splitlines()
+    lines = csv_text.splitlines()
     if not lines or not lines[0].strip():
         err(1, "missing header row")
         return None, diags
@@ -249,7 +262,7 @@ def parse_descriptors(text: str, complex: CellComplex,
         err(0, f"cells without descriptors: {', '.join(missing)}", "coverage")
     if has_errors(diags):
         return None, diags
-    return sorted(rows.items()), diags
+    return ProbeAssignment(complex, rows, arity if rows else 0), diags
 
 
 def emit_descriptors(table: Iterable[tuple[CellId, Descriptor]]) -> str:
@@ -269,14 +282,12 @@ def emit_descriptors(table: Iterable[tuple[CellId, Descriptor]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_probe(csv_text: str, complex: CellComplex, filename: str = "<descriptors>",
-               ) -> tuple[ProbeAssignment | None, list[ParseDiagnostic]]:
-    """Parse a descriptor CSV and assemble the probe from its rows, which
-    pass every check ``assign_probe`` makes."""
-    table, diags = parse_descriptors(csv_text, complex, filename)
-    if table is None:
-        return None, diags
-    return ProbeAssignment(complex, dict(table), len(table[0][1]) if table else 0), diags
+def parse_descriptors(text: str, complex: CellComplex,
+                      filename: str = "<descriptors>",
+                      ) -> tuple[list[tuple[CellId, Descriptor]] | None, list[ParseDiagnostic]]:
+    """``load_probe``'s rows, sorted by cell id, and its diagnostics."""
+    probe, diags = load_probe(text, complex, filename)
+    return (None if probe is None else sorted(probe.values.items())), diags
 
 
 # -- chart file ---------------------------------------------------------
@@ -457,10 +468,8 @@ def load_scenario_file(sf: ScenarioFile, base_dir: str,
     diags: list[ParseDiagnostic] = []
 
     def read(rel_path: str) -> str | None:
-        path = os.path.join(base_dir, rel_path)
         try:
-            with open(path, "r", encoding="utf-8-sig") as fh:
-                return fh.read()
+            return read_text(os.path.join(base_dir, rel_path))
         except (OSError, UnicodeDecodeError) as exc:
             diags.append(ParseDiagnostic(rel_path, 0, "error", str(exc), "io"))
             return None
@@ -494,8 +503,7 @@ def load_scenario_file(sf: ScenarioFile, base_dir: str,
 def load_scenario(path: str) -> tuple[Scenario | None, list[ParseDiagnostic]]:
     """Read, parse and resolve a scenario file from disk."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        text = read_text(path)
     except (OSError, UnicodeDecodeError) as exc:
         return None, [ParseDiagnostic(path, 0, "error", str(exc), "io")]
     sf, diags = parse_scenario(text, path)
@@ -509,7 +517,7 @@ def load_scenario(path: str) -> tuple[Scenario | None, list[ParseDiagnostic]]:
 
 
 def curve_filename(alpha: Descriptor, p: int) -> str:
-    return f"curve_{';'.join(_fmt_float(v) for v in alpha)}_dim{p}.csv"
+    return f"curve_{_fmt_descriptor(alpha)}_dim{p}.csv"
 
 
 def emit_curves(sig: PersistenceSignature) -> dict[str, str]:
@@ -536,8 +544,7 @@ def emit_signature(sig: PersistenceSignature) -> str:
         "theta,alpha,dim,betti",
     ]
     for theta, alpha, p, betti in sig.rows():
-        alpha_s = ";".join(_fmt_float(v) for v in alpha)
-        lines.append(f"{_fmt_float(theta)},{alpha_s},{p},{betti}")
+        lines.append(f"{_fmt_float(theta)},{_fmt_descriptor(alpha)},{p},{betti}")
     return "\n".join(lines) + "\n"
 
 

@@ -7,6 +7,8 @@ left to right, over the two-element field; that one reduction gives the
 boundary rank, an echelon basis of the image and a kernel basis.
 ``homology`` reduces the maps from the top dimension down and skips the
 columns that the map above shows to be dependent (clearing).
+``_masked_betti`` does the same for the sub-complexes that descriptor
+balls carve out of one complex, as masks on that complex's columns.
 ``oracle_homology`` recomputes the same numbers by exhaustive
 enumeration of every chain, as an independent cross-check on small
 complexes.
@@ -15,7 +17,7 @@ complexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Container, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .cellcomplex import CellComplex, CellId
 from .errors import (
@@ -186,14 +188,6 @@ def _reduce(columns: Iterable[int], pivots: dict[int, int] | None = None,
     return pivots, dependent
 
 
-def _reduce_cleared(columns: Iterable[int], cleared: Container[int],
-                    ) -> tuple[dict[int, int], dict[int, int]]:
-    """``_reduce`` with the columns at the indices in ``cleared`` taken
-    as zero. Given the pivot map of the reduced d_(p+1), these are the
-    columns of d_p that would reduce to zero anyway (see ``homology``)."""
-    return _reduce(0 if j in cleared else col for j, col in enumerate(columns))
-
-
 def _chain(p: int, cells: tuple[CellId, ...], bits: int) -> Chain:
     """The p-chain whose support is the cells at the set bit positions."""
     support = []
@@ -251,9 +245,8 @@ def homology(complex: CellComplex, max_p: int | None = None) -> HomologyResult:
 
     Each boundary map is reduced once, from d_(max_p+1) down to d_0,
     with clearing: before d_p is reduced, every p-column whose index is
-    a pivot of the reduced d_(p+1) is zeroed (``_reduce_cleared``). The
-    generators are the same as a full reduction would pick, by three
-    steps:
+    a pivot of the reduced d_(p+1) is zeroed. The generators are the
+    same as a full reduction would pick, by three steps:
 
     - a cleared column j is the top bit of a boundary b in the image, and
       d_p b = 0 makes column j a sum of the columns before it, so the full
@@ -281,7 +274,8 @@ def homology(complex: CellComplex, max_p: int | None = None) -> HomologyResult:
     records = []
     image: dict[int, int] = {}
     for p in range(max_p + 1, -1, -1):
-        pivots, kernel = _reduce_cleared(complex.boundary_columns(p), image)
+        pivots, kernel = _reduce(0 if j in image else col
+                                 for j, col in enumerate(complex.boundary_columns(p)))
         if p <= max_p:
             cells = complex.cells_of_dim(p)
             generators = tuple(_chain(p, cells, z)
@@ -292,6 +286,57 @@ def homology(complex: CellComplex, max_p: int | None = None) -> HomologyResult:
                 generators=generators))
         image = pivots
     return HomologyResult(tuple(reversed(records)))
+
+
+def _masked_betti(base: CellComplex, max_p: int,
+                  ) -> Callable[[frozenset[CellId]], tuple[int, ...]]:
+    """Betti numbers 0 .. max_p of the sub-complexes of ``base`` that
+    ``removed_cells`` carves, as a function of the removed set.
+
+    The base is validated once, and its boundary columns are the ones
+    it compiled. A cell that survives keeps all of its faces, so the
+    surviving columns are zero on every removed row, and
+    betti_q = n_q - rank d_q - rank d_(q+1) with the removed columns
+    taken as zero. Each distinct removed set is reduced once, from the
+    top map down with the clearing ``homology`` uses; a map that loses
+    no cell keeps the base's pivots. The base maps are reduced without
+    clearing, because the base itself may fail validation where the
+    sub-complexes pass it.
+
+    The function raises what ``homology`` raises on the sub-complex
+    ``derive_subcomplex`` builds: InvalidComplexError with the base's
+    violations whose cells all survive, in order, less the dangling-face
+    ones, which the sub-complex drops with the incidence entry.
+    """
+    checked = [v for v in base.validate() if v.code != "dangling-face"]
+    cells = [base.cells_of_dim(q) for q in range(max_p + 2)]
+    cell_sets = [frozenset(ids) for ids in cells]
+    columns = [base.boundary_columns(q) for q in range(max_p + 2)]
+    base_pivots = [_reduce(cols)[0] for cols in columns]
+    memo: dict[frozenset[CellId], tuple[int, ...]] = {}
+
+    def betti(removed: frozenset[CellId]) -> tuple[int, ...]:
+        found = memo.get(removed)
+        if found is None:
+            violations = [v for v in checked if removed.isdisjoint(v.cells)]
+            if violations:
+                raise InvalidComplexError(violations)
+            ranks = [0] * (max_p + 2)
+            image: dict[int, int] = {}
+            for q in range(max_p + 1, -1, -1):
+                if removed.isdisjoint(cell_sets[q]):
+                    image = base_pivots[q]
+                else:
+                    ids = cells[q]
+                    image = _reduce(0 if j in image or ids[j] in removed else col
+                                    for j, col in enumerate(columns[q]))[0]
+                ranks[q] = len(image)
+            found = memo[removed] = tuple(
+                len(cells[q]) - len(removed & cell_sets[q]) - ranks[q] - ranks[q + 1]
+                for q in range(max_p + 1))
+        return found
+
+    return betti
 
 
 # -- homology: enumeration oracle ---------------------------------------

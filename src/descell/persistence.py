@@ -11,7 +11,7 @@ translation between two regions' descriptions across the steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .cellcomplex import CellComplex, CellId
 from .descriptive import (  # noqa: F401  (descriptive_homology stays importable here)
@@ -27,12 +27,11 @@ from .errors import (
     ArityMismatchError,
     EmptyOverlapError,
     ForeignCellError,
-    InvalidComplexError,
     MetadataMismatchError,
     NonMonotoneThetaError,
     StepCountMismatchError,
 )
-from .homology import _reduce_cleared
+from .homology import _masked_betti
 
 
 @dataclass(frozen=True)
@@ -79,56 +78,6 @@ def build_scenario(complex: CellComplex,
     return Scenario(complex=complex, steps=tuple(
         ScenarioStep(theta=float(theta), probe=assign_probe(complex, table))
         for theta, table in steps))
-
-
-def _masked_betti(base: CellComplex, max_p: int,
-                  ) -> Callable[[frozenset[CellId]], tuple[int, ...]]:
-    """Betti numbers 0 .. max_p of the sub-complexes of ``base`` that
-    ``removed_cells`` carves, as a function of the removed set.
-
-    The base is validated once, and its boundary columns are the ones
-    it compiled at construction. A cell that survives keeps all of its
-    faces, so the surviving columns are zero on every removed row, and
-    betti_q = n_q - rank d_q - rank d_(q+1) with the removed columns
-    taken as zero. Each distinct removed set is reduced once, from the
-    top map down with the clearing ``homology`` uses; a map that loses
-    no cell keeps the base's pivots. The base maps are reduced without
-    clearing, because the base itself may fail validation where the
-    sub-complexes pass it.
-
-    The function raises what ``homology`` raises on the sub-complex
-    ``derive_subcomplex`` builds: InvalidComplexError with the base's
-    violations whose cells all survive, in order, less the dangling-face
-    ones, which the sub-complex drops with the incidence entry.
-    """
-    checked = [v for v in base.validate() if v.code != "dangling-face"]
-    cells = [base.cells_of_dim(q) for q in range(max_p + 2)]
-    columns = [base.boundary_columns(q) for q in range(max_p + 2)]
-    base_pivots = [_reduce_cleared(cols, ())[0] for cols in columns]
-    memo: dict[frozenset[CellId], tuple[int, ...]] = {}
-
-    def betti(removed: frozenset[CellId]) -> tuple[int, ...]:
-        found = memo.get(removed)
-        if found is None:
-            violations = [v for v in checked if removed.isdisjoint(v.cells)]
-            if violations:
-                raise InvalidComplexError(violations)
-            masks = [[cid not in removed for cid in ids] for ids in cells]
-            ranks = [0] * (max_p + 2)
-            image: dict[int, int] = {}
-            for q in range(max_p + 1, -1, -1):
-                if all(masks[q]):
-                    image = base_pivots[q]
-                else:
-                    image = _reduce_cleared(
-                        (col if keep else 0 for col, keep in zip(columns[q], masks[q])),
-                        image)[0]
-                ranks[q] = len(image)
-            found = memo[removed] = tuple(
-                sum(masks[q]) - ranks[q] - ranks[q + 1] for q in range(max_p + 1))
-        return found
-
-    return betti
 
 
 def betti_curve(scenario: Scenario, ball: DescriptorBall, p: int,
@@ -218,20 +167,17 @@ def signature(scenario: Scenario, delta: float = 0.0, mode: str = "remove",
 
 @dataclass(frozen=True)
 class TransitionTrace:
-    """Per-step translation between two regions' descriptions."""
+    """Per-step translation between two regions' descriptions: one
+    (theta, vector) entry per step, the vector holding on every cell of
+    the overlap."""
 
     pair: tuple[str, str]
     overlap: tuple[CellId, ...]
-    entries: tuple[tuple[float, dict[CellId, Descriptor]], ...]
+    entries: tuple[tuple[float, Descriptor], ...]
 
     def component_series(self, k: int) -> list[tuple[float, float]]:
-        """One descriptor component of the (region-constant) translation
-        per step."""
-        out = []
-        first = self.overlap[0]
-        for theta, values in self.entries:
-            out.append((theta, values[first][k]))
-        return out
+        """One descriptor component of the translation per step."""
+        return [(theta, vec[k]) for theta, vec in self.entries]
 
 
 def _region_representative(complex: CellComplex, cells: frozenset[CellId]) -> CellId:
@@ -273,11 +219,10 @@ def transition_evolution(scenario: Scenario,
     rep_j = str(rep_j) if rep_j is not None else _region_representative(base, set_j)
     if rep_i not in set_i or rep_j not in set_j:
         raise ForeignCellError("representatives must belong to their regions")
-    entries = []
-    for step in scenario.steps:
-        vec = tuple(a - b for a, b in zip(step.probe[rep_i], step.probe[rep_j]))
-        entries.append((step.theta, {cid: vec for cid in overlap}))
-    return TransitionTrace(pair=ids, overlap=overlap, entries=tuple(entries))
+    entries = tuple(
+        (step.theta, tuple(a - b for a, b in zip(step.probe[rep_i], step.probe[rep_j])))
+        for step in scenario.steps)
+    return TransitionTrace(pair=ids, overlap=overlap, entries=entries)
 
 
 def compare_signatures(s1: PersistenceSignature, s2: PersistenceSignature) -> int:

@@ -297,6 +297,14 @@ def test_byte_order_mark_is_accepted(tmp_path, capsys):
         assert outcomes[0] == outcomes[1] and outcomes[0][1].err == ""
 
 
+def test_decode_error_offset_counts_the_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.cw"
+    path.write_bytes(b"\xef\xbb\xbfcell v 0\n\xff\n")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"descell: error: {path}: not UTF-8 text (invalid start byte at byte 12)\n")
+
+
 def test_gauge_never_compiles_the_complex_and_homology_once(monkeypatch, capsys):
     compiled = CellComplex.__dict__["_compiled"]
     build, built = compiled.func, []

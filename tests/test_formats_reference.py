@@ -1,5 +1,5 @@
-"""Differential tests: the complex, descriptor and chart parsers against
-the earlier ones.
+"""Differential tests: the complex, descriptor and chart parsers, and
+``load_probe``, against the earlier parsers.
 
 ``formats_reference`` holds the parsers as they were when every line
 was cut at '#' and stripped, every face was looked up in the whole
@@ -26,9 +26,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 import formats_reference  # noqa: E402
 import support  # noqa: E402
-from descell import assign_probe  # noqa: E402
+from descell import ProbeAssignment, assign_probe  # noqa: E402
 from descell.formats import (  # noqa: E402
     emit_complex,
+    load_probe,
     parse_charts,
     parse_complex,
     parse_descriptors,
@@ -166,8 +167,11 @@ csv_text = (csv_texts()
 @settings(max_examples=200, deadline=None)
 @given(csv_text)
 def test_parse_descriptors_matches_reference(text):
-    assert (parse_descriptors(text, COMPLEX, "p.csv")
-            == formats_reference.parse_descriptors(text, COMPLEX, "p.csv"))
+    rows, diags = formats_reference.parse_descriptors(text, COMPLEX, "p.csv")
+    assert parse_descriptors(text, COMPLEX, "p.csv") == (rows, diags)
+    # load_probe builds its probe from the same rows, unsorted.
+    probe = None if rows is None else ProbeAssignment(COMPLEX, dict(rows), len(rows[0][1]))
+    assert load_probe(text, COMPLEX, "p.csv") == (probe, diags)
 
 
 def test_unit_separator_around_a_value_is_accepted():

@@ -242,7 +242,7 @@ def test_trace_zero_when_descriptions_match(square):
     table = [(cid, (1.0, 2.0)) for cid in square.cells]
     scen = build_scenario(square, [(0.0, table)])
     trace = transition_evolution(scen, support.REGION_I, support.REGION_J)
-    assert trace.entries[0][1]["eD"] == (0.0, 0.0)
+    assert trace.entries[0][1] == (0.0, 0.0)
 
 
 def test_trace_requires_overlap(square):
@@ -260,10 +260,9 @@ def test_traces_telescope_per_step():
     t23 = transition_evolution(scen, r2, r3)
     t13 = transition_evolution(scen, r1, r3)
     for k in range(len(scen.steps)):
-        cell = "eD"
-        v12 = t12.entries[k][1][cell]
-        v23 = t23.entries[k][1][cell]
-        v13 = t13.entries[k][1][cell]
+        v12 = t12.entries[k][1]
+        v23 = t23.entries[k][1]
+        v13 = t13.entries[k][1]
         assert tuple(a + b for a, b in zip(v12, v23)) == v13
 
 
