@@ -204,11 +204,13 @@ class CellComplex:
         if n < 0:
             raise ValueError(f"skeleton level must be non-negative, got {n}")
         cells = {cid: d for cid, d in self._cells.items() if d <= n}
-        incidence = {
-            (c, f): deg for (c, f), deg in self._incidence.items()
-            if c in cells and f in cells
-        }
-        return Skeleton(parent=self, level=n, complex=CellComplex(cells, incidence))
+        return Skeleton(parent=self, level=n, complex=self._induced(cells))
+
+    def _induced(self, cells: dict[CellId, int]) -> "CellComplex":
+        """The complex on ``cells``, a subset of this one's, with the
+        incidence entries between them; every other entry is dropped."""
+        return CellComplex(cells, {(c, f): deg for (c, f), deg in self._incidence.items()
+                                   if c in cells and f in cells})
 
     def odd_faces(self, cell_id: CellId) -> tuple[CellId, ...]:
         """The faces of a cell with odd degree, in sorted id order: the

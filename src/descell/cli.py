@@ -162,15 +162,12 @@ def cmd_homology(args) -> int:
             reference = oracle_homology(complex, max_cells=args.oracle_bound)
         except TooLargeError as exc:
             return _fail(str(exc), SEMANTIC_ERROR)
-        max_p = args.max_dim if args.max_dim is not None else complex.max_dim
-        for p in range(0, max_p + 1):
-            if p > complex.max_dim:
-                continue
-            eng, ref = result.record(p), reference.record(p)
+        # The oracle has a record for each dimension of the complex.
+        for eng, ref in zip(result.records, reference.records):
             if (eng.cycle_rank, eng.boundary_rank, eng.betti) != (
                     ref.cycle_rank, ref.boundary_rank, ref.betti):
                 return _fail(
-                    f"oracle disagreement at dim {p}: engine "
+                    f"oracle disagreement at dim {eng.dim}: engine "
                     f"(z={eng.cycle_rank}, b={eng.boundary_rank}, betti={eng.betti}) "
                     f"vs oracle (z={ref.cycle_rank}, b={ref.boundary_rank}, "
                     f"betti={ref.betti})", SEMANTIC_ERROR)

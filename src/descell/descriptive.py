@@ -21,7 +21,8 @@ from .errors import (
     ForeignCellError,
     MissingCellError,
 )
-from .homology import Chain, HomologyResult, homology
+# bench/test_bench.py::test_tracer_wraps_every_binding_and_restores pins homology.
+from .homology import Chain, HomologyResult, _check_survivors, _homology, homology  # noqa: F401
 
 Descriptor = tuple[float, ...]
 
@@ -176,29 +177,25 @@ def derive_subcomplex(probe: ProbeAssignment, ball: DescriptorBall,
     result is face-closed and passes validation whenever the base does.
     """
     removed = removed_cells(probe, ball, p, mode)
-    base = probe.complex
-    cells = {cid: d for cid, d in base.cells.items() if cid not in removed}
-    incidence = {
-        (c, f): deg for (c, f), deg in base.incidence.items()
-        if c in cells and f in cells
-    }
+    cells = {cid: d for cid, d in probe.complex.cells.items() if cid not in removed}
     return DescriptiveSubcomplex(
         probe=probe, ball=ball, dim=p, mode=mode,
-        complex=CellComplex(cells, incidence), removed=removed)
+        complex=probe.complex._induced(cells), removed=removed)
 
 
 def descriptive_homology(probe: ProbeAssignment, ball: DescriptorBall,
                          p: int = 2, mode: str = "remove",
                          max_p: int | None = None) -> HomologyResult:
-    """Homology of the derived sub-complex.
-
-    ``max_p`` defaults to the base complex's top dimension so Betti
-    vectors stay comparable across different balls.
+    """``homology(derive_subcomplex(probe, ball, p, mode).complex, max_p)``,
+    from the base's validation and its maps less the ``removed_cells``
+    columns, with no sub-complex built. ``max_p`` defaults to the base
+    complex's top dimension so Betti vectors stay comparable across
+    different balls.
     """
-    sub = derive_subcomplex(probe, ball, p, mode)
-    if max_p is None:
-        max_p = probe.complex.max_dim
-    return homology(sub.complex, max_p=max_p)
+    removed = removed_cells(probe, ball, p, mode)
+    base = probe.complex
+    _check_survivors(base.validate(), removed)
+    return _homology(base, removed, base.max_dim if max_p is None else max_p)
 
 
 def alpha_spectrum(probe: ProbeAssignment, p: int) -> list[Descriptor]:

@@ -32,7 +32,8 @@ Formats:
   signature    CSV ``theta,alpha,dim,betti`` with alpha components
                joined by ';', finite values and non-negative dimensions,
                preceded by '# key value' metadata lines: mode remove or
-               retain, delta >= 0, rdim >= 0.
+               retain, delta >= 0, rdim >= 0, and with no rows the thetas
+               and dims, ';'-joined.
 """
 
 from __future__ import annotations
@@ -535,24 +536,26 @@ def emit_curves(sig: PersistenceSignature) -> dict[str, str]:
 
 def emit_signature(sig: PersistenceSignature) -> str:
     """Signature CSV with its settings as '#' metadata lines, so the
-    file alone reconstructs the object, provided it has a row: with no
-    alphas, ``parse_signature`` reads back ``thetas == dims == ()``."""
-    lines = [
-        f"# mode {sig.mode}",
-        f"# delta {_fmt_float(sig.delta)}",
-        f"# rdim {sig.removal_dim}",
-        "theta,alpha,dim,betti",
-    ]
-    for theta, alpha, p, betti in sig.rows():
-        lines.append(f"{_fmt_float(theta)},{_fmt_descriptor(alpha)},{p},{betti}")
+    file alone reconstructs the object; with no rows (no alphas), its
+    thetas and dims go on '# thetas' and '# dims' lines as well."""
+    lines = [f"# mode {sig.mode}", f"# delta {_fmt_float(sig.delta)}", f"# rdim {sig.removal_dim}"]
+    rows = [f"{_fmt_float(theta)},{_fmt_descriptor(alpha)},{p},{betti}"
+            for theta, alpha, p, betti in sig.rows()]
+    if not rows and sig.thetas:
+        lines.append(f"# thetas {_fmt_descriptor(sig.thetas)}")
+    if not rows and sig.dims:
+        lines.append(f"# dims {';'.join(map(str, sig.dims))}")
+    lines.append("theta,alpha,dim,betti")
+    lines.extend(rows)
     return "\n".join(lines) + "\n"
 
 
 def parse_signature(text: str, filename: str = "<signature>",
                     ) -> tuple[PersistenceSignature | None, list[ParseDiagnostic]]:
     """Parse the CSV ``emit_signature`` writes. Thetas, alphas and dims
-    are read from the rows, so a signature with no row does not round-trip.
-    The mode must be remove or retain, and delta and rdim non-negative."""
+    are read from the rows, or with no rows from the '# thetas' and
+    '# dims' lines, which a file with rows must not have. The mode must
+    be remove or retain, and delta, rdim and dims non-negative."""
     diags, err = _diagnostics(filename)
     meta: dict[str, str] = {}
     header_line = None
@@ -608,6 +611,8 @@ def parse_signature(text: str, filename: str = "<signature>",
     try:
         delta = float(meta["delta"])
         removal_dim = int(meta["rdim"])
+        listed_thetas = {float(v) for v in meta["thetas"].split(";")} if "thetas" in meta else ()
+        listed_dims = {int(v) for v in meta["dims"].split(";")} if "dims" in meta else ()
     except ValueError:
         err(0, "malformed metadata values")
         return None, diags
@@ -617,12 +622,18 @@ def parse_signature(text: str, filename: str = "<signature>",
         err(0, f"delta must be non-negative, got {meta['delta']}")
     if removal_dim < 0:
         err(0, f"rdim must be non-negative, got {removal_dim}")
+    if not all(map(math.isfinite, listed_thetas)):
+        err(0, f"thetas must be finite, got {meta['thetas']}")
+    if any(p < 0 for p in listed_dims):
+        err(0, f"dims must be non-negative, got {meta['dims']}")
+    if rows and (listed_thetas or listed_dims):
+        err(0, "'# thetas' and '# dims' belong to a signature with no rows")
     if has_errors(diags):
         return None, diags
 
-    thetas = tuple(sorted({r[0] for r in rows}))
+    thetas = tuple(sorted({r[0] for r in rows} or listed_thetas))
     alphas = tuple(sorted({r[1] for r in rows}))
-    dims = tuple(sorted({r[2] for r in rows}))
+    dims = tuple(sorted({r[2] for r in rows} or listed_dims))
     theta_index = {t: i for i, t in enumerate(thetas)}
     table: dict[tuple[int, Descriptor, int], int] = {}
     for theta, alpha, p, betti in rows:

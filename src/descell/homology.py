@@ -5,10 +5,10 @@ coefficient 1, and addition is symmetric difference. The engine holds
 each boundary map as one int bitset per column and reduces it once,
 left to right, over the two-element field; that one reduction gives the
 boundary rank, an echelon basis of the image and a kernel basis.
-``homology`` reduces the maps from the top dimension down and skips the
-columns that the map above shows to be dependent (clearing).
-``_masked_betti`` does the same for the sub-complexes that descriptor
-balls carve out of one complex, as masks on that complex's columns.
+``_reduce_maps`` reduces the maps of a complex less a set of removed cells
+from the top dimension down, skipping the columns that the map above
+shows to be dependent (clearing); ``homology``, ``descriptive_homology``
+and ``_masked_betti`` (the signature entries) all run it.
 ``oracle_homology`` recomputes the same numbers by exhaustive
 enumeration of every chain, as an independent cross-check on small
 complexes.
@@ -16,10 +16,11 @@ complexes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .cellcomplex import CellComplex, CellId
+from .cellcomplex import CellComplex, CellId, Violation
 from .errors import (
     DimensionMismatchError,
     ForeignCellError,
@@ -240,13 +241,18 @@ def is_boundary(complex: CellComplex, chain: Chain) -> bool:
     return bool(_reduce([target], image)[1])
 
 
-def homology(complex: CellComplex, max_p: int | None = None) -> HomologyResult:
-    """Cycle ranks, boundary ranks, Betti numbers and generators.
+def _reduce_maps(base: CellComplex, removed: frozenset[CellId], max_p: int,
+                 known: Sequence[dict[int, int] | None] | None = None) -> list[tuple]:
+    """Homology 0 .. max_p of ``base`` less the ``removed`` cells, which
+    must be closed upward (as ``removed_cells`` makes them), so that
+    every surviving column is zero on the removed rows.
 
-    Each boundary map is reduced once, from d_(max_p+1) down to d_0,
-    with clearing: before d_p is reduced, every p-column whose index is
-    a pivot of the reduced d_(p+1) is zeroed. The generators are the
-    same as a full reduction would pick, by three steps:
+    Each map is reduced once, from d_(max_p+1) down to d_0, over the
+    base's columns with the removed ones zeroed, and with clearing: a
+    p-column whose index is a pivot of the reduced d_(p+1) is zeroed too.
+    Without the zero rows and columns this is the reduction of the
+    ``derive_subcomplex`` complex, and a removed column is no cycle of
+    it. The generators are those a full reduction picks, by three steps:
 
     - a cleared column j is the top bit of a boundary b in the image, and
       d_p b = 0 makes column j a sum of the columns before it, so the full
@@ -258,10 +264,38 @@ def homology(complex: CellComplex, max_p: int | None = None) -> HomologyResult:
       are not in the span of the image and the cycles before them are
       exactly the z_j of the dependent, uncleared columns.
 
-    So ``cycle_rank`` counts the dependent columns, cleared ones
-    included, the generators are the combinations of the dependent,
-    uncleared columns in ascending order (as ``cycle_basis`` gives
-    them), and the output is reproducible run to run.
+    Returns (p, cells, cycle rank, boundary rank, generators) per p <=
+    max_p. With ``known`` (per dimension, the pivot map of a map that
+    loses no cell, not reduced then, or None) no generators are built.
+    """
+    records = []
+    image: dict[int, int] = {}
+    for p in range(max_p + 1, -1, -1):
+        cells = base.cells_of_dim(p)
+        pivots = known[p] if known else None
+        cut = ({j for j, cid in enumerate(cells) if cid in removed}
+               if removed and pivots is None else ())
+        if pivots is None:
+            zeroed = image.keys() | cut if cut else image
+            pivots, kernel = _reduce(0 if j in zeroed else col
+                                     for j, col in enumerate(base.boundary_columns(p)))
+        if p <= max_p:
+            n = len(cells) - len(cut)
+            records.append((p, n, n - len(pivots), len(image), () if known else tuple(
+                _chain(p, cells, z) for j, z in kernel.items() if j not in zeroed)))
+        image = pivots
+    return records[::-1]
+
+
+def _homology(base: CellComplex, removed: frozenset[CellId], max_p: int) -> HomologyResult:
+    """``_reduce_maps`` as a ``HomologyResult``."""
+    return HomologyResult(tuple(DimensionHomology(p, n, z, b, z - b, generators)
+                                for p, n, z, b, generators in _reduce_maps(base, removed, max_p)))
+
+
+def homology(complex: CellComplex, max_p: int | None = None) -> HomologyResult:
+    """Cycle ranks, boundary ranks, Betti numbers and generators, from one
+    reduction of each boundary map, top down, with clearing (``_reduce_maps``).
 
     Raises:
         InvalidComplexError: the complex fails ``validate``.
@@ -269,72 +303,36 @@ def homology(complex: CellComplex, max_p: int | None = None) -> HomologyResult:
     violations = complex.validate()
     if violations:
         raise InvalidComplexError(violations)
-    if max_p is None:
-        max_p = complex.max_dim
-    records = []
-    image: dict[int, int] = {}
-    for p in range(max_p + 1, -1, -1):
-        pivots, kernel = _reduce(0 if j in image else col
-                                 for j, col in enumerate(complex.boundary_columns(p)))
-        if p <= max_p:
-            cells = complex.cells_of_dim(p)
-            generators = tuple(_chain(p, cells, z)
-                               for j, z in kernel.items() if j not in image)
-            records.append(DimensionHomology(
-                dim=p, n_cells=len(cells), cycle_rank=len(kernel),
-                boundary_rank=len(image), betti=len(kernel) - len(image),
-                generators=generators))
-        image = pivots
-    return HomologyResult(tuple(reversed(records)))
+    return _homology(complex, frozenset(), complex.max_dim if max_p is None else max_p)
+
+
+def _check_survivors(violations: list[Violation], removed: frozenset[CellId]) -> None:
+    """Raise what ``homology`` raises on a base less the ``removed`` cells:
+    the base's violations whose cells all survive, less the dangling
+    faces, whose entries ``CellComplex._induced`` drops."""
+    found = [v for v in violations if v.code != "dangling-face" and removed.isdisjoint(v.cells)]
+    if found:
+        raise InvalidComplexError(found)
 
 
 def _masked_betti(base: CellComplex, max_p: int,
                   ) -> Callable[[frozenset[CellId]], tuple[int, ...]]:
     """Betti numbers 0 .. max_p of the sub-complexes of ``base`` that
-    ``removed_cells`` carves, as a function of the removed set.
+    ``removed_cells`` carves, as a function of the removed set that raises
+    what ``_check_survivors`` raises. The base is validated once and each
+    removed set reduced once. A map that loses no cell keeps the base's
+    pivots, reduced without clearing: the base may be invalid where a
+    sub-complex is not."""
+    violations = base.validate()
+    cell_sets = [frozenset(base.cells_of_dim(q)) for q in range(max_p + 2)]
+    base_pivots = [_reduce(base.boundary_columns(q))[0] for q in range(max_p + 2)]
 
-    The base is validated once, and its boundary columns are the ones
-    it compiled. A cell that survives keeps all of its faces, so the
-    surviving columns are zero on every removed row, and
-    betti_q = n_q - rank d_q - rank d_(q+1) with the removed columns
-    taken as zero. Each distinct removed set is reduced once, from the
-    top map down with the clearing ``homology`` uses; a map that loses
-    no cell keeps the base's pivots. The base maps are reduced without
-    clearing, because the base itself may fail validation where the
-    sub-complexes pass it.
-
-    The function raises what ``homology`` raises on the sub-complex
-    ``derive_subcomplex`` builds: InvalidComplexError with the base's
-    violations whose cells all survive, in order, less the dangling-face
-    ones, which the sub-complex drops with the incidence entry.
-    """
-    checked = [v for v in base.validate() if v.code != "dangling-face"]
-    cells = [base.cells_of_dim(q) for q in range(max_p + 2)]
-    cell_sets = [frozenset(ids) for ids in cells]
-    columns = [base.boundary_columns(q) for q in range(max_p + 2)]
-    base_pivots = [_reduce(cols)[0] for cols in columns]
-    memo: dict[frozenset[CellId], tuple[int, ...]] = {}
-
+    @functools.cache
     def betti(removed: frozenset[CellId]) -> tuple[int, ...]:
-        found = memo.get(removed)
-        if found is None:
-            violations = [v for v in checked if removed.isdisjoint(v.cells)]
-            if violations:
-                raise InvalidComplexError(violations)
-            ranks = [0] * (max_p + 2)
-            image: dict[int, int] = {}
-            for q in range(max_p + 1, -1, -1):
-                if removed.isdisjoint(cell_sets[q]):
-                    image = base_pivots[q]
-                else:
-                    ids = cells[q]
-                    image = _reduce(0 if j in image or ids[j] in removed else col
-                                    for j, col in enumerate(columns[q]))[0]
-                ranks[q] = len(image)
-            found = memo[removed] = tuple(
-                len(cells[q]) - len(removed & cell_sets[q]) - ranks[q] - ranks[q + 1]
-                for q in range(max_p + 1))
-        return found
+        _check_survivors(violations, removed)
+        known = [pivots if removed.isdisjoint(cells) else None
+                 for pivots, cells in zip(base_pivots, cell_sets)]
+        return tuple(z - b for _, _, z, b, _ in _reduce_maps(base, removed, max_p, known))
 
     return betti
 

@@ -10,11 +10,13 @@ translation between two regions' descriptions across the steps.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .cellcomplex import CellComplex, CellId
-from .descriptive import (  # noqa: F401  (descriptive_homology stays importable here)
+# bench/test_bench.py::test_tracer_wraps_every_binding_and_restores pins descriptive_homology.
+from .descriptive import (  # noqa: F401
     Descriptor,
     DescriptorBall,
     ProbeAssignment,
@@ -84,7 +86,7 @@ def betti_curve(scenario: Scenario, ball: DescriptorBall, p: int,
                 mode: str = "remove", removal_dim: int = 2) -> list[tuple[float, int]]:
     """The dimension-p Betti number per step for one descriptor ball:
     ``descriptive_homology(step.probe, ball, removal_dim, mode,
-    max_p=p).betti(p)``, computed as ``signature`` computes its entries."""
+    max_p=p).betti(p)``, from the masked reduction ``signature`` uses."""
     if p < 0:
         raise ValueError(f"dimension must be non-negative, got {p}")
     betti = _masked_betti(scenario.complex, p)
@@ -140,10 +142,10 @@ def signature(scenario: Scenario, delta: float = 0.0, mode: str = "remove",
     DescriptorBall(alpha, delta), removal_dim, mode, max_p).betti(p)``,
     and the first entry whose sub-complex is invalid raises its
     InvalidComplexError. Every step's probe lies on ``scenario.complex``
-    (``Scenario`` checks that when it is built), so the entries
-    are cell masks on that one complex: it is validated once, and entries
-    that remove the same cells share one reduction. The table does not
-    depend on the evaluation order.
+    (``Scenario`` checks that when it is built), so the entries are cell
+    masks on that one complex: it is validated once, and entries that
+    remove the same cells share the reduction ``descriptive_homology``
+    runs, with no generators. The table does not depend on the order.
     """
     if max_p is None:
         max_p = scenario.complex.max_dim
@@ -243,14 +245,6 @@ def compare_signatures(s1: PersistenceSignature, s2: PersistenceSignature) -> in
     if len(s1.thetas) != len(s2.thetas):
         raise StepCountMismatchError(
             f"signatures cover {len(s1.thetas)} vs {len(s2.thetas)} steps")
-    keys = set()
-    for alpha in set(s1.alphas) | set(s2.alphas):
-        for p in s1.dims:
-            keys.add((alpha, p))
-    total = 0
-    for ti in range(len(s1.thetas)):
-        for alpha, p in keys:
-            v1 = s1.table.get((ti, alpha, p), 0)
-            v2 = s2.table.get((ti, alpha, p), 0)
-            total += abs(v1 - v2)
-    return total
+    return sum(abs(s1.table.get(key, 0) - s2.table.get(key, 0))
+               for key in itertools.product(range(len(s1.thetas)),
+                                            set(s1.alphas) | set(s2.alphas), s1.dims))

@@ -7,6 +7,8 @@ from descell import (
     CellComplex,
     ProbeAssignment,
     build_scenario,
+    compare_signatures,
+    from_simplices,
     make_chart,
     signature,
     with_overrides,
@@ -400,6 +402,31 @@ def test_signature_accepts_signed_zero_and_infinite_delta():
         parsed, diags = parse_signature(text)
         assert not diags and parsed.delta == float(delta)
         assert emit_signature(parsed) == text
+
+
+def test_signature_without_rows_round_trips():
+    # No 2-cells, so no alphas at the default removal dimension.
+    k = from_simplices([("a", "b"), ("b", "c")])
+    table = [(cid, (0.5,)) for cid in k.cells]
+    sig = signature(build_scenario(k, [(0.0, table), (1.0, table)]))
+    assert len(sig) == 0 and sig.thetas == (0.0, 1.0) and sig.dims == (0, 1)
+    text = emit_signature(sig)
+    assert text == SIGNATURE_HEAD.replace(
+        "theta", "# thetas 0.0;1.0\n# dims 0;1\ntheta")
+    parsed, diags = parse_signature(text)
+    assert not diags and parsed == sig and compare_signatures(parsed, sig) == 0
+
+
+@pytest.mark.parametrize("lines,rows,message", [
+    ("# thetas 0.0;nan\n", "", "thetas must be finite, got 0.0;nan"),
+    ("# dims 0;-1\n", "", "dims must be non-negative, got 0;-1"),
+    ("# dims 0;x\n", "", "malformed metadata values"),
+    ("# dims 0\n", "0.0,1.0,0,1\n", "'# thetas' and '# dims' belong to a signature with no rows"),
+])
+def test_signature_rejects_bad_listed_thetas_and_dims(lines, rows, message):
+    parsed, diags = parse_signature(SIGNATURE_HEAD.replace("theta", lines + "theta") + rows)
+    assert parsed is None
+    assert [(d.line, d.message) for d in diags] == [(0, message)]
 
 
 def test_signature_rejects_ragged_table():

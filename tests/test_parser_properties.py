@@ -14,9 +14,9 @@ The round trip ``parse_complex(emit_complex(k)) == k`` must also give
 the same compiled boundary columns, on random CW and simplicial
 complexes and on random tables with negative, even and odd degrees.
 ``parse(emit(x)) == x`` also holds for descriptor tables, charts with
-overrides, scenario files and signatures with at least one row; a
-signature with no alphas has no rows and reads back without its thetas
-and dimensions.
+overrides, scenario files and signatures, among them signatures with no
+alphas, which have no rows and keep their thetas and dimensions in
+metadata lines.
 """
 
 import math
@@ -144,7 +144,9 @@ def test_parse_scenario_never_raises(text):
 signature_line = (free_line
                   | st.sampled_from(["# mode remove", "# delta 0.5", "# rdim 2", "# delta x",
                                      "# rdim -1", "# delta nan", "# delta -0.5",
-                                     "# mode sideways", "theta,alpha,dim,betti"])
+                                     "# mode sideways", "# thetas 0.5;1", "# thetas 1;nan",
+                                     "# dims 0;2", "# dims -1", "# dims x",
+                                     "theta,alpha,dim,betti"])
                   | st.lists(st.sampled_from(VALUES + ["0", "-3", "1;2", "0.5;nan"]),
                              min_size=4, max_size=4).map(",".join))
 signature_text = st.lists(signature_line, max_size=8).map("\n".join) | st.text()
@@ -225,16 +227,18 @@ def test_scenario_file_round_trip(sf):
     assert parse_scenario(emit_scenario(sf)) == (sf, [])
 
 
-def sorted_unique(elements):
-    return st.lists(elements, min_size=1, max_size=4, unique=True).map(sorted).map(tuple)
+def sorted_unique(elements, min_size=1):
+    return st.lists(elements, min_size=min_size, max_size=4, unique=True).map(sorted).map(tuple)
 
 
 @st.composite
 def signatures(draw):
     arity = draw(st.integers(1, 3))
-    thetas = draw(sorted_unique(finite))
-    alphas = draw(sorted_unique(st.tuples(*[finite] * arity)))
-    dims = draw(sorted_unique(st.integers(0, 64)))
+    alphas = draw(sorted_unique(st.tuples(*[finite] * arity), min_size=0))
+    # With no alphas there are no rows, and the thetas and dims may be empty too.
+    least = 1 if alphas else 0
+    thetas = draw(sorted_unique(finite, least))
+    dims = draw(sorted_unique(st.integers(0, 64), least))
     table = {(ti, alpha, p): draw(st.integers(0, 10**6))
              for ti in range(len(thetas)) for alpha in alphas for p in dims}
     return PersistenceSignature(

@@ -1,17 +1,21 @@
-"""Differential tests: ``signature`` and ``betti_curve`` against a direct
-loop over ``descriptive_homology``.
+"""Differential tests: ``signature``, ``betti_curve`` and
+``descriptive_homology`` against a direct loop that builds each
+sub-complex.
 
 ``signature`` evaluates every (step, alpha) entry as a cell mask on the
 base complex: it validates the base once, ranks the boundary columns of
-the surviving cells and reduces each distinct removed set once. The
-reference below builds each sub-complex with ``derive_subcomplex`` and
-runs ``homology`` on it, entry by entry. Both must give the same rows,
-or raise the same exception with the same message, on valid bases and
-on bases corrupted by an even degree, a dangling face or an incidence
+the surviving cells and reduces each distinct removed set once.
+``descriptive_homology`` reduces the same masked maps, generators
+included. The reference below builds each sub-complex with
+``derive_subcomplex`` and runs ``homology`` on it, entry by entry. Both
+must give the same rows (or the same text, generators included), or
+raise the same exception with the same message, on valid bases and on
+bases corrupted by an even degree, a dangling face or an incidence
 between the wrong dimensions.
 """
 
 import importlib
+import itertools
 import random
 
 import pytest
@@ -25,6 +29,7 @@ from descell import (
     build_scenario,
     derive_subcomplex,
     descriptive_homology,
+    homology,
     signature,
 )
 from descell.descriptive import removed_cells
@@ -81,6 +86,13 @@ def outcome(fn):
         return None, (type(exc), str(exc))
 
 
+def sub_homology(probe, ball, removal_dim, mode, max_p):
+    """The reference for one entry: build the sub-complex, then reduce it
+    up to ``max_p``, by default the base's top dimension."""
+    sub = derive_subcomplex(probe, ball, removal_dim, mode)
+    return homology(sub.complex, max_p=probe.complex.max_dim if max_p is None else max_p)
+
+
 def reference_rows(scenario, delta, mode, max_p, removal_dim):
     if max_p is None:
         max_p = scenario.complex.max_dim
@@ -89,8 +101,8 @@ def reference_rows(scenario, delta, mode, max_p, removal_dim):
     rows = []
     for step in scenario.steps:
         for alpha in alphas:
-            hom = descriptive_homology(step.probe, DescriptorBall(alpha, delta),
-                                       removal_dim, mode, max_p=max_p)
+            hom = sub_homology(step.probe, DescriptorBall(alpha, delta),
+                               removal_dim, mode, max_p)
             rows.extend((step.theta, alpha, p, hom.betti(p)) for p in range(max_p + 1))
     return rows
 
@@ -127,8 +139,7 @@ def test_betti_curve_matches_per_entry_homology():
         for p in (0, 1, 2):
             got = outcome(lambda: betti_curve(scen, ball, p, mode, removal_dim))
             want = outcome(lambda: [
-                (step.theta, descriptive_homology(step.probe, ball, removal_dim, mode,
-                                                  max_p=p).betti(p))
+                (step.theta, sub_homology(step.probe, ball, removal_dim, mode, p).betti(p))
                 for step in scen.steps])
             assert got == want, (k, mode, alpha, p, removal_dim)
 
@@ -150,6 +161,43 @@ def test_subcomplex_violations_are_the_surviving_base_violations():
                     assert sub.complex.validate() == expected
                     seen += bool(expected)
     assert seen > 100
+
+
+def test_descriptive_homology_matches_built_sub_complex():
+    rng = random.Random(5)
+    probes = [scen.steps[-1].probe for _, _, scen in corpus(41, 150)]
+    for base in (support.grid_surface(4), support.grid_surface(4, flip=True),
+                 support.glued_surface("rp2", 3), support.glued_surface("sphere", 3)):
+        probes.append(random_scenario(rng, base).steps[0].probe)
+    outcomes = {"text": 0, "invalid": 0}
+    for probe in probes:
+        for removal_dim in (0, 1, 2):
+            alphas = alpha_spectrum(probe, removal_dim) or [(0.0,) * probe.arity]
+            for alpha, mode, delta, max_p in itertools.product(
+                    alphas, ("remove", "retain"), (0.0, 0.25), (None, 0, 1, 3)):
+                ball = DescriptorBall(alpha, delta)
+                got = outcome(lambda: descriptive_homology(
+                    probe, ball, removal_dim, mode, max_p).to_text(include_generators=True))
+                want = outcome(lambda: sub_homology(
+                    probe, ball, removal_dim, mode, max_p).to_text(include_generators=True))
+                assert got == want, (probe.complex, alpha, mode, delta, max_p, removal_dim)
+                outcomes["text" if want[1] is None else "invalid"] += 1
+    assert outcomes["text"] > 10000 and outcomes["invalid"] > 2000, outcomes
+
+
+def test_descriptive_homology_builds_no_complex_and_validates_once(monkeypatch):
+    k = support.grid_surface(5)
+    probe = support.random_probe(random.Random(3), k, 1, coarse_value)
+    validations, inits = [], []
+    validate, init = CellComplex.validate, CellComplex.__init__
+    monkeypatch.setattr(CellComplex, "validate",
+                        lambda self, *a: validations.append(1) or validate(self, *a))
+    monkeypatch.setattr(CellComplex, "__init__",
+                        lambda self, *a: inits.append(1) or init(self, *a))
+    for mode in ("remove", "retain"):
+        validations.clear()
+        hom = descriptive_homology(probe, DescriptorBall((0.5,), 0.25), 2, mode)
+        assert hom.records and len(validations) == 1 and not inits
 
 
 @pytest.mark.parametrize("mode", ["remove", "retain"])
