@@ -195,7 +195,7 @@ def descriptive_homology(probe: ProbeAssignment, ball: DescriptorBall,
     removed = removed_cells(probe, ball, p, mode)
     base = probe.complex
     _check_survivors(base.validate(), removed)
-    return _homology(base, removed, base.max_dim if max_p is None else max_p)
+    return _homology(base, removed, max_p)
 
 
 def alpha_spectrum(probe: ProbeAssignment, p: int) -> list[Descriptor]:

@@ -10,15 +10,15 @@ from the top dimension down, skipping the columns that the map above
 shows to be dependent (clearing); ``homology``, ``descriptive_homology``
 and ``_masked_betti`` (the signature entries) all run it.
 ``oracle_homology`` recomputes the same numbers by exhaustive
-enumeration of every chain, as an independent cross-check on small
-complexes.
+enumeration of every chain, over its own int columns, as an independent
+cross-check on small complexes.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cellcomplex import CellComplex, CellId, Violation
 from .errors import (
@@ -27,9 +27,6 @@ from .errors import (
     InvalidComplexError,
     TooLargeError,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -200,18 +197,23 @@ def _chain(p: int, cells: tuple[CellId, ...], bits: int) -> Chain:
 
 
 def rank_mod2(matrix) -> int:
-    """Rank of a binary matrix over GF(2).
+    """Rank over GF(2) of a matrix given as a sequence of integer rows.
 
-    Accepts anything ``np.asarray`` does; the input is copied, never
-    modified. Entries are reduced mod 2 first.
+    A list of lists works, and so does any 2-d array that iterates as
+    rows. Entries are reduced mod 2; the input is read, never modified.
+    A matrix with no rows has rank 0.
+
+    Raises:
+        ValueError: the input is not 2-d (an ``ndim`` other than 2, or
+            rows that are not sequences of integers).
     """
-    import numpy as np
-
-    mat = np.asarray(matrix, dtype=np.int64) % 2
-    if mat.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={mat.ndim}")
-    packed = np.packbits(mat.T.astype(bool), axis=1, bitorder="little")
-    return len(_reduce(int.from_bytes(row.tobytes(), "little") for row in packed)[0])
+    if getattr(matrix, "ndim", 2) != 2:
+        raise ValueError(f"expected a 2-d matrix, got ndim={matrix.ndim}")
+    try:
+        rows = [sum((int(x) & 1) << j for j, x in enumerate(row)) for row in matrix]
+    except TypeError:
+        raise ValueError("expected a 2-d matrix of integer rows") from None
+    return len(_reduce(rows)[0])
 
 
 # -- homology -------------------------------------------------------------------
@@ -287,10 +289,22 @@ def _reduce_maps(base: CellComplex, removed: frozenset[CellId], max_p: int,
     return records[::-1]
 
 
-def _homology(base: CellComplex, removed: frozenset[CellId], max_p: int) -> HomologyResult:
-    """``_reduce_maps`` as a ``HomologyResult``."""
-    return HomologyResult(tuple(DimensionHomology(p, n, z, b, z - b, generators)
-                                for p, n, z, b, generators in _reduce_maps(base, removed, max_p)))
+def _top_dim(base: CellComplex, max_p: int | None) -> int:
+    """The top dimension to compute: ``max_p``, which must not be
+    negative, or by default the base's (-1 for the empty complex)."""
+    if max_p is None:
+        return base.max_dim
+    if max_p < 0:
+        raise ValueError(f"dimension must be non-negative, got {max_p}")
+    return max_p
+
+
+def _homology(base: CellComplex, removed: frozenset[CellId],
+              max_p: int | None) -> HomologyResult:
+    """``_reduce_maps`` up to ``_top_dim(base, max_p)`` as a ``HomologyResult``."""
+    return HomologyResult(tuple(
+        DimensionHomology(p, n, z, b, z - b, generators)
+        for p, n, z, b, generators in _reduce_maps(base, removed, _top_dim(base, max_p))))
 
 
 def homology(complex: CellComplex, max_p: int | None = None) -> HomologyResult:
@@ -299,11 +313,12 @@ def homology(complex: CellComplex, max_p: int | None = None) -> HomologyResult:
 
     Raises:
         InvalidComplexError: the complex fails ``validate``.
+        ValueError: ``max_p`` is negative.
     """
     violations = complex.validate()
     if violations:
         raise InvalidComplexError(violations)
-    return _homology(complex, frozenset(), complex.max_dim if max_p is None else max_p)
+    return _homology(complex, frozenset(), max_p)
 
 
 def _check_survivors(violations: list[Violation], removed: frozenset[CellId]) -> None:
@@ -340,35 +355,17 @@ def _masked_betti(base: CellComplex, max_p: int,
 # -- homology: enumeration oracle ---------------------------------------
 
 # Most cells of one dimension the oracle enumerates chains over: 2**20
-# chains already take about 0.2 GB and a second, and each further cell
-# doubles both.
+# chains take about 0.2 s, and each further cell doubles that.
 MAX_ORACLE_CELLS = 20
 
 
-def _indicator_rows(n: int) -> np.ndarray:
-    """All 2**n subset indicators of an n-set, one per row."""
-    import numpy as np
-
-    if n > MAX_ORACLE_CELLS:
-        raise TooLargeError(f"cannot enumerate 2**{n} chains")
-    idx = np.arange(2 ** n, dtype=np.uint32)
-    return ((idx[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
-
-
-def _dense_boundary(complex: CellComplex, p: int) -> np.ndarray:
+def _dense_boundary(complex: CellComplex, p: int) -> list[int]:
     # Built here from the raw incidence table so the oracle does not share
-    # the engine's matrix path.
-    import numpy as np
-
-    rows = complex.cells_of_dim(p - 1)
-    cols = complex.cells_of_dim(p)
-    mat = np.zeros((len(rows), len(cols)), dtype=np.uint8)
-    pos = {cid: i for i, cid in enumerate(rows)}
-    for j, cid in enumerate(cols):
-        for fid, deg in complex.faces(cid).items():
-            if deg % 2 and fid in pos:
-                mat[pos[fid], j] = 1
-    return mat
+    # the engine's matrix path: one int per p-cell, bit i set when the
+    # i-th sorted (p-1)-cell is an odd face.
+    pos = {cid: i for i, cid in enumerate(complex.cells_of_dim(p - 1))}
+    return [sum(1 << pos[fid] for fid, deg in complex.faces(cid).items() if deg % 2 and fid in pos)
+            for cid in complex.cells_of_dim(p)]
 
 
 def _exact_log2(count: int) -> int:
@@ -376,46 +373,45 @@ def _exact_log2(count: int) -> int:
     return count.bit_length() - 1
 
 
+def _enumerate_chains(columns: list[int]) -> tuple[int, int]:
+    """Every chain of a boundary map's columns, in Gray-code order, one
+    column XOR per chain: (log2 of the number of chains with zero
+    boundary, log2 of the number of distinct boundaries)."""
+    if len(columns) > MAX_ORACLE_CELLS:
+        raise TooLargeError(f"cannot enumerate 2**{len(columns)} chains")
+    boundary, cycles, boundaries = 0, 1, {0}
+    for i in range(1, 1 << len(columns)):
+        boundary ^= columns[(i & -i).bit_length() - 1]
+        if boundary:
+            boundaries.add(boundary)
+        else:
+            cycles += 1
+    return _exact_log2(cycles), _exact_log2(len(boundaries))
+
+
 def oracle_homology(complex: CellComplex, max_cells: int = 14) -> HomologyResult:
     """Brute-force homology by enumerating every chain.
 
-    For each dimension p, all 2**(number of p-cells) chains are listed;
-    the cycle rank is the log of how many have empty boundary and the
-    boundary rank is the log of how many distinct boundaries the
-    (p+1)-chains produce. No elimination is involved, so this is a fully
-    independent check of the reduction engine. Generators are not
-    produced.
+    For each boundary map d_p with p >= 1, all 2**(number of p-cells)
+    chains are listed once: the cycle rank z_p is the log of how many
+    have empty boundary, and the boundary rank b_(p-1) the log of how
+    many distinct boundaries they produce. z_0 is the number of
+    vertices and the top boundary rank is 0. No elimination is involved,
+    so this is a fully independent check of the reduction engine.
+    Generators are not produced.
 
     Args:
         max_cells: refuse complexes with more cells than this
             (TooLargeError), since the cost is exponential.
     """
-    import numpy as np
-
     if len(complex) > max_cells:
         raise TooLargeError(
             f"complex has {len(complex)} cells, enumeration bound is {max_cells}")
-    records = []
-    for p in range(0, complex.max_dim + 1):
-        n_p = len(complex.cells_of_dim(p))
-        if p == 0:
-            z_p = n_p
-        else:
-            mat = _dense_boundary(complex, p)
-            chains = _indicator_rows(n_p)
-            boundaries = chains @ mat.T % 2
-            kernel_count = int(np.count_nonzero(boundaries.sum(axis=1) == 0))
-            z_p = _exact_log2(kernel_count)
-        n_up = len(complex.cells_of_dim(p + 1))
-        if n_up == 0 or n_p == 0:
-            b_p = 0
-        else:
-            mat_up = _dense_boundary(complex, p + 1)
-            chains_up = _indicator_rows(n_up)
-            images = chains_up @ mat_up.T % 2
-            image_count = int(np.unique(images, axis=0).shape[0])
-            b_p = _exact_log2(image_count)
-        records.append(DimensionHomology(
-            dim=p, n_cells=n_p, cycle_rank=z_p, boundary_rank=b_p,
-            betti=z_p - b_p, generators=()))
-    return HomologyResult(tuple(records))
+    top = complex.max_dim
+    maps = [_enumerate_chains(_dense_boundary(complex, p)) for p in range(1, top + 1)]
+    cycle_ranks = [len(complex.cells_of_dim(0)), *(z for z, _ in maps)]
+    boundary_ranks = [*(b for _, b in maps), 0]
+    return HomologyResult(tuple(
+        DimensionHomology(dim=p, n_cells=len(complex.cells_of_dim(p)), cycle_rank=z,
+                          boundary_rank=b, betti=z - b, generators=())
+        for p, z, b in zip(range(top + 1), cycle_ranks, boundary_ranks)))

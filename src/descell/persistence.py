@@ -33,7 +33,7 @@ from .errors import (
     NonMonotoneThetaError,
     StepCountMismatchError,
 )
-from .homology import _masked_betti
+from .homology import _masked_betti, _top_dim
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,7 @@ def betti_curve(scenario: Scenario, ball: DescriptorBall, p: int,
     """The dimension-p Betti number per step for one descriptor ball:
     ``descriptive_homology(step.probe, ball, removal_dim, mode,
     max_p=p).betti(p)``, from the masked reduction ``signature`` uses."""
-    if p < 0:
-        raise ValueError(f"dimension must be non-negative, got {p}")
-    betti = _masked_betti(scenario.complex, p)
+    betti = _masked_betti(scenario.complex, _top_dim(scenario.complex, p))
     return [(step.theta, betti(removed_cells(step.probe, ball, removal_dim, mode))[p])
             for step in scenario.steps]
 
@@ -147,8 +145,7 @@ def signature(scenario: Scenario, delta: float = 0.0, mode: str = "remove",
     remove the same cells share the reduction ``descriptive_homology``
     runs, with no generators. The table does not depend on the order.
     """
-    if max_p is None:
-        max_p = scenario.complex.max_dim
+    max_p = _top_dim(scenario.complex, max_p)
     alphas: set[Descriptor] = set()
     for step in scenario.steps:
         alphas.update(alpha_spectrum(step.probe, removal_dim))

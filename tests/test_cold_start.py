@@ -1,8 +1,9 @@
 """Cold start: importing descell and running its subcommands loads no numpy.
 
-Only ``CellComplex.boundary_matrix``, ``rank_mod2`` and the enumeration
-oracle use numpy, and they import it when called. The checks run in
-fresh interpreters, since this one has numpy loaded already.
+Only ``CellComplex.boundary_matrix`` uses numpy, and it imports it when
+called; ``rank_mod2`` and the enumeration oracle (``homology --oracle``)
+work on Python ints. The checks run in fresh interpreters, since this
+one has numpy loaded already.
 """
 
 import os
@@ -15,10 +16,11 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "tests" / "data"
 
-# Prints whether numpy was loaded at start-up, after `import descell`, and
-# after running each argv in sys.argv[1:] (';'-separated) through the CLI,
-# with the exit codes.
-SCRIPT = """
+# Each script prints whether numpy was loaded at start-up, then its own
+# findings. CLI_SCRIPT prints whether numpy was loaded after `import
+# descell` and after running each argv in sys.argv[1:] (';'-separated)
+# through the CLI, with the exit codes.
+CLI_SCRIPT = """
 import contextlib, io, sys
 at_start = "numpy" in sys.modules
 import descell
@@ -31,33 +33,43 @@ for argv in sys.argv[1:]:
 print(at_start, after_import, "numpy" in sys.modules, *codes)
 """
 
+# Prints whether numpy was loaded after the oracle and rank_mod2 ran, and
+# after CellComplex.boundary_matrix ran.
+MATRIX_SCRIPT = """
+import sys
+at_start = "numpy" in sys.modules
+from descell import from_simplices, oracle_homology, rank_mod2
+k = from_simplices([("a", "b", "c")])
+oracle_homology(k), rank_mod2([[1, 0], [1, 1]])
+before = "numpy" in sys.modules
+k.boundary_matrix(1)
+print(at_start, before, "numpy" in sys.modules)
+"""
 
-def run_fresh(*argvs):
+
+def run_fresh(script, *args):
+    """The words ``script`` prints in a fresh interpreter, after the first."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, *(";".join(a) for a in argvs)],
-                          capture_output=True, text=True, env=env, cwd=str(DATA),
-                          check=True)
-    at_start, after_import, after_run, *codes = proc.stdout.split()
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=env, cwd=str(DATA), check=True)
+    at_start, *words = proc.stdout.split()
     if at_start == "True":
         pytest.skip("the interpreter loads numpy at start-up")
-    return after_import == "True", after_run == "True", [int(c) for c in codes]
+    return words
 
 
 def test_subcommands_run_without_numpy():
-    after_import, after_run, codes = run_fresh(
+    after_import, after_run, *codes = run_fresh(CLI_SCRIPT, *(";".join(a) for a in (
         ("validate", "torus.cw"),
         ("homology", "torus.cw", "--generators"),
+        ("homology", "torus.cw", "--oracle"),
         ("descriptive", "disk3.cw", "--probe", "disk3_probe.csv", "--spectrum"),
         ("gauge", "disk3.cw", "--probe", "disk3_probe.csv", "--charts", "charts_ok.chart"),
-        ("persist", "cooling.scenario"))
-    assert codes == [0, 0, 0, 0, 0]
-    assert not after_import
-    assert not after_run
+        ("persist", "cooling.scenario"))))
+    assert codes == ["0"] * 6
+    assert after_import == after_run == "False"
 
 
-def test_oracle_loads_numpy_when_asked():
-    after_import, after_run, codes = run_fresh(("homology", "torus.cw", "--oracle"))
-    assert codes == [0]
-    assert not after_import
-    assert after_run
+def test_boundary_matrix_loads_numpy():
+    assert run_fresh(MATRIX_SCRIPT) == ["False", "True"]

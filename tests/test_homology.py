@@ -124,6 +124,39 @@ def test_rank_reduces_mod2():
     assert rank_mod2([[2, 0], [0, 3]]) == 1
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, bool])
+def test_rank_numpy_dtypes(dtype):
+    mat = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1], [0, 0, 0]], dtype=dtype)
+    assert rank_mod2(mat) == 2
+    assert rank_mod2(np.ones((3, 4), dtype=dtype)) == 1
+
+
+def test_rank_negative_and_large_entries():
+    # -1, 3 and 5 are odd; -2, 4 and 6 are even.
+    mat = [[-1, 4], [-2, 3]]
+    assert rank_mod2(mat) == 2
+    assert mat == [[-1, 4], [-2, 3]]
+    assert rank_mod2([[6, -2], [4, 0]]) == 0
+    assert rank_mod2(np.array([[-1, 5], [3, -3]])) == 1
+
+
+def test_rank_no_rows():
+    assert rank_mod2([]) == 0
+    assert rank_mod2(np.zeros((0, 3), dtype=int)) == 0
+
+
+@pytest.mark.parametrize("matrix", [
+    [1, 0, 1],
+    [[[1, 0]], [[0, 1]]],
+    np.array([1, 0, 1]),
+    np.ones((2, 2, 1), dtype=int),
+    np.int64(1),
+])
+def test_rank_rejects_non_2d(matrix):
+    with pytest.raises(ValueError, match="expected a 2-d matrix"):
+        rank_mod2(matrix)
+
+
 # -- cycles and boundaries -------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Property tests: the reduction engine against the enumeration oracle
-and the Euler characteristic, on random complexes of at most 14 cells.
+and the Euler characteristic, and the oracle against the dense
+row-echelon reference in ``tests/dense_reference.py``, on random
+complexes of at most 14 cells.
 
 The complexes come from the ``tests/support.py`` builders, seeded by
 ``hypothesis``: random CW complexes (loops, collapsed boundaries, even
@@ -15,6 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import dense_reference  # noqa: E402
 import support  # noqa: E402
 from descell import homology, oracle_homology  # noqa: E402
 
@@ -32,6 +35,14 @@ complexes = st.builds(
 def test_engine_ranks_match_oracle(k):
     assume(len(k) <= MAX_CELLS)
     assert homology(k).ranks() == oracle_homology(k, max_cells=MAX_CELLS).ranks()
+
+
+@settings(max_examples=200, deadline=None)
+@given(complexes)
+def test_oracle_ranks_match_dense_reference(k):
+    assume(len(k) <= MAX_CELLS)
+    want = dense_reference.homology(k).ranks()
+    assert oracle_homology(k, max_cells=MAX_CELLS).ranks() == want
 
 
 @settings(max_examples=200, deadline=None)

@@ -224,3 +224,16 @@ def test_signature_validates_once_and_reduces_each_sub_complex_once(mode, monkey
     # the map d_2 changes from one removed set to the next.
     assert len(removed) <= 8
     assert len(reductions) == 4 + len(removed - {frozenset()})
+
+
+@pytest.mark.parametrize("compute", [
+    lambda scen: homology(scen.complex, max_p=-1),
+    lambda scen: descriptive_homology(scen.steps[0].probe, DescriptorBall((0.5,), 0.25), 2,
+                                      "remove", max_p=-1),
+    lambda scen: signature(scen, 0.0, "remove", max_p=-1),
+], ids=["homology", "descriptive_homology", "signature"])
+def test_negative_max_p_is_rejected(compute):
+    k = support.disk3()
+    scen = build_scenario(k, [(0.0, support.random_probe_table(random.Random(1), k, 1))])
+    with pytest.raises(ValueError, match="dimension must be non-negative, got -1"):
+        compute(scen)
