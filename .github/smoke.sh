@@ -11,3 +11,9 @@ data="$(cd "$(dirname "${BASH_SOURCE[0]}")/../tests/data" && pwd)"
 "$@" descriptive "$data/disk3.cw" --probe "$data/disk3_probe.csv" --spectrum \
   | cmp - <(printf 'alpha %s cells 14 betti 1 1 0\n' 0.2 0.5 0.9)
 "$@" validate "$data/torus.cw" | cmp - <(echo OK)
+"$@" gauge "$data/disk3.cw" --probe "$data/disk3_probe.csv" --charts "$data/charts_ok.chart" \
+  | cmp - <(echo OK)
+# A report with violations exits 1, which the `||` both allows and prints.
+{ "$@" gauge "$data/disk3.cw" --probe "$data/disk3_probe.csv" \
+    --charts "$data/charts_override.chart" || echo "exit $?"; } \
+  | cmp - <(printf '%s\n' "trivialization charts right cell C residual 0.77 norm 0.77" "exit 1")

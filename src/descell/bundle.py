@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from .cellcomplex import CellId
@@ -217,13 +218,15 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
        comparison per chart cell. Tuple equality compares components
        by identity, then ``==``, which on floats is an equivalence
        (0.0 == -0.0, and a nan equals only itself). So two charts that
-       both match the reference agree with each other, every cell where
-       two sections differ is a deviation of one of them, and comparing
-       the two sections on their deviations alone finds every such cell.
-    3. A triple is checked at the suspect cells of its three transitions
-       that lie in all three charts and in every supplied transition's
-       cells. Only those cells are looked at; a triple with a pair that
-       does not overlap is empty and skipped.
+       both match the reference agree with each other, and where two
+       sections differ one of them deviates.
+    3. A suspect cell is one where a chart deviates, or one that a
+       supplied transition between two charts lists. Each is visited
+       once, with the charts that hold it: the pairs and triples of them
+       that include a chart deviating there are checked, and all of
+       them at a listed cell, except where a supplied transition omits
+       the cell. A pair with both directions supplied is also checked
+       at the cells both list outside the overlap.
     4. Only the cells where a section differs from the probe are sorted
        for the trivialization rows.
 
@@ -261,18 +264,6 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
             if norm > tolerance:
                 violations.append(GaugeViolation(identity, ids, cell, residual, norm))
 
-    def transition_at(ci: Chart, cj: Chart, differ: set[CellId]):
-        """t_ij as a function of the cell, the cells it is given on (None
-        for the whole overlap), and the cells where it can break an
-        identity."""
-        if (ci.id, cj.id) in table:
-            values = table[(ci.id, cj.id)].values
-            given = set(values)
-            return values.__getitem__, given, given
-        _check_arities(ci, cj)
-        si, sj = ci.section, cj.section
-        return (lambda cell: _vec_sub(si[cell], sj[cell])), None, differ
-
     for chart in charts:
         if (chart.id, chart.id) in table:
             t_ii = table[(chart.id, chart.id)]
@@ -285,47 +276,55 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
     deviations = [{cell for cell, value in chart.section.items() if value != reference[cell]}
                   for chart in charts]
 
-    # forward[a, b]: t_ij, given_ij and suspect_ij as from transition_at,
-    # for each overlapping pair a < b
-    forward = {}
-    for a, ci in enumerate(charts):
-        cells_i, si = ci.cells, ci.section
-        for b in range(a + 1, len(charts)):
-            cj = charts[b]
-            cells_j, sj = cj.cells, cj.section
-            if cells_i.isdisjoint(cells_j):
-                continue
-            differ = {cell for cell in deviations[a] | deviations[b]
-                      if cell in cells_i and cell in cells_j and si[cell] != sj[cell]}
-            t_ij, given_ij, suspect_ij = transition_at(ci, cj, differ)
-            t_ji, given_ji, suspect_ji = transition_at(cj, ci, differ)
-            forward[a, b] = t_ij, given_ij, suspect_ij
-            if given_ij is None and given_ji is None:
-                symmetric = differ
-            else:
-                overlap = cells_i & cells_j
-                symmetric = ((overlap if given_ij is None else given_ij)
-                             & (overlap if given_ji is None else given_ji)
-                             & (suspect_ij | suspect_ji))
-            for cell in sorted(symmetric):
-                record("symmetry", (ci.id, cj.id), cell, _vec_add(t_ij(cell), t_ji(cell)))
+    # Raises for the first pair, in id order, that a walk over the pairs would.
+    if len({chart.arity for chart in charts}) > 1:
+        for a, ci in enumerate(charts):
+            for cj in charts[a + 1:]:
+                for x, y in ((ci, cj), (cj, ci)):
+                    if (x.id, y.id) not in table and not ci.cells.isdisjoint(cj.cells):
+                        _check_arities(x, y)
 
-    for (a, b), (t_ij, given_ij, suspect_ij) in forward.items():
-        for c in range(b + 1, len(charts)):
-            jk, ik = forward.get((b, c)), forward.get((a, c))
-            if jk is None or ik is None:
-                continue
-            t_jk, given_jk, suspect_jk = jk
-            t_ik, given_ik, suspect_ik = ik
-            if not (suspect_ij or suspect_jk or suspect_ik):
-                continue
-            given = [g for g in (given_ij, given_jk, given_ik) if g is not None]
-            checked = (suspect_ij | suspect_jk | suspect_ik).intersection(
-                charts[a].cells, charts[b].cells, charts[c].cells, *given)
-            ids = (charts[a].id, charts[b].id, charts[c].id)
-            for cell in sorted(checked):
-                composed = _vec_add(t_ij(cell), t_jk(cell))
-                record("cocycle", ids, cell, _vec_sub(t_ik(cell), composed))
+    def t(a: int, b: int, cell: CellId) -> Descriptor | None:
+        """t_ab at the cell, or None where a supplied t_ab omits it."""
+        if (charts[a].id, charts[b].id) in table:
+            return table[charts[a].id, charts[b].id].values.get(cell)
+        return _vec_sub(charts[a].section[cell], charts[b].section[cell])
+
+    pairs, triples = [], []     # rows of chart indices, cell, residual
+    listed = {cell for (i, j), t_ij in table.items() if i != j for cell in t_ij.values}
+    suspects = listed.union(*deviations)
+    holders: dict[CellId, list[int]] = {cell: [] for cell in suspects}
+    for a, chart in enumerate(charts):
+        for cell in chart.cells & suspects:
+            holders[cell].append(a)
+    for cell, held in holders.items():
+        flagged = [(a, cell in listed or cell in deviations[a]) for a in held]
+        for (a, da), (b, db) in combinations(flagged, 2):
+            if da or db:
+                t_ab, t_ba = t(a, b, cell), t(b, a, cell)
+                if t_ab is not None and t_ba is not None:
+                    pairs.append((a, b, cell, _vec_add(t_ab, t_ba)))
+        for (a, da), (b, db), (c, dc) in combinations(flagged, 3):
+            if da or db or dc:
+                t_ab, t_bc, t_ac = t(a, b, cell), t(b, c, cell), t(a, c, cell)
+                if t_ab is not None and t_bc is not None and t_ac is not None:
+                    triples.append((a, b, c, cell, _vec_sub(t_ac, _vec_add(t_ab, t_bc))))
+
+    # Both directions supplied: also the cells both list outside the overlap.
+    index = {chart.id: a for a, chart in enumerate(charts)}
+    for i, j in table:
+        if i < j and i in index and j in index and (j, i) in table:
+            a, b = index[i], index[j]
+            overlap = charts[a].cells & charts[b].cells
+            if overlap:
+                both = table[i, j].values.keys() & table[j, i].values.keys()
+                pairs += [(a, b, cell, _vec_add(t(a, b, cell), t(b, a, cell)))
+                          for cell in both - overlap]
+
+    for a, b, cell, residual in sorted(pairs):
+        record("symmetry", (charts[a].id, charts[b].id), cell, residual)
+    for a, b, c, cell, residual in sorted(triples):
+        record("cocycle", (charts[a].id, charts[b].id, charts[c].id), cell, residual)
 
     if probe is not None:
         values = probe.values

@@ -415,6 +415,9 @@ def parse_scenario(text: str, filename: str = "<scenario>",
     complex_path: str | None = None
     steps: list[tuple[float, str]] = []
     for lineno, line in _logical_lines(text):
+        if "\0" in line:       # no file path can hold one
+            err(lineno, "line holds a NUL character")
+            continue
         word, _, rest = line.partition(" ")
         rest = rest.strip()
         if word == "complex":

@@ -403,10 +403,19 @@ def oracle_homology(complex: CellComplex, max_cells: int = 14) -> HomologyResult
     Args:
         max_cells: refuse complexes with more cells than this
             (TooLargeError), since the cost is exponential.
+
+    Raises:
+        TooLargeError: more than ``max_cells`` cells, or a dimension with
+            more than ``MAX_ORACLE_CELLS`` cells.
+        InvalidComplexError: the complex fails ``validate``, as in
+            ``homology``.
     """
     if len(complex) > max_cells:
         raise TooLargeError(
             f"complex has {len(complex)} cells, enumeration bound is {max_cells}")
+    violations = complex.validate()
+    if violations:
+        raise InvalidComplexError(violations)
     top = complex.max_dim
     maps = [_enumerate_chains(_dense_boundary(complex, p)) for p in range(1, top + 1)]
     cycle_ranks = [len(complex.cells_of_dim(0)), *(z for z, _ in maps)]

@@ -392,6 +392,8 @@ COOLING = str(DATA / "cooling.scenario")
     (("persist", COOLING, "--max-dim", "100000"), 2),
     (("persist", "{nan_theta}"), 2),
     (("persist", "{inf_theta}"), 2),
+    (("persist", "{nul_complex}"), 2),
+    (("persist", "{nul_step}"), 2),
     (("homology", "{deep}"), 2),
     (("validate", "{deep}"), 2),
     (("descriptive", DISK, "--probe", "{nan_probe}", "--alpha", "0.5"), 2),
@@ -402,8 +404,8 @@ COOLING = str(DATA / "cooling.scenario")
 ], ids=lambda v: " ".join(a.rsplit("/", 1)[-1] for a in v) if isinstance(v, tuple) else None)
 def test_hostile_input_fails_cleanly(args, code, tmp_path, capsys):
     """Undecodable files, non-finite values, out-of-range cell
-    dimensions and out-of-range options end with an error message and
-    exit code, never a traceback."""
+    dimensions, out-of-range options and a NUL in a scenario's path end
+    with an error message and exit code, never a traceback."""
     latin1 = tmp_path / "latin1.cw"
     latin1.write_bytes(b"cell caf\xe9 0\n")
     step = tmp_path / "step.scenario"
@@ -417,6 +419,12 @@ def test_hostile_input_fails_cleanly(args, code, tmp_path, capsys):
         files[name].write_text(f"complex {DATA / 'square.cw'}\n"
                                f"step 0.0 {DATA / 'cooling_step1.csv'}\n"
                                f"step {theta} {DATA / 'cooling_step2.csv'}\n")
+    files["nul_complex"] = tmp_path / "nul_complex.scenario"
+    files["nul_complex"].write_text(f"complex {DATA / 'square.cw'}\0\n"
+                                    f"step 0.0 {DATA / 'cooling_step1.csv'}\n")
+    files["nul_step"] = tmp_path / "nul_step.scenario"
+    files["nul_step"].write_text(f"complex {DATA / 'square.cw'}\n"
+                                 f"step 0.0 {DATA / 'cooling_step1.csv'}\0\n")
     for name, text in (
             ("nan_probe", probe_text.replace("A,0.0", "A,nan")),
             ("inf_probe", probe_text.replace("A,0.0", "A,-inf")),

@@ -304,6 +304,17 @@ def test_parse_scenario_bad_theta():
     assert sf is None and has_errors(diags)
 
 
+@pytest.mark.parametrize("text,lineno", [("complex k\0.cw\nstep 0.0 a.csv\n", 1),
+                                         ("complex k.cw\nstep 0.0 a\0b.csv\n", 2)],
+                         ids=["complex", "step"])
+def test_parse_scenario_nul_in_path(text, lineno):
+    """No file path can hold a NUL, and ``open`` raises on one."""
+    sf, diags = parse_scenario(text)
+    assert sf is None
+    assert (lineno, "error", "line holds a NUL character") in [
+        (d.line, d.severity, d.message) for d in diags]
+
+
 def test_scenario_roundtrip():
     sf = ScenarioFile(complex_path="base.cw",
                       steps=((0.0, "s1.csv"), (1.5, "s2.csv")))

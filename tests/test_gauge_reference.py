@@ -214,6 +214,10 @@ def test_torus_cover_matches_reference():
                 charts[n] = with_overrides(charts[n], {cell: decimal_vector(rng, 2)})
     (report,) = assert_same(charts, tolerances=(0.0,), probe=probe)
     assert {v.identity for v in report.violations} == {"cocycle", "trivialization"}
+    # A partial table lists most cells, each held by up to 12 charts.
+    assert max(len(holders(charts, cell)) for cell in k.cells) == 12
+    reports = assert_same_with_and_without_table(rng, charts, probe)
+    assert all(tally(reports)[identity] for identity in IDENTITIES)
 
 
 # -- the reference value per cell ---------------------------------------------

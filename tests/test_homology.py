@@ -338,3 +338,23 @@ def test_oracle_matches_engine():
     for _ in range(40):
         k = support.random_cw_complex(rng, max_cells=11)
         assert homology(k).ranks() == oracle_homology(k).ranks()
+
+
+def test_oracle_rejects_what_homology_rejects():
+    """An odd composite coefficient would let a boundary rank exceed a
+    cycle rank, so the oracle validates first, as ``homology`` does."""
+    rng = random.Random(5)
+    invalid = 0
+    for _ in range(1146):
+        k = support.random_incidence_complex(rng, max_cells=12)
+        try:
+            want = homology(k).ranks()
+        except InvalidComplexError as exc:
+            invalid += 1
+            with pytest.raises(InvalidComplexError) as raised:
+                oracle_homology(k)
+            assert raised.value.violations == exc.violations
+            assert str(raised.value) == str(exc)
+        else:
+            assert oracle_homology(k).ranks() == want
+    assert invalid == 1094

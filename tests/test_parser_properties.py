@@ -21,6 +21,7 @@ metadata lines.
 
 import math
 import random
+import tempfile
 
 import pytest
 
@@ -46,6 +47,7 @@ from descell.formats import (  # noqa: E402
     emit_signature,
     has_errors,
     load_probe,
+    load_scenario_file,
     parse_charts,
     parse_complex,
     parse_descriptors,
@@ -97,6 +99,12 @@ scenario_line = (free_line
                  | st.builds("step {} {}".format, st.sampled_from(VALUES + ["-1.5", "2"]),
                              st.sampled_from(["s.csv", "", "# c"])))
 scenario_text = st.lists(scenario_line, max_size=6).map("\n".join) | st.text()
+# Relative paths only, so that they resolve inside the directory given.
+scenario_path = st.text(st.sampled_from("ab. \0#"), max_size=6)
+scenario_shape = st.builds(
+    lambda cpath, steps: "\n".join([f"complex {cpath}"] + [f"step {t} {p}" for t, p in steps]),
+    scenario_path,
+    st.lists(st.tuples(st.sampled_from(["0", "1.5", "-2"]), scenario_path), min_size=1, max_size=3))
 
 
 complex_line = (free_line
@@ -139,6 +147,18 @@ def test_parse_scenario_never_raises(text):
     assert (sf is None) == has_errors(diags)
     if sf is not None:
         assert all(math.isfinite(theta) for theta, _ in sf.steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario_text | scenario_shape)
+def test_accepted_scenario_loads_without_raising(text):
+    """Whatever paths an accepted scenario names, resolving them in an
+    empty directory gives error diagnostics, never an exception."""
+    sf, _ = parse_scenario(text)
+    if sf is not None:
+        with tempfile.TemporaryDirectory() as empty:
+            scenario, diags = load_scenario_file(sf, empty)
+        assert scenario is None and has_errors(diags)
 
 
 signature_line = (free_line
