@@ -10,6 +10,8 @@ data="$(cd "$(dirname "${BASH_SOURCE[0]}")/../tests/data" && pwd)"
 "$@" persist "$data/cooling.scenario" | cmp - "$data/golden_cooling_signature.csv"
 "$@" descriptive "$data/disk3.cw" --probe "$data/disk3_probe.csv" --spectrum \
   | cmp - <(printf 'alpha %s cells 14 betti 1 1 0\n' 0.2 0.5 0.9)
+"$@" descriptive "$data/disk3.cw" --probe "$data/disk3_probe.csv" --spectrum \
+    --dim 1 --mode retain --delta 0.3 | cmp - <(echo "alpha 0.0 cells 15 betti 1 0 0")
 "$@" validate "$data/torus.cw" | cmp - <(echo OK)
 "$@" gauge "$data/disk3.cw" --probe "$data/disk3_probe.csv" --charts "$data/charts_ok.chart" \
   | cmp - <(echo OK)

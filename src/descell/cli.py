@@ -14,7 +14,7 @@ import sys
 
 from .bundle import verify_cocycle
 from .cellcomplex import CellComplex
-from .descriptive import DescriptorBall, alpha_spectrum, removed_cells
+from .descriptive import DescriptorBall, _carver, alpha_spectrum
 from .errors import DescellError, InvalidComplexError, TooLargeError
 from .formats import (
     MAX_CELL_DIM,
@@ -199,8 +199,9 @@ def cmd_descriptive(args) -> int:
             return _fail(
                 f"alpha has arity {len(alpha)}, probe has {probe.arity}", USAGE_ERROR)
         alphas = [alpha]
+    carve = _carver(probe, args.dim, args.mode)
     for alpha in alphas:
-        removed = removed_cells(probe, DescriptorBall(alpha, args.delta), args.dim, args.mode)
+        removed = carve(DescriptorBall(alpha, args.delta))
         bettis = " ".join(str(b) for b in betti(removed))
         print(f"alpha {_fmt_descriptor(alpha)} cells {len(complex) - len(removed)} betti {bettis}")
     return 0

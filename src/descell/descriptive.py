@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .cellcomplex import CellComplex, CellId
 from .errors import (
@@ -153,20 +153,38 @@ def removed_cells(probe: ProbeAssignment, ball: DescriptorBall,
     survive. Every higher cell whose closure meets a deleted cell is
     deleted too, so each surviving cell keeps all of its faces.
     """
+    return _carver(probe, p, mode)(ball)
+
+
+def _carver(probe: ProbeAssignment, p: int, mode: str
+            ) -> Callable[[DescriptorBall], frozenset[CellId]]:
+    """``removed_cells`` as a function of the ball. A ball calls ``contains``
+    once per distinct p-cell value (equal values, signed zeros included, lie
+    at equal distances), and each selection of values is carved once."""
     if mode not in ("remove", "retain"):
         raise ValueError(f"mode must be 'remove' or 'retain', got {mode!r}")
     if p < 0:
         raise ValueError(f"dimension must be non-negative, got {p}")
     base = probe.complex
-    members = ball_members(probe, ball, p)
-    removed = members if mode == "remove" else set(base.cells_of_dim(p)) - members
-    # Upward cascade: one ascending sweep suffices because faces of a
-    # q-cell were settled at q-1.
-    for q in range(p + 1, base.max_dim + 1):
-        for cid in base.cells_of_dim(q):
-            if any(fid in removed for fid in base.faces(cid)):
-                removed.add(cid)
-    return frozenset(removed)
+    groups: dict[Descriptor, list[CellId]] = {}
+    for cid in base.cells_of_dim(p):
+        groups.setdefault(probe[cid], []).append(cid)
+    retain, top = mode == "retain", base.max_dim
+    memo: dict[tuple[bool, ...], frozenset[CellId]] = {}
+
+    def carve(ball: DescriptorBall) -> frozenset[CellId]:
+        hits = tuple(map(ball.contains, groups))
+        removed = memo.get(hits)
+        if removed is None:
+            cut = {c for cids, hit in zip(groups.values(), hits) if hit != retain for c in cids}
+            # One ascending sweep: the faces of a q-cell were settled at q-1.
+            for q in range(p + 1, top + 1):
+                for cid in base.cells_of_dim(q):
+                    if any(fid in cut for fid in base.faces(cid)):
+                        cut.add(cid)
+            removed = memo[hits] = frozenset(cut)
+        return removed
+    return carve
 
 
 def derive_subcomplex(probe: ProbeAssignment, ball: DescriptorBall,

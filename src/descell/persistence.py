@@ -20,10 +20,10 @@ from .descriptive import (  # noqa: F401
     Descriptor,
     DescriptorBall,
     ProbeAssignment,
+    _carver,
     alpha_spectrum,
     assign_probe,
     descriptive_homology,
-    removed_cells,
 )
 from .errors import (
     ArityMismatchError,
@@ -86,9 +86,9 @@ def betti_curve(scenario: Scenario, ball: DescriptorBall, p: int,
                 mode: str = "remove", removal_dim: int = 2) -> list[tuple[float, int]]:
     """The dimension-p Betti number per step for one descriptor ball:
     ``descriptive_homology(step.probe, ball, removal_dim, mode,
-    max_p=p).betti(p)``, from the masked reduction ``signature`` uses."""
+    max_p=p).betti(p)``, from the carving and reduction ``signature`` uses."""
     betti = _masked_betti(scenario.complex, _top_dim(scenario.complex, p))
-    return [(step.theta, betti(removed_cells(step.probe, ball, removal_dim, mode))[p])
+    return [(step.theta, betti(_carver(step.probe, removal_dim, mode)(ball))[p])
             for step in scenario.steps]
 
 
@@ -140,28 +140,29 @@ def signature(scenario: Scenario, delta: float = 0.0, mode: str = "remove",
     DescriptorBall(alpha, delta), removal_dim, mode, max_p).betti(p)``,
     and the first entry whose sub-complex is invalid raises its
     InvalidComplexError. Every step's probe lies on ``scenario.complex``
-    (``Scenario`` checks that when it is built), so the entries are cell
-    masks on that one complex: it is validated once, and entries that
-    remove the same cells share the reduction ``descriptive_homology``
-    runs, with no generators. The table does not depend on the order.
+    (``Scenario`` checks that), so the entries are cell masks on that one
+    complex: it is validated once, entries that remove the same cells share
+    one reduction with no generators, and each step's ``_carver`` tests a
+    ball once per distinct value. ``mode`` and ``removal_dim`` are checked
+    even with no entry. The table does not depend on the order.
     """
     max_p = _top_dim(scenario.complex, max_p)
     alphas: set[Descriptor] = set()
     for step in scenario.steps:
         alphas.update(alpha_spectrum(step.probe, removal_dim))
-    sorted_alphas = tuple(sorted(alphas))
+    balls = {alpha: DescriptorBall(alpha, delta) for alpha in sorted(alphas)}
     dims = tuple(range(0, max_p + 1))
     betti = _masked_betti(scenario.complex, max_p)
     table: dict[tuple[int, Descriptor, int], int] = {}
     for ti, step in enumerate(scenario.steps):
-        for alpha in sorted_alphas:
-            bettis = betti(removed_cells(
-                step.probe, DescriptorBall(alpha, delta), removal_dim, mode))
+        carve = _carver(step.probe, removal_dim, mode)
+        for alpha, ball in balls.items():
+            bettis = betti(carve(ball))
             for p in dims:
                 table[(ti, alpha, p)] = bettis[p]
     return PersistenceSignature(
         mode=mode, delta=float(delta), removal_dim=removal_dim,
-        thetas=scenario.thetas, alphas=sorted_alphas, dims=dims, table=table)
+        thetas=scenario.thetas, alphas=tuple(balls), dims=dims, table=table)
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,22 @@ def test_descriptive_disk3_output(args, expected, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_descriptive_spectrum_prints_the_first_signed_zero(tmp_path, capsys):
+    """-0.0 and 0.0 are one descriptor value; the spectrum prints the one
+    the first cell, in id order, holds."""
+    edges = {"A-B": "-0.0", "A-C": "0.0", "B-C": "0.5", "B-E": "0.0",
+             "C-D": "-0.0", "C-E": "0.5", "D-E": "0.0"}
+    rows = (line.split(",") for line in (DATA / "disk3_probe.csv").read_text().splitlines()[1:])
+    probe = tmp_path / "p.csv"
+    probe.write_text("cell,f1\n" + "".join(f"{c},{edges.get(c, v)}\n" for c, v in rows))
+    for mode, expected in (
+            ("remove", "alpha -0.0 cells 7 betti 3 0 0\nalpha 0.5 cells 10 betti 1 1 0\n"),
+            ("retain", "alpha -0.0 cells 10 betti 1 1 0\nalpha 0.5 cells 7 betti 3 0 0\n")):
+        assert main(["descriptive", str(DATA / "disk3.cw"), "--probe", str(probe),
+                     "--spectrum", "--dim", "1", "--mode", mode]) == 0
+        assert capsys.readouterr().out == expected
+
+
 def _descriptive_reference(base, probe, delta, dim, mode):
     """``descell descriptive --spectrum`` stdout computed the direct way:
     build each sub-complex and run ``homology`` on it."""

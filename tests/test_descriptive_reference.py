@@ -1,0 +1,153 @@
+"""Differential tests: ``removed_cells`` against the earlier per-cell one.
+
+``descriptive_reference`` is ``removed_cells`` as it was when it called
+``DescriptorBall.contains`` on every p-cell and ran the coface sweep for
+every ball. Today's ``removed_cells`` and the carver it calls group the
+p-cells by value, test each distinct value once and carve each selection
+of values once. Both must give the same removed set, or raise the same
+exception with the same message, on valid and corrupted complexes, in
+both modes, at every removal dimension, for balls of the probe's arity
+and of another one, and on probes that hold both -0.0 and 0.0.
+"""
+
+import random
+
+import descriptive_reference
+import support
+from descell import CellComplex, DescriptorBall, ProbeAssignment, alpha_spectrum, assign_probe
+from descell.descriptive import _carver, removed_cells
+
+MODES = ("remove", "retain")
+DELTAS = (0.0, 0.25, 0.6)
+# Few levels, signed zeros among them, so values repeat and -0.0 meets 0.0.
+LEVELS = (-0.0, 0.0, 0.25, -0.25, 0.5, 1.0)
+CORRUPTIONS = ("even-degree", "dangling-face", "wrong-dimension", "same-dimension")
+
+
+def outcome(carve, *args):
+    try:
+        return carve(*args)
+    except Exception as exc:  # which exception, and its message, is the outcome compared
+        return type(exc), str(exc)
+
+
+def corrupt(rng, k, kind):
+    """A copy of ``k`` with one defect of the given kind, where it has room."""
+    cells = dict(k.cells)
+    incidence = dict(k.incidence)
+    ids = sorted(cells)
+    cid = rng.choice(ids)
+    if kind == "even-degree":
+        odd = sorted(key for key, deg in incidence.items() if deg % 2)
+        if odd:
+            incidence[rng.choice(odd)] = 2
+    elif kind == "dangling-face":
+        incidence[(cid, "ghost")] = 1
+        if rng.random() < 0.5:
+            incidence[("phantom", cid)] = 1
+    elif kind == "wrong-dimension":
+        # A face two or more dimensions down, or one above, which the
+        # ascending sweep settles in a different order.
+        wrong = [f for f in ids if cells[f] != cells[cid] - 1 and cells[f] != cells[cid]]
+        if wrong:
+            incidence[(cid, rng.choice(wrong))] = 1
+    else:
+        same = [f for f in ids if cells[f] == cells[cid] and f != cid]
+        if same:
+            incidence[(cid, rng.choice(same))] = 1
+    return CellComplex(cells, incidence)
+
+
+def random_base(rng, i):
+    roll = i % 3
+    if roll == 0:
+        k = support.random_simplicial_complex(rng, max_vertices=7)
+    elif roll == 1:
+        k = support.random_cw_complex(rng, max_cells=24)
+    else:
+        return support.random_incidence_complex(rng, max_cells=16)
+    for _ in range(rng.randint(0, 2)):
+        k = corrupt(rng, k, rng.choice(CORRUPTIONS))
+    return k
+
+
+def random_probe(rng, k, arity):
+    return assign_probe(k, support.random_probe_table(
+        rng, k, arity, lambda r: r.choice(LEVELS)))
+
+
+def balls_for(rng, probe, p, delta):
+    """Balls at every value of the probe's p-cells and at a few other
+    centres, in random order with repeats, plus one of another arity."""
+    centres = alpha_spectrum(probe, p)
+    centres += [tuple(rng.choice(LEVELS) + 0.1 for _ in range(probe.arity))
+                for _ in range(2)]
+    balls = [DescriptorBall(c, delta) for c in centres]
+    balls += rng.sample(balls, min(3, len(balls)))
+    rng.shuffle(balls)
+    balls.append(DescriptorBall((0.0,) * (probe.arity + 1), delta))
+    return balls
+
+
+def assert_same(rng, probe, p, mode, delta):
+    carve = outcome(_carver, probe, p, mode)
+    for ball in balls_for(rng, probe, p, delta):
+        expected = outcome(descriptive_reference.removed_cells, probe, ball, p, mode)
+        assert outcome(removed_cells, probe, ball, p, mode) == expected
+        if callable(carve):  # one carver for every ball, as ``signature`` holds one per step
+            assert outcome(carve, ball) == expected
+        else:
+            assert carve == expected
+
+
+def test_removed_cells_match_reference_on_corrupted_corpus():
+    rng = random.Random(15)
+    signed_zero_probes = 0
+    for i in range(150):
+        k = random_base(rng, i)
+        probe = random_probe(rng, k, rng.choice((1, 2)))
+        for p in range(0, k.max_dim + 2):
+            values = [probe[c] for c in k.cells_of_dim(p)]
+            signed = [v for v in values if 0.0 in v]
+            if len({repr(v) for v in signed}) > len(set(signed)):
+                signed_zero_probes += 1
+            for mode in MODES:
+                for delta in DELTAS:
+                    assert_same(rng, probe, p, mode, delta)
+    assert signed_zero_probes > 20
+
+
+def test_bad_mode_and_dimension_raise_as_before():
+    rng = random.Random(3)
+    k = support.disk3()
+    probe = random_probe(rng, k, 1)
+    for p, mode in ((-1, "remove"), (2, "bogus"), (-1, "bogus"), (7, "bogus")):
+        assert_same(rng, probe, p, mode, 0.0)
+
+
+def test_signed_zeros_select_together():
+    k = support.disk3()
+    values = {cid: (0.5,) for cid in k.cells}
+    values.update({"A-B-C": (-0.0,), "B-C-E": (0.0,)})
+    probe = assign_probe(k, sorted(values.items()))
+    for centre in ((-0.0,), (0.0,)):
+        for mode in MODES:
+            ball = DescriptorBall(centre, 0.0)
+            assert removed_cells(probe, ball, 2, mode) == \
+                descriptive_reference.removed_cells(probe, ball, 2, mode)
+    assert removed_cells(probe, DescriptorBall((0.0,), 0.0)) == {"A-B-C", "B-C-E"}
+
+
+def test_mixed_arity_probe_raises_at_the_same_cell():
+    """A hand-built probe may hold values of two arities; the first
+    p-cell, in id order, whose value has another arity than the ball
+    names the error, as it did when every cell was tested."""
+    rng = random.Random(8)
+    for _ in range(40):
+        k = support.random_cw_complex(rng, max_cells=20)
+        values = {cid: tuple(rng.choice(LEVELS) for _ in range(rng.choice((1, 2))))
+                  for cid in k.cells}
+        probe = ProbeAssignment(k, values, 1)
+        for p in range(0, k.max_dim + 2):
+            for mode in MODES:
+                assert_same(rng, probe, p, mode, 0.25)

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from descell import (
     signature,
     transition_evolution,
 )
+from descell.descriptive import removed_cells
 from descell.errors import (
     ArityMismatchError,
     EmptyOverlapError,
@@ -26,7 +28,9 @@ from descell.errors import (
     NonMonotoneThetaError,
     StepCountMismatchError,
 )
+from descell.formats import load_scenario
 
+DATA = Path(__file__).parent / "data"
 RED = (0.75, 0.75)
 
 
@@ -189,6 +193,56 @@ def test_signature_on_invalid_base_entry_that_removes_the_defect():
     table = [(cid, (1.0 if cid == "t" else 0.0,)) for cid in k.cells]
     sig = signature(build_scenario(k, [(0.0, table)]))
     assert list(sig.rows()) == [(0.0, (1.0,), 0, 1), (0.0, (1.0,), 1, 0), (0.0, (1.0,), 2, 0)]
+
+
+@pytest.mark.parametrize("kwargs,p,mode", [
+    ({"removal_dim": -1}, -1, "remove"),
+    ({"mode": "bogus", "removal_dim": 5}, 5, "bogus"),
+    ({"mode": "bogus"}, 2, "bogus"),
+])
+def test_signature_checks_mode_and_removal_dim_without_entries(kwargs, p, mode):
+    """No 5-cell and no (-1)-cell gives no entry, yet a bad setting
+    raises what ``removed_cells`` raises for it."""
+    scenario, diags = load_scenario(str(DATA / "cooling.scenario"))
+    assert scenario is not None, diags
+    with pytest.raises(ValueError) as expected:
+        removed_cells(scenario.steps[0].probe, DescriptorBall((0.0,), 0.0), p, mode)
+    with pytest.raises(ValueError) as raised:
+        signature(scenario, **kwargs)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_signature_tests_each_ball_once_per_distinct_value(monkeypatch):
+    """On a 216-cell torus, ``signature`` builds one ball per alpha and
+    calls ``contains`` at most once per entry and distinct value of the
+    entry's step, not once per entry and 2-cell."""
+    k = support.grid_surface(6)
+    assert len(k) == 216
+    rng = random.Random(4)
+    tris = k.cells_of_dim(2)
+    steps = []
+    for s in range(4):
+        table = {cid: (rng.randrange(64) / 64,) for cid in k.cells}
+        table.update({cid: (max(0, i % 16 - 2 * s) / 8,) for i, cid in enumerate(tris)})
+        steps.append((float(s), sorted(table.items())))
+    scenario = build_scenario(k, steps)
+    distinct = [len({step.probe[cid] for cid in tris}) for step in scenario.steps]
+    counts = {"balls": 0, "contains": 0}
+    post_init, contains = DescriptorBall.__post_init__, DescriptorBall.contains
+
+    def counted_post_init(self):
+        counts["balls"] += 1
+        post_init(self)
+
+    def counted_contains(self, value):
+        counts["contains"] += 1
+        return contains(self, value)
+
+    monkeypatch.setattr(DescriptorBall, "__post_init__", counted_post_init)
+    monkeypatch.setattr(DescriptorBall, "contains", counted_contains)
+    sig = signature(scenario, 0.25)
+    assert counts["balls"] == len(sig.alphas) == 16
+    assert counts["contains"] <= len(sig.alphas) * sum(distinct) < len(sig.alphas) * 4 * 72
 
 
 def test_constant_scenario_constant_curves(square):
