@@ -14,10 +14,10 @@ sections that disagree with the governing probe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from itertools import combinations
-from typing import Iterable, Mapping
 
+from ._record import Record
 from .cellcomplex import CellId
 from .descriptive import Descriptor, ProbeAssignment, _as_descriptor
 from .errors import (
@@ -28,8 +28,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record):
     """A cell subset with its local section.
 
     Raises:
@@ -38,23 +37,20 @@ class Chart:
             components.
     """
 
-    id: str
-    cells: frozenset[CellId]
-    section: Mapping[CellId, Descriptor]
-    arity: int
+    __slots__ = ("id", "cells", "section", "arity")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells", frozenset(self.cells))
-        object.__setattr__(self, "section", dict(self.section))
-        if self.section.keys() != self.cells:
-            raise ForeignCellError(
-                f"chart {self.id!r} section must cover exactly its cells")
+    def __init__(self, id: str, cells: Iterable[CellId],
+                 section: Mapping[CellId, Descriptor], arity: int):
+        cells, section = frozenset(cells), dict(section)
+        if section.keys() != cells:
+            raise ForeignCellError(f"chart {id!r} section must cover exactly its cells")
         # No Python-level loop: parse_charts builds every chart through here.
-        wrong = set(map(len, self.section.values())) - {self.arity}
+        wrong = set(map(len, section.values())) - {arity}
         if wrong:
             raise ArityMismatchError(
-                f"chart {self.id!r} has arity {self.arity}, "
+                f"chart {id!r} has arity {arity}, "
                 f"but a section value has arity {min(wrong)}")
+        super().__init__(id, cells, section, arity)
 
 
 def make_chart(probe: ProbeAssignment, cells: Iterable[CellId], chart_id: str) -> Chart:
@@ -89,19 +85,17 @@ def with_overrides(chart: Chart, overrides: Mapping[CellId, Iterable[float]]) ->
     return Chart(id=chart.id, cells=chart.cells, section=section, arity=chart.arity)
 
 
-@dataclass(frozen=True)
-class TransitionFunction:
+class TransitionFunction(Record):
     """Pointwise translation relating two trivializations on an overlap.
 
     ``values[x]`` is section_i(x) - section_j(x) for the ordered pair
     (i, j).
     """
 
-    pair: tuple[str, str]
-    values: Mapping[CellId, Descriptor]
+    __slots__ = ("pair", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", dict(self.values))
+    def __init__(self, pair: tuple[str, str], values: Mapping[CellId, Descriptor]):
+        super().__init__(pair, dict(values))
 
     def cells(self) -> tuple[CellId, ...]:
         return tuple(sorted(self.values))
@@ -131,15 +125,15 @@ def _check_arities(chart_i: Chart, chart_j: Chart) -> None:
             f"{chart_i.arity} and {chart_j.arity}")
 
 
-@dataclass(frozen=True)
-class GaugeViolation:
-    """One residual exceeding tolerance in a gauge identity."""
+class GaugeViolation(Record):
+    """One residual exceeding tolerance in a gauge identity: ``identity``
+    is reflexivity, symmetry, cocycle or trivialization."""
 
-    identity: str                 # reflexivity | symmetry | cocycle | trivialization
-    charts: tuple[str, ...]
-    cell: CellId
-    residual: Descriptor
-    norm: float
+    __slots__ = ("identity", "charts", "cell", "residual", "norm")
+
+    def __init__(self, identity: str, charts: tuple[str, ...], cell: CellId,
+                 residual: Descriptor, norm: float):
+        super().__init__(identity, charts, cell, residual, norm)
 
     def __str__(self) -> str:
         vec = ";".join(repr(v) for v in self.residual)
@@ -147,12 +141,13 @@ class GaugeViolation:
                 f"cell {self.cell} residual {vec} norm {self.norm!r}")
 
 
-@dataclass(frozen=True)
-class GaugeReport:
+class GaugeReport(Record):
     """Outcome of checking the gauge identities over a chart family."""
 
-    tolerance: float
-    violations: tuple[GaugeViolation, ...]
+    __slots__ = ("tolerance", "violations")
+
+    def __init__(self, tolerance: float, violations: tuple[GaugeViolation, ...]):
+        super().__init__(tolerance, violations)
 
     @property
     def clean(self) -> bool:

@@ -13,31 +13,27 @@ derivation. The mod-2 boundary columns are compiled on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping
 
+from ._record import Record
 from .errors import DimensionMismatchError, DuplicateIdError, MissingFaceError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CellId = str
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One structural defect found by ``CellComplex.validate``.
 
     Severity "error" marks a defect that invalidates the complex;
     "warning" marks an integer-level oddity that vanishes mod 2.
     """
 
-    code: str
-    severity: str
-    cells: tuple[CellId, ...]
-    message: str
+    __slots__ = ("code", "severity", "cells", "message")
+
+    def __init__(self, code: str, severity: str, cells: tuple[CellId, ...], message: str):
+        super().__init__(code, severity, cells, message)
 
     def __str__(self) -> str:
         return f"{self.code} [{' '.join(self.cells)}] {self.message}"
@@ -229,7 +225,7 @@ class CellComplex:
             raise ValueError(f"dimension must be non-negative, got {p}")
         return self._compiled[0].get(p, ())
 
-    def boundary_matrix(self, p: int) -> np.ndarray:
+    def boundary_matrix(self, p: int) -> "numpy.ndarray":
         """Mod-2 boundary matrix from p-cells to (p-1)-cells.
 
         Rows are indexed by the sorted (p-1)-cells, columns by the sorted
@@ -320,13 +316,13 @@ class CellComplex:
         return sum((-1) ** d * len(ids) for d, ids in self._by_dim.items())
 
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(Record):
     """An n-skeleton: the induced sub-complex of cells of dimension <= n."""
 
-    parent: CellComplex
-    level: int
-    complex: CellComplex
+    __slots__ = ("parent", "level", "complex")
+
+    def __init__(self, parent: CellComplex, level: int, complex: CellComplex):
+        super().__init__(parent, level, complex)
 
 
 def from_simplices(simplices: Iterable[Iterable]) -> CellComplex:

@@ -10,10 +10,10 @@ sub-complex whose homology reflects the chosen feature region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
 
+from ._record import Record
 from .cellcomplex import CellComplex, CellId
 from .errors import (
     ArityMismatchError,
@@ -35,18 +35,16 @@ def _as_descriptor(values: Iterable[float]) -> Descriptor:
     return out
 
 
-@dataclass(frozen=True)
-class DescriptorBall:
+class DescriptorBall(Record):
     """A closed Euclidean ball in descriptor space."""
 
-    center: Descriptor
-    radius: float
+    __slots__ = ("center", "radius")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", _as_descriptor(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius >= 0:
-            raise ValueError(f"radius must be non-negative, got {self.radius}")
+    def __init__(self, center: Iterable[float], radius: float):
+        center, radius = _as_descriptor(center), float(radius)
+        if not radius >= 0:
+            raise ValueError(f"radius must be non-negative, got {radius}")
+        super().__init__(center, radius)
 
     def contains(self, value: Descriptor) -> bool:
         if len(value) != len(self.center):
@@ -128,20 +126,18 @@ def ball_members(probe: ProbeAssignment, ball: DescriptorBall, p: int) -> set[Ce
     return {cid for cid in probe.complex.cells_of_dim(p) if ball.contains(probe[cid])}
 
 
-@dataclass(frozen=True)
-class DescriptiveSubcomplex:
+class DescriptiveSubcomplex(Record):
     """Result of carving a complex along a descriptor ball.
 
     ``complex`` holds the surviving cells; ``removed`` records what was
     dropped, including cofaces removed by the upward cascade.
     """
 
-    probe: ProbeAssignment
-    ball: DescriptorBall
-    dim: int
-    mode: str
-    complex: CellComplex
-    removed: frozenset[CellId]
+    __slots__ = ("probe", "ball", "dim", "mode", "complex", "removed")
+
+    def __init__(self, probe: ProbeAssignment, ball: DescriptorBall, dim: int, mode: str,
+                 complex: CellComplex, removed: frozenset[CellId]):
+        super().__init__(probe, ball, dim, mode, complex, removed)
 
 
 def removed_cells(probe: ProbeAssignment, ball: DescriptorBall,
@@ -156,15 +152,21 @@ def removed_cells(probe: ProbeAssignment, ball: DescriptorBall,
     return _carver(probe, p, mode)(ball)
 
 
+def _check_carving(p: int, mode: str) -> None:
+    """Raise ValueError unless ``mode`` and the removal dimension ``p`` are
+    ones ``_carver`` can carve with."""
+    if mode not in ("remove", "retain"):
+        raise ValueError(f"mode must be 'remove' or 'retain', got {mode!r}")
+    if p < 0:
+        raise ValueError(f"dimension must be non-negative, got {p}")
+
+
 def _carver(probe: ProbeAssignment, p: int, mode: str
             ) -> Callable[[DescriptorBall], frozenset[CellId]]:
     """``removed_cells`` as a function of the ball. A ball calls ``contains``
     once per distinct p-cell value (equal values, signed zeros included, lie
     at equal distances), and each selection of values is carved once."""
-    if mode not in ("remove", "retain"):
-        raise ValueError(f"mode must be 'remove' or 'retain', got {mode!r}")
-    if p < 0:
-        raise ValueError(f"dimension must be non-negative, got {p}")
+    _check_carving(p, mode)
     base = probe.complex
     groups: dict[Descriptor, list[CellId]] = {}
     for cid in base.cells_of_dim(p):

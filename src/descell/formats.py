@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
+from ._record import Record
 from .bundle import Chart
 from .cellcomplex import CellComplex, CellId
 from .descriptive import Descriptor, ProbeAssignment
@@ -50,15 +50,15 @@ from .errors import DescellError
 from .persistence import PersistenceSignature, Scenario, ScenarioStep
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    """A parse-time finding, tied to a file and line."""
+class ParseDiagnostic(Record):
+    """A parse-time finding, tied to a file and line. ``severity`` is
+    error or warning; ``code`` is syntax, reference, coverage or io."""
 
-    file: str
-    line: int
-    severity: str          # error | warning
-    message: str
-    code: str = "syntax"   # syntax | reference | coverage | io
+    __slots__ = ("file", "line", "severity", "message", "code")
+
+    def __init__(self, file: str, line: int, severity: str, message: str,
+                 code: str = "syntax"):
+        super().__init__(file, line, severity, message, code)
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}: {self.severity}: {self.message}"
@@ -401,12 +401,13 @@ def emit_charts(charts: Iterable[Chart], probe: ProbeAssignment) -> str:
 # -- scenario file --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScenarioFile:
+class ScenarioFile(Record):
     """The textual form of a scenario: paths, not loaded artifacts."""
 
-    complex_path: str
-    steps: tuple[tuple[float, str], ...]
+    __slots__ = ("complex_path", "steps")
+
+    def __init__(self, complex_path: str, steps: tuple[tuple[float, str], ...]):
+        super().__init__(complex_path, steps)
 
 
 def parse_scenario(text: str, filename: str = "<scenario>",

@@ -17,9 +17,9 @@ cross-check on small complexes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
+from ._record import Record
 from .cellcomplex import CellComplex, CellId, Violation
 from .errors import (
     DimensionMismatchError,
@@ -29,8 +29,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """A formal sum of cells of one dimension with coefficients in {0, 1}.
 
     The support holds exactly the cells with coefficient 1. Addition is
@@ -38,15 +37,15 @@ class Chain:
     chain is the identity.
     """
 
-    dim: int
-    support: frozenset[CellId] = frozenset()
+    __slots__ = ("dim", "support")
 
-    def __post_init__(self):
-        object.__setattr__(self, "support", frozenset(self.support))
-        if self.dim < -1:
-            raise ValueError(f"chain dimension must be >= -1, got {self.dim}")
-        if self.dim < 0 and self.support:
+    def __init__(self, dim: int, support: Iterable[CellId] = frozenset()):
+        support = frozenset(support)
+        if dim < -1:
+            raise ValueError(f"chain dimension must be >= -1, got {dim}")
+        if dim < 0 and support:
             raise ValueError("a chain below dimension 0 must be empty")
+        super().__init__(dim, support)
 
     def __add__(self, other: "Chain") -> "Chain":
         if not isinstance(other, Chain):
@@ -70,24 +69,24 @@ class Chain:
         return cls(dim, frozenset())
 
 
-@dataclass(frozen=True)
-class DimensionHomology:
+class DimensionHomology(Record):
     """Homology data for a single dimension."""
 
-    dim: int
-    n_cells: int
-    cycle_rank: int
-    boundary_rank: int
-    betti: int
-    generators: tuple[Chain, ...] = ()
+    __slots__ = ("dim", "n_cells", "cycle_rank", "boundary_rank", "betti", "generators")
+
+    def __init__(self, dim: int, n_cells: int, cycle_rank: int, boundary_rank: int,
+                 betti: int, generators: tuple[Chain, ...] = ()):
+        super().__init__(dim, n_cells, cycle_rank, boundary_rank, betti, generators)
 
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(Record):
     """Per-dimension cycle ranks, boundary ranks, Betti numbers and
     generator cycles."""
 
-    records: tuple[DimensionHomology, ...]
+    __slots__ = ("records",)
+
+    def __init__(self, records: tuple[DimensionHomology, ...]):
+        super().__init__(records)
 
     def record(self, p: int) -> DimensionHomology:
         for r in self.records:

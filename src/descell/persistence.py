@@ -11,9 +11,9 @@ translation between two regions' descriptions across the steps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
+from ._record import Record
 from .cellcomplex import CellComplex, CellId
 # bench/test_bench.py::test_tracer_wraps_every_binding_and_restores pins descriptive_homology.
 from .descriptive import (  # noqa: F401
@@ -21,6 +21,7 @@ from .descriptive import (  # noqa: F401
     DescriptorBall,
     ProbeAssignment,
     _carver,
+    _check_carving,
     alpha_spectrum,
     assign_probe,
     descriptive_homology,
@@ -36,36 +37,39 @@ from .errors import (
 from .homology import _masked_betti, _top_dim
 
 
-@dataclass(frozen=True)
-class ScenarioStep:
-    theta: float
-    probe: ProbeAssignment
+class ScenarioStep(Record):
+    """One parameter value of a scenario and the probe that describes the
+    base complex there."""
+
+    __slots__ = ("theta", "probe")
+
+    def __init__(self, theta: float, probe: ProbeAssignment):
+        super().__init__(theta, probe)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A base complex described at successive parameter values. Raises
     ForeignCellError unless every step's probe lies on ``complex`` (the
     same object, or an equal complex), NonMonotoneThetaError unless the
     thetas increase strictly, and ArityMismatchError unless every step
     has the same arity."""
 
-    complex: CellComplex
-    steps: tuple[ScenarioStep, ...]
+    __slots__ = ("complex", "steps")
 
-    def __post_init__(self):
-        for step in self.steps:
-            if step.probe.complex is not self.complex and step.probe.complex != self.complex:
+    def __init__(self, complex: CellComplex, steps: tuple[ScenarioStep, ...]):
+        for step in steps:
+            if step.probe.complex is not complex and step.probe.complex != complex:
                 raise ForeignCellError(
                     f"step at theta {step.theta!r} has a probe on a different complex")
-        for last, step in zip(self.steps, self.steps[1:]):
+        for last, step in zip(steps, steps[1:]):
             if step.theta <= last.theta:
                 raise NonMonotoneThetaError(
                     f"theta {step.theta!r} does not increase past {last.theta!r}")
-            if step.probe.arity != self.steps[0].probe.arity:
+            if step.probe.arity != steps[0].probe.arity:
                 raise ArityMismatchError(
                     f"step at theta {step.theta!r} has arity {step.probe.arity}, "
-                    f"expected {self.steps[0].probe.arity}")
+                    f"expected {steps[0].probe.arity}")
+        super().__init__(complex, steps)
 
     @property
     def thetas(self) -> tuple[float, ...]:
@@ -86,14 +90,16 @@ def betti_curve(scenario: Scenario, ball: DescriptorBall, p: int,
                 mode: str = "remove", removal_dim: int = 2) -> list[tuple[float, int]]:
     """The dimension-p Betti number per step for one descriptor ball:
     ``descriptive_homology(step.probe, ball, removal_dim, mode,
-    max_p=p).betti(p)``, from the carving and reduction ``signature`` uses."""
-    betti = _masked_betti(scenario.complex, _top_dim(scenario.complex, p))
+    max_p=p).betti(p)``, from the carving and reduction ``signature`` uses.
+    ``mode`` and ``removal_dim`` are checked even with no step."""
+    max_p = _top_dim(scenario.complex, p)
+    _check_carving(removal_dim, mode)
+    betti = _masked_betti(scenario.complex, max_p)
     return [(step.theta, betti(_carver(step.probe, removal_dim, mode)(ball))[p])
             for step in scenario.steps]
 
 
-@dataclass(frozen=True)
-class PersistenceSignature:
+class PersistenceSignature(Record):
     """Rectangular table (step, descriptor value, dimension) -> Betti.
 
     ``alphas`` is the union of the descriptor values seen at the removal
@@ -101,16 +107,12 @@ class PersistenceSignature:
     a value absent from some step simply selects nothing there.
     """
 
-    mode: str
-    delta: float
-    removal_dim: int
-    thetas: tuple[float, ...]
-    alphas: tuple[Descriptor, ...]
-    dims: tuple[int, ...]
-    table: Mapping[tuple[int, Descriptor, int], int]
+    __slots__ = ("mode", "delta", "removal_dim", "thetas", "alphas", "dims", "table")
 
-    def __post_init__(self):
-        object.__setattr__(self, "table", dict(self.table))
+    def __init__(self, mode: str, delta: float, removal_dim: int, thetas: tuple[float, ...],
+                 alphas: tuple[Descriptor, ...], dims: tuple[int, ...],
+                 table: Mapping[tuple[int, Descriptor, int], int]):
+        super().__init__(mode, delta, removal_dim, thetas, alphas, dims, dict(table))
 
     def betti(self, step_index: int, alpha: Descriptor, p: int) -> int:
         return self.table[(step_index, tuple(alpha), p)]
@@ -151,6 +153,7 @@ def signature(scenario: Scenario, delta: float = 0.0, mode: str = "remove",
     for step in scenario.steps:
         alphas.update(alpha_spectrum(step.probe, removal_dim))
     balls = {alpha: DescriptorBall(alpha, delta) for alpha in sorted(alphas)}
+    _check_carving(removal_dim, mode)
     dims = tuple(range(0, max_p + 1))
     betti = _masked_betti(scenario.complex, max_p)
     table: dict[tuple[int, Descriptor, int], int] = {}
@@ -165,15 +168,16 @@ def signature(scenario: Scenario, delta: float = 0.0, mode: str = "remove",
         thetas=scenario.thetas, alphas=tuple(balls), dims=dims, table=table)
 
 
-@dataclass(frozen=True)
-class TransitionTrace:
+class TransitionTrace(Record):
     """Per-step translation between two regions' descriptions: one
     (theta, vector) entry per step, the vector holding on every cell of
     the overlap."""
 
-    pair: tuple[str, str]
-    overlap: tuple[CellId, ...]
-    entries: tuple[tuple[float, Descriptor], ...]
+    __slots__ = ("pair", "overlap", "entries")
+
+    def __init__(self, pair: tuple[str, str], overlap: tuple[CellId, ...],
+                 entries: tuple[tuple[float, Descriptor], ...]):
+        super().__init__(pair, overlap, entries)
 
     def component_series(self, k: int) -> list[tuple[float, float]]:
         """One descriptor component of the translation per step."""

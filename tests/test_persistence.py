@@ -212,6 +212,22 @@ def test_signature_checks_mode_and_removal_dim_without_entries(kwargs, p, mode):
     assert str(raised.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"removal_dim": -1}, "dimension must be non-negative, got -1"),
+    ({"mode": "bogus", "removal_dim": -1}, "mode must be 'remove' or 'retain', got 'bogus'"),
+])
+def test_signature_checks_mode_and_removal_dim_without_steps(kwargs, message):
+    """A scenario with no steps has no carver, yet a bad setting raises in
+    ``signature`` and in ``betti_curve``."""
+    scenario = Scenario(support.square(), ())
+    with pytest.raises(ValueError) as raised:
+        signature(scenario, **kwargs)
+    assert str(raised.value) == message
+    with pytest.raises(ValueError) as raised:
+        betti_curve(scenario, DescriptorBall(RED, 0.0), 1, **kwargs)
+    assert str(raised.value) == message
+
+
 def test_signature_tests_each_ball_once_per_distinct_value(monkeypatch):
     """On a 216-cell torus, ``signature`` builds one ball per alpha and
     calls ``contains`` at most once per entry and distinct value of the
@@ -228,17 +244,17 @@ def test_signature_tests_each_ball_once_per_distinct_value(monkeypatch):
     scenario = build_scenario(k, steps)
     distinct = [len({step.probe[cid] for cid in tris}) for step in scenario.steps]
     counts = {"balls": 0, "contains": 0}
-    post_init, contains = DescriptorBall.__post_init__, DescriptorBall.contains
+    init, contains = DescriptorBall.__init__, DescriptorBall.contains
 
-    def counted_post_init(self):
+    def counted_init(self, *args, **kwargs):
         counts["balls"] += 1
-        post_init(self)
+        init(self, *args, **kwargs)
 
     def counted_contains(self, value):
         counts["contains"] += 1
         return contains(self, value)
 
-    monkeypatch.setattr(DescriptorBall, "__post_init__", counted_post_init)
+    monkeypatch.setattr(DescriptorBall, "__init__", counted_init)
     monkeypatch.setattr(DescriptorBall, "contains", counted_contains)
     sig = signature(scenario, 0.25)
     assert counts["balls"] == len(sig.alphas) == 16
