@@ -163,28 +163,53 @@ def _check_carving(p: int, mode: str) -> None:
 
 def _carver(probe: ProbeAssignment, p: int, mode: str
             ) -> Callable[[DescriptorBall], frozenset[CellId]]:
-    """``removed_cells`` as a function of the ball. A ball calls ``contains``
-    once per distinct p-cell value (equal values, signed zeros included, lie
-    at equal distances), and each selection of values is carved once."""
+    """``removed_cells`` as a function of the ball. The p-cells are grouped
+    by value (equal values, signed zeros included, lie at equal distances),
+    and the values indexed by first component. A ball calls ``contains``
+    only on the values whose first component lies in its window [c0 - r,
+    c0 + r], widened by a margin that covers the rounding of the window
+    and of ``math.dist``, and on those whose first component is NaN, which
+    the sorted index cannot hold (a NaN beside an infinite component lies
+    at an infinite distance). ``contains`` decides every hit, and each
+    selection of values is carved once. A ball of another arity than
+    some value, or of arity 0, tests every value in id order of their
+    first cell, so the same value raises ArityMismatchError."""
+    # Imported here: `import descell` under `python -S` loads no bisect.
+    from bisect import bisect_left, bisect_right
+
     _check_carving(p, mode)
     base = probe.complex
     groups: dict[Descriptor, list[CellId]] = {}
     for cid in base.cells_of_dim(p):
         groups.setdefault(probe[cid], []).append(cid)
-    retain, top = mode == "retain", base.max_dim
-    memo: dict[tuple[bool, ...], frozenset[CellId]] = {}
+    arities = {len(value) for value in groups}
+    unordered = [v for v in groups if v and math.isnan(v[0])]
+    ordered = sorted((v for v in groups if v and not math.isnan(v[0])), key=lambda v: v[0])
+    firsts = [v[0] for v in ordered]
+    retain, top, p_cells = mode == "retain", base.max_dim, frozenset(base.cells_of_dim(p))
+    memo: dict[tuple[Descriptor, ...], frozenset[CellId]] = {}
+
+    def hits(ball: DescriptorBall) -> tuple[Descriptor, ...]:
+        if arities != {len(ball.center)} or not ball.center:
+            return tuple(filter(ball.contains, groups))
+        c0, r = ball.center[0], ball.radius
+        r += 8 * math.ulp(abs(c0) + r)
+        window = ordered[bisect_left(firsts, c0 - r):bisect_right(firsts, c0 + r)]
+        return tuple(filter(ball.contains, window + unordered))
 
     def carve(ball: DescriptorBall) -> frozenset[CellId]:
-        hits = tuple(map(ball.contains, groups))
-        removed = memo.get(hits)
+        selected = hits(ball)
+        removed = memo.get(selected)
         if removed is None:
-            cut = {c for cids, hit in zip(groups.values(), hits) if hit != retain for c in cids}
+            cut = {c for v in selected for c in groups[v]}
+            if retain:
+                cut = set(p_cells.difference(cut))
             # One ascending sweep: the faces of a q-cell were settled at q-1.
             for q in range(p + 1, top + 1):
                 for cid in base.cells_of_dim(q):
                     if any(fid in cut for fid in base.faces(cid)):
                         cut.add(cid)
-            removed = memo[hits] = frozenset(cut)
+            removed = memo[selected] = frozenset(cut)
         return removed
     return carve
 

@@ -7,8 +7,10 @@ left to right, over the two-element field; that one reduction gives the
 boundary rank, an echelon basis of the image and a kernel basis.
 ``_reduce_maps`` reduces the maps of a complex less a set of removed cells
 from the top dimension down, skipping the columns that the map above
-shows to be dependent (clearing); ``homology``, ``descriptive_homology``
-and ``_masked_betti`` (the signature entries) all run it.
+shows to be dependent (clearing); ``homology`` and
+``descriptive_homology`` run it. ``_masked_betti`` (the signature
+entries) reduces each map of the base once and reads every sub-complex's
+Betti numbers off those reductions' ranks and kernel bases.
 ``oracle_homology`` recomputes the same numbers by exhaustive
 enumeration of every chain, over its own int columns, as an independent
 cross-check on small complexes.
@@ -17,7 +19,7 @@ cross-check on small complexes.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 
 from ._record import Record
 from .cellcomplex import CellComplex, CellId, Violation
@@ -185,6 +187,23 @@ def _reduce(columns: Iterable[int], pivots: dict[int, int] | None = None,
     return pivots, dependent
 
 
+def _rank(rows: Iterable[int], bound: int | None = None) -> int:
+    """Rank over GF(2) of int bitset rows, reading no further rows once
+    the rank reaches ``bound``."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        if len(pivots) == bound:
+            break
+        while row:
+            top = row.bit_length() - 1
+            other = pivots.get(top)
+            if other is None:
+                pivots[top] = row
+                break
+            row ^= other
+    return len(pivots)
+
+
 def _chain(p: int, cells: tuple[CellId, ...], bits: int) -> Chain:
     """The p-chain whose support is the cells at the set bit positions."""
     support = []
@@ -212,7 +231,7 @@ def rank_mod2(matrix) -> int:
         rows = [sum((int(x) & 1) << j for j, x in enumerate(row)) for row in matrix]
     except TypeError:
         raise ValueError("expected a 2-d matrix of integer rows") from None
-    return len(_reduce(rows)[0])
+    return _rank(rows)
 
 
 # -- homology -------------------------------------------------------------------
@@ -242,8 +261,7 @@ def is_boundary(complex: CellComplex, chain: Chain) -> bool:
     return bool(_reduce([target], image)[1])
 
 
-def _reduce_maps(base: CellComplex, removed: frozenset[CellId], max_p: int,
-                 known: Sequence[dict[int, int] | None] | None = None) -> list[tuple]:
+def _reduce_maps(base: CellComplex, removed: frozenset[CellId], max_p: int) -> list[tuple]:
     """Homology 0 .. max_p of ``base`` less the ``removed`` cells, which
     must be closed upward (as ``removed_cells`` makes them), so that
     every surviving column is zero on the removed rows.
@@ -266,23 +284,19 @@ def _reduce_maps(base: CellComplex, removed: frozenset[CellId], max_p: int,
       exactly the z_j of the dependent, uncleared columns.
 
     Returns (p, cells, cycle rank, boundary rank, generators) per p <=
-    max_p. With ``known`` (per dimension, the pivot map of a map that
-    loses no cell, not reduced then, or None) no generators are built.
+    max_p.
     """
     records = []
     image: dict[int, int] = {}
     for p in range(max_p + 1, -1, -1):
         cells = base.cells_of_dim(p)
-        pivots = known[p] if known else None
-        cut = ({j for j, cid in enumerate(cells) if cid in removed}
-               if removed and pivots is None else ())
-        if pivots is None:
-            zeroed = image.keys() | cut if cut else image
-            pivots, kernel = _reduce(0 if j in zeroed else col
-                                     for j, col in enumerate(base.boundary_columns(p)))
+        cut = {j for j, cid in enumerate(cells) if cid in removed} if removed else ()
+        zeroed = image.keys() | cut if cut else image
+        pivots, kernel = _reduce(0 if j in zeroed else col
+                                 for j, col in enumerate(base.boundary_columns(p)))
         if p <= max_p:
             n = len(cells) - len(cut)
-            records.append((p, n, n - len(pivots), len(image), () if known else tuple(
+            records.append((p, n, n - len(pivots), len(image), tuple(
                 _chain(p, cells, z) for j, z in kernel.items() if j not in zeroed)))
         image = pivots
     return records[::-1]
@@ -333,20 +347,51 @@ def _masked_betti(base: CellComplex, max_p: int,
                   ) -> Callable[[frozenset[CellId]], tuple[int, ...]]:
     """Betti numbers 0 .. max_p of the sub-complexes of ``base`` that
     ``removed_cells`` carves, as a function of the removed set that raises
-    what ``_check_survivors`` raises. The base is validated once and each
-    removed set reduced once. A map that loses no cell keeps the base's
-    pivots, reduced without clearing: the base may be invalid where a
-    sub-complex is not."""
+    what ``_check_survivors`` raises. The base is validated once, and each
+    map d_0 .. d_(max_p+1) of the base is reduced once, without clearing
+    (the base may be invalid where a sub-complex is not); no removed set
+    is reduced.
+
+    A removed set is closed upward, so the sub-complex's d_q is the base's
+    d_q on the surviving columns: n_q - |S_q| of them, for the removed
+    q-cells S_q. Its rank is that count less the dimension of the base
+    kernel vectors that vanish on S_q, which is dim Z_q less the rank of
+    the kernel basis restricted to S_q. That rank is read from the rows
+    of the basis's transpose at S_q (per q-cell, a bitset of the kernel
+    vectors that hold it, built for a map on its first lost cell), and
+    it stops at dim Z_q. Then betti_q = (n_q - |S_q|) - rank d_q -
+    rank d_(q+1), both ranks on the survivors."""
     violations = base.validate()
-    cell_sets = [frozenset(base.cells_of_dim(q)) for q in range(max_p + 2)]
-    base_pivots = [_reduce(base.boundary_columns(q))[0] for q in range(max_p + 2)]
+    dims = range(max_p + 2)
+    cells = [base.cells_of_dim(q) for q in dims]
+    cell_sets = [frozenset(c) for c in cells]
+    reduced = [_reduce(base.boundary_columns(q)) for q in dims]
+
+    @functools.cache
+    def transpose(q: int) -> dict[CellId, int]:
+        rows = [0] * len(cells[q])
+        for k, z in enumerate(reduced[q][1].values()):
+            while z:
+                low = z & -z
+                rows[low.bit_length() - 1] |= 1 << k
+                z ^= low
+        return {cid: row for cid, row in zip(cells[q], rows) if row}
 
     @functools.cache
     def betti(removed: frozenset[CellId]) -> tuple[int, ...]:
         _check_survivors(violations, removed)
-        known = [pivots if removed.isdisjoint(cells) else None
-                 for pivots, cells in zip(base_pivots, cell_sets)]
-        return tuple(z - b for _, _, z, b, _ in _reduce_maps(base, removed, max_p, known))
+        kept, ranks = [], []
+        for q in dims:
+            pivots, kernel = reduced[q]
+            cut = removed & cell_sets[q]
+            kept.append(len(cells[q]) - len(cut))
+            if cut:
+                rows = transpose(q)
+                ranks.append(kept[q] - len(kernel) + _rank(
+                    (rows[cid] for cid in cut if cid in rows), len(kernel)))
+            else:
+                ranks.append(len(pivots))
+        return tuple(kept[q] - ranks[q] - ranks[q + 1] for q in range(max_p + 1))
 
     return betti
 

@@ -143,9 +143,11 @@ def signature(scenario: Scenario, delta: float = 0.0, mode: str = "remove",
     and the first entry whose sub-complex is invalid raises its
     InvalidComplexError. Every step's probe lies on ``scenario.complex``
     (``Scenario`` checks that), so the entries are cell masks on that one
-    complex: it is validated once, entries that remove the same cells share
-    one reduction with no generators, and each step's ``_carver`` tests a
-    ball once per distinct value. ``mode`` and ``removal_dim`` are checked
+    complex: it is validated once and each of its boundary maps reduced
+    once, every entry's Betti numbers are read off those reductions' ranks
+    and kernel bases with no reduction of its own (``_masked_betti``), and
+    each step's ``_carver`` tests a ball only on the distinct values in its
+    window of first components. ``mode`` and ``removal_dim`` are checked
     even with no entry. The table does not depend on the order.
     """
     max_p = _top_dim(scenario.complex, max_p)

@@ -344,6 +344,15 @@ def test_persist_writes_golden_table(tmp_path, capsys):
     assert out.read_text() == (DATA / "golden_cooling_signature.csv").read_text()
 
 
+def test_persist_retain_writes_golden_table(tmp_path, capsys):
+    out = tmp_path / "sig.csv"
+    code = main(["persist", str(DATA / "cooling.scenario"), "--mode", "retain",
+                 "--delta", "0.25", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == "rows 36\n"
+    assert out.read_text() == (DATA / "golden_cooling_signature_retain.csv").read_text()
+
+
 def test_persist_stdout(capsys):
     code = main(["persist", str(DATA / "cooling.scenario")])
     assert code == 0

@@ -3,18 +3,32 @@
 ``descriptive_reference`` is ``removed_cells`` as it was when it called
 ``DescriptorBall.contains`` on every p-cell and ran the coface sweep for
 every ball. Today's ``removed_cells`` and the carver it calls group the
-p-cells by value, test each distinct value once and carve each selection
-of values once. Both must give the same removed set, or raise the same
-exception with the same message, on valid and corrupted complexes, in
-both modes, at every removal dimension, for balls of the probe's arity
-and of another one, and on probes that hold both -0.0 and 0.0.
+p-cells by value, test only the distinct values in a ball's window of
+first components, and carve each selection of values once. Both must
+give the same removed set, or raise the same exception with the same
+message, on valid and corrupted complexes, in both modes, at every
+removal dimension, for balls of the probe's arity and of another one, on
+probes that hold both -0.0 and 0.0, and on hand-built probes that hold
+nan and infinite components, with balls of infinite radius among them.
+``signature`` on such probes is compared with ``signature_reference``.
 """
 
+import math
 import random
 
 import descriptive_reference
+import signature_reference
 import support
-from descell import CellComplex, DescriptorBall, ProbeAssignment, alpha_spectrum, assign_probe
+from descell import (
+    CellComplex,
+    DescriptorBall,
+    ProbeAssignment,
+    Scenario,
+    ScenarioStep,
+    alpha_spectrum,
+    assign_probe,
+    signature,
+)
 from descell.descriptive import _carver, removed_cells
 
 MODES = ("remove", "retain")
@@ -89,9 +103,9 @@ def balls_for(rng, probe, p, delta):
     return balls
 
 
-def assert_same(rng, probe, p, mode, delta):
+def assert_same(rng, probe, p, mode, delta, balls=None):
     carve = outcome(_carver, probe, p, mode)
-    for ball in balls_for(rng, probe, p, delta):
+    for ball in balls_for(rng, probe, p, delta) if balls is None else balls:
         expected = outcome(descriptive_reference.removed_cells, probe, ball, p, mode)
         assert outcome(removed_cells, probe, ball, p, mode) == expected
         if callable(carve):  # one carver for every ball, as ``signature`` holds one per step
@@ -151,3 +165,105 @@ def test_mixed_arity_probe_raises_at_the_same_cell():
         for p in range(0, k.max_dim + 2):
             for mode in MODES:
                 assert_same(rng, probe, p, mode, 0.25)
+
+
+INF = float("inf")
+RADII = (0.0, 0.25, 0.6, INF)
+
+
+def non_finite_value(rng, arity, nan_share):
+    """A value of the LEVELS whose first component is nan (the shared
+    ``math.nan`` or a fresh one) with probability ``nan_share``, or else
+    sometimes infinite; a second component may be nan or infinite too."""
+    value = [rng.choice(LEVELS) for _ in range(arity)]
+    roll = rng.random()
+    if roll < nan_share:
+        value[0] = rng.choice((math.nan, float("nan")))
+    elif roll < nan_share + 0.15:
+        value[0] = rng.choice((INF, -INF))
+    if arity > 1 and rng.random() < 0.2:
+        value[1] = rng.choice((math.nan, INF, -INF))
+    return tuple(value)
+
+
+def non_finite_probe(rng, k, arity, nan_share=0.3):
+    """A hand-built probe (``ProbeAssignment`` checks nothing) on ``k``."""
+    return ProbeAssignment(k, {cid: non_finite_value(rng, arity, nan_share)
+                               for cid in k.cells}, arity)
+
+
+def finite_balls(rng, probe, p):
+    """Balls of every radius in RADII at the finite values of the p-cells
+    and at a few other centres, plus one of another arity."""
+    centres = [v for v in alpha_spectrum(probe, p) if all(map(math.isfinite, v))]
+    centres += [tuple(rng.choice(LEVELS) + 0.1 for _ in range(probe.arity))
+                for _ in range(2)]
+    balls = [DescriptorBall(c, r) for c in centres for r in RADII]
+    rng.shuffle(balls)
+    balls.append(DescriptorBall((0.0,) * (probe.arity + 1), rng.choice(RADII)))
+    return balls
+
+
+def test_nan_and_infinite_components_select_as_before():
+    rng = random.Random(23)
+    for i in range(120):
+        k = random_base(rng, i)
+        probe = non_finite_probe(rng, k, rng.choice((1, 2)))
+        for p in range(0, k.max_dim + 2):
+            balls = finite_balls(rng, probe, p)
+            for mode in MODES:
+                assert_same(rng, probe, p, mode, None, balls)
+
+
+def test_nan_triangles_on_grid_surfaces():
+    """About 30% of the triangles hold a nan first component."""
+    rng = random.Random(200)
+    k = support.grid_surface(4)
+    for _ in range(200):
+        probe = non_finite_probe(rng, k, 1, nan_share=0.3)
+        balls = [DescriptorBall((rng.choice(LEVELS),), rng.choice(RADII)) for _ in range(4)]
+        for mode in MODES:
+            assert_same(rng, probe, 2, mode, None, balls)
+
+
+def test_values_at_the_rounded_window_edges_select_as_before():
+    """Decimal centres and radii, and values within an ulp of the
+    computed c0 - r and c0 + r: ``math.dist`` puts many of them inside
+    the ball though they lie outside the window as computed."""
+    rng = random.Random(12)
+    k = support.disk3()
+    edges = k.cells_of_dim(1)
+    for _ in range(300):
+        c0, r = round(rng.uniform(-2, 2), rng.randint(1, 3)), round(rng.uniform(0, 1), 2)
+        edge_values = [v for end in (c0 - r, c0 + r)
+                       for v in (math.nextafter(end, -INF), end, math.nextafter(end, INF))]
+        values = {cid: (rng.choice(edge_values), rng.choice(LEVELS)) for cid in edges}
+        values.update({cid: (0.5, 0.5) for cid in k.cells if cid not in values})
+        probe = ProbeAssignment(k, values, 2)
+        balls = [DescriptorBall((c0, rng.choice((0.0, 0.5))), r) for _ in range(2)]
+        balls.append(DescriptorBall((c0, 0.0), r))
+        for mode in MODES:
+            assert_same(rng, probe, 1, mode, None, balls)
+
+
+def test_signature_on_non_finite_probes_matches_reference():
+    """A non-finite value at the removal dimension is an alpha that cannot
+    centre a ball, so the table raises ValueError, as before; a table
+    whose non-finite values all lie at other dimensions is built."""
+    rng = random.Random(31)
+    raised = built = 0
+    for i in range(60):
+        k = random_base(rng, i)
+        arity = rng.choice((1, 2))
+        steps = (ScenarioStep(0.0, non_finite_probe(rng, k, arity)),
+                 ScenarioStep(1.0, random_probe(rng, k, arity)))
+        scen = Scenario(k, steps)
+        for removal_dim in (0, 1, 2):
+            for mode in MODES:
+                delta = rng.choice(RADII)
+                got = outcome(signature, scen, delta, mode, None, removal_dim)
+                assert got == outcome(signature_reference.signature,
+                                      scen, delta, mode, None, removal_dim)
+                raised += isinstance(got, tuple)
+                built += not isinstance(got, tuple)
+    assert raised > 50 and built > 50, (raised, built)
