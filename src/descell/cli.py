@@ -181,7 +181,7 @@ def cmd_descriptive(args) -> int:
         return USAGE_ERROR
     # A parsed complex declares every face it names, so it is invalid
     # exactly when its sub-complex with nothing removed is.
-    betti = _masked_betti(complex, complex.max_dim)
+    betti = _masked_betti(complex, complex.max_dim, args.dim)
     try:
         betti(frozenset())
     except InvalidComplexError:

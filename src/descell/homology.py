@@ -10,7 +10,9 @@ from the top dimension down, skipping the columns that the map above
 shows to be dependent (clearing); ``homology`` and
 ``descriptive_homology`` run it. ``_masked_betti`` (the signature
 entries) reduces each map of the base once and reads every sub-complex's
-Betti numbers off those reductions' ranks and kernel bases.
+Betti numbers off those reductions' ranks and kernel bases, or, for a
+map that keeps fewer cells than it loses, off the rank of its kept
+columns.
 ``oracle_homology`` recomputes the same numbers by exhaustive
 enumeration of every chain, over its own int columns, as an independent
 cross-check on small complexes.
@@ -343,34 +345,47 @@ def _check_survivors(violations: list[Violation], removed: frozenset[CellId]) ->
         raise InvalidComplexError(found)
 
 
-def _masked_betti(base: CellComplex, max_p: int,
+def _masked_betti(base: CellComplex, max_p: int, removal_dim: int,
                   ) -> Callable[[frozenset[CellId]], tuple[int, ...]]:
     """Betti numbers 0 .. max_p of the sub-complexes of ``base`` that
-    ``removed_cells`` carves, as a function of the removed set that raises
-    what ``_check_survivors`` raises. The base is validated once, and each
-    map d_0 .. d_(max_p+1) of the base is reduced once, without clearing
-    (the base may be invalid where a sub-complex is not); no removed set
-    is reduced.
+    ``removed_cells`` carves at ``removal_dim``, as a function of the
+    removed set that raises what ``_check_survivors`` raises. The base is
+    validated once, and each map d_0 .. d_(max_p+1) of the base is reduced
+    once, without clearing (the base may be invalid where a sub-complex
+    is not); no entry calls ``_reduce``.
 
-    A removed set is closed upward, so the sub-complex's d_q is the base's
-    d_q on the surviving columns: n_q - |S_q| of them, for the removed
-    q-cells S_q. Its rank is that count less the dimension of the base
-    kernel vectors that vanish on S_q, which is dim Z_q less the rank of
-    the kernel basis restricted to S_q. That rank is read from the rows
-    of the basis's transpose at S_q (per q-cell, a bitset of the kernel
-    vectors that hold it, built for a map on its first lost cell), and
-    it stops at dim Z_q. Then betti_q = (n_q - |S_q|) - rank d_q -
-    rank d_(q+1), both ranks on the survivors."""
+    A removed set is closed upward and holds no cell below
+    ``removal_dim``, so only the maps d_q with q >= ``removal_dim`` keep
+    their kernel basis Z_q, and the sub-complex's d_q is the base's d_q
+    on the surviving columns: n_q - |S_q| of them, for the removed
+    q-cells S_q. Its rank is either of two equal counts; the second is
+    taken when the survivors are fewer than both |S_q| and dim Z_q,
+    which bound the rows and the rank of the first:
+
+    - the survivors less the dimension of the base kernel vectors that
+      vanish on S_q, that is dim Z_q less the rank of Z_q restricted to
+      S_q. That rank is read from the rows of the basis's transpose at
+      S_q (per q-cell, a bitset of the kernel vectors that hold it, built
+      for a map on first need), and it stops at dim Z_q;
+    - the rank of the surviving columns (a ball that keeps few cells).
+
+    Then betti_q = (n_q - |S_q|) - rank d_q - rank d_(q+1), both ranks
+    on the survivors."""
     violations = base.validate()
     dims = range(max_p + 2)
     cells = [base.cells_of_dim(q) for q in dims]
     cell_sets = [frozenset(c) for c in cells]
-    reduced = [_reduce(base.boundary_columns(q)) for q in dims]
+    ranks, kernels = [], {}
+    for q in dims:
+        pivots, kernel = _reduce(base.boundary_columns(q))
+        ranks.append(len(pivots))
+        if q >= removal_dim:
+            kernels[q] = tuple(kernel.values())
 
     @functools.cache
     def transpose(q: int) -> dict[CellId, int]:
         rows = [0] * len(cells[q])
-        for k, z in enumerate(reduced[q][1].values()):
+        for k, z in enumerate(kernels[q]):
             while z:
                 low = z & -z
                 rows[low.bit_length() - 1] |= 1 << k
@@ -378,20 +393,26 @@ def _masked_betti(base: CellComplex, max_p: int,
         return {cid: row for cid, row in zip(cells[q], rows) if row}
 
     @functools.cache
+    def columns(q: int) -> dict[CellId, int]:
+        return dict(zip(cells[q], base.boundary_columns(q)))
+
+    def rank(q: int, cut: frozenset[CellId], kept: int) -> int:
+        nullity = len(kernels[q])
+        if kept < min(len(cut), nullity):
+            cols = columns(q)
+            return _rank(cols[cid] for cid in cell_sets[q] - cut)
+        rows = transpose(q)
+        return kept - nullity + _rank((rows[cid] for cid in cut if cid in rows), nullity)
+
+    @functools.cache
     def betti(removed: frozenset[CellId]) -> tuple[int, ...]:
         _check_survivors(violations, removed)
-        kept, ranks = [], []
+        kept, masked = [], []
         for q in dims:
-            pivots, kernel = reduced[q]
-            cut = removed & cell_sets[q]
+            cut = removed & cell_sets[q] if q >= removal_dim else ()
             kept.append(len(cells[q]) - len(cut))
-            if cut:
-                rows = transpose(q)
-                ranks.append(kept[q] - len(kernel) + _rank(
-                    (rows[cid] for cid in cut if cid in rows), len(kernel)))
-            else:
-                ranks.append(len(pivots))
-        return tuple(kept[q] - ranks[q] - ranks[q + 1] for q in range(max_p + 1))
+            masked.append(rank(q, cut, kept[q]) if cut else ranks[q])
+        return tuple(kept[q] - masked[q] - masked[q + 1] for q in range(max_p + 1))
 
     return betti
 

@@ -94,7 +94,7 @@ def betti_curve(scenario: Scenario, ball: DescriptorBall, p: int,
     ``mode`` and ``removal_dim`` are checked even with no step."""
     max_p = _top_dim(scenario.complex, p)
     _check_carving(removal_dim, mode)
-    betti = _masked_betti(scenario.complex, max_p)
+    betti = _masked_betti(scenario.complex, max_p, removal_dim)
     return [(step.theta, betti(_carver(step.probe, removal_dim, mode)(ball))[p])
             for step in scenario.steps]
 
@@ -145,7 +145,8 @@ def signature(scenario: Scenario, delta: float = 0.0, mode: str = "remove",
     (``Scenario`` checks that), so the entries are cell masks on that one
     complex: it is validated once and each of its boundary maps reduced
     once, every entry's Betti numbers are read off those reductions' ranks
-    and kernel bases with no reduction of its own (``_masked_betti``), and
+    and kernel bases, or off the rank of a map's kept columns where they
+    are the fewer rows (``_masked_betti``), and
     each step's ``_carver`` tests a ball only on the distinct values in its
     window of first components. ``mode`` and ``removal_dim`` are checked
     even with no entry. The table does not depend on the order.
@@ -157,7 +158,7 @@ def signature(scenario: Scenario, delta: float = 0.0, mode: str = "remove",
     balls = {alpha: DescriptorBall(alpha, delta) for alpha in sorted(alphas)}
     _check_carving(removal_dim, mode)
     dims = tuple(range(0, max_p + 1))
-    betti = _masked_betti(scenario.complex, max_p)
+    betti = _masked_betti(scenario.complex, max_p, removal_dim)
     table: dict[tuple[int, Descriptor, int], int] = {}
     for ti, step in enumerate(scenario.steps):
         carve = _carver(step.probe, removal_dim, mode)

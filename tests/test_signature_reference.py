@@ -19,7 +19,7 @@ import signature_reference
 import support
 from descell import DescriptorBall, build_scenario, descriptive_homology, signature
 from descell.formats import emit_signature, load_scenario
-from test_signature_masks import corpus, outcome, random_scenario
+from test_signature_masks import corpus, engine, outcome, random_scenario
 
 DATA = Path(__file__).parent / "data"
 
@@ -85,3 +85,27 @@ def test_one_level_per_triangle_tori(k, steps, mode, delta):
     sig = assert_same(scen, delta, mode)
     assert len(sig.alphas) == 2 * k * k  # one level per triangle
 
+
+
+@pytest.mark.parametrize("removal_dim", [0, 1])
+@pytest.mark.parametrize("mode,delta", [
+    ("remove", 0.0), ("remove", 0.5), ("retain", 0.0), ("retain", 0.25)])
+def test_lower_removal_dims_on_both_rank_routes(monkeypatch, removal_dim, mode, delta):
+    """Carving vertices or edges of an 864-cell torus. A small retain ball
+    keeps fewer columns than it removes, so the entry ranks the kept
+    columns (``_rank`` without a bound); a remove ball at δ 0 reads the
+    kernel basis's transpose (``_rank`` bounded by dim Z_q)."""
+    bounds = []
+    rank = engine._rank
+
+    def spy(rows, bound=None):
+        bounds.append(bound)
+        return rank(rows, bound)
+
+    monkeypatch.setattr(engine, "_rank", spy)
+    scen = one_level_per_triangle(12, 2, seed=removal_dim)
+    assert_same(scen, delta, mode, removal_dim=removal_dim)
+    if (mode, delta) == ("retain", 0.0):
+        assert None in bounds
+    if (mode, delta) == ("remove", 0.0):
+        assert any(b is not None for b in bounds)
