@@ -53,41 +53,27 @@ class DescriptorBall(Record):
         return math.dist(self.center, value) <= self.radius
 
 
-class ProbeAssignment:
-    """A complex together with one descriptor per cell.
+class ProbeAssignment(Record):
+    """A complex together with one descriptor per cell, read through the
+    ``values`` view or ``probe[cell_id]``.
 
-    Immutable; ``assign_probe`` builds one from a table it checks.
+    ``assign_probe`` builds one from a table it checks.
     """
 
-    def __init__(self, complex: CellComplex, values: Mapping[CellId, Descriptor], arity: int):
-        self._complex = complex
-        self._values = dict(values)
-        self._arity = arity
+    __slots__ = ("complex", "_table", "arity")
 
-    @property
-    def complex(self) -> CellComplex:
-        return self._complex
+    def __init__(self, complex: CellComplex, values: Mapping[CellId, Descriptor], arity: int):
+        super().__init__(complex, dict(values), arity)
 
     @property
     def values(self) -> Mapping[CellId, Descriptor]:
-        return MappingProxyType(self._values)
-
-    @property
-    def arity(self) -> int:
-        return self._arity
+        return MappingProxyType(self._table)
 
     def __getitem__(self, cell_id: CellId) -> Descriptor:
-        return self._values[cell_id]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProbeAssignment):
-            return NotImplemented
-        return (self._complex == other._complex
-                and self._values == other._values
-                and self._arity == other._arity)
+        return self._table[cell_id]
 
     def __repr__(self) -> str:
-        return f"<ProbeAssignment arity {self._arity} on {len(self._values)} cells>"
+        return f"<ProbeAssignment arity {self.arity} on {len(self._table)} cells>"
 
 
 def assign_probe(complex: CellComplex,

@@ -93,6 +93,16 @@ def _fmt_descriptor(value: Descriptor) -> str:
     return ";".join(map(_fmt_float, value))
 
 
+def _serializable(value: str, what: str, banned: str, word: bool = True) -> str:
+    """``value`` if its parser reads it back unchanged, else ValueError: it
+    is not empty, holds no ``banned`` character and, as a ``word``, no
+    whitespace, or else no line break and no whitespace at either end."""
+    pieces = value.split() if word else value.strip().splitlines()
+    if pieces != [value] or any(ch in value for ch in banned):
+        raise ValueError(f"{what} {value!r} cannot be serialized")
+    return value
+
+
 def read_text(path: str) -> str:
     """A UTF-8 file's text, decoded in one piece so that the offsets of a
     UnicodeDecodeError count from its first byte; a leading byte order
@@ -196,8 +206,7 @@ def emit_complex(complex: CellComplex) -> str:
     appear, so parse(emit(k)) == k."""
     order = sorted(complex.cells, key=lambda c: (complex.dim_of(c), c))
     for cid in order:
-        if any(ch.isspace() or ch in "#:" for ch in cid) or not cid:
-            raise ValueError(f"cell id {cid!r} cannot be serialized")
+        _serializable(cid, "cell id", "#:")
     lines = [f"cell {cid} {complex.dim_of(cid)}" for cid in order]
     for cid in order:
         faces = complex.faces(cid)
@@ -267,15 +276,16 @@ def load_probe(csv_text: str, complex: CellComplex, filename: str = "<descriptor
 
 
 def emit_descriptors(table: Iterable[tuple[CellId, Descriptor]]) -> str:
+    """Descriptor CSV, rows sorted by id. The empty table is a header of
+    arity 1 alone; rows of arity 0 have no header and raise ValueError."""
     rows = sorted((str(c), tuple(float(v) for v in d)) for c, d in table)
-    if not rows:
-        return "cell\n"
-    arity = len(rows[0][1])
+    arity = len(rows[0][1]) if rows else 1
+    if not arity:
+        raise ValueError("rows of arity 0 cannot be serialized")
     for cid, desc in rows:
         if len(desc) != arity:
             raise ValueError(f"row {cid!r} has arity {len(desc)}, expected {arity}")
-        if "," in cid:
-            raise ValueError(f"cell id {cid!r} cannot be serialized to CSV")
+        _serializable(cid, "cell id", ",", word=False)
     header = "cell," + ",".join(f"f{i + 1}" for i in range(arity))
     lines = [header]
     for cid, desc in rows:
@@ -388,9 +398,9 @@ def emit_charts(charts: Iterable[Chart], probe: ProbeAssignment) -> str:
     lines only where the section deviates from the probe."""
     lines = []
     for chart in sorted(charts, key=lambda c: c.id):
-        lines.append(f"chart {chart.id}")
+        lines.append(f"chart {_serializable(chart.id, 'chart id', '#')}")
         for cell in sorted(chart.cells):
-            lines.append(f"member {cell}")
+            lines.append(f"member {_serializable(cell, 'cell id', '#')}")
         for cell in sorted(chart.cells):
             if cell in probe.complex and chart.section[cell] != probe[cell]:
                 vals = " ".join(_fmt_float(v) for v in chart.section[cell])
@@ -456,6 +466,8 @@ def parse_scenario(text: str, filename: str = "<scenario>",
 
 
 def emit_scenario(sf: ScenarioFile) -> str:
+    for path in (sf.complex_path, *(path for _, path in sf.steps)):
+        _serializable(path, "path", "#\0", word=False)
     lines = [f"complex {sf.complex_path}"]
     for theta, path in sf.steps:
         lines.append(f"step {_fmt_float(theta)} {path}")
@@ -542,6 +554,8 @@ def emit_signature(sig: PersistenceSignature) -> str:
     """Signature CSV with its settings as '#' metadata lines, so the
     file alone reconstructs the object; with no rows (no alphas), its
     thetas and dims go on '# thetas' and '# dims' lines as well."""
+    if () in sig.alphas:
+        raise ValueError("alpha () of arity 0 cannot be serialized")
     lines = [f"# mode {sig.mode}", f"# delta {_fmt_float(sig.delta)}", f"# rdim {sig.removal_dim}"]
     rows = [f"{_fmt_float(theta)},{_fmt_descriptor(alpha)},{p},{betti}"
             for theta, alpha, p, betti in sig.rows()]

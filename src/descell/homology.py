@@ -3,16 +3,17 @@
 Chains are supports: a p-chain is the set of p-cells carrying
 coefficient 1, and addition is symmetric difference. The engine holds
 each boundary map as one int bitset per column and reduces it once,
-left to right, over the two-element field; that one reduction gives the
-boundary rank, an echelon basis of the image and a kernel basis.
+left to right, over the two-element field: ``_reduce`` gives the
+boundary rank, an echelon basis of the image and a kernel basis, and
+``_rank`` the rank alone, for the callers that read nothing else.
 ``_reduce_maps`` reduces the maps of a complex less a set of removed cells
 from the top dimension down, skipping the columns that the map above
 shows to be dependent (clearing); ``homology`` and
 ``descriptive_homology`` run it. ``_masked_betti`` (the signature
-entries) reduces each map of the base once and reads every sub-complex's
-Betti numbers off those reductions' ranks and kernel bases, or, for a
-map that keeps fewer cells than it loses, off the rank of its kept
-columns.
+entries) takes each map of the base once and reads every sub-complex's
+Betti numbers off the base's ranks and the kernel bases of the maps
+that lose cells, or, for a map that keeps fewer cells than it loses,
+off the rank of its kept columns.
 ``oracle_homology`` recomputes the same numbers by exhaustive
 enumeration of every chain, over its own int columns, as an independent
 cross-check on small complexes.
@@ -154,23 +155,21 @@ def boundary_of(complex: CellComplex, chain: Chain) -> Chain:
 # -- GF(2) column reduction ---------------------------------------------------
 
 
-def _reduce(columns: Iterable[int], pivots: dict[int, int] | None = None,
-            ) -> tuple[dict[int, int], dict[int, int]]:
+def _reduce(columns: Iterable[int]) -> tuple[dict[int, int], dict[int, int]]:
     """Left-to-right column reduction over GF(2), columns as int bitsets.
 
     Each column is cleared of its top bit by adding the column stored
     under that bit, until it is zero or its top bit is free. Returns:
 
     - the pivot map, top bit -> reduced column: an echelon basis of the
-      span of ``pivots`` (extended in place when given) and ``columns``;
+      columns' span;
     - for each column j that reduces to zero, in ascending order, a
       combination bitset over column indices: bit j plus the earlier
-      nonzero columns it was reduced by. Their sum lies in the span of
-      the given pivots; without any, the combinations are a kernel
-      basis, each the unique kernel vector with j as its only free
-      column, which is what a reduced row echelon form yields.
+      nonzero columns it was reduced by. These are a kernel basis, each
+      the unique kernel vector with j as its only free column, which is
+      what a reduced row echelon form yields.
     """
-    pivots = {} if pivots is None else pivots
+    pivots: dict[int, int] = {}
     combos: dict[int, int] = {}
     dependent: dict[int, int] = {}
     for j, col in enumerate(columns):
@@ -183,7 +182,7 @@ def _reduce(columns: Iterable[int], pivots: dict[int, int] | None = None,
                 combos[top] = combo
                 break
             col ^= other
-            combo ^= combos.get(top, 0)
+            combo ^= combos[top]
         else:
             dependent[j] = combo
     return pivots, dependent
@@ -259,8 +258,8 @@ def is_boundary(complex: CellComplex, chain: Chain) -> bool:
         return True
     pos = {cid: i for i, cid in enumerate(complex.cells_of_dim(chain.dim))}
     target = sum(1 << pos[cid] for cid in chain.support)
-    image, _ = _reduce(complex.boundary_columns(chain.dim + 1))
-    return bool(_reduce([target], image)[1])
+    columns = complex.boundary_columns(chain.dim + 1)
+    return _rank([*columns, target]) == _rank(columns)
 
 
 def _reduce_maps(base: CellComplex, removed: frozenset[CellId], max_p: int) -> list[tuple]:
@@ -350,17 +349,18 @@ def _masked_betti(base: CellComplex, max_p: int, removal_dim: int,
     """Betti numbers 0 .. max_p of the sub-complexes of ``base`` that
     ``removed_cells`` carves at ``removal_dim``, as a function of the
     removed set that raises what ``_check_survivors`` raises. The base is
-    validated once, and each map d_0 .. d_(max_p+1) of the base is reduced
+    validated once, and each map d_0 .. d_(max_p+1) of the base is taken
     once, without clearing (the base may be invalid where a sub-complex
     is not); no entry calls ``_reduce``.
 
     A removed set is closed upward and holds no cell below
-    ``removal_dim``, so only the maps d_q with q >= ``removal_dim`` keep
-    their kernel basis Z_q, and the sub-complex's d_q is the base's d_q
-    on the surviving columns: n_q - |S_q| of them, for the removed
-    q-cells S_q. Its rank is either of two equal counts; the second is
-    taken when the survivors are fewer than both |S_q| and dim Z_q,
-    which bound the rows and the rank of the first:
+    ``removal_dim``, so the maps below it are only ranked, and only the
+    maps d_q with q >= ``removal_dim`` are reduced for their kernel basis
+    Z_q. The sub-complex's d_q is the base's d_q on the surviving
+    columns: n_q - |S_q| of them, for the removed q-cells S_q. Its rank
+    is either of two equal counts; the second is taken when the
+    survivors are fewer than both |S_q| and dim Z_q, which bound the
+    rows and the rank of the first:
 
     - the survivors less the dimension of the base kernel vectors that
       vanish on S_q, that is dim Z_q less the rank of Z_q restricted to
@@ -375,12 +375,10 @@ def _masked_betti(base: CellComplex, max_p: int, removal_dim: int,
     dims = range(max_p + 2)
     cells = [base.cells_of_dim(q) for q in dims]
     cell_sets = [frozenset(c) for c in cells]
-    ranks, kernels = [], {}
-    for q in dims:
-        pivots, kernel = _reduce(base.boundary_columns(q))
-        ranks.append(len(pivots))
-        if q >= removal_dim:
-            kernels[q] = tuple(kernel.values())
+    kernels = {q: tuple(_reduce(base.boundary_columns(q))[1].values())
+               for q in dims if q >= removal_dim}
+    ranks = [len(cells[q]) - len(kernels[q]) if q in kernels
+             else _rank(base.boundary_columns(q)) for q in dims]
 
     @functools.cache
     def transpose(q: int) -> dict[CellId, int]:

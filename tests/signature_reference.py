@@ -7,24 +7,69 @@ none kept the base's pivots, passed as ``known``), and ``_carver`` called
 ``DescriptorBall.contains`` on every distinct value of the step for every
 ball, keyed its memo on one hit flag per value. It is deliberately left
 as it was, so its tables and exceptions can be compared with
-``descell.signature``.
+``descell.signature``. The engine's private helpers it used (the column
+reduction, the survivor check and the dimension and carving checks) are
+copied here as they were, so that a fault in the engine's reduction
+does not move the reference too.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
-from descell.cellcomplex import CellComplex, CellId
-from descell.descriptive import (
-    Descriptor,
-    DescriptorBall,
-    ProbeAssignment,
-    _check_carving,
-    alpha_spectrum,
-)
-from descell.homology import _check_survivors, _reduce, _top_dim
+from descell.cellcomplex import CellComplex, CellId, Violation
+from descell.descriptive import Descriptor, DescriptorBall, ProbeAssignment, alpha_spectrum
+from descell.errors import InvalidComplexError
 from descell.persistence import PersistenceSignature, Scenario
+
+
+def _reduce(columns: Iterable[int]) -> tuple[dict[int, int], dict[int, int]]:
+    """Left-to-right column reduction over GF(2), columns as int bitsets:
+    the pivot map (top bit -> reduced column) and, per column j that
+    reduces to zero, its combination bitset over column indices."""
+    pivots: dict[int, int] = {}
+    combos: dict[int, int] = {}
+    dependent: dict[int, int] = {}
+    for j, col in enumerate(columns):
+        combo = 1 << j
+        while col:
+            top = col.bit_length() - 1
+            other = pivots.get(top)
+            if other is None:
+                pivots[top] = col
+                combos[top] = combo
+                break
+            col ^= other
+            combo ^= combos[top]
+        else:
+            dependent[j] = combo
+    return pivots, dependent
+
+
+def _top_dim(base: CellComplex, max_p: int | None) -> int:
+    """``max_p``, which must not be negative, or by default the base's
+    top dimension."""
+    if max_p is None:
+        return base.max_dim
+    if max_p < 0:
+        raise ValueError(f"dimension must be non-negative, got {max_p}")
+    return max_p
+
+
+def _check_carving(p: int, mode: str) -> None:
+    if mode not in ("remove", "retain"):
+        raise ValueError(f"mode must be 'remove' or 'retain', got {mode!r}")
+    if p < 0:
+        raise ValueError(f"dimension must be non-negative, got {p}")
+
+
+def _check_survivors(violations: list[Violation], removed: frozenset[CellId]) -> None:
+    """Raise the base's violations whose cells all survive, less the
+    dangling faces, which a derived sub-complex drops."""
+    found = [v for v in violations if v.code != "dangling-face" and removed.isdisjoint(v.cells)]
+    if found:
+        raise InvalidComplexError(found)
 
 
 def _reduce_maps(base: CellComplex, removed: frozenset[CellId], max_p: int,

@@ -1,5 +1,6 @@
-"""Cold start: importing descell and running its subcommands loads no numpy,
-and no dataclasses, inspect or typing.
+"""Cold start: importing descell and running its subcommands loads nothing
+outside the standard library (numpy among it), and no dataclasses,
+inspect or typing.
 
 Only ``CellComplex.boundary_matrix`` uses numpy, and it imports it when
 called; ``rank_mod2`` and the enumeration oracle (``homology --oracle``)
@@ -49,6 +50,23 @@ SUBCOMMANDS = [";".join(a) for a in (
     ("gauge", "disk3.cw", "--probe", "disk3_probe.csv", "--charts", "charts_ok.chart"),
     ("persist", "cooling.scenario"))]
 
+# Prints "-", the exit code of each argv (';'-separated) run through the
+# CLI, then the top-level modules that `import descell` and those runs
+# added and that are not in the standard library.
+STDLIB_SCRIPT = """
+import contextlib, io, sys
+def top_level():
+    return {name.partition(".")[0] for name in sys.modules}
+before = top_level()
+import descell
+from descell.cli import main
+codes = []
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv.split(";")))
+print("-", *codes, *sorted(top_level() - before - sys.stdlib_module_names))
+"""
+
 # Prints whether numpy was loaded after the oracle and rank_mod2 ran, and
 # after CellComplex.boundary_matrix ran.
 MATRIX_SCRIPT = """
@@ -91,6 +109,12 @@ def test_subcommands_load_no_dataclasses_inspect_or_typing():
         flags=("-S",), pythonpath=str(REPO / "src"))
     assert after_import == "-"
     assert after_runs == ["0:-"] * 6
+
+
+def test_subcommands_load_only_the_standard_library():
+    """Compared with what the interpreter had loaded before the import, so
+    that a ``site`` that preloads a module does not fail the test."""
+    assert run_fresh(STDLIB_SCRIPT, *SUBCOMMANDS) == ["0"] * 6 + ["descell"]
 
 
 def test_boundary_matrix_loads_numpy():

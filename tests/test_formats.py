@@ -5,6 +5,8 @@ import pytest
 import support
 from descell import (
     CellComplex,
+    Chart,
+    PersistenceSignature,
     ProbeAssignment,
     build_scenario,
     compare_signatures,
@@ -32,6 +34,8 @@ from descell.formats import (
     parse_signature,
 )
 from test_persistence import cooling_scenario
+
+POINT_PROBE = ProbeAssignment(CellComplex({"v": 0}, {}), {"v": (0.5,)}, 1)
 
 
 # -- complex format ----------------------------------------------------------
@@ -198,6 +202,12 @@ def test_descriptors_roundtrip(disk3):
     assert parsed == sorted(table)
 
 
+def test_empty_descriptor_table_roundtrip():
+    """The probe of the empty complex, which ``homology`` accepts."""
+    empty = CellComplex()
+    assert load_probe(emit_descriptors([]), empty) == (ProbeAssignment(empty, {}, 0), [])
+
+
 def test_load_probe(disk3, data_dir):
     probe, diags = load_probe((data_dir / "disk3_probe.csv").read_text(), disk3)
     assert not diags
@@ -321,6 +331,30 @@ def test_scenario_roundtrip():
     parsed, diags = parse_scenario(emit_scenario(sf))
     assert not diags
     assert parsed == sf
+
+
+@pytest.mark.parametrize("emit", [
+    lambda: emit_scenario(ScenarioFile("k.cw", ((0.0, "a#b.csv"),))),
+    lambda: emit_scenario(ScenarioFile("k.cw", ((0.0, " lead.csv"),))),
+    lambda: emit_scenario(ScenarioFile("ba#se.cw", ((0.0, "a.csv"),))),
+    lambda: emit_scenario(ScenarioFile("k.cw", ((0.0, "a\nb.csv"),))),
+    lambda: emit_scenario(ScenarioFile("k\0.cw", ((0.0, "a.csv"),))),
+    lambda: emit_charts([Chart("x#y", {"v"}, {"v": (0.5,)}, 1)], POINT_PROBE),
+    lambda: emit_charts([Chart("two words", {"v"}, {"v": (0.5,)}, 1)], POINT_PROBE),
+    lambda: emit_charts([Chart("", {"v"}, {"v": (0.5,)}, 1)], POINT_PROBE),
+    lambda: emit_descriptors([(" a", (0.5,))]),
+    lambda: emit_descriptors([("a\nb", (0.5,))]),
+    lambda: emit_descriptors([("a,b", (0.5,))]),
+    lambda: emit_descriptors([("v", ())]),
+    lambda: emit_complex(CellComplex({"a b": 0}, {})),
+    lambda: emit_signature(PersistenceSignature("remove", 0.0, 0, (0.0,), ((),), (0,),
+                                                {(0, (), 0): 1})),
+], ids=["step-hash", "step-lead", "complex-hash", "step-newline", "complex-nul",
+        "chart-hash", "chart-space", "chart-empty", "cell-lead", "cell-newline", "cell-comma",
+        "arity-0-row", "complex-space", "arity-0-alpha"])
+def test_emitters_refuse_what_their_parsers_cannot_read_back(emit):
+    with pytest.raises(ValueError, match="cannot be serialized"):
+        emit()
 
 
 def test_load_scenario(data_dir):

@@ -25,6 +25,7 @@ from descell import (
     GaugeViolation,
     HomologyResult,
     PersistenceSignature,
+    ProbeAssignment,
     Scenario,
     ScenarioStep,
     Skeleton,
@@ -67,6 +68,9 @@ CASES = [
      "HomologyResult(records=(DimensionHomology(dim=1, n_cells=1, cycle_rank=1, "
      "boundary_rank=0, betti=1, generators=(Chain(dim=1, support=frozenset({'e'})),)),))",
      True),
+    (ProbeAssignment, ("complex", "values", "arity"),
+     (K, {c: (0.25,) for c in K.cells}, 1), (K, {c: (0.5,) for c in K.cells}, 1),
+     PROBE_REPR, False),
     (DescriptorBall, ("center", "radius"),
      ((0.25, 1.0), 0.5), ((0.25, 1.0), 0.75),
      "DescriptorBall(center=(0.25, 1.0), radius=0.5)", True),

@@ -217,14 +217,15 @@ def test_signature_validates_once_and_reduces_only_the_base(mode, monkeypatch):
     monkeypatch.setattr(CellComplex, "__init__",
                         lambda self, *a: inits.append(1) or init(self, *a))
     monkeypatch.setattr(engine, "_reduce",
-                        lambda columns, pivots=None: reductions.append(1) or reduce(columns, pivots))
+                        lambda columns: reductions.append(columns) or reduce(columns))
     sig = signature(scen, 0.0, mode)
     assert len(sig) == 4 * 4 * 3
     assert len(validations) == 1 and not inits
-    # One reduction per boundary map of the base (d_0 .. d_3), and none per
-    # entry, though several distinct removed sets change the map d_2.
+    # One reduction per boundary map of the base that can lose a cell at
+    # removal dim 2 (d_2 and d_3; d_0 and d_1 are only ranked), and none
+    # per entry, though several distinct removed sets change the map d_2.
     assert 2 < len(removed) <= 8
-    assert len(reductions) == 4
+    assert reductions == [k.boundary_columns(2), k.boundary_columns(3)]
 
 
 @pytest.mark.parametrize("compute", [

@@ -10,6 +10,7 @@ tables and on tori with one level per triangle.
 ``test_signature_properties`` adds ``hypothesis`` scenarios.
 """
 
+import importlib
 import random
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from descell.formats import emit_signature, load_scenario
 from test_signature_masks import corpus, engine, outcome, random_scenario
 
 DATA = Path(__file__).parent / "data"
+persistence = importlib.import_module("descell.persistence")
 
 
 def assert_same(scen, delta, mode, max_p=None, removal_dim=2):
@@ -94,18 +96,28 @@ def test_lower_removal_dims_on_both_rank_routes(monkeypatch, removal_dim, mode, 
     """Carving vertices or edges of an 864-cell torus. A small retain ball
     keeps fewer columns than it removes, so the entry ranks the kept
     columns (``_rank`` without a bound); a remove ball at δ 0 reads the
-    kernel basis's transpose (``_rank`` bounded by dim Z_q)."""
-    bounds = []
-    rank = engine._rank
+    kernel basis's transpose (``_rank`` bounded by dim Z_q). The base's
+    maps below the removal dim are ranked too, without a bound, when
+    ``signature`` builds its entry function; the entries come after."""
+    bounds, built = [], []
+    rank, masked_betti = engine._rank, persistence._masked_betti
 
     def spy(rows, bound=None):
         bounds.append(bound)
         return rank(rows, bound)
 
+    def build(*args):
+        betti = masked_betti(*args)
+        built.append(len(bounds))
+        return betti
+
     monkeypatch.setattr(engine, "_rank", spy)
+    monkeypatch.setattr(persistence, "_masked_betti", build)
     scen = one_level_per_triangle(12, 2, seed=removal_dim)
     assert_same(scen, delta, mode, removal_dim=removal_dim)
+    assert bounds[:built[0]] == [None] * removal_dim
+    entries = bounds[built[0]:]
     if (mode, delta) == ("retain", 0.0):
-        assert None in bounds
+        assert None in entries
     if (mode, delta) == ("remove", 0.0):
-        assert any(b is not None for b in bounds)
+        assert any(b is not None for b in entries)
