@@ -7,6 +7,10 @@ set -euo pipefail
 data="$(cd "$(dirname "${BASH_SOURCE[0]}")/../tests/data" && pwd)"
 "$@" homology "$data/torus.cw" | tail -n 1 | grep -qx "betti 1 2 1"
 "$@" homology "$data/torus.cw" --oracle | tail -n 1 | grep -qx "betti 1 2 1"
+# Truncated at dimension 1: the top map d_2 gives only the pivots that clear d_1.
+"$@" homology "$data/torus.cw" --max-dim 1 --generators \
+  | cmp - <(printf '%s\n' "dim 0 cells 1 cycle_rank 1 boundary_rank 0 betti 1" "gen 0 v" \
+      "dim 1 cells 2 cycle_rank 2 boundary_rank 0 betti 2" "gen 1 a" "gen 1 b" "betti 1 2")
 "$@" persist "$data/cooling.scenario" | cmp - "$data/golden_cooling_signature.csv"
 "$@" persist "$data/cooling.scenario" --mode retain --delta 0.25 \
   | cmp - "$data/golden_cooling_signature_retain.csv"

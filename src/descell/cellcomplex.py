@@ -73,11 +73,11 @@ class CellComplex:
         }
 
     @cached_property
-    def _compiled(self) -> tuple[dict[int, tuple[int, ...]], list[tuple[CellId, CellId]]]:
+    def _compiled(self) -> tuple[dict[int, tuple[int, ...]], list[tuple]]:
         """The compiled form: per dimension, the mod-2 boundary columns
         over each dimension's sorted ids, and the incidence entries that
-        are not (p, p-1) between declared cells, for ``validate`` to
-        report."""
+        are not (p, p-1) between declared cells, with both cells'
+        dimensions (None if undeclared), for ``validate`` to report."""
         index = {cid: i for ids in self._by_dim.values() for i, cid in enumerate(ids)}
         columns = {d: [0] * len(ids) for d, ids in self._by_dim.items()}
         cells = self._cells
@@ -86,7 +86,7 @@ class CellComplex:
             cd = cells.get(cid)
             fd = cells.get(fid)
             if cd is None or fd is None or cd != fd + 1:
-                malformed.append((cid, fid))
+                malformed.append((cid, fid, cd, fd))
             elif deg % 2:
                 columns[cd][index[cid]] |= 1 << index[fid]
         return {d: tuple(cols) for d, cols in columns.items()}, malformed
@@ -209,9 +209,11 @@ class CellComplex:
                                    if c in cells and f in cells})
 
     def odd_faces(self, cell_id: CellId) -> tuple[CellId, ...]:
-        """The faces of a cell with odd degree, in sorted id order: the
-        support of the cell's mod-2 boundary."""
-        return tuple(sorted(f for f, d in self._faces.get(cell_id, {}).items() if d % 2))
+        """The declared faces one dimension down with odd degree, in sorted
+        id order: the support of the cell's column in ``boundary_columns``."""
+        below = self._cells.get(cell_id, 0) - 1
+        return tuple(sorted(f for f, d in self._faces.get(cell_id, {}).items()
+                            if d % 2 and self._cells.get(f) == below))
 
     def boundary_columns(self, p: int) -> tuple[int, ...]:
         """The mod-2 boundary map from p-cells to (p-1)-cells as bitsets.
@@ -257,9 +259,7 @@ class CellComplex:
         """
         columns, malformed = self._compiled
         issues: list[Violation] = []
-        for cid, fid in sorted(malformed):
-            cd = self._cells.get(cid)
-            fd = self._cells.get(fid)
+        for cid, fid, cd, fd in sorted(malformed):
             if cd is None:
                 issues.append(Violation(
                     "dangling-face", "error", (cid, fid),

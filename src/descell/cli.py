@@ -83,10 +83,7 @@ def _load_probe_for(complex: CellComplex, path: str):
 
 def _parse_alpha(text: str) -> tuple[float, ...] | None:
     try:
-        parts = text.split(";")
-        if not parts or any(not p.strip() for p in parts):
-            return None
-        alpha = tuple(float(p) for p in parts)
+        alpha = tuple(float(p) for p in text.split(";"))
     except ValueError:
         return None
     return alpha if all(math.isfinite(v) for v in alpha) else None

@@ -22,7 +22,7 @@ from .errors import (
     MissingCellError,
 )
 # bench/test_bench.py::test_tracer_wraps_every_binding_and_restores pins homology.
-from .homology import Chain, HomologyResult, _check_survivors, _homology, homology  # noqa: F401
+from .homology import Chain, HomologyResult, _check_survivors, _reduce_maps, homology  # noqa: F401
 
 Descriptor = tuple[float, ...]
 
@@ -226,7 +226,7 @@ def descriptive_homology(probe: ProbeAssignment, ball: DescriptorBall,
     removed = removed_cells(probe, ball, p, mode)
     base = probe.complex
     _check_survivors(base.validate(), removed)
-    return _homology(base, removed, max_p)
+    return _reduce_maps(base, removed, max_p)
 
 
 def alpha_spectrum(probe: ProbeAssignment, p: int) -> list[Descriptor]:

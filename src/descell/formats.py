@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from ._record import Record
 from .bundle import Chart
@@ -91,6 +91,19 @@ def _fmt_float(value: float) -> str:
 
 def _fmt_descriptor(value: Descriptor) -> str:
     return ";".join(map(_fmt_float, value))
+
+
+def _non_negative(value: float) -> bool:
+    return value >= 0
+
+
+def _readable(values: Iterable[float], what: str,
+              ok: Callable[[float], bool] = math.isfinite) -> None:
+    """ValueError for the first value that fails ``ok``, a check that its
+    parser makes: finite, by default."""
+    for value in values:
+        if not ok(value):
+            raise ValueError(f"{what} {value!r} cannot be serialized")
 
 
 def _serializable(value: str, what: str, banned: str, word: bool = True) -> str:
@@ -286,6 +299,7 @@ def emit_descriptors(table: Iterable[tuple[CellId, Descriptor]]) -> str:
         if len(desc) != arity:
             raise ValueError(f"row {cid!r} has arity {len(desc)}, expected {arity}")
         _serializable(cid, "cell id", ",", word=False)
+        _readable(desc, "descriptor value")
     header = "cell," + ",".join(f"f{i + 1}" for i in range(arity))
     lines = [header]
     for cid, desc in rows:
@@ -403,6 +417,7 @@ def emit_charts(charts: Iterable[Chart], probe: ProbeAssignment) -> str:
             lines.append(f"member {_serializable(cell, 'cell id', '#')}")
         for cell in sorted(chart.cells):
             if cell in probe.complex and chart.section[cell] != probe[cell]:
+                _readable(chart.section[cell], "override value")
                 vals = " ".join(_fmt_float(v) for v in chart.section[cell])
                 lines.append(f"override {cell} {vals}")
     return "\n".join(lines) + "\n" if lines else ""
@@ -468,6 +483,7 @@ def parse_scenario(text: str, filename: str = "<scenario>",
 def emit_scenario(sf: ScenarioFile) -> str:
     for path in (sf.complex_path, *(path for _, path in sf.steps)):
         _serializable(path, "path", "#\0", word=False)
+    _readable((theta for theta, _ in sf.steps), "theta")
     lines = [f"complex {sf.complex_path}"]
     for theta, path in sf.steps:
         lines.append(f"step {_fmt_float(theta)} {path}")
@@ -556,6 +572,11 @@ def emit_signature(sig: PersistenceSignature) -> str:
     thetas and dims go on '# thetas' and '# dims' lines as well."""
     if () in sig.alphas:
         raise ValueError("alpha () of arity 0 cannot be serialized")
+    _readable(sig.thetas, "theta")
+    _readable((v for alpha in sig.alphas for v in alpha), "alpha value")
+    _readable([sig.delta], "delta", _non_negative)
+    _readable([sig.removal_dim, *sig.dims], "dimension", _non_negative)
+    _readable(sig.table.values(), "betti", _non_negative)
     lines = [f"# mode {sig.mode}", f"# delta {_fmt_float(sig.delta)}", f"# rdim {sig.removal_dim}"]
     rows = [f"{_fmt_float(theta)},{_fmt_descriptor(alpha)},{p},{betti}"
             for theta, alpha, p, betti in sig.rows()]

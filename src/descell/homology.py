@@ -2,18 +2,18 @@
 
 Chains are supports: a p-chain is the set of p-cells carrying
 coefficient 1, and addition is symmetric difference. The engine holds
-each boundary map as one int bitset per column and reduces it once,
-left to right, over the two-element field: ``_reduce`` gives the
-boundary rank, an echelon basis of the image and a kernel basis, and
-``_rank`` the rank alone, for the callers that read nothing else.
-``_reduce_maps`` reduces the maps of a complex less a set of removed cells
-from the top dimension down, skipping the columns that the map above
-shows to be dependent (clearing); ``homology`` and
-``descriptive_homology`` run it. ``_masked_betti`` (the signature
-entries) takes each map of the base once and reads every sub-complex's
-Betti numbers off the base's ranks and the kernel bases of the maps
-that lose cells, or, for a map that keeps fewer cells than it loses,
-off the rank of its kept columns.
+each boundary map as one int bitset per column and reduces it left to
+right over the two-element field, with one pivot routine, ``_pivots``,
+whose pivot map's length is the rank; ``_reduce`` also records column
+combinations, and runs only where a kernel basis is read. One loop over
+the maps, ``_reduce_maps``, runs ``homology`` and ``descriptive_homology``:
+it reduces the maps of a complex less a set of removed cells from the top
+dimension down, skipping the columns that the map above shows to be
+dependent (clearing). ``_masked_betti`` (the signature entries) takes
+each map of the base once and reads every sub-complex's Betti numbers
+off the base's ranks and the kernel bases of the maps that lose cells,
+or, for a map that keeps fewer cells than it loses, off the rank of its
+kept columns.
 ``oracle_homology`` recomputes the same numbers by exhaustive
 enumeration of every chain, over its own int columns, as an independent
 cross-check on small complexes.
@@ -155,19 +155,35 @@ def boundary_of(complex: CellComplex, chain: Chain) -> Chain:
 # -- GF(2) column reduction ---------------------------------------------------
 
 
+def _pivots(columns: Iterable[int], pivots: dict[int, int] | None = None,
+            bound: int | None = None) -> dict[int, int]:
+    """Left-to-right column reduction over GF(2), columns as int bitsets:
+    each column is cleared of its top bit by adding the column stored
+    under that bit, until it is zero or its top bit is free. Returns the
+    pivot map, top bit -> reduced column, an echelon basis of the span
+    whose length is the rank. Extends ``pivots`` in place when given, and
+    reads no further columns once the rank reaches ``bound``."""
+    pivots = {} if pivots is None else pivots
+    for col in columns:
+        if len(pivots) == bound:
+            break
+        while col:
+            top = col.bit_length() - 1
+            other = pivots.get(top)
+            if other is None:
+                pivots[top] = col
+                break
+            col ^= other
+    return pivots
+
+
 def _reduce(columns: Iterable[int]) -> tuple[dict[int, int], dict[int, int]]:
-    """Left-to-right column reduction over GF(2), columns as int bitsets.
-
-    Each column is cleared of its top bit by adding the column stored
-    under that bit, until it is zero or its top bit is free. Returns:
-
-    - the pivot map, top bit -> reduced column: an echelon basis of the
-      columns' span;
-    - for each column j that reduces to zero, in ascending order, a
-      combination bitset over column indices: bit j plus the earlier
-      nonzero columns it was reduced by. These are a kernel basis, each
-      the unique kernel vector with j as its only free column, which is
-      what a reduced row echelon form yields.
+    """``_pivots``, also recording column combinations. Returns the pivot
+    map and, for each column j that reduces to zero, in ascending order,
+    a combination bitset over column indices: bit j plus the earlier
+    nonzero columns it was reduced by. These are a kernel basis, each the
+    unique kernel vector with j as its only free column, which is what a
+    reduced row echelon form yields.
     """
     pivots: dict[int, int] = {}
     combos: dict[int, int] = {}
@@ -186,23 +202,6 @@ def _reduce(columns: Iterable[int]) -> tuple[dict[int, int], dict[int, int]]:
         else:
             dependent[j] = combo
     return pivots, dependent
-
-
-def _rank(rows: Iterable[int], bound: int | None = None) -> int:
-    """Rank over GF(2) of int bitset rows, reading no further rows once
-    the rank reaches ``bound``."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        if len(pivots) == bound:
-            break
-        while row:
-            top = row.bit_length() - 1
-            other = pivots.get(top)
-            if other is None:
-                pivots[top] = row
-                break
-            row ^= other
-    return len(pivots)
 
 
 def _chain(p: int, cells: tuple[CellId, ...], bits: int) -> Chain:
@@ -232,7 +231,7 @@ def rank_mod2(matrix) -> int:
         rows = [sum((int(x) & 1) << j for j, x in enumerate(row)) for row in matrix]
     except TypeError:
         raise ValueError("expected a 2-d matrix of integer rows") from None
-    return _rank(rows)
+    return len(_pivots(rows))
 
 
 # -- homology -------------------------------------------------------------------
@@ -258,49 +257,9 @@ def is_boundary(complex: CellComplex, chain: Chain) -> bool:
         return True
     pos = {cid: i for i, cid in enumerate(complex.cells_of_dim(chain.dim))}
     target = sum(1 << pos[cid] for cid in chain.support)
-    columns = complex.boundary_columns(chain.dim + 1)
-    return _rank([*columns, target]) == _rank(columns)
-
-
-def _reduce_maps(base: CellComplex, removed: frozenset[CellId], max_p: int) -> list[tuple]:
-    """Homology 0 .. max_p of ``base`` less the ``removed`` cells, which
-    must be closed upward (as ``removed_cells`` makes them), so that
-    every surviving column is zero on the removed rows.
-
-    Each map is reduced once, from d_(max_p+1) down to d_0, over the
-    base's columns with the removed ones zeroed, and with clearing: a
-    p-column whose index is a pivot of the reduced d_(p+1) is zeroed too.
-    Without the zero rows and columns this is the reduction of the
-    ``derive_subcomplex`` complex, and a removed column is no cycle of
-    it. The generators are those a full reduction picks, by three steps:
-
-    - a cleared column j is the top bit of a boundary b in the image, and
-      d_p b = 0 makes column j a sum of the columns before it, so the full
-      reduction takes it to zero too;
-    - a column reduced to zero never becomes a pivot, so every other
-      column's pivot and kernel combination is unchanged;
-    - adding the kernel vectors z_j in ascending j to the image raises
-      its dimension by 1 - [j is a pivot of d_(p+1)], so the cycles that
-      are not in the span of the image and the cycles before them are
-      exactly the z_j of the dependent, uncleared columns.
-
-    Returns (p, cells, cycle rank, boundary rank, generators) per p <=
-    max_p.
-    """
-    records = []
-    image: dict[int, int] = {}
-    for p in range(max_p + 1, -1, -1):
-        cells = base.cells_of_dim(p)
-        cut = {j for j, cid in enumerate(cells) if cid in removed} if removed else ()
-        zeroed = image.keys() | cut if cut else image
-        pivots, kernel = _reduce(0 if j in zeroed else col
-                                 for j, col in enumerate(base.boundary_columns(p)))
-        if p <= max_p:
-            n = len(cells) - len(cut)
-            records.append((p, n, n - len(pivots), len(image), tuple(
-                _chain(p, cells, z) for j, z in kernel.items() if j not in zeroed)))
-        image = pivots
-    return records[::-1]
+    pivots = _pivots(complex.boundary_columns(chain.dim + 1))
+    rank = len(pivots)
+    return len(_pivots([target], pivots)) == rank
 
 
 def _top_dim(base: CellComplex, max_p: int | None) -> int:
@@ -313,12 +272,50 @@ def _top_dim(base: CellComplex, max_p: int | None) -> int:
     return max_p
 
 
-def _homology(base: CellComplex, removed: frozenset[CellId],
-              max_p: int | None) -> HomologyResult:
-    """``_reduce_maps`` up to ``_top_dim(base, max_p)`` as a ``HomologyResult``."""
-    return HomologyResult(tuple(
-        DimensionHomology(p, n, z, b, z - b, generators)
-        for p, n, z, b, generators in _reduce_maps(base, removed, _top_dim(base, max_p))))
+def _reduce_maps(base: CellComplex, removed: frozenset[CellId],
+                 max_p: int | None) -> HomologyResult:
+    """Homology 0 .. ``_top_dim(base, max_p)`` of ``base`` less the
+    ``removed`` cells, which must be closed upward (as ``removed_cells``
+    makes them), so that every surviving column is zero on the removed
+    rows.
+
+    Each map is reduced once, from d_(top+1) down to d_0, over the base's
+    columns with the removed ones zeroed, and with clearing: a p-column
+    whose index is a pivot of the reduced d_(p+1) is zeroed too. Only the
+    pivots of d_(top+1) are read, so ``_pivots`` reduces it, and
+    ``_reduce`` the maps below. Without the zero rows and columns this is
+    the reduction of the ``derive_subcomplex`` complex, and a removed
+    column is no cycle of it. The generators are those a full reduction
+    picks, by three steps:
+
+    - a cleared column j is the top bit of a boundary b in the image, and
+      d_p b = 0 makes column j a sum of the columns before it, so the full
+      reduction takes it to zero too;
+    - a column reduced to zero never becomes a pivot, so every other
+      column's pivot and kernel combination is unchanged;
+    - adding the kernel vectors z_j in ascending j to the image raises
+      its dimension by 1 - [j is a pivot of d_(p+1)], so the cycles that
+      are not in the span of the image and the cycles before them are
+      exactly the z_j of the dependent, uncleared columns.
+    """
+    top = _top_dim(base, max_p)
+    records = []
+    image: dict[int, int] = {}
+    for p in range(top + 1, -1, -1):
+        cells = base.cells_of_dim(p)
+        cut = {j for j, cid in enumerate(cells) if cid in removed} if removed else ()
+        zeroed = image.keys() | cut if cut else image
+        columns = (0 if j in zeroed else col for j, col in enumerate(base.boundary_columns(p)))
+        if p > top:
+            image = _pivots(columns)
+            continue
+        pivots, kernel = _reduce(columns)
+        n = len(cells) - len(cut)
+        z, b = n - len(pivots), len(image)
+        records.append(DimensionHomology(p, n, z, b, z - b, tuple(
+            _chain(p, cells, k) for j, k in kernel.items() if j not in zeroed)))
+        image = pivots
+    return HomologyResult(tuple(records[::-1]))
 
 
 def homology(complex: CellComplex, max_p: int | None = None) -> HomologyResult:
@@ -332,7 +329,7 @@ def homology(complex: CellComplex, max_p: int | None = None) -> HomologyResult:
     violations = complex.validate()
     if violations:
         raise InvalidComplexError(violations)
-    return _homology(complex, frozenset(), max_p)
+    return _reduce_maps(complex, frozenset(), max_p)
 
 
 def _check_survivors(violations: list[Violation], removed: frozenset[CellId]) -> None:
@@ -378,7 +375,7 @@ def _masked_betti(base: CellComplex, max_p: int, removal_dim: int,
     kernels = {q: tuple(_reduce(base.boundary_columns(q))[1].values())
                for q in dims if q >= removal_dim}
     ranks = [len(cells[q]) - len(kernels[q]) if q in kernels
-             else _rank(base.boundary_columns(q)) for q in dims]
+             else len(_pivots(base.boundary_columns(q))) for q in dims]
 
     @functools.cache
     def transpose(q: int) -> dict[CellId, int]:
@@ -398,9 +395,10 @@ def _masked_betti(base: CellComplex, max_p: int, removal_dim: int,
         nullity = len(kernels[q])
         if kept < min(len(cut), nullity):
             cols = columns(q)
-            return _rank(cols[cid] for cid in cell_sets[q] - cut)
+            return len(_pivots(cols[cid] for cid in cell_sets[q] - cut))
         rows = transpose(q)
-        return kept - nullity + _rank((rows[cid] for cid in cut if cid in rows), nullity)
+        return kept - nullity + len(_pivots((rows[cid] for cid in cut if cid in rows),
+                                            bound=nullity))
 
     @functools.cache
     def betti(removed: frozenset[CellId]) -> tuple[int, ...]:

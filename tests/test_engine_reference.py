@@ -13,7 +13,7 @@ import pytest
 
 import dense_reference
 import support
-from descell import cycle_basis, homology, rank_mod2
+from descell import Chain, boundary_of, cycle_basis, homology, is_boundary, rank_mod2
 
 engine = importlib.import_module("descell.homology")
 
@@ -67,14 +67,20 @@ def test_rank_matches_reference():
 
 def test_homology_reduces_each_boundary_map_once(monkeypatch):
     calls = []
-    reduce = engine._reduce
+    reduce, pivots = engine._reduce, engine._pivots
 
     def counted(columns):
         columns = list(columns)
-        calls.append(columns)
+        calls.append(("_reduce", columns))
         return reduce(columns)
 
+    def counted_pivots(columns, *args, **kwargs):
+        columns = list(columns)
+        calls.append(("_pivots", columns))
+        return pivots(columns, *args, **kwargs)
+
     monkeypatch.setattr(engine, "_reduce", counted)
+    monkeypatch.setattr(engine, "_pivots", counted_pivots)
     rng = random.Random(5)
     cases = [support.grid_surface(5), support.grid_surface(5, flip=True),
              support.torus(), support.disk3()]
@@ -86,14 +92,53 @@ def test_homology_reduces_each_boundary_map_once(monkeypatch):
             homology(k, max_p)
             top = k.max_dim if max_p is None else max_p
             # One reduction per map, d_(top+1) down to d_0, and no second
-            # pass that reduces cycles against an image.
-            assert len(calls) == top + 2
+            # pass that reduces cycles against an image. Only the pivots of
+            # d_(top+1) are read, so it records no kernel combinations.
+            assert [name for name, _ in calls] == ["_pivots"] + ["_reduce"] * (top + 1)
             image = {}
-            for columns, p in zip(calls, range(top + 1, -1, -1)):
+            for (_, columns), p in zip(calls, range(top + 1, -1, -1)):
                 full = k.boundary_columns(p)
                 # The map's columns, but those at the pivots of the map
                 # above are cleared.
                 assert columns == [0 if j in image else col for j, col in enumerate(full)]
                 cleared += sum(col != 0 for j, col in enumerate(full) if j in image)
-                image = reduce(columns)[0]
+                image = pivots(columns)
     assert cleared > 100
+
+
+def reference_is_boundary(k, chain):
+    """Whether adding the chain as a column leaves the dense rank of
+    d_(p+1) unchanged."""
+    d = dense_reference.dense_boundary(k, chain.dim + 1)
+    target = np.array([[cid in chain.support] for cid in k.cells_of_dim(chain.dim)],
+                      dtype=np.uint8).reshape(d.shape[0], 1)
+    return dense_reference.rank_mod2(np.hstack([d, target])) == dense_reference.rank_mod2(d)
+
+
+def test_is_boundary_matches_reference_in_one_pass(monkeypatch):
+    """Boundaries of random (p+1)-chains read as boundaries, and random
+    p-chains agree with the dense reference. Each call reduces the
+    columns of d_(p+1) once, then the target against their pivots."""
+    calls = []
+    pivots = engine._pivots
+    monkeypatch.setattr(engine, "_pivots",
+                        lambda columns, *args: calls.append(columns) or pivots(columns, *args))
+    rng = random.Random(31)
+    cases = [k for k in (support.random_cw_complex(rng, max_cells=30) for _ in range(80))
+             if k.is_valid()]
+    cases += [support.grid_surface(4, flip) for flip in (False, True)]
+    verdicts = set()
+    for k in cases:
+        for p in range(k.max_dim + 1):
+            for _ in range(4):
+                chain = support.random_chain(rng, k, p)
+                upper = support.random_chain(rng, k, p + 1) if p < k.max_dim else Chain(p + 1)
+                border = boundary_of(k, upper)
+                for c, want in ((chain, reference_is_boundary(k, chain)), (border, True)):
+                    calls.clear()
+                    assert is_boundary(k, c) == want
+                    verdicts.add(want)
+                    if c:
+                        assert calls[0] is k.boundary_columns(p + 1)
+                        assert len(calls) == 2 and len(calls[1]) == 1
+    assert verdicts == {False, True} and len(cases) > 60

@@ -357,6 +357,37 @@ def test_emitters_refuse_what_their_parsers_cannot_read_back(emit):
         emit()
 
 
+def one_row_signature(delta=0.0, rdim=0, theta=0.0, alpha=(0.5,), dim=0, betti=1):
+    return PersistenceSignature("remove", delta, rdim, (theta,), (alpha,), (dim,),
+                                {(0, alpha, dim): betti})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("emit,message", [
+    (lambda: emit_scenario(ScenarioFile("k.cw", ((NAN, "a.csv"),))), "theta nan"),
+    (lambda: emit_scenario(ScenarioFile("k.cw", ((0.0, "a.csv"), (-INF, "b.csv")))),
+     "theta -inf"),
+    (lambda: emit_descriptors([("v", (INF,))]), "descriptor value inf"),
+    (lambda: emit_descriptors([("u", (0.5, 1.0)), ("v", (0.5, NAN))]), "descriptor value nan"),
+    (lambda: emit_charts([Chart("c", {"v"}, {"v": (NAN,)}, 1)], POINT_PROBE),
+     "override value nan"),
+    (lambda: emit_signature(one_row_signature(theta=INF)), "theta inf"),
+    (lambda: emit_signature(one_row_signature(alpha=(0.5, -INF))), "alpha value -inf"),
+    (lambda: emit_signature(one_row_signature(delta=NAN)), "delta nan"),
+    (lambda: emit_signature(one_row_signature(delta=-0.5)), "delta -0.5"),
+    (lambda: emit_signature(one_row_signature(rdim=-1)), "dimension -1"),
+    (lambda: emit_signature(one_row_signature(dim=-2)), "dimension -2"),
+    (lambda: emit_signature(one_row_signature(betti=-1)), "betti -1"),
+], ids=["scenario-nan-theta", "scenario-inf-theta", "descriptor-inf", "descriptor-nan",
+        "override-nan", "signature-theta", "signature-alpha", "signature-nan-delta",
+        "signature-negative-delta", "signature-rdim", "signature-dim", "signature-betti"])
+def test_emitters_refuse_numbers_their_parsers_reject(emit, message):
+    with pytest.raises(ValueError, match=f"^{message} cannot be serialized$"):
+        emit()
+
+
 def test_load_scenario(data_dir):
     scen, diags = load_scenario(str(data_dir / "cooling.scenario"))
     assert not diags

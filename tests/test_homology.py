@@ -88,6 +88,25 @@ def test_boundary_of_checks_cells(interval):
         boundary_of(interval, Chain(1, {"v0"}))
 
 
+def test_boundary_of_skips_malformed_entries():
+    # An undeclared face and a (2, 0) entry are no part of the map the
+    # engine reduces, so the boundary of f holds the edge alone.
+    k = CellComplex({"v": 0, "e": 1, "f": 2}, {("e", "v"): 2, ("f", "e"): 1,
+                                               ("f", "ghost"): 1, ("f", "v"): 1})
+    assert boundary_of(k, Chain(2, {"f"})) == Chain(1, {"e"})
+
+
+def test_boundary_of_each_cell_is_its_column():
+    rng = random.Random(17)
+    for _ in range(300):
+        k = support.random_incidence_complex(rng)
+        for p in range(k.max_dim + 1):
+            faces = k.cells_of_dim(p - 1) if p else ()
+            for cid, col in zip(k.cells_of_dim(p), k.boundary_columns(p)):
+                want = {f for i, f in enumerate(faces) if col >> i & 1}
+                assert boundary_of(k, Chain(p, {cid})).support == want
+
+
 def test_boundary_squared_is_zero():
     rng = random.Random(5)
     for _ in range(40):

@@ -17,8 +17,11 @@ complexes and on random tables with negative, even and odd degrees.
 overrides, scenario files and signatures, among them empty tables and
 tables of arity 0, and signatures with no alphas, which have no rows and
 keep their thetas and dimensions in metadata lines. Ids and paths are
-drawn from any text: an emitter either writes what its parser reads
-back, or raises ValueError for a value its format cannot carry.
+drawn from any text, and numbers from any float (nan and ±inf among
+them) and from negative integers: an emitter writes what its parser
+reads back, and raises ValueError exactly for the values its format
+cannot carry. Half the tables hold finite numbers alone, so that tables
+of any size are still read back.
 """
 
 import math
@@ -35,10 +38,10 @@ from hypothesis import strategies as st  # noqa: E402
 import support  # noqa: E402
 from descell import (  # noqa: E402
     CellComplex,
+    Chart,
     PersistenceSignature,
     assign_probe,
     make_chart,
-    with_overrides,
 )
 from descell.formats import (  # noqa: E402
     ScenarioFile,
@@ -212,6 +215,7 @@ def test_complex_round_trip(k):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+number = finite | st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats()
 # Besides plain names, any text: the characters the formats split or cut
 # lines on (every str.splitlines separator among them), NUL, U+001F, and
 # the empty string.
@@ -235,12 +239,41 @@ def emit_or_refuse(emit, *args):
         return None
 
 
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # what str.splitlines cuts on
+
+
+def one_field(text, banned, word=True):
+    """Whether a format reads ``text`` back as it is: not empty, none of
+    ``banned``, and, as a word, no whitespace at all, or else no line
+    break and no whitespace at either end."""
+    if not text or any(ch in banned for ch in text):
+        return False
+    if word:
+        return not any(ch.isspace() for ch in text)
+    return text == text.strip() and not any(ch in LINE_BREAKS for ch in text)
+
+
+def all_finite(values):
+    return all(map(math.isfinite, values))
+
+
+# Each table below holds, on a drawn ``clean``, finite numbers alone, so
+# that half the tables of any size are round-tripped; otherwise any
+# float, and the emitter must refuse exactly the tables that hold a
+# number its parser rejects or an id it cannot carry.
+
+
 @settings(max_examples=200, deadline=None)
-@given(complexes | vertices, st.integers(0, 3), st.data())
-def test_descriptors_round_trip(k, arity, data):
-    table = [(cid, tuple(data.draw(st.tuples(*[finite] * arity))))
+@given(complexes | vertices, st.integers(0, 3), st.booleans(), st.data())
+def test_descriptors_round_trip(k, arity, clean, data):
+    value = finite if clean else number
+    table = [(cid, data.draw(st.tuples(*[value] * arity)))
              for cid in data.draw(st.permutations(sorted(k.cells)))]
     text = emit_or_refuse(emit_descriptors, table)
+    refused = bool(table) and not (
+        arity and all(one_field(cid, ",", word=False) for cid, _ in table)
+        and all_finite(v for _, desc in table for v in desc))
+    assert (text is None) == refused
     if text is None:
         return
     assert parse_descriptors(text, k) == (sorted(table), [])
@@ -248,27 +281,39 @@ def test_descriptors_round_trip(k, arity, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(complexes | vertices.filter(len), st.integers(0, 3), st.data())
-def test_charts_round_trip(k, arity, data):
+@given(complexes | vertices.filter(len), st.integers(0, 3), st.booleans(), st.data())
+def test_charts_round_trip(k, arity, clean, data):
     cells = sorted(k.cells)
     probe = assign_probe(k, [(cid, data.draw(st.tuples(*[finite] * arity))) for cid in cells])
-    charts = []
+    charts, overridden = [], []
     for cid in data.draw(st.lists(word_id, min_size=1, max_size=4, unique=True)):
         members = data.draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
         overrides = data.draw(st.dictionaries(st.sampled_from(members),
-                                              st.tuples(*[finite] * arity)))
-        charts.append(with_overrides(make_chart(probe, members, cid), overrides))
+                                              st.tuples(*[finite if clean else number] * arity)))
+        chart = make_chart(probe, members, cid)
+        charts.append(Chart(cid, members, {**chart.section, **overrides}, arity))
+        overridden += [v for desc in overrides.values() for v in desc]
     text = emit_or_refuse(emit_charts, charts, probe)
+    # The probe is finite, so every non-finite override differs from it
+    # and is written.
+    ids = [c.id for c in charts] + [cell for c in charts for cell in c.cells]
+    assert (text is None) == (not (all(one_field(i, "#") for i in ids)
+                                   and all_finite(overridden)))
     if text is None:
         return
     assert parse_charts(text, probe) == (sorted(charts, key=lambda c: c.id), [])
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.builds(ScenarioFile, path,
-                 st.lists(st.tuples(finite, path), min_size=1, max_size=5).map(tuple)))
-def test_scenario_file_round_trip(sf):
+@given(st.booleans(), st.data())
+def test_scenario_file_round_trip(clean, data):
+    theta = finite if clean else number
+    sf = data.draw(st.builds(ScenarioFile, path,
+                             st.lists(st.tuples(theta, path), min_size=1, max_size=5).map(tuple)))
     text = emit_or_refuse(emit_scenario, sf)
+    paths = [sf.complex_path, *(p for _, p in sf.steps)]
+    assert (text is None) == (not (all(one_field(p, "#\0", word=False) for p in paths)
+                                   and all_finite(t for t, _ in sf.steps)))
     if text is not None:
         assert parse_scenario(text) == (sf, [])
 
@@ -279,27 +324,39 @@ def sorted_unique(elements, min_size=1):
 
 @st.composite
 def signatures(draw):
+    # Half the signatures hold only values the parser accepts (an infinite
+    # delta among them), and half any float and integers down to -2.
+    clean = draw(st.booleans())
+    value, least_int = (finite, 0) if clean else (number, -2)
     arity = draw(st.integers(0, 3))
-    alphas = draw(sorted_unique(st.tuples(*[finite] * arity), min_size=0))
+    alphas = draw(sorted_unique(st.tuples(*[value] * arity), min_size=0))
     # With no alphas there are no rows, and the thetas and dims may be empty too.
     least = 1 if alphas else 0
-    thetas = draw(sorted_unique(finite, least))
-    dims = draw(sorted_unique(st.integers(0, 64), least))
-    table = {(ti, alpha, p): draw(st.integers(0, 10**6))
+    thetas = draw(sorted_unique(value, least))
+    dims = draw(sorted_unique(st.integers(least_int, 64), least))
+    table = {(ti, alpha, p): draw(st.integers(least_int, 10**6 if clean else 2))
              for ti in range(len(thetas)) for alpha in alphas for p in dims}
     return PersistenceSignature(
         mode=draw(st.sampled_from(["remove", "retain"])),
-        delta=draw(finite.filter(lambda v: v >= 0)),
-        removal_dim=draw(st.integers(0, 64)), thetas=thetas, alphas=alphas, dims=dims,
-        table=table)
+        delta=draw(st.floats(min_value=0) if clean else number),
+        removal_dim=draw(st.integers(least_int, 64)),
+        thetas=thetas, alphas=alphas, dims=dims, table=table)
 
 
-@settings(max_examples=200, deadline=None)
+def readable(sig):
+    """Whether ``parse_signature`` accepts every value of the signature."""
+    values = [*sig.thetas, *(v for alpha in sig.alphas for v in alpha)]
+    return (() not in sig.alphas and all(map(math.isfinite, values)) and sig.delta >= 0
+            and min([sig.removal_dim, *sig.dims, *sig.table.values()]) >= 0)
+
+
+@settings(max_examples=300, deadline=None)
 @given(signatures())
 def test_signature_round_trip(sig):
     """Alpha components are ';'-joined, so an alpha of arity 0 would
-    write an empty field, and is refused."""
+    write an empty field, and is refused, as is any number the parser
+    rejects; an infinite delta is written and read back."""
     text = emit_or_refuse(emit_signature, sig)
-    assert (text is None) == (() in sig.alphas)
+    assert (text is None) == (not readable(sig))
     if text is not None:
         assert parse_signature(text) == (sig, [])

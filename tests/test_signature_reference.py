@@ -95,23 +95,23 @@ def test_one_level_per_triangle_tori(k, steps, mode, delta):
 def test_lower_removal_dims_on_both_rank_routes(monkeypatch, removal_dim, mode, delta):
     """Carving vertices or edges of an 864-cell torus. A small retain ball
     keeps fewer columns than it removes, so the entry ranks the kept
-    columns (``_rank`` without a bound); a remove ball at δ 0 reads the
-    kernel basis's transpose (``_rank`` bounded by dim Z_q). The base's
+    columns (``_pivots`` without a bound); a remove ball at δ 0 reads the
+    kernel basis's transpose (``_pivots`` bounded by dim Z_q). The base's
     maps below the removal dim are ranked too, without a bound, when
     ``signature`` builds its entry function; the entries come after."""
     bounds, built = [], []
-    rank, masked_betti = engine._rank, persistence._masked_betti
+    reduce, masked_betti = engine._pivots, persistence._masked_betti
 
-    def spy(rows, bound=None):
+    def spy(columns, pivots=None, bound=None):
         bounds.append(bound)
-        return rank(rows, bound)
+        return reduce(columns, pivots, bound)
 
     def build(*args):
         betti = masked_betti(*args)
         built.append(len(bounds))
         return betti
 
-    monkeypatch.setattr(engine, "_rank", spy)
+    monkeypatch.setattr(engine, "_pivots", spy)
     monkeypatch.setattr(persistence, "_masked_betti", build)
     scen = one_level_per_triangle(12, 2, seed=removal_dim)
     assert_same(scen, delta, mode, removal_dim=removal_dim)
