@@ -19,6 +19,16 @@ data="$(cd "$(dirname "${BASH_SOURCE[0]}")/../tests/data" && pwd)"
 "$@" descriptive "$data/disk3.cw" --probe "$data/disk3_probe.csv" --spectrum \
     --dim 1 --mode retain --delta 0.3 | cmp - <(echo "alpha 0.0 cells 15 betti 1 0 0")
 "$@" validate "$data/torus.cw" | cmp - <(echo OK)
+# A triangle boundary with each edge's faces on two bnd lines, and a face of
+# ca entered on both of its lines with degrees that cancel.
+tri="$(mktemp)"
+trap 'rm -f "$tri"' EXIT
+printf '%s\n' "cell a 0" "cell b 0" "cell c 0" "cell ab 1" "cell bc 1" "cell ca 1" \
+  "bnd ab a:1" "bnd ab b:1" "bnd bc b:1" "bnd bc c:1" "bnd ca c:1 b:1" "bnd ca a:1 b:-1" > "$tri"
+"$@" homology "$tri" --generators \
+  | cmp - <(printf '%s\n' "dim 0 cells 3 cycle_rank 3 boundary_rank 2 betti 1" "gen 0 a" \
+      "dim 1 cells 3 cycle_rank 1 boundary_rank 0 betti 1" "gen 1 ab bc ca" "betti 1 1")
+"$@" validate "$tri" | cmp - <(echo OK)
 "$@" gauge "$data/disk3.cw" --probe "$data/disk3_probe.csv" --charts "$data/charts_ok.chart" \
   | cmp - <(echo OK)
 # A report with violations exits 1, which the `||` both allows and prints.

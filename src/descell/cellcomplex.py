@@ -1,14 +1,16 @@
 """Finite cell complexes with integer incidence degrees.
 
 A complex is a finite set of abstract cells, each with a non-negative
-dimension, plus an incidence table mapping (p-cell, (p-1)-cell) pairs to
-integer degrees. Attaching maps are not represented; the degree table is
-the input data. Ids are ``str``, dimensions and degrees ``int``, stored
-as given; all homology arithmetic downstream reduces degrees mod 2, so
-a net-zero degree carries no information and is dropped at construction
-time. A face with even multiplicity should therefore be recorded with
-an even nonzero degree (e.g. 2) if the contact matters for sub-complex
-derivation. The mod-2 boundary columns are compiled on first use.
+dimension, plus each cell's faces: the (p-1)-cells its boundary meets,
+with integer degrees. Attaching maps are not represented; the degrees
+are the input data. Ids are ``str``, dimensions and degrees ``int``,
+stored as given; all homology arithmetic downstream reduces degrees
+mod 2, so a net-zero degree carries no information and is dropped at
+construction time. A face with even multiplicity should therefore be
+recorded with an even nonzero degree (e.g. 2) if the contact matters for
+sub-complex derivation. The per-cell faces are the one incidence store:
+the tuple-keyed ``incidence`` table is a view built on its first read,
+and the mod-2 boundary columns are compiled from the faces on first use.
 """
 
 from __future__ import annotations
@@ -43,66 +45,91 @@ class CellComplex:
     """A finite cell complex, immutable after construction.
 
     ``cells`` maps ``str`` ids to ``int`` dimensions; ``incidence`` maps
-    (cell, face) id pairs to ``int`` degrees. Construction stores both as
-    given, with no conversion: it rejects a negative dimension, drops zero
-    degrees and sorts each dimension's ids. ``add_cell`` and
-    ``from_simplices`` convert their own arguments. All query methods are
-    pure, so instances are safe to share across threads. ``add_cell``
-    returns a new complex rather than mutating. The compiled
-    form (the mod-2 boundary columns and the malformed entries) is built
-    on the first ``boundary_columns`` or ``validate`` call, and the face
-    and coface maps behind ``faces``, ``cofaces`` and ``odd_faces`` on
-    their first use; each is built at most once.
+    (cell, face) id pairs to ``int`` degrees. Construction converts
+    nothing: it rejects a negative dimension, sorts each dimension's ids
+    and groups the nonzero degrees by cell into the per-cell face map
+    that ``faces`` reads, the one incidence store; no cell keeps an empty
+    one. ``add_cell`` and ``from_simplices`` convert their own arguments.
+    All query methods are pure, so instances are safe to share across
+    threads. ``add_cell`` returns a new complex rather than mutating.
+    The compiled form (the mod-2 boundary columns and the malformed
+    entries) is built on the first ``boundary_columns`` or ``validate``
+    call, the ``incidence`` view on its first read and the coface map
+    behind ``cofaces`` on its first use; each is built at most once.
     """
 
     def __init__(self,
                  cells: Mapping[CellId, int] | None = None,
                  incidence: Mapping[tuple[CellId, CellId], int] | None = None):
-        self._cells: dict[CellId, int] = dict(cells or {})
+        cells = dict(cells or {})
         by_dim: dict[int, list[CellId]] = {}
-        for cid, dim in self._cells.items():
+        for cid, dim in cells.items():
             if dim < 0:
                 raise ValueError(f"cell {cid!r} has negative dimension {dim}")
             by_dim.setdefault(dim, []).append(cid)
         # Net-zero degrees are indistinguishable from absence mod 2: drop them.
-        self._incidence: dict[tuple[CellId, CellId], int] = {
-            pair: deg for pair, deg in (incidence or {}).items() if deg
-        }
-        self._by_dim: dict[int, tuple[CellId, ...]] = {
-            d: tuple(sorted(ids)) for d, ids in by_dim.items()
-        }
+        faces: dict[CellId, dict[CellId, int]] = {}
+        for (cid, fid), deg in (incidence or {}).items():
+            if deg:
+                faces.setdefault(cid, {})[fid] = deg
+        self._setup(cells, {d: tuple(sorted(ids)) for d, ids in by_dim.items()}, faces)
+
+    @classmethod
+    def _of(cls, cells: dict[CellId, int], by_dim: dict[int, tuple[CellId, ...]],
+            faces: dict[CellId, dict[CellId, int]]) -> "CellComplex":
+        """A complex on tables its caller built and hands over, uncopied:
+        ``cells``, each dimension's ids in sorted order, and each cell's
+        nonzero face degrees, with no cell's face dict empty."""
+        k = cls.__new__(cls)
+        k._setup(cells, by_dim, faces)
+        return k
+
+    def _setup(self, cells, by_dim, faces) -> None:
+        self._cells: dict[CellId, int] = cells
+        self._by_dim: dict[int, tuple[CellId, ...]] = by_dim
+        self._faces: dict[CellId, dict[CellId, int]] = faces
 
     @cached_property
     def _compiled(self) -> tuple[dict[int, tuple[int, ...]], list[tuple]]:
         """The compiled form: per dimension, the mod-2 boundary columns
         over each dimension's sorted ids, and the incidence entries that
         are not (p, p-1) between declared cells, with both cells'
-        dimensions (None if undeclared), for ``validate`` to report."""
-        index = {cid: i for ids in self._by_dim.values() for i, cid in enumerate(ids)}
-        columns = {d: [0] * len(ids) for d, ids in self._by_dim.items()}
+        dimensions (None if undeclared), for ``validate`` to report.
+
+        Each face is looked up once, among the sorted ids one dimension
+        below its cell: its row there is its bit, and a miss makes the
+        entry malformed."""
         cells = self._cells
+        rows = {d: {cid: i for i, cid in enumerate(ids)} for d, ids in self._by_dim.items()}
+        columns = {d: [0] * len(ids) for d, ids in self._by_dim.items()}
         malformed = []
-        for (cid, fid), deg in self._incidence.items():
-            cd = cells.get(cid)
-            fd = cells.get(fid)
-            if cd is None or fd is None or cd != fd + 1:
-                malformed.append((cid, fid, cd, fd))
-            elif deg % 2:
-                columns[cd][index[cid]] |= 1 << index[fid]
+        for cid, entries in self._faces.items():
+            d = cells.get(cid)
+            if d is None:
+                malformed.extend((cid, fid, None, cells.get(fid)) for fid in entries)
+                continue
+            row = rows.get(d - 1, {})
+            col = 0
+            for fid, deg in entries.items():
+                i = row.get(fid)
+                if i is None:
+                    malformed.append((cid, fid, d, cells.get(fid)))
+                elif deg % 2:
+                    col |= 1 << i
+            columns[d][rows[d][cid]] = col
         return {d: tuple(cols) for d, cols in columns.items()}, malformed
 
     @cached_property
-    def _faces(self) -> dict[CellId, dict[CellId, int]]:
-        faces: dict[CellId, dict[CellId, int]] = {}
-        for (cid, fid), deg in self._incidence.items():
-            faces.setdefault(cid, {})[fid] = deg
-        return faces
+    def _incidence(self) -> dict[tuple[CellId, CellId], int]:
+        return {(cid, fid): deg for cid, entries in self._faces.items()
+                for fid, deg in entries.items()}
 
     @cached_property
     def _cofaces(self) -> dict[CellId, tuple[CellId, ...]]:
         cofaces: dict[CellId, set[CellId]] = {}
-        for cid, fid in self._incidence:
-            cofaces.setdefault(fid, set()).add(cid)
+        for cid, entries in self._faces.items():
+            for fid in entries:
+                cofaces.setdefault(fid, set()).add(cid)
         return {k: tuple(sorted(v)) for k, v in cofaces.items()}
 
     # -- basic queries -------------------------------------------------
@@ -129,7 +156,7 @@ class CellComplex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CellComplex):
             return NotImplemented
-        return self._cells == other._cells and self._incidence == other._incidence
+        return self._cells == other._cells and self._faces == other._faces
 
     def __repr__(self) -> str:
         counts = " ".join(
@@ -184,10 +211,8 @@ class CellComplex:
             acc[fid] = acc.get(fid, 0) + int(deg)
         cells = dict(self._cells)
         cells[cell_id] = int(dim)
-        incidence = dict(self._incidence)
-        for fid, deg in acc.items():
-            if deg != 0:
-                incidence[(cell_id, fid)] = deg
+        incidence = dict(self.incidence)
+        incidence.update(((cell_id, fid), deg) for fid, deg in acc.items())
         return CellComplex(cells, incidence)
 
     # -- derived structure -----------------------------------------------
@@ -205,8 +230,8 @@ class CellComplex:
     def _induced(self, cells: dict[CellId, int]) -> "CellComplex":
         """The complex on ``cells``, a subset of this one's, with the
         incidence entries between them; every other entry is dropped."""
-        return CellComplex(cells, {(c, f): deg for (c, f), deg in self._incidence.items()
-                                   if c in cells and f in cells})
+        return CellComplex(cells, {(c, f): deg for c, entries in self._faces.items() if c in cells
+                                   for f, deg in entries.items() if f in cells})
 
     def odd_faces(self, cell_id: CellId) -> tuple[CellId, ...]:
         """The declared faces one dimension down with odd degree, in sorted

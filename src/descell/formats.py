@@ -15,8 +15,11 @@ The library constructors ``assign_probe``, ``make_chart``,
 per-row work is C-level: each line is split once, and stripped only to
 quote it in a diagnostic; cell ids are looked up in the complex's
 ``cells`` and section values in the probe's ``values``, each fetched
-once per call; a boundary face is tested against the ids of the one
-dimension it may have.
+once per call. ``parse_complex`` reads a canonical dimension or degree
+from a table, tests each boundary face's dimension with one lookup,
+adds its degree into its cell's face dict, and sorts each dimension's
+ids once, at the end; those face dicts become the complex's incidence
+store uncopied, with no tuple-keyed table on the way.
 
 Formats:
   complex      ``cell <id> <dim>`` (0 <= dim <= MAX_CELL_DIM) and
@@ -133,12 +136,16 @@ and prints one record per dimension up to the top one, so without a
 bound a two-line file could ask for millions of them."""
 
 
+_SMALL_INTS = {str(n): n for n in range(MAX_CELL_DIM + 1)}
+"""0 .. MAX_CELL_DIM by their canonical spellings: every accepted dimension
+and the usual degrees. ``int`` reads any other spelling."""
+
+
 def parse_complex(text: str, filename: str = "<complex>",
                   ) -> tuple[CellComplex | None, list[ParseDiagnostic]]:
     """Parse the cell/bnd format; two passes, so declaration order is free."""
     diags, err = _diagnostics(filename)
     cells: dict[CellId, int] = {}
-    ids_of_dim: dict[int, set[CellId]] = {}
     bnd_lines: list[tuple[int, list[str]]] = []
     # Each line is cut at '#' only when it holds one, split once, and
     # stripped only to quote it in a diagnostic. The loop is written out
@@ -158,19 +165,20 @@ def parse_complex(text: str, filename: str = "<complex>",
             if cid in cells:
                 err(lineno, f"cell {cid!r} declared twice", "reference")
                 continue
-            try:
-                dim = int(dim_s)
-            except ValueError:
-                err(lineno, f"dimension {dim_s!r} is not an integer")
-                continue
-            if dim < 0:
-                err(lineno, f"dimension {dim} is negative")
-                continue
-            if dim > MAX_CELL_DIM:
-                err(lineno, f"dimension {dim} exceeds the bound {MAX_CELL_DIM}")
-                continue
+            dim = _SMALL_INTS.get(dim_s)
+            if dim is None:
+                try:
+                    dim = int(dim_s)
+                except ValueError:
+                    err(lineno, f"dimension {dim_s!r} is not an integer")
+                    continue
+                if dim < 0:
+                    err(lineno, f"dimension {dim} is negative")
+                    continue
+                if dim > MAX_CELL_DIM:
+                    err(lineno, f"dimension {dim} exceeds the bound {MAX_CELL_DIM}")
+                    continue
             cells[cid] = dim
-            ids_of_dim.setdefault(dim, set()).add(cid)
         elif words[0] == "bnd":
             if len(words) < 3:
                 err(lineno, f"expected 'bnd <id> <face>:<degree> ...', got {line.strip()!r}")
@@ -179,47 +187,72 @@ def parse_complex(text: str, filename: str = "<complex>",
         else:
             err(lineno, f"unknown directive {words[0]!r}")
 
-    incidence: dict[tuple[CellId, CellId], int] = {}
+    # Each cell's faces, with the degrees of its bnd lines added up.
+    faces: dict[CellId, dict[CellId, int]] = {}
     for lineno, words in bnd_lines:
         cid = words[1]
         dim = cells.get(cid)
         if dim is None:
             err(lineno, f"bnd references undeclared cell {cid!r}", "reference")
             continue
-        # A face is tested against the ids one dimension down; only a
-        # miss looks up whether it is undeclared or of another dimension.
-        faces = ids_of_dim.get(dim - 1, ())
+        below = dim - 1
+        acc = faces.get(cid)
+        if acc is None:
+            acc = faces[cid] = {}
         for entry in words[2:]:
             fid, sep, deg_s = entry.rpartition(":")
             if not sep or not fid:
                 err(lineno, f"expected '<face>:<degree>', got {entry!r}")
                 continue
-            try:
-                deg = int(deg_s)
-            except ValueError:
-                err(lineno, f"degree {deg_s!r} is not an integer")
-                continue
-            if fid not in faces:
-                if fid not in cells:
+            deg = _SMALL_INTS.get(deg_s)
+            if deg is None:
+                try:
+                    deg = int(deg_s)
+                except ValueError:
+                    err(lineno, f"degree {deg_s!r} is not an integer")
+                    continue
+            fdim = cells.get(fid)
+            if fdim != below:
+                if fdim is None:
                     err(lineno, f"bnd references undeclared face {fid!r}", "reference")
                 else:
-                    err(lineno, f"face {fid!r} has dimension {cells[fid]}, expected {dim - 1}",
+                    err(lineno, f"face {fid!r} has dimension {fdim}, expected {below}",
                         "reference")
                 continue
-            incidence[(cid, fid)] = incidence.get((cid, fid), 0) + deg
+            acc[fid] = acc.get(fid, 0) + deg
 
     if has_errors(diags):
         return None, diags
-    return CellComplex(cells, incidence), diags
+    # Totals that cancel are dropped, and then cells left with no face.
+    for cid, acc in list(faces.items()):
+        if 0 in acc.values():
+            acc = {fid: deg for fid, deg in acc.items() if deg}
+            if acc:
+                faces[cid] = acc
+            else:
+                del faces[cid]
+    ids_of_dim: dict[int, list[CellId]] = {}
+    for cid, dim in cells.items():
+        ids_of_dim.setdefault(dim, []).append(cid)
+    by_dim = {dim: tuple(sorted(ids)) for dim, ids in ids_of_dim.items()}
+    return CellComplex._of(cells, by_dim, faces), diags
 
 
 def emit_complex(complex: CellComplex) -> str:
     """Canonical text form: cells sorted by (dim, id), then bnd lines in
     the same cell order with faces sorted by id. Zero net degrees never
-    appear, so parse(emit(k)) == k."""
+    appear, so parse(emit(k)) == k. A complex the format cannot carry
+    raises ValueError: an id that is not one word or holds '#' or ':', a
+    dimension over ``MAX_CELL_DIM``, or an incidence entry that is not
+    (p, p-1) between declared cells."""
     order = sorted(complex.cells, key=lambda c: (complex.dim_of(c), c))
     for cid in order:
         _serializable(cid, "cell id", "#:")
+    _readable([complex.max_dim], "dimension", lambda dim: dim <= MAX_CELL_DIM)
+    malformed = complex._compiled[1]
+    if malformed:
+        cid, fid, _, _ = min(malformed)
+        raise ValueError(f"incidence entry {(cid, fid)!r} cannot be serialized")
     lines = [f"cell {cid} {complex.dim_of(cid)}" for cid in order]
     for cid in order:
         faces = complex.faces(cid)

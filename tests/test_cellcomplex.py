@@ -10,6 +10,7 @@ from descell.errors import (
     DuplicateIdError,
     MissingFaceError,
 )
+from descell.formats import emit_complex, parse_complex
 
 
 def test_add_vertex():
@@ -195,14 +196,18 @@ def test_boundary_columns_are_built_once():
 
 
 def test_homology_builds_no_face_maps():
-    # The face and coface maps are built on first use; validation and
-    # homology read only the compiled columns.
-    k = support.grid_surface(5)
+    # The per-cell faces are the one incidence store; the tuple-keyed
+    # incidence view and the coface map are built on first use, and
+    # validation and homology read neither.
+    k, diags = parse_complex(emit_complex(support.grid_surface(5)))
+    assert not diags
     homology(k, 3)
-    assert "_faces" not in vars(k) and "_cofaces" not in vars(k)
+    assert "_incidence" not in vars(k) and "_cofaces" not in vars(k)
     assert k.odd_faces("v0x0-v0x1") == ("v0x0", "v0x1")
-    assert "_faces" in vars(k) and "_cofaces" not in vars(k)
     assert k.cofaces("v0x0-v0x1") == ("v0x0-v0x1-v1x1", "v0x0-v0x1-v4x0")
+    assert "_incidence" not in vars(k) and "_cofaces" in vars(k)
+    assert k.incidence[("v0x0-v0x1", "v0x0")] == 1
+    assert "_incidence" in vars(k)
 
 
 def test_boundary_matrix_ordering_is_sorted(disk3):

@@ -95,6 +95,73 @@ def test_parse_bnd_accumulates_degrees():
     assert dict(k.faces("e")) == {"w": 1}
 
 
+TRIANGLE = "cell a 0\ncell b 0\ncell c 0\ncell ab 1\ncell bc 1\ncell ca 1\n"
+
+
+@pytest.mark.parametrize("text,cells,pairs", [
+    # a cell's faces split over several bnd lines
+    (TRIANGLE + "bnd ab a:1\nbnd ab b:1\nbnd bc b:1 c:1\nbnd ca c:1\nbnd ca a:1\n",
+     {"a": 0, "b": 0, "c": 0, "ab": 1, "bc": 1, "ca": 1},
+     {("ab", "a"): 1, ("ab", "b"): 1, ("bc", "b"): 1, ("bc", "c"): 1,
+      ("ca", "c"): 1, ("ca", "a"): 1}),
+    # a face repeated in one line, even degrees, and a total that cancels
+    ("cell v 0\ncell w 0\ncell e 1\ncell f 2\nbnd e v:1 v:1 w:1 w:-1\nbnd f e:2\n",
+     {"v": 0, "w": 0, "e": 1, "f": 2}, {("e", "v"): 2, ("e", "w"): 0, ("f", "e"): 2}),
+    # a cell whose every entry cancels, over two lines, beside one that keeps an odd total
+    ("bnd loop v:1\ncell v 0\nbnd loop v:-1\ncell x 1\nbnd x v:3\nbnd x v:-2\ncell loop 1\n",
+     {"v": 0, "loop": 1, "x": 1}, {("loop", "v"): 0, ("x", "v"): 1}),
+    # no face survives anywhere
+    ("cell v 0\ncell e 1\nbnd e v:2 v:-2\n", {"v": 0, "e": 1}, {("e", "v"): 0}),
+])
+def test_parse_equals_the_complex_of_the_summed_entries(text, cells, pairs):
+    k, diags = parse_complex(text)
+    assert diags == []
+    built = CellComplex(cells, pairs)
+    assert k == built and dict(k.incidence) == dict(built.incidence)
+    assert dict(k.incidence) == {pair: deg for pair, deg in pairs.items() if deg}
+    for cid in cells:
+        assert dict(k.faces(cid)) == dict(built.faces(cid))
+        assert k.cofaces(cid) == built.cofaces(cid)
+    for p in range(k.max_dim + 2):
+        assert k.boundary_columns(p) == built.boundary_columns(p)
+    assert k.validate(include_warnings=True) == built.validate(include_warnings=True)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("cell v 0\ncell v 1\ncell w\ncell x 0 extra\ncell y one\ncell z -1\ncell u 65\n",
+     [(2, "cell 'v' declared twice", "reference"),
+      (3, "expected 'cell <id> <dim>', got 'cell w'", "syntax"),
+      (4, "expected 'cell <id> <dim>', got 'cell x 0 extra'", "syntax"),
+      (5, "dimension 'one' is not an integer", "syntax"),
+      (6, "dimension -1 is negative", "syntax"),
+      (7, "dimension 65 exceeds the bound 64", "syntax")]),
+    ("cell v 0\ncell e 1\nbnd e\nbnd e v\nbnd e :1\nbnd e v:x\nbnd e ghost:1\nbnd ghost v:1\n",
+     [(3, "expected 'bnd <id> <face>:<degree> ...', got 'bnd e'", "syntax"),
+      (4, "expected '<face>:<degree>', got 'v'", "syntax"),
+      (5, "expected '<face>:<degree>', got ':1'", "syntax"),
+      (6, "degree 'x' is not an integer", "syntax"),
+      (7, "bnd references undeclared face 'ghost'", "reference"),
+      (8, "bnd references undeclared cell 'ghost'", "reference")]),
+    # every line's own diagnostics come before those of the bnd lines
+    ("cell v 0\ncell f 2\nbnd f v:1 v:1 v:-2\nbnd v v:1\nedge e 1\n",
+     [(5, "unknown directive 'edge'", "syntax"),
+      (3, "face 'v' has dimension 0, expected 1", "reference"),
+      (3, "face 'v' has dimension 0, expected 1", "reference"),
+      (3, "face 'v' has dimension 0, expected 1", "reference"),
+      (4, "face 'v' has dimension 0, expected -1", "reference")]),
+    # dimensions that int() reads in another spelling are accepted
+    ("bnd e v:1 w:1 # note\ncell e +1\ncell v 00\ncell w 0\ncell t 1_0\nbnd t e:1\n"
+     "cell g ٣\nbnd e v:1 v:2:3\n",
+     [(6, "face 'e' has dimension 1, expected 9", "reference"),
+      (8, "bnd references undeclared face 'v:2'", "reference")]),
+])
+def test_parse_malformed_complex_diagnostics(text, expected):
+    k, diags = parse_complex(text, "k.cw")
+    assert k is None
+    assert [(d.line, d.message, d.code) for d in diags] == expected
+    assert {(d.file, d.severity) for d in diags} == {("k.cw", "error")}
+
+
 def test_parse_declaration_order_is_free():
     # bnd lines may precede the cells they reference
     text = "bnd e v0:1 v1:1\ncell e 1\ncell v0 0\ncell v1 0\n"
@@ -347,11 +414,15 @@ def test_scenario_roundtrip():
     lambda: emit_descriptors([("a,b", (0.5,))]),
     lambda: emit_descriptors([("v", ())]),
     lambda: emit_complex(CellComplex({"a b": 0}, {})),
+    lambda: emit_complex(CellComplex({"a": 65}, {})),
+    lambda: emit_complex(CellComplex({"e": 1}, {("e", "ghost"): 1})),
+    lambda: emit_complex(CellComplex({"v": 0, "f": 2}, {("f", "v"): 1})),
     lambda: emit_signature(PersistenceSignature("remove", 0.0, 0, (0.0,), ((),), (0,),
                                                 {(0, (), 0): 1})),
 ], ids=["step-hash", "step-lead", "complex-hash", "step-newline", "complex-nul",
         "chart-hash", "chart-space", "chart-empty", "cell-lead", "cell-newline", "cell-comma",
-        "arity-0-row", "complex-space", "arity-0-alpha"])
+        "arity-0-row", "complex-space", "complex-dim-65", "complex-ghost-face",
+        "complex-2-0-entry", "arity-0-alpha"])
 def test_emitters_refuse_what_their_parsers_cannot_read_back(emit):
     with pytest.raises(ValueError, match="cannot be serialized"):
         emit()

@@ -12,7 +12,9 @@ directive checks.
 
 The round trip ``parse_complex(emit_complex(k)) == k`` must also give
 the same compiled boundary columns, on random CW and simplicial
-complexes and on random tables with negative, even and odd degrees.
+complexes and on random tables with negative, even and odd degrees;
+``emit_complex`` refuses exactly the tables with an entry that is not
+(p, p-1) between declared cells or a dimension past ``MAX_CELL_DIM``.
 ``parse(emit(x)) == x`` also holds for descriptor tables, charts with
 overrides, scenario files and signatures, among them empty tables and
 tables of arity 0, and signatures with no alphas, which have no rows and
@@ -44,6 +46,7 @@ from descell import (  # noqa: E402
     make_chart,
 )
 from descell.formats import (  # noqa: E402
+    MAX_CELL_DIM,
     ScenarioFile,
     emit_charts,
     emit_complex,
@@ -189,26 +192,38 @@ def test_parse_signature_never_raises(text):
         assert sig.mode in ("remove", "retain") and sig.delta >= 0 and sig.removal_dim >= 0
 
 
-def adjacent_only(k):
-    """``k`` less its dangling and wrong-dimension entries, which the
-    complex format cannot express."""
+def beyond_the_bound(k, rng):
+    """``k`` with one cell moved to dimension MAX_CELL_DIM or one past it."""
+    cells = dict(k.cells)
+    cells[rng.choice(sorted(cells))] = MAX_CELL_DIM + rng.randint(0, 1)
+    return CellComplex(cells, k.incidence)
+
+
+def unwritable(k):
+    """Whether ``k`` has a dimension past the bound or an entry that is
+    not (p, p-1) between declared cells, which the format cannot carry."""
     dims = k.cells
-    return CellComplex(dims, {(c, f): deg for (c, f), deg in k.incidence.items()
-                              if c in dims and f in dims and dims[c] == dims[f] + 1})
+    return k.max_dim > MAX_CELL_DIM or any(
+        c not in dims or f not in dims or dims[c] != dims[f] + 1 for c, f in k.incidence)
 
 
 complexes = st.builds(
     lambda build, seed: build(random.Random(seed)),
     st.sampled_from([lambda rng: support.random_cw_complex(rng, max_cells=30),
                      lambda rng: support.random_simplicial_complex(rng, max_vertices=8),
-                     lambda rng: adjacent_only(support.random_incidence_complex(rng))]),
+                     lambda rng: support.random_incidence_complex(rng),
+                     lambda rng: beyond_the_bound(support.random_incidence_complex(rng), rng)]),
     st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(complexes)
 def test_complex_round_trip(k):
-    again, diags = parse_complex(emit_complex(k))
+    text = emit_or_refuse(emit_complex, k)
+    assert (text is None) == unwritable(k)
+    if text is None:
+        return
+    again, diags = parse_complex(text)
     assert diags == [] and again == k
     for p in range(k.max_dim + 2):
         assert again.boundary_columns(p) == k.boundary_columns(p)
