@@ -19,6 +19,9 @@ data="$(cd "$(dirname "${BASH_SOURCE[0]}")/../tests/data" && pwd)"
 "$@" descriptive "$data/disk3.cw" --probe "$data/disk3_probe.csv" --spectrum \
     --dim 1 --mode retain --delta 0.3 | cmp - <(echo "alpha 0.0 cells 15 betti 1 0 0")
 "$@" validate "$data/torus.cw" | cmp - <(echo OK)
+# The torus times a circle: a 3-cell, so the top map d_3 is not empty.
+"$@" homology "$data/torus_x_circle.cw" --oracle | tail -n 1 | grep -qx "betti 1 3 3 1"
+"$@" validate "$data/torus_x_circle.cw" | cmp - <(echo OK)
 # A triangle boundary with each edge's faces on two bnd lines, and a face of
 # ca entered on both of its lines with degrees that cancel.
 tri="$(mktemp)"

@@ -8,9 +8,14 @@ stored as given; all homology arithmetic downstream reduces degrees
 mod 2, so a net-zero degree carries no information and is dropped at
 construction time. A face with even multiplicity should therefore be
 recorded with an even nonzero degree (e.g. 2) if the contact matters for
-sub-complex derivation. The per-cell faces are the one incidence store:
-the tuple-keyed ``incidence`` table is a view built on its first read,
-and the mod-2 boundary columns are compiled from the faces on first use.
+sub-complex derivation. Every builder (the constructor, ``add_cell``,
+``skeleton``, ``derive_subcomplex``, ``from_simplices`` and
+``formats.parse_complex``) hands its cells and per-cell faces to one
+private setup, which sorts each dimension's ids into the basis order and
+drops the net-zero degrees. The per-cell faces are the one incidence
+store: the tuple-keyed ``incidence`` table is a view built on its first
+read, and the mod-2 boundary columns are compiled from the faces on
+first use, by the one code that turns degrees into columns.
 """
 
 from __future__ import annotations
@@ -46,10 +51,12 @@ class CellComplex:
 
     ``cells`` maps ``str`` ids to ``int`` dimensions; ``incidence`` maps
     (cell, face) id pairs to ``int`` degrees. Construction converts
-    nothing: it rejects a negative dimension, sorts each dimension's ids
-    and groups the nonzero degrees by cell into the per-cell face map
-    that ``faces`` reads, the one incidence store; no cell keeps an empty
-    one. ``add_cell`` and ``from_simplices`` convert their own arguments.
+    nothing: it rejects a negative dimension, groups the degrees by cell
+    and hands them to ``_setup``, which every builder shares: it sorts
+    each dimension's ids and keeps each cell's nonzero degrees as the
+    per-cell face map that ``faces`` reads, the one incidence store; no
+    cell keeps an empty one. ``add_cell`` and ``from_simplices`` convert
+    their own arguments.
     All query methods are pure, so instances are safe to share across
     threads. ``add_cell`` returns a new complex rather than mutating.
     The compiled form (the mod-2 boundary columns and the malformed
@@ -62,31 +69,42 @@ class CellComplex:
                  cells: Mapping[CellId, int] | None = None,
                  incidence: Mapping[tuple[CellId, CellId], int] | None = None):
         cells = dict(cells or {})
-        by_dim: dict[int, list[CellId]] = {}
         for cid, dim in cells.items():
             if dim < 0:
                 raise ValueError(f"cell {cid!r} has negative dimension {dim}")
-            by_dim.setdefault(dim, []).append(cid)
-        # Net-zero degrees are indistinguishable from absence mod 2: drop them.
         faces: dict[CellId, dict[CellId, int]] = {}
         for (cid, fid), deg in (incidence or {}).items():
-            if deg:
-                faces.setdefault(cid, {})[fid] = deg
-        self._setup(cells, {d: tuple(sorted(ids)) for d, ids in by_dim.items()}, faces)
+            faces.setdefault(cid, {})[fid] = deg
+        self._setup(cells, faces)
 
     @classmethod
-    def _of(cls, cells: dict[CellId, int], by_dim: dict[int, tuple[CellId, ...]],
+    def _of(cls, cells: dict[CellId, int],
             faces: dict[CellId, dict[CellId, int]]) -> "CellComplex":
         """A complex on tables its caller built and hands over, uncopied:
-        ``cells``, each dimension's ids in sorted order, and each cell's
-        nonzero face degrees, with no cell's face dict empty."""
+        ``cells`` and each cell's face degrees. ``_setup`` may replace or
+        delete entries of ``faces``, never change a face dict, so the
+        face dicts may be shared with another complex."""
         k = cls.__new__(cls)
-        k._setup(cells, by_dim, faces)
+        k._setup(cells, faces)
         return k
 
-    def _setup(self, cells, by_dim, faces) -> None:
+    def _setup(self, cells: dict[CellId, int], faces: dict[CellId, dict[CellId, int]]) -> None:
+        """The one setup of every builder. It sorts each dimension's ids
+        (the basis order), and drops zero degrees and then face dicts
+        left empty: net-zero degrees are indistinguishable from absence
+        mod 2."""
+        by_dim: dict[int, list[CellId]] = {}
+        for cid, dim in cells.items():
+            by_dim.setdefault(dim, []).append(cid)
+        for cid in [c for c, entries in faces.items() if not entries or 0 in entries.values()]:
+            entries = {fid: deg for fid, deg in faces[cid].items() if deg}
+            if entries:
+                faces[cid] = entries
+            else:
+                del faces[cid]
         self._cells: dict[CellId, int] = cells
-        self._by_dim: dict[int, tuple[CellId, ...]] = by_dim
+        self._by_dim: dict[int, tuple[CellId, ...]] = {
+            d: tuple(sorted(ids)) for d, ids in by_dim.items()}
         self._faces: dict[CellId, dict[CellId, int]] = faces
 
     @cached_property
@@ -145,7 +163,7 @@ class CellComplex:
     @property
     def max_dim(self) -> int:
         """Largest cell dimension, or -1 for the empty complex."""
-        return max(self._cells.values(), default=-1)
+        return max(self._by_dim, default=-1)
 
     def __len__(self) -> int:
         return len(self._cells)
@@ -211,9 +229,7 @@ class CellComplex:
             acc[fid] = acc.get(fid, 0) + int(deg)
         cells = dict(self._cells)
         cells[cell_id] = int(dim)
-        incidence = dict(self.incidence)
-        incidence.update(((cell_id, fid), deg) for fid, deg in acc.items())
-        return CellComplex(cells, incidence)
+        return CellComplex._of(cells, {**self._faces, cell_id: acc})
 
     # -- derived structure -----------------------------------------------
 
@@ -230,15 +246,8 @@ class CellComplex:
     def _induced(self, cells: dict[CellId, int]) -> "CellComplex":
         """The complex on ``cells``, a subset of this one's, with the
         incidence entries between them; every other entry is dropped."""
-        return CellComplex(cells, {(c, f): deg for c, entries in self._faces.items() if c in cells
-                                   for f, deg in entries.items() if f in cells})
-
-    def odd_faces(self, cell_id: CellId) -> tuple[CellId, ...]:
-        """The declared faces one dimension down with odd degree, in sorted
-        id order: the support of the cell's column in ``boundary_columns``."""
-        below = self._cells.get(cell_id, 0) - 1
-        return tuple(sorted(f for f, d in self._faces.get(cell_id, {}).items()
-                            if d % 2 and self._cells.get(f) == below))
+        return CellComplex._of(cells, {c: {f: deg for f, deg in entries.items() if f in cells}
+                                       for c, entries in self._faces.items() if c in cells})
 
     def boundary_columns(self, p: int) -> tuple[int, ...]:
         """The mod-2 boundary map from p-cells to (p-1)-cells as bitsets.
@@ -369,12 +378,6 @@ def from_simplices(simplices: Iterable[Iterable]) -> CellComplex:
             simps.update(combinations(verts, k))
 
     cells = {"-".join(s): len(s) - 1 for s in simps}
-    incidence = {}
-    for s in simps:
-        if len(s) < 2:
-            continue
-        cid = "-".join(s)
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            incidence[(cid, "-".join(face))] = 1
-    return CellComplex(cells, incidence)
+    faces = {"-".join(s): {"-".join(s[:i] + s[i + 1:]): 1 for i in range(len(s))}
+             for s in simps if len(s) > 1}
+    return CellComplex._of(cells, faces)

@@ -16,10 +16,10 @@ per-row work is C-level: each line is split once, and stripped only to
 quote it in a diagnostic; cell ids are looked up in the complex's
 ``cells`` and section values in the probe's ``values``, each fetched
 once per call. ``parse_complex`` reads a canonical dimension or degree
-from a table, tests each boundary face's dimension with one lookup,
-adds its degree into its cell's face dict, and sorts each dimension's
-ids once, at the end; those face dicts become the complex's incidence
-store uncopied, with no tuple-keyed table on the way.
+from a table, tests each boundary face's dimension with one lookup and
+adds its degree into its cell's face dict. It hands those face dicts to
+``CellComplex._of`` uncopied, with no tuple-keyed table on the way; the
+complex's one setup sorts the ids and drops the totals that cancel.
 
 Formats:
   complex      ``cell <id> <dim>`` (0 <= dim <= MAX_CELL_DIM) and
@@ -223,19 +223,7 @@ def parse_complex(text: str, filename: str = "<complex>",
 
     if has_errors(diags):
         return None, diags
-    # Totals that cancel are dropped, and then cells left with no face.
-    for cid, acc in list(faces.items()):
-        if 0 in acc.values():
-            acc = {fid: deg for fid, deg in acc.items() if deg}
-            if acc:
-                faces[cid] = acc
-            else:
-                del faces[cid]
-    ids_of_dim: dict[int, list[CellId]] = {}
-    for cid, dim in cells.items():
-        ids_of_dim.setdefault(dim, []).append(cid)
-    by_dim = {dim: tuple(sorted(ids)) for dim, ids in ids_of_dim.items()}
-    return CellComplex._of(cells, by_dim, faces), diags
+    return CellComplex._of(cells, faces), diags
 
 
 def emit_complex(complex: CellComplex) -> str:
@@ -245,7 +233,7 @@ def emit_complex(complex: CellComplex) -> str:
     raises ValueError: an id that is not one word or holds '#' or ':', a
     dimension over ``MAX_CELL_DIM``, or an incidence entry that is not
     (p, p-1) between declared cells."""
-    order = sorted(complex.cells, key=lambda c: (complex.dim_of(c), c))
+    order = [cid for dim in sorted(complex._by_dim) for cid in complex.cells_of_dim(dim)]
     for cid in order:
         _serializable(cid, "cell id", "#:")
     _readable([complex.max_dim], "dimension", lambda dim: dim <= MAX_CELL_DIM)

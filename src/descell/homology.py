@@ -139,17 +139,22 @@ def _check_chain(complex: CellComplex, chain: Chain) -> None:
 
 
 def boundary_of(complex: CellComplex, chain: Chain) -> Chain:
-    """Apply the mod-2 boundary homomorphism to a chain.
+    """Apply the mod-2 boundary homomorphism to a chain: the XOR of its
+    cells' columns in ``boundary_columns``, the map the engine reduces.
 
     Chains of dimension 0 (or below) map to the empty chain.
     """
+    # Imported here: `import descell` under `python -S` loads no bisect.
+    from bisect import bisect_left
+
     _check_chain(complex, chain)
     if chain.dim <= 0:
         return Chain(max(chain.dim - 1, -1))
-    out: set[CellId] = set()
+    cells, columns = complex.cells_of_dim(chain.dim), complex.boundary_columns(chain.dim)
+    bits = 0
     for cid in chain.support:
-        out.symmetric_difference_update(complex.odd_faces(cid))
-    return Chain(chain.dim - 1, frozenset(out))
+        bits ^= columns[bisect_left(cells, cid)]
+    return _chain(chain.dim - 1, complex.cells_of_dim(chain.dim - 1), bits)
 
 
 # -- GF(2) column reduction ---------------------------------------------------

@@ -94,6 +94,30 @@ def square_step_table(temp_j, area_j=0.75):
     return rows
 
 
+def rp2():
+    """The real projective plane on three cells: the edge meets the vertex
+    twice and the face wraps twice around the edge."""
+    return CellComplex({"v": 0, "e": 1, "f": 2}, {("e", "v"): 2, ("f", "e"): 2})
+
+
+def product(k, l):
+    """The product cell complex K x L: a cell e*f of dimension dim e +
+    dim f per pair of cells. Its faces carry the degrees of (boundary e)
+    x f and, with sign (-1)**dim e, those of e x (boundary f), the
+    cellular boundary of a product (Hatcher, Algebraic Topology, 3.B)."""
+    cells, incidence = {}, {}
+    for e, de in k.cells.items():
+        sign = (-1) ** de
+        for f, df in l.cells.items():
+            cid = f"{e}*{f}"
+            cells[cid] = de + df
+            for face, deg in k.faces(e).items():
+                incidence[(cid, f"{face}*{f}")] = deg
+            for face, deg in l.faces(f).items():
+                incidence[(cid, f"{e}*{face}")] = sign * deg
+    return CellComplex(cells, incidence)
+
+
 def _grid_triangles(k, flip=False):
     """The triangles of ``grid_surface``, two per grid square, square
     (i, j) at positions 2 (i k + j) and 2 (i k + j) + 1."""

@@ -1,10 +1,19 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 import support
-from descell import CellComplex, from_simplices, homology
+from descell import (
+    CellComplex,
+    Chain,
+    boundary_of,
+    cycle_basis,
+    from_simplices,
+    homology,
+    is_boundary,
+)
 from descell.errors import (
     DimensionMismatchError,
     DuplicateIdError,
@@ -61,6 +70,103 @@ def test_add_cell_dimension_mismatch():
     k = CellComplex().add_cell("v", 0)
     with pytest.raises(DimensionMismatchError):
         k.add_cell("f", 2, [("v", 1)])
+
+
+# -- builders -------------------------------------------------------------
+
+
+def noisy(rng, entries, below):
+    """A cell's boundary as (face, degree) pairs: ``entries`` plus zero
+    degrees and repeated faces whose degrees cancel, shuffled."""
+    pairs = list(entries)
+    for _ in range(rng.randint(0, 3) if below else 0):
+        face, deg = rng.choice(below), rng.randint(1, 3)
+        pairs += rng.choice(([(face, 0)], [(face, deg), (face, -deg)]))
+    rng.shuffle(pairs)
+    return pairs
+
+
+def random_simplicial_table(rng):
+    """Random simplices, and their closure as cells in (dimension, id)
+    order with each cell's noisy boundary."""
+    verts = [f"x{i}" for i in range(rng.randint(1, 5))]
+    simplices = [rng.sample(verts, rng.randint(1, min(4, len(verts))))
+                 for _ in range(rng.randint(1, 4))]
+    closure = {tuple(sorted(face)) for s in simplices
+               for r in range(1, len(s) + 1) for face in itertools.combinations(s, r)}
+    cells = {"-".join(s): len(s) - 1 for s in sorted(closure, key=lambda s: (len(s), s))}
+    boundaries = {}
+    for s in closure:
+        below = [c for c, d in cells.items() if d == len(s) - 2]
+        faces = ["-".join(f) for f in itertools.combinations(s, len(s) - 1)] if len(s) > 1 else []
+        boundaries["-".join(s)] = noisy(rng, [(f, 1) for f in faces], below)
+    return simplices, cells, boundaries
+
+
+def random_cw_table(rng):
+    """Cells in dimension order with noisy boundaries of degrees -2 to 2,
+    often with odd or even nonzero composites, and one cell whose whole
+    boundary cancels."""
+    cells, boundaries = {}, {}
+    for d in range(rng.randint(1, 4)):
+        for i in range(rng.randint(1, 4)):
+            below = [c for c, dc in cells.items() if dc == d - 1]
+            entries = [(rng.choice(below), rng.randint(-2, 2))
+                       for _ in range(rng.randint(0, 3) if below else 0)]
+            cells[f"c{d}x{i}"] = d
+            boundaries[f"c{d}x{i}"] = noisy(rng, entries, below)
+    d = rng.randint(1, max(cells.values()) + 1)
+    face = rng.choice([c for c, dc in cells.items() if dc == d - 1])
+    cells["zero"] = d
+    boundaries["zero"] = [(face, 1), (face, 2), (face, -3)]
+    return cells, boundaries
+
+
+def builds(cells, boundaries):
+    """The complex of a table through each builder that can take it."""
+    incidence = {}
+    for cid, pairs in boundaries.items():
+        for fid, deg in pairs:
+            incidence[(cid, fid)] = incidence.get((cid, fid), 0) + deg
+    direct = CellComplex(cells, incidence)
+    chained = CellComplex()
+    for cid, dim in cells.items():
+        parent, before = chained, {c: dict(chained.faces(c)) for c in chained.cells}
+        chained = parent.add_cell(cid, dim, boundaries[cid])
+        assert "_incidence" not in vars(parent)
+        assert {c: dict(parent.faces(c)) for c in parent.cells} == before
+    parsed, diags = parse_complex(emit_complex(direct))
+    assert not diags
+    return [direct, chained, chained.skeleton(max(cells.values())).complex, parsed]
+
+
+def assert_same_complex(built):
+    first = built[0]
+    for k in built[1:]:
+        assert k == first
+        assert k.max_dim == first.max_dim
+        assert dict(k.incidence) == dict(first.incidence)
+        for p in range(first.max_dim + 2):
+            assert k.cells_of_dim(p) == first.cells_of_dim(p)
+            assert k.boundary_columns(p) == first.boundary_columns(p)
+        for cid in first.cells:
+            assert dict(k.faces(cid)) == dict(first.faces(cid))
+            assert k.cofaces(cid) == first.cofaces(cid)
+        assert k.validate(include_warnings=True) == first.validate(include_warnings=True)
+
+
+def test_every_builder_gives_the_same_complex():
+    rng = random.Random(2024)
+    composite_errors = 0
+    for _ in range(150):
+        simplices, cells, boundaries = random_simplicial_table(rng)
+        assert_same_complex([from_simplices(simplices), *builds(cells, boundaries)])
+        cells, boundaries = random_cw_table(rng)
+        built = builds(cells, boundaries)
+        assert_same_complex(built)
+        assert not built[0].faces("zero") and all(c != "zero" for c, _ in built[0].incidence)
+        composite_errors += not built[0].is_valid()
+    assert composite_errors > 10, composite_errors
 
 
 # -- validation -------------------------------------------------------
@@ -203,11 +309,32 @@ def test_homology_builds_no_face_maps():
     assert not diags
     homology(k, 3)
     assert "_incidence" not in vars(k) and "_cofaces" not in vars(k)
-    assert k.odd_faces("v0x0-v0x1") == ("v0x0", "v0x1")
+    assert boundary_of(k, Chain(1, {"v0x0-v0x1"})) == Chain(0, {"v0x0", "v0x1"})
+    assert "_incidence" not in vars(k) and "_cofaces" not in vars(k)
     assert k.cofaces("v0x0-v0x1") == ("v0x0-v0x1-v1x1", "v0x0-v0x1-v4x0")
     assert "_incidence" not in vars(k) and "_cofaces" in vars(k)
     assert k.incidence[("v0x0-v0x1", "v0x0")] == 1
     assert "_incidence" in vars(k)
+
+
+def test_homology_layer_reads_only_the_compiled_columns(monkeypatch):
+    # The chain operations and the reduction read boundary_columns, never
+    # a cell's faces.
+    k, diags = parse_complex(emit_complex(support.grid_surface(5)))
+    assert not diags
+
+    def no_faces(self, cell_id):
+        raise AssertionError(f"faces({cell_id!r}) read")
+
+    monkeypatch.setattr(CellComplex, "faces", no_faces)
+    face = "v0x0-v0x1-v1x1"
+    edges = boundary_of(k, Chain(2, {face}))
+    assert edges.support == {"v0x0-v0x1", "v0x1-v1x1", "v0x0-v1x1"}
+    assert not boundary_of(k, edges)
+    assert is_boundary(k, edges)
+    assert not is_boundary(k, Chain(1, {"v0x0-v0x1"}))
+    assert len(cycle_basis(k, 1)) == 75 - 25 + 1
+    assert homology(k).betti_vector() == (1, 2, 1)
 
 
 def test_boundary_matrix_ordering_is_sorted(disk3):

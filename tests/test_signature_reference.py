@@ -6,7 +6,8 @@ of a step. Today's ``signature`` reads each entry's ranks off the base's
 kernel bases and tests a ball only on the values in its window. Both must
 give the same table, or raise the same exception with the same message,
 on a corrupted random corpus, on the cooling scenario of the golden
-tables and on tori with one level per triangle.
+tables, on tori with one level per triangle and on a 3-dimensional
+product, where removing a 2-cell cascades into the 3-cells on it.
 ``test_signature_properties`` adds ``hypothesis`` scenarios.
 """
 
@@ -20,7 +21,8 @@ import signature_reference
 import support
 from descell import DescriptorBall, build_scenario, descriptive_homology, signature
 from descell.formats import emit_signature, load_scenario
-from test_signature_masks import corpus, engine, outcome, random_scenario
+from descell.descriptive import removed_cells
+from test_signature_masks import coarse_value, corpus, engine, outcome, random_scenario
 
 DATA = Path(__file__).parent / "data"
 persistence = importlib.import_module("descell.persistence")
@@ -121,3 +123,25 @@ def test_lower_removal_dims_on_both_rank_routes(monkeypatch, removal_dim, mode, 
         assert None in entries
     if (mode, delta) == ("remove", 0.0):
         assert any(b is not None for b in entries)
+
+
+@pytest.mark.parametrize("removal_dim", [0, 1, 2, 3])
+def test_three_dimensional_product(removal_dim):
+    """Random 3-step scenarios on the 192-cell triangulated torus times a
+    circle, in both modes and at two radii."""
+    k = support.product(support.grid_surface(4), support.circle())
+    rng = random.Random(40 + removal_dim)
+    cascades = 0
+    for arity in (1, 2):
+        scen = build_scenario(k, [(float(t), support.random_probe_table(
+            rng, k, arity, coarse_value)) for t in range(3)])
+        for mode in ("remove", "retain"):
+            for delta in (0.0, 0.25):
+                sig = assert_same(scen, delta, mode, removal_dim=removal_dim)
+                assert sig.dims == (0, 1, 2, 3)
+                if removal_dim == 2:
+                    cascades += sum(
+                        any(k.dim_of(c) == 3 for c in removed_cells(
+                            step.probe, DescriptorBall(alpha, delta), 2, mode))
+                        for step in scen.steps for alpha in sig.alphas)
+    assert cascades or removal_dim != 2
