@@ -32,6 +32,24 @@ printf '%s\n' "cell a 0" "cell b 0" "cell c 0" "cell ab 1" "cell bc 1" "cell ca 
   | cmp - <(printf '%s\n' "dim 0 cells 3 cycle_rank 3 boundary_rank 2 betti 1" "gen 0 a" \
       "dim 1 cells 3 cycle_rank 1 boundary_rank 0 betti 1" "gen 1 ab bc ca" "betti 1 1")
 "$@" validate "$tri" | cmp - <(echo OK)
+# Descriptor tables from the CLI: a clean one is accepted by whole columns,
+# and a broken one is walked row by row to word each error.
+scen="$(mktemp -d)"
+trap 'rm -rf "$tri" "$scen"' EXIT
+cp "$data/cooling.scenario" "$data/square.cw" "$data"/cooling_step[123].csv "$scen"
+# A blank line and ids padded with a space and a tab: the same signature.
+awk -F, -v OFS=, 'NR == 4 { print "" } NR > 1 { $1 = " " $1 "\t" } 1' \
+  "$data/cooling_step2.csv" > "$scen/cooling_step2.csv"
+"$@" persist "$scen/cooling.scenario" | cmp - "$data/golden_cooling_signature.csv"
+# A value that is not a number and a repeated row: exit 1, both errors, and
+# the cell of the rejected row left without descriptors.
+{ sed '3s/^eE,0.25,/eE,warm,/' "$data/cooling_step3.csv"; sed -n 2p "$data/cooling_step3.csv"; } \
+  > "$scen/cooling_step3.csv"
+{ "$@" persist "$scen/cooling.scenario" 2>&1 >/dev/null || echo "exit $?"; } \
+  | cmp - <(printf '%s\n' \
+      "cooling_step3.csv:3: error: non-numeric descriptor value in 'eE,warm,0.75'" \
+      "cooling_step3.csv:13: error: duplicate row for cell 'eD'" \
+      "cooling_step3.csv:0: error: cells without descriptors: eE" "exit 1")
 "$@" gauge "$data/disk3.cw" --probe "$data/disk3_probe.csv" --charts "$data/charts_ok.chart" \
   | cmp - <(echo OK)
 # A report with violations exits 1, which the `||` both allows and prints.

@@ -364,8 +364,9 @@ def from_simplices(simplices: Iterable[Iterable]) -> CellComplex:
 
     Every simplex is given as an iterable of vertex labels; all faces
     are generated automatically and every codimension-1 incidence gets
-    degree 1. Cell ids join the sorted vertex labels with "-", so labels
-    must not contain "-" themselves.
+    degree 1. Cell ids join the sorted vertex labels with "-", so a label
+    that contains "-" (``str(-1)`` among them) raises ValueError, as a
+    simplex that repeats a vertex does.
     """
     from itertools import combinations
 
@@ -374,6 +375,9 @@ def from_simplices(simplices: Iterable[Iterable]) -> CellComplex:
         verts = tuple(sorted(str(v) for v in s))
         if len(set(verts)) != len(verts):
             raise ValueError(f"simplex {verts} repeats a vertex")
+        for v in verts:
+            if "-" in v:
+                raise ValueError(f"vertex label {v!r} contains '-', which joins cell ids")
         for k in range(1, len(verts) + 1):
             simps.update(combinations(verts, k))
 

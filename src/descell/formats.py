@@ -15,7 +15,12 @@ The library constructors ``assign_probe``, ``make_chart``,
 per-row work is C-level: each line is split once, and stripped only to
 quote it in a diagnostic; cell ids are looked up in the complex's
 ``cells`` and section values in the probe's ``values``, each fetched
-once per call. ``parse_complex`` reads a canonical dimension or degree
+once per call. ``load_probe`` checks a descriptor table by whole
+columns, with no Python loop per row: field counts, ids against the
+complex's cells, and one ``float`` pass over every value. It walks the
+rows one by one only when a check fails, to word the diagnostics, and
+then builds no probe. ``emit_signature`` formats each theta and alpha
+once. ``parse_complex`` reads a canonical dimension or degree
 from a table, tests each boundary face's dimension with one lookup and
 adds its degree into its cell's face dict. It hands those face dicts to
 ``CellComplex._of`` uncopied, with no tuple-keyed table on the way; the
@@ -44,6 +49,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable, Iterable
+from itertools import chain, repeat
 
 from ._record import Record
 from .bundle import Chart
@@ -262,6 +268,15 @@ def load_probe(csv_text: str, complex: CellComplex, filename: str = "<descriptor
     uniform arity inferred from the header. Coverage gaps are reported
     with code "coverage" so callers can treat them as semantic rather
     than syntactic failures.
+
+    The body is accepted in one pass by whole columns: blank lines are
+    dropped, every other row must have arity + 1 fields, the stripped ids
+    must be distinct and be the complex's cells, and every stripped value
+    must parse as a finite float. Each of these fails only where a row
+    check or the coverage check below fails, so a file is accepted
+    exactly when the per-row walk would find no error. Otherwise the walk
+    runs, only to report every failure in line order, and no probe is
+    built.
     """
     diags, err = _diagnostics(filename)
     lines = csv_text.splitlines()
@@ -275,24 +290,42 @@ def load_probe(csv_text: str, complex: CellComplex, filename: str = "<descriptor
     arity = len(header) - 1
 
     cells = complex.cells
-    rows: dict[CellId, Descriptor] = {}
+    width = arity + 1
+    # Blank lines have one field; every other row needs ``width``.
+    rows = list(map(str.split, filter(str.strip, lines[1:]), repeat(",")))
+    if set(map(len, rows)) <= {width}:
+        # float() strips whitespace but not U+001F, which str.strip()
+        # removes and splitlines() leaves inside a line.
+        flat = list(map(str.strip, chain.from_iterable(rows)))
+        ids = flat[::width]
+        del flat[::width]
+        if len(ids) == len(cells) and dict.fromkeys(ids).keys() == cells.keys():
+            try:
+                values = list(map(float, flat))
+            except ValueError:
+                pass
+            else:
+                if all(map(math.isfinite, values)):
+                    table = dict(zip(ids, zip(*[iter(values)] * arity)))
+                    return ProbeAssignment(complex, table, arity if table else 0), diags
+
+    # Some check failed: walk the rows to word each failure.
+    accepted: set[CellId] = set()
     for lineno, raw in enumerate(lines[1:], start=2):
         fields = raw.split(",")
-        if len(fields) != arity + 1:
+        if len(fields) != width:
             # A blank line has one field, and the arity is at least 1.
             if raw.strip():
-                err(lineno, f"expected {arity + 1} fields, got {len(fields)}")
+                err(lineno, f"expected {width} fields, got {len(fields)}")
             continue
         cid = fields[0].strip()
-        if cid in rows:
+        if cid in accepted:
             err(lineno, f"duplicate row for cell {cid!r}", "reference")
             continue
         if cid not in cells:
             err(lineno, f"unknown cell {cid!r}", "reference")
             continue
         try:
-            # float() strips whitespace but not U+001F, which str.strip()
-            # removes and splitlines() leaves inside a line.
             desc = tuple(map(float, map(str.strip, fields[1:])))
         except ValueError:
             err(lineno, f"non-numeric descriptor value in {raw.strip()!r}")
@@ -300,13 +333,11 @@ def load_probe(csv_text: str, complex: CellComplex, filename: str = "<descriptor
         if not all(map(math.isfinite, desc)):
             err(lineno, f"non-finite descriptor value in {raw.strip()!r}")
             continue
-        rows[cid] = desc
-    missing = sorted(cells.keys() - rows.keys())
+        accepted.add(cid)
+    missing = sorted(cells.keys() - accepted)
     if missing:
         err(0, f"cells without descriptors: {', '.join(missing)}", "coverage")
-    if has_errors(diags):
-        return None, diags
-    return ProbeAssignment(complex, rows, arity if rows else 0), diags
+    return None, diags
 
 
 def emit_descriptors(table: Iterable[tuple[CellId, Descriptor]]) -> str:
@@ -599,10 +630,15 @@ def emit_signature(sig: PersistenceSignature) -> str:
     _readable([sig.removal_dim, *sig.dims], "dimension", _non_negative)
     _readable(sig.table.values(), "betti", _non_negative)
     lines = [f"# mode {sig.mode}", f"# delta {_fmt_float(sig.delta)}", f"# rdim {sig.removal_dim}"]
-    rows = [f"{_fmt_float(theta)},{_fmt_descriptor(alpha)},{p},{betti}"
-            for theta, alpha, p, betti in sig.rows()]
-    if not rows and sig.thetas:
-        lines.append(f"# thetas {_fmt_descriptor(sig.thetas)}")
+    # Each theta and alpha is formatted once and found again by position:
+    # (0.0,) and (-0.0,) are equal keys that print differently.
+    thetas = list(map(_fmt_float, sig.thetas))
+    alphas = list(zip(sig.alphas, map(_fmt_descriptor, sig.alphas)))
+    table = sig.table
+    rows = [f"{theta},{alpha_s},{p},{table[ti, alpha, p]}"
+            for ti, theta in enumerate(thetas) for alpha, alpha_s in alphas for p in sig.dims]
+    if not rows and thetas:
+        lines.append(f"# thetas {';'.join(thetas)}")
     if not rows and sig.dims:
         lines.append(f"# dims {';'.join(map(str, sig.dims))}")
     lines.append("theta,alpha,dim,betti")

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,3 +370,26 @@ def test_from_simplices_closes_faces():
     assert len(k) == 7
     assert k.dim_of("x-y-z") == 2
     assert set(k.faces("x-y-z")) == {"x-y", "x-z", "y-z"}
+
+
+SEPARATOR_LABELS = """
+import pytest
+from descell import from_simplices
+for simplices, label in [([("a", "b"), ("a-b",)], "a-b"), ([("a-b",), ("a", "b")], "a-b"),
+                         ([(-1, 0)], "-1"), ([("x", "y", "z-")], "z-")]:
+    with pytest.raises(ValueError, match=repr(label)):
+        from_simplices(simplices)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_from_simplices_rejects_the_id_separator_in_a_label(hash_seed):
+    # The vertex "a-b" and the edge of a and b would share the id "a-b",
+    # and which dimension won depended on the string hash seed.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", SEPARATOR_LABELS], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr

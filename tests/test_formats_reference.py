@@ -12,7 +12,10 @@ that ``float()`` does not strip and ``splitlines`` does not break on),
 U+3000, CRLF, U+0085 and U+2028 line breaks, '#' comments, numbers
 written ``+1``, ``1_0``, with an Arabic-Indic digit (U+0663) or with
 5,000 digits, faces that repeat with zero net degree, undeclared and
-wrong-dimension faces, and repeated rows, members and overrides.
+wrong-dimension faces, and repeated rows, members and overrides. A
+600-row torus probe, clean and with one defect at a time, exercises both
+sides of ``load_probe``'s whole-column acceptance: a file it accepts in
+one pass, and one whose rows it walks to word the diagnostics.
 """
 
 import random
@@ -29,6 +32,7 @@ import support  # noqa: E402
 from descell import ProbeAssignment, assign_probe  # noqa: E402
 from descell.formats import (  # noqa: E402
     emit_complex,
+    emit_descriptors,
     load_probe,
     parse_charts,
     parse_complex,
@@ -153,8 +157,16 @@ def csv_texts(draw):
     lines = [draw(padded(cid)) + "," + ",".join(draw(st.lists(good_value, min_size=arity,
                                                               max_size=arity)))
              for cid in draw(st.permutations(CELLS))]
-    lines += draw(st.lists(row | st.sampled_from(["", " ", "\x1f"]), max_size=2))
-    lines = [draw(st.sampled_from(GOOD_HEADERS[arity]))] + draw(st.permutations(lines))
+    lines += draw(st.lists(row | st.sampled_from(["", " ", "\x1f", ",", " ,\x1f,\t"]),
+                           max_size=2))
+    lines = draw(st.permutations(lines))
+    # A row whose value fails to parse, then a valid row for its cell:
+    # only the first is an error, and the second is no duplicate.
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(CELLS) - 1))
+        cid = lines[at].split(",")[0]
+        lines.insert(at, cid + "," + ",".join(["x"] + ["0.5"] * (arity - 1)))
+    lines = [draw(st.sampled_from(GOOD_HEADERS[arity]))] + lines
     return "".join(line + draw(st.sampled_from(BREAKS)) for line in lines)
 
 
@@ -172,6 +184,50 @@ def test_parse_descriptors_matches_reference(text):
     # load_probe builds its probe from the same rows, unsorted.
     probe = None if rows is None else ProbeAssignment(COMPLEX, dict(rows), len(rows[0][1]))
     assert load_probe(text, COMPLEX, "p.csv") == (probe, diags)
+
+
+TORUS = support.grid_surface(10)
+TORUS_ROWS = emit_descriptors(support.random_probe_table(
+    random.Random(23), TORUS, 2, support.decimal_value)).splitlines()
+assert len(TORUS_ROWS) == 601
+
+
+def defective(at, *replacement):
+    """The torus probe's CSV with its row ``at`` replaced by ``replacement``."""
+    return "\n".join(TORUS_ROWS[:at] + list(replacement) + TORUS_ROWS[at + 1:]) + "\n"
+
+
+ROW = TORUS_ROWS[300]
+ROW_BUT_ID = ROW[ROW.index(","):]
+ROW_BUT_LAST_VALUE = ROW.rsplit(",", 1)[0]
+TORUS_CSVS = {
+    "clean": "\n".join(TORUS_ROWS) + "\n",
+    "too few fields": defective(300, ROW_BUT_LAST_VALUE),
+    "duplicate row": defective(300, ROW, ROW),
+    "unknown id": defective(300, "nope" + ROW_BUT_ID),
+    "empty id": defective(300, ROW_BUT_ID),
+    "x": defective(300, ROW_BUT_LAST_VALUE + ",x"),
+    "nan": defective(300, ROW_BUT_LAST_VALUE + ",nan"),
+    "missing row": defective(300),
+    "separators only": defective(300, ",,"),
+    "padded separators only": defective(300, " \t,\x1f,\u3000"),
+    "blank line": defective(300, ROW, ""),
+    "unit separator line": defective(300, ROW, "\x1f"),
+    "bad value, then its cell": defective(300, ROW_BUT_LAST_VALUE + ",1.0.0", ROW),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TORUS_CSVS))
+def test_load_probe_matches_reference_on_a_torus_probe(name):
+    """One defect at a time in a 600-row probe: the clean files, blank
+    lines included, pass the whole-column checks, and every other file is
+    walked row by row, with the reference's diagnostics."""
+    text = TORUS_CSVS[name]
+    rows, diags = formats_reference.parse_descriptors(text, TORUS, "t.csv")
+    assert (rows is not None) == (name in ("clean", "blank line", "unit separator line"))
+    assert parse_descriptors(text, TORUS, "t.csv") == (rows, diags)
+    probe = None if rows is None else ProbeAssignment(TORUS, dict(rows), 2)
+    assert load_probe(text, TORUS, "t.csv") == (probe, diags)
 
 
 def test_unit_separator_around_a_value_is_accepted():

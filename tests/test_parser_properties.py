@@ -48,6 +48,10 @@ from descell import (  # noqa: E402
 from descell.formats import (  # noqa: E402
     MAX_CELL_DIM,
     ScenarioFile,
+    _fmt_descriptor,
+    _fmt_float,
+    _non_negative,
+    _readable,
     emit_charts,
     emit_complex,
     emit_descriptors,
@@ -375,3 +379,44 @@ def test_signature_round_trip(sig):
     assert (text is None) == (not readable(sig))
     if text is not None:
         assert parse_signature(text) == (sig, [])
+
+
+def emit_signature_per_row(sig):
+    """``emit_signature`` as it was, formatting every theta and alpha
+    again on each of its rows: the byte-for-byte reference."""
+    if () in sig.alphas:
+        raise ValueError("alpha () of arity 0 cannot be serialized")
+    _readable(sig.thetas, "theta")
+    _readable((v for alpha in sig.alphas for v in alpha), "alpha value")
+    _readable([sig.delta], "delta", _non_negative)
+    _readable([sig.removal_dim, *sig.dims], "dimension", _non_negative)
+    _readable(sig.table.values(), "betti", _non_negative)
+    lines = [f"# mode {sig.mode}", f"# delta {_fmt_float(sig.delta)}", f"# rdim {sig.removal_dim}"]
+    rows = [f"{_fmt_float(theta)},{_fmt_descriptor(alpha)},{p},{betti}"
+            for theta, alpha, p, betti in sig.rows()]
+    if not rows and sig.thetas:
+        lines.append(f"# thetas {_fmt_descriptor(sig.thetas)}")
+    if not rows and sig.dims:
+        lines.append(f"# dims {';'.join(map(str, sig.dims))}")
+    lines.append("theta,alpha,dim,betti")
+    lines.extend(rows)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(signatures())
+def test_emit_signature_matches_the_per_row_formatter(sig):
+    assert emit_or_refuse(emit_signature, sig) == emit_or_refuse(emit_signature_per_row, sig)
+
+
+@pytest.mark.parametrize("thetas", [(-0.0, 0.0), (0.0, -0.0), (0.0,)])
+@pytest.mark.parametrize("alphas", [((0.0,), (-0.0,)), ((-0.0,), (0.0,)),
+                                    ((-0.0, 0.0), (0.0, -0.0))])
+def test_emit_signature_keeps_the_sign_of_zero(thetas, alphas):
+    # Equal keys that print differently: each must keep its own spelling,
+    # so a cache keyed by value would write one spelling for both.
+    dims = (0, 1)
+    table = {(ti, alpha, p): ti + p for ti in range(len(thetas)) for alpha in alphas for p in dims}
+    sig = PersistenceSignature(mode="remove", delta=0.0, removal_dim=1,
+                               thetas=thetas, alphas=alphas, dims=dims, table=table)
+    assert emit_signature(sig) == emit_signature_per_row(sig)
