@@ -47,12 +47,25 @@ awk -F, -v OFS=, 'NR == 4 { print "" } NR > 1 { $1 = " " $1 "\t" } 1' \
   > "$scen/cooling_step3.csv"
 { "$@" persist "$scen/cooling.scenario" 2>&1 >/dev/null || echo "exit $?"; } \
   | cmp - <(printf '%s\n' \
-      "cooling_step3.csv:3: error: non-numeric descriptor value in 'eE,warm,0.75'" \
-      "cooling_step3.csv:13: error: duplicate row for cell 'eD'" \
-      "cooling_step3.csv:0: error: cells without descriptors: eE" "exit 1")
+      "$scen/cooling_step3.csv:3: error: non-numeric descriptor value in 'eE,warm,0.75'" \
+      "$scen/cooling_step3.csv:13: error: duplicate row for cell 'eD'" \
+      "$scen/cooling_step3.csv:0: error: cells without descriptors: eE" "exit 1")
+# Run from the scenario's parent directory, a referenced file is named by its
+# path from there, so the path printed can be opened as it stands.
+shown="$(cd "$scen/.." && { "$@" persist "${scen##*/}/cooling.scenario" 2>&1 >/dev/null || true; } \
+  | sed -n '1s/:.*//p')"
+[ "$shown" = "${scen##*/}/cooling_step3.csv" ]
+(cd "$scen/.." && test -f "$shown")
 "$@" gauge "$data/disk3.cw" --probe "$data/disk3_probe.csv" --charts "$data/charts_ok.chart" \
   | cmp - <(echo OK)
 # A report with violations exits 1, which the `||` both allows and prints.
 { "$@" gauge "$data/disk3.cw" --probe "$data/disk3_probe.csv" \
     --charts "$data/charts_override.chart" || echo "exit $?"; } \
   | cmp - <(printf '%s\n' "trivialization charts right cell C residual 0.77 norm 0.77" "exit 1")
+# Only the invoked subcommand's parser is built, but an unrecognized argument
+# still prints the usage line that names every subcommand, as an unknown
+# subcommand does; both are usage errors.
+bogus="$({ "$@" persist x --bogus 2>&1 >/dev/null || echo "exit $?"; } | sed -n '1p;$p')"
+nosuch="$({ "$@" nosuch 2>&1 >/dev/null || echo "exit $?"; } | sed -n '1p;$p')"
+[ "$bogus" = "$nosuch" ]
+[ "${bogus##*$'\n'}" = "exit 2" ]

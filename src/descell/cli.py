@@ -4,12 +4,17 @@ Exit codes: 0 success (and a clean report for validate/gauge),
 1 validation or semantic failure, 2 usage or parse error. Diagnostics go
 to stderr, results to stdout or --out. Output is deterministic: the same
 input bytes and flags always produce the same output bytes.
+
+Each call builds the argument parser of the invoked subcommand only;
+with no subcommand named first (no arguments, ``-h``, an unknown name)
+it builds all five, for the top-level help and errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .bundle import verify_cocycle
@@ -22,9 +27,10 @@ from .formats import (
     _fmt_descriptor,
     emit_signature,
     load_probe,
-    load_scenario,
+    load_scenario_file,
     parse_charts,
     parse_complex,
+    read_scenario,
     read_text,
 )
 from .homology import MAX_ORACLE_CELLS, _masked_betti, homology, oracle_homology
@@ -226,14 +232,16 @@ def cmd_gauge(args) -> int:
 
 
 def cmd_persist(args) -> int:
-    scenario, diags = load_scenario(args.scenario)
-    if scenario is None:
-        _print_diags(diags)
-        # Failures in the scenario file itself are parse errors; failures
-        # in files it references are scenario (semantic) errors.
-        own_file = all(d.file == args.scenario for d in diags if d.severity == "error")
-        return USAGE_ERROR if own_file else SEMANTIC_ERROR
+    # Failures to read or parse the scenario file itself are parse errors;
+    # failures in files it references are scenario (semantic) errors.
+    sf, diags = read_scenario(args.scenario)
     _print_diags(diags)
+    if sf is None:
+        return USAGE_ERROR
+    scenario, diags = load_scenario_file(sf, os.path.dirname(args.scenario))
+    _print_diags(diags)
+    if scenario is None:
+        return SEMANTIC_ERROR
     try:
         sig = signature(scenario, delta=args.delta, mode=args.mode,
                         max_p=args.max_dim)
@@ -255,17 +263,11 @@ def cmd_persist(args) -> int:
 # -- parser ------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="descell",
-        description="Mod-2 cellular homology with descriptor-driven analysis.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check structural integrity of a complex file")
+def _validate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("complex", help="complex file path")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("homology", help="Betti numbers and ranks of a complex")
+
+def _homology_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("complex")
     p.add_argument("--max-dim", dest="max_dim", type=_max_dim, default=None)
     p.add_argument("--generators", action="store_true",
@@ -275,10 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-bound", dest="oracle_bound", type=_oracle_bound,
                    default=14, help="cell-count bound for the oracle, "
                    f"0 to {MAX_ORACLE_CELLS} (default 14)")
-    p.set_defaults(func=cmd_homology)
 
-    p = sub.add_parser("descriptive",
-                       help="Betti numbers of descriptor-ball sub-complexes")
+
+def _descriptive_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("complex")
     p.add_argument("--probe", required=True, help="descriptor CSV path")
     group = p.add_mutually_exclusive_group(required=True)
@@ -290,28 +291,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_non_negative_int, default=2,
                    help="dimension of the cells selected by the ball (default 2)")
     p.add_argument("--mode", choices=("remove", "retain"), default="remove")
-    p.set_defaults(func=cmd_descriptive)
 
-    p = sub.add_parser("gauge", help="check the gauge identities of a chart cover")
+
+def _gauge_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("complex")
     p.add_argument("--probe", required=True, help="descriptor CSV path")
     p.add_argument("--charts", required=True, help="chart file path")
     p.add_argument("--tolerance", type=_non_negative_float, default=0.0)
-    p.set_defaults(func=cmd_gauge)
 
-    p = sub.add_parser("persist", help="signature table of a scenario")
+
+def _persist_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("scenario", help="scenario file path")
     p.add_argument("--delta", type=_non_negative_float, default=0.0)
     p.add_argument("--mode", choices=("remove", "retain"), default="remove")
     p.add_argument("--max-dim", dest="max_dim", type=_max_dim, default=None)
     p.add_argument("--out", default=None, help="write the CSV here and print the row count")
-    p.set_defaults(func=cmd_persist)
 
+
+# name -> (help, function that adds its arguments, handler)
+_COMMANDS = {
+    "validate": ("check structural integrity of a complex file",
+                 _validate_args, cmd_validate),
+    "homology": ("Betti numbers and ranks of a complex", _homology_args, cmd_homology),
+    "descriptive": ("Betti numbers of descriptor-ball sub-complexes",
+                    _descriptive_args, cmd_descriptive),
+    "gauge": ("check the gauge identities of a chart cover", _gauge_args, cmd_gauge),
+    "persist": ("signature table of a scenario", _persist_args, cmd_persist),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``descell`` argument parser: every subcommand, or with
+    ``command`` (a subcommand name) only that one, which parses that
+    subcommand's arguments to the same namespace and messages."""
+    parser = argparse.ArgumentParser(
+        prog="descell",
+        description="Mod-2 cellular homology with descriptor-driven analysis.")
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = list(_COMMANDS)
+    else:
+        # The top parser's usage line, printed with an unrecognized
+        # argument, still names every subcommand. Only here: on the full
+        # tree a metavar would also rename the argument in its errors.
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+        names = [command]
+    for name in names:
+        summary, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except DescellError as exc:

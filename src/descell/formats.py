@@ -546,33 +546,36 @@ def load_scenario_file(sf: ScenarioFile, base_dir: str,
                        ) -> tuple[Scenario | None, list[ParseDiagnostic]]:
     """Resolve a parsed scenario's referenced files and build the scenario.
 
-    Every referenced-file failure (unreadable path, bad complex, bad
-    descriptor CSV, non-monotone thetas) comes back as a diagnostic
-    against the file that caused it.
+    Each path is read relative to ``base_dir`` (``""`` is the working
+    directory). Every referenced-file failure (unreadable path, bad
+    complex, bad descriptor CSV, non-monotone thetas) comes back as a
+    diagnostic against the file that caused it, named by that joined path.
     """
     diags: list[ParseDiagnostic] = []
 
-    def read(rel_path: str) -> str | None:
+    def read(path: str) -> str | None:
         try:
-            return read_text(os.path.join(base_dir, rel_path))
+            return read_text(path)
         except (OSError, UnicodeDecodeError) as exc:
-            diags.append(ParseDiagnostic(rel_path, 0, "error", str(exc), "io"))
+            diags.append(ParseDiagnostic(path, 0, "error", str(exc), "io"))
             return None
 
-    complex_text = read(sf.complex_path)
+    complex_path = os.path.join(base_dir, sf.complex_path)
+    complex_text = read(complex_path)
     if complex_text is None:
         return None, diags
-    complex, cdiags = parse_complex(complex_text, sf.complex_path)
+    complex, cdiags = parse_complex(complex_text, complex_path)
     diags.extend(cdiags)
     if complex is None:
         return None, diags
 
     steps = []
     for theta, rel_path in sf.steps:
-        csv_text = read(rel_path)
+        path = os.path.join(base_dir, rel_path)
+        csv_text = read(path)
         if csv_text is None:
             return None, diags
-        probe, pdiags = load_probe(csv_text, complex, rel_path)
+        probe, pdiags = load_probe(csv_text, complex, path)
         diags.extend(pdiags)
         if probe is None:
             return None, diags
@@ -585,16 +588,21 @@ def load_scenario_file(sf: ScenarioFile, base_dir: str,
         return None, diags
 
 
-def load_scenario(path: str) -> tuple[Scenario | None, list[ParseDiagnostic]]:
-    """Read, parse and resolve a scenario file from disk."""
+def read_scenario(path: str) -> tuple[ScenarioFile | None, list[ParseDiagnostic]]:
+    """Read and parse a scenario file from disk, without the files it names."""
     try:
         text = read_text(path)
     except (OSError, UnicodeDecodeError) as exc:
         return None, [ParseDiagnostic(path, 0, "error", str(exc), "io")]
-    sf, diags = parse_scenario(text, path)
+    return parse_scenario(text, path)
+
+
+def load_scenario(path: str) -> tuple[Scenario | None, list[ParseDiagnostic]]:
+    """Read, parse and resolve a scenario file from disk."""
+    sf, diags = read_scenario(path)
     if sf is None:
         return None, diags
-    scenario, more = load_scenario_file(sf, os.path.dirname(path) or ".")
+    scenario, more = load_scenario_file(sf, os.path.dirname(path))
     return scenario, diags + more
 
 

@@ -1,3 +1,4 @@
+import argparse
 import os
 import random
 import subprocess
@@ -15,7 +16,7 @@ from descell import (
     derive_subcomplex,
     homology,
 )
-from descell.cli import main
+from descell.cli import build_parser, main
 from descell.formats import emit_complex, emit_descriptors
 
 REPO = Path(__file__).resolve().parent.parent
@@ -383,6 +384,51 @@ def test_persist_single_step(tmp_path, capsys):
     assert thetas == {"0.0"}
 
 
+def copy_cooling(folder):
+    """The cooling scenario and the files it names, copied into ``folder``."""
+    folder.mkdir()
+    for name in ("cooling.scenario", "square.cw", "cooling_step1.csv",
+                 "cooling_step2.csv", "cooling_step3.csv"):
+        (folder / name).write_bytes((DATA / name).read_bytes())
+    return folder
+
+
+def test_persist_names_a_referenced_file_by_its_path_from_the_working_directory(
+        tmp_path, monkeypatch, capsys):
+    scen = copy_cooling(tmp_path / "scen")
+    step3 = scen / "cooling_step3.csv"
+    step3.write_text(step3.read_text().replace("eE,0.25,", "eE,warm,"))
+    expected = ("{}:3: error: non-numeric descriptor value in 'eE,warm,0.75'\n"
+                "{}:0: error: cells without descriptors: eE\n")
+    for cwd, scenario, shown in ((scen, "cooling.scenario", "cooling_step3.csv"),
+                                 (tmp_path, "scen/cooling.scenario", "scen/cooling_step3.csv"),
+                                 (DATA, str(scen / "cooling.scenario"), str(step3))):
+        monkeypatch.chdir(cwd)
+        assert main(["persist", scenario]) == 1
+        assert capsys.readouterr() == ("", expected.format(shown, shown))
+        assert os.path.exists(shown)
+    # A path the scenario gives from the root is printed as it stands.
+    (scen / "abs.scenario").write_text(f"complex square.cw\nstep 0.0 {step3}\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["persist", "scen/abs.scenario"]) == 1
+    assert capsys.readouterr().err == expected.format(step3, step3)
+
+
+def test_persist_exit_code_follows_the_stage_that_failed(tmp_path, monkeypatch, capsys):
+    """A scenario naming itself as its complex fails in a referenced file
+    (exit 1) from any directory; one that does not parse fails as itself
+    (exit 2)."""
+    scen = copy_cooling(tmp_path / "scen")
+    (scen / "self.scenario").write_text("complex self.scenario\nstep 0.0 cooling_step1.csv\n")
+    (scen / "bad.scenario").write_text("complex square.cw\nstep x cooling_step1.csv\n")
+    for cwd, prefix in ((scen, ""), (tmp_path, "scen/"), (DATA, f"{scen}/")):
+        monkeypatch.chdir(cwd)
+        assert main(["persist", f"{prefix}self.scenario"]) == 1
+        assert capsys.readouterr().err.startswith(f"{prefix}self.scenario:1: error: ")
+        assert main(["persist", f"{prefix}bad.scenario"]) == 2
+        assert capsys.readouterr().err.startswith(f"{prefix}bad.scenario:2: error: ")
+
+
 # -- hostile input -------------------------------------------------------------------
 
 DISK = str(DATA / "disk3.cw")
@@ -483,3 +529,88 @@ def test_repeated_runs_byte_identical(args):
     second = run_cli(*args)
     assert first == second
     assert first[0] == 0
+
+
+# -- argument parsing --------------------------------------------------------------
+
+TORUS = str(DATA / "torus.cw")
+CHARTS = str(DATA / "charts_ok.chart")
+
+# Each subcommand's positional and required options, for a run that parses.
+OPERANDS = {
+    "validate": ([TORUS], []),
+    "homology": ([TORUS], []),
+    "descriptive": ([DISK], ["--probe", PROBE, "--spectrum"]),
+    "gauge": ([DISK], ["--probe", PROBE, "--charts", CHARTS]),
+    "persist": ([COOLING], []),
+}
+BAD_OPTIONS = (["--delta", "-1"], ["--delta", "x"], ["--max-dim", "99"],
+               ["--oracle-bound", "x"], ["--mode", "bad"], ["--bogus"],
+               ["--alpha", "0.5", "--spectrum"])
+
+
+def _argvs():
+    for command, (positional, required) in OPERANDS.items():
+        without_probe = list(required)
+        if "--probe" in required:
+            i = required.index("--probe")
+            del without_probe[i:i + 2]
+        yield [command, "-h"]
+        yield [command, "--help"]
+        yield [command, *required]
+        yield [command, *positional, *without_probe]
+        yield [command, *positional, *required]
+        yield [command, *positional, *positional, *required]
+        for bad in BAD_OPTIONS:
+            yield [command, *positional, *required, *bad]
+    yield from ([], ["bogus"], ["--", "homology", "x"], ["-h", "homology"])
+
+
+def _outcome(run, argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
+def _full_tree(argv):
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize("columns", ["80", "30"])
+@pytest.mark.parametrize("argv", list(_argvs()),
+                         ids=lambda v: " ".join(a.rsplit("/", 1)[-1] for a in v) or "none")
+def test_main_matches_the_full_parser(argv, columns, monkeypatch, capsys):
+    """main builds one subcommand's parser; help, errors, output and exit
+    codes are those of the parser of every subcommand."""
+    monkeypatch.setenv("COLUMNS", columns)
+    assert _outcome(main, argv, capsys) == _outcome(_full_tree, argv, capsys)
+
+
+def test_unknown_command_error_names_the_command_argument(capsys):
+    with pytest.raises(SystemExit):
+        main(["bogus"])
+    assert "\ndescell: error: argument command: invalid choice: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", TORUS],
+    ["homology", TORUS],
+    ["descriptive", DISK, "--probe", PROBE, "--spectrum"],
+    ["gauge", DISK, "--probe", PROBE, "--charts", CHARTS],
+    ["persist", COOLING],
+], ids=lambda v: v[0])
+def test_main_builds_only_the_invoked_subcommand(argv, monkeypatch, capsys):
+    add_argument = argparse.ArgumentParser.add_argument
+    progs = set()
+
+    def spy(self, *args, **kwargs):
+        progs.add(self.prog)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert progs == {"descell", f"descell {argv[0]}"}

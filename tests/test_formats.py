@@ -477,14 +477,15 @@ def test_load_scenario_unreadable_step(data_dir):
 def test_load_scenario_decode_error_offset_counts_the_byte_order_mark(tmp_path, data_dir,
                                                                        name):
     """The offset counts from the first byte of the file, the mark's three
-    bytes included."""
+    bytes included. A referenced file is named by its path from the
+    working directory."""
     path = write_scenario(tmp_path, data_dir,
                           [(0.0, emit_descriptors(support.square_step_table(0.5)))])
     (tmp_path / name).write_bytes(b"\xef\xbb\xbf#2345678\n\xff\n")
     scenario, diags = load_scenario(path)
     assert scenario is None
     assert [(d.file, d.line, d.code, d.message) for d in diags] == [
-        (path if name == "x.scenario" else name, 0, "io",
+        (str(tmp_path / name), 0, "io",
          "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte")]
 
 
