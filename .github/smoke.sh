@@ -62,6 +62,21 @@ shown="$(cd "$scen/.." && { "$@" persist "${scen##*/}/cooling.scenario" 2>&1 >/d
 { "$@" gauge "$data/disk3.cw" --probe "$data/disk3_probe.csv" \
     --charts "$data/charts_override.chart" || echo "exit $?"; } \
   | cmp - <(printf '%s\n' "trivialization charts right cell C residual 0.77 norm 0.77" "exit 1")
+# A cover with a comment line, a tab-indented member and CRLF endings gives
+# the same report; a member repeated in the second block is walked line by
+# line to its diagnostic, a parse error.
+covers="$(mktemp -d)"
+trap 'rm -rf "$tri" "$scen" "$covers"' EXIT
+awk 'NR == 1 { printf "# two charts, one override\r\n" } NR == 2 { $0 = "\t" $0 }
+  { printf "%s\r\n", $0 }' "$data/charts_override.chart" > "$covers/crlf.chart"
+{ "$@" gauge "$data/disk3.cw" --probe "$data/disk3_probe.csv" \
+    --charts "$covers/crlf.chart" || echo "exit $?"; } \
+  | cmp - <(printf '%s\n' "trivialization charts right cell C residual 0.77 norm 0.77" "exit 1")
+{ cat "$data/charts_override.chart"; echo "member C-D"; } > "$covers/dup.chart"
+{ "$@" gauge "$data/disk3.cw" --probe "$data/disk3_probe.csv" \
+    --charts "$covers/dup.chart" 2>&1 >/dev/null || echo "exit $?"; } \
+  | cmp - <(printf '%s\n' "$covers/dup.chart:22: error: cell 'C-D' listed twice in chart 'right'" \
+      "exit 2")
 # Only the invoked subcommand's parser is built, but an unrecognized argument
 # still prints the usage line that names every subcommand, as an unknown
 # subcommand does; both are usage errors.

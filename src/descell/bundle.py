@@ -44,13 +44,24 @@ class Chart(Record):
         cells, section = frozenset(cells), dict(section)
         if section.keys() != cells:
             raise ForeignCellError(f"chart {id!r} section must cover exactly its cells")
-        # No Python-level loop: parse_charts builds every chart through here.
+        # No Python-level loop: parse_charts builds the charts of a file it
+        # walks line by line through here.
         wrong = set(map(len, section.values())) - {arity}
         if wrong:
             raise ArityMismatchError(
                 f"chart {id!r} has arity {arity}, "
                 f"but a section value has arity {min(wrong)}")
         super().__init__(id, cells, section, arity)
+
+    @classmethod
+    def _of(cls, id: str, cells: frozenset[CellId], section: dict[CellId, Descriptor],
+            arity: int) -> "Chart":
+        """A chart on fields its caller built and checked, handed over
+        uncopied: ``section``'s keys are ``cells`` and each of its values
+        has ``arity`` components."""
+        chart = cls.__new__(cls)
+        Record.__init__(chart, id, cells, section, arity)
+        return chart
 
 
 def make_chart(probe: ProbeAssignment, cells: Iterable[CellId], chart_id: str) -> Chart:

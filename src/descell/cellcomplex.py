@@ -59,10 +59,11 @@ class CellComplex:
     their own arguments.
     All query methods are pure, so instances are safe to share across
     threads. ``add_cell`` returns a new complex rather than mutating.
-    The compiled form (the mod-2 boundary columns and the malformed
-    entries) is built on the first ``boundary_columns`` or ``validate``
-    call, the ``incidence`` view on its first read and the coface map
-    behind ``cofaces`` on its first use; each is built at most once.
+    The compiled form (the mod-2 boundary columns, the malformed entries
+    and the cells with an odd composite boundary) is built on the first
+    ``boundary_columns`` or ``validate`` call, the ``incidence`` view on
+    its first read and the coface map behind ``cofaces`` on its first
+    use; each is built at most once.
     """
 
     def __init__(self,
@@ -92,50 +93,62 @@ class CellComplex:
         """The one setup of every builder. It sorts each dimension's ids
         (the basis order), and drops zero degrees and then face dicts
         left empty: net-zero degrees are indistinguishable from absence
-        mod 2."""
+        mod 2. Each cell is scanned for them only when one C-level pass
+        over the degrees finds an empty face dict or a zero."""
         by_dim: dict[int, list[CellId]] = {}
         for cid, dim in cells.items():
             by_dim.setdefault(dim, []).append(cid)
-        for cid in [c for c, entries in faces.items() if not entries or 0 in entries.values()]:
-            entries = {fid: deg for fid, deg in faces[cid].items() if deg}
-            if entries:
-                faces[cid] = entries
-            else:
-                del faces[cid]
+        if not (all(faces.values()) and all(map(all, map(dict.values, faces.values())))):
+            for cid in [c for c, entries in faces.items() if not entries or 0 in entries.values()]:
+                entries = {fid: deg for fid, deg in faces[cid].items() if deg}
+                if entries:
+                    faces[cid] = entries
+                else:
+                    del faces[cid]
         self._cells: dict[CellId, int] = cells
         self._by_dim: dict[int, tuple[CellId, ...]] = {
             d: tuple(sorted(ids)) for d, ids in by_dim.items()}
         self._faces: dict[CellId, dict[CellId, int]] = faces
 
     @cached_property
-    def _compiled(self) -> tuple[dict[int, tuple[int, ...]], list[tuple]]:
+    def _compiled(self) -> tuple[dict[int, tuple[int, ...]], list[tuple], list[CellId]]:
         """The compiled form: per dimension, the mod-2 boundary columns
-        over each dimension's sorted ids, and the incidence entries that
-        are not (p, p-1) between declared cells, with both cells'
-        dimensions (None if undeclared), for ``validate`` to report.
+        over each dimension's sorted ids; the incidence entries that are
+        not (p, p-1) between declared cells, with both cells' dimensions
+        (None if undeclared); and the cells whose composite boundary
+        d(d(cell)) is odd somewhere, in basis order, dimension by
+        dimension. ``validate`` reports the last two.
 
-        Each face is looked up once, among the sorted ids one dimension
-        below its cell: its row there is its bit, and a miss makes the
-        entry malformed."""
-        cells = self._cells
-        rows = {d: {cid: i for i, cid in enumerate(ids)} for d, ids in self._by_dim.items()}
-        columns = {d: [0] * len(ids) for d, ids in self._by_dim.items()}
+        Dimensions are compiled in ascending order. Each face is looked
+        up once, among the sorted ids one dimension below its cell: its
+        row there is its bit, and a miss makes the entry malformed. The
+        XOR of the columns of a cell's odd faces is its composite mod 2."""
+        cells, faces = self._cells, self._faces
+        columns: dict[int, tuple[int, ...]] = {}
         malformed = []
-        for cid, entries in self._faces.items():
-            d = cells.get(cid)
-            if d is None:
-                malformed.extend((cid, fid, None, cells.get(fid)) for fid in entries)
-                continue
-            row = rows.get(d - 1, {})
-            col = 0
-            for fid, deg in entries.items():
-                i = row.get(fid)
-                if i is None:
-                    malformed.append((cid, fid, d, cells.get(fid)))
-                elif deg % 2:
-                    col |= 1 << i
-            columns[d][rows[d][cid]] = col
-        return {d: tuple(cols) for d, cols in columns.items()}, malformed
+        odd = []
+        no_faces: dict[CellId, int] = {}
+        for d in sorted(self._by_dim):
+            below = self._by_dim.get(d - 1, ())
+            row = dict(zip(below, range(len(below))))
+            lower = columns.get(d - 1, ())
+            cols = []
+            for cid in self._by_dim[d]:
+                col = composite = 0
+                for fid, deg in faces.get(cid, no_faces).items():
+                    i = row.get(fid)
+                    if i is None:
+                        malformed.append((cid, fid, d, cells.get(fid)))
+                    elif deg % 2:
+                        col |= 1 << i
+                        composite ^= lower[i]
+                if composite:
+                    odd.append(cid)
+                cols.append(col)
+            columns[d] = tuple(cols)
+        for cid in faces.keys() - cells.keys():
+            malformed.extend((cid, fid, None, cells.get(fid)) for fid in faces[cid])
+        return columns, malformed, odd
 
     @cached_property
     def _incidence(self) -> dict[tuple[CellId, CellId], int]:
@@ -291,7 +304,7 @@ class CellComplex:
         With ``include_warnings`` the report also lists composite
         coefficients that are nonzero but even (harmless mod 2).
         """
-        columns, malformed = self._compiled
+        _, malformed, odd = self._compiled
         issues: list[Violation] = []
         for cid, fid, cd, fd in sorted(malformed):
             if cd is None:
@@ -308,39 +321,30 @@ class CellComplex:
                     f"incidence relates dimensions ({cd}, {fd}), expected ({fd + 1}, {fd})"))
 
         # Composite boundary coefficients, restricted to well-formed entries.
-        # A coefficient's parity is the bit of the XOR of the cell's face
-        # columns, so without warnings only a cell with an odd one needs
-        # the integer walk, for the message.
-        for p in sorted(self._by_dim):
-            if p < 2:
-                continue
-            lower = columns.get(p - 1, ())
-            for cid, col in zip(self._by_dim[p], columns[p]):
-                odd = 0
-                while col:
-                    low = col & -col
-                    odd ^= lower[low.bit_length() - 1]
-                    col ^= low
-                if not (odd or include_warnings):
+        # The compile found the cells with an odd one, so without warnings
+        # only those need the integer walk, for the message.
+        if include_warnings:
+            odd = [cid for p in sorted(self._by_dim) if p >= 2 for cid in self._by_dim[p]]
+        for cid in odd:
+            p = self._cells[cid]
+            composite: dict[CellId, int] = {}
+            for rid, d1 in self._faces.get(cid, {}).items():
+                if self._cells.get(rid) != p - 1:
                     continue
-                composite: dict[CellId, int] = {}
-                for rid, d1 in self._faces.get(cid, {}).items():
-                    if self._cells.get(rid) != p - 1:
+                for tid, d2 in self._faces.get(rid, {}).items():
+                    if self._cells.get(tid) != p - 2:
                         continue
-                    for tid, d2 in self._faces.get(rid, {}).items():
-                        if self._cells.get(tid) != p - 2:
-                            continue
-                        composite[tid] = composite.get(tid, 0) + d1 * d2
-                for tid in sorted(composite):
-                    coeff = composite[tid]
-                    if coeff % 2:
-                        issues.append(Violation(
-                            "composite-odd", "error", (cid, tid),
-                            f"composite boundary coefficient {coeff} is odd"))
-                    elif coeff != 0 and include_warnings:
-                        issues.append(Violation(
-                            "composite-nonzero", "warning", (cid, tid),
-                            f"composite boundary coefficient {coeff} nonzero over the integers"))
+                    composite[tid] = composite.get(tid, 0) + d1 * d2
+            for tid in sorted(composite):
+                coeff = composite[tid]
+                if coeff % 2:
+                    issues.append(Violation(
+                        "composite-odd", "error", (cid, tid),
+                        f"composite boundary coefficient {coeff} is odd"))
+                elif coeff != 0 and include_warnings:
+                    issues.append(Violation(
+                        "composite-nonzero", "warning", (cid, tid),
+                        f"composite boundary coefficient {coeff} nonzero over the integers"))
         return issues
 
     def is_valid(self) -> bool:

@@ -238,7 +238,7 @@ def cmd_persist(args) -> int:
     _print_diags(diags)
     if sf is None:
         return USAGE_ERROR
-    scenario, diags = load_scenario_file(sf, os.path.dirname(args.scenario))
+    scenario, diags = load_scenario_file(sf, os.path.dirname(args.scenario), args.scenario)
     _print_diags(diags)
     if scenario is None:
         return SEMANTIC_ERROR

@@ -21,10 +21,18 @@ complex's cells, and one ``float`` pass over every value. It walks the
 rows one by one only when a check fails, to word the diagnostics, and
 then builds no probe. ``emit_signature`` formats each theta and alpha
 once. ``parse_complex`` reads a canonical dimension or degree
-from a table, tests each boundary face's dimension with one lookup and
-adds its degree into its cell's face dict. It hands those face dicts to
+from a table, tests each boundary entry with one combined test (a
+canonical degree, a face id, the face's dimension by one lookup) and
+adds its degree into its cell's face dict; the checks that word an
+error run only when that test fails. It hands those face dicts to
 ``CellComplex._of`` uncopied, with no tuple-keyed table on the way; the
 complex's one setup sorts the ids and drops the totals that cancel.
+``parse_charts`` reads a chart file in one loop that only collects: a
+``member`` line appends to its block's list, and an ``override`` line
+is checked as it comes. Each block is then checked as a whole, and the
+charts go to ``Chart._of`` with no second copy or check. A file that
+fails a check is walked line by line, to word the diagnostics. Lines
+are cut at '#' only when the text holds one.
 
 Formats:
   complex      ``cell <id> <dim>`` (0 <= dim <= MAX_CELL_DIM) and
@@ -84,6 +92,16 @@ def _diagnostics(filename: str):
     def err(line: int, message: str, code: str = "syntax"):
         diags.append(ParseDiagnostic(filename, line, "error", message, code))
     return diags, err
+
+
+def _uncommented(text: str) -> list[str]:
+    """The text's lines, each cut at its first '#'; when the text holds
+    no '#', ``splitlines`` alone. A list, not a generator: resuming one
+    per line cost about a tenth of the chart parse."""
+    lines = text.splitlines()
+    if "#" in text:
+        return [line.partition("#")[0] for line in lines]
+    return lines
 
 
 def _logical_lines(text: str):
@@ -153,17 +171,19 @@ def parse_complex(text: str, filename: str = "<complex>",
     diags, err = _diagnostics(filename)
     cells: dict[CellId, int] = {}
     bnd_lines: list[tuple[int, list[str]]] = []
-    # Each line is cut at '#' only when it holds one, split once, and
-    # stripped only to quote it in a diagnostic. The loop is written out
-    # here and in parse_charts, not shared through a generator, because
-    # resuming one per line cost about a tenth of the chart parse.
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
+    # Each line is split once, and stripped only to quote it in a
+    # diagnostic. A canonical line passes one combined test; the checks
+    # that word an error, or read a non-canonical number, run only when
+    # it fails.
+    for lineno, line in enumerate(_uncommented(text), start=1):
         words = line.split()
         if not words:
             continue
         if words[0] == "cell":
+            dim = _SMALL_INTS.get(words[-1])
+            if dim is not None and len(words) == 3 and words[1] not in cells:
+                cells[words[1]] = dim
+                continue
             if len(words) != 3:
                 err(lineno, f"expected 'cell <id> <dim>', got {line.strip()!r}")
                 continue
@@ -171,7 +191,6 @@ def parse_complex(text: str, filename: str = "<complex>",
             if cid in cells:
                 err(lineno, f"cell {cid!r} declared twice", "reference")
                 continue
-            dim = _SMALL_INTS.get(dim_s)
             if dim is None:
                 try:
                     dim = int(dim_s)
@@ -207,24 +226,26 @@ def parse_complex(text: str, filename: str = "<complex>",
             acc = faces[cid] = {}
         for entry in words[2:]:
             fid, sep, deg_s = entry.rpartition(":")
-            if not sep or not fid:
-                err(lineno, f"expected '<face>:<degree>', got {entry!r}")
-                continue
             deg = _SMALL_INTS.get(deg_s)
-            if deg is None:
-                try:
-                    deg = int(deg_s)
-                except ValueError:
-                    err(lineno, f"degree {deg_s!r} is not an integer")
+            # An empty fid also stands for a missing ':'.
+            if deg is None or not fid or cells.get(fid) != below:
+                if not sep or not fid:
+                    err(lineno, f"expected '<face>:<degree>', got {entry!r}")
                     continue
-            fdim = cells.get(fid)
-            if fdim != below:
-                if fdim is None:
-                    err(lineno, f"bnd references undeclared face {fid!r}", "reference")
-                else:
-                    err(lineno, f"face {fid!r} has dimension {fdim}, expected {below}",
-                        "reference")
-                continue
+                if deg is None:
+                    try:
+                        deg = int(deg_s)
+                    except ValueError:
+                        err(lineno, f"degree {deg_s!r} is not an integer")
+                        continue
+                fdim = cells.get(fid)
+                if fdim != below:
+                    if fdim is None:
+                        err(lineno, f"bnd references undeclared face {fid!r}", "reference")
+                    else:
+                        err(lineno, f"face {fid!r} has dimension {fdim}, expected {below}",
+                            "reference")
+                    continue
             acc[fid] = acc.get(fid, 0) + deg
 
     if has_errors(diags):
@@ -372,16 +393,88 @@ def parse_descriptors(text: str, complex: CellComplex,
 
 def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
                  ) -> tuple[list[Chart] | None, list[ParseDiagnostic]]:
-    """Parse chart blocks; sections default to the probe, overrides win."""
+    """Parse chart blocks; sections default to the probe, overrides win.
+
+    A file is accepted by ``_collect_charts`` in one loop that only
+    collects, with each block checked as a whole after it. Those checks
+    fail only where a check of ``_walk_charts`` fails, so a file is
+    accepted exactly when the line-by-line walk would find no error.
+    Otherwise the walk runs, and its charts, diagnostics or exception are
+    the result.
+    """
+    charts = _collect_charts(text, probe)
+    if charts is None:
+        return _walk_charts(text, probe, filename)
+    return charts, []
+
+
+def _collect_charts(text: str, probe: ProbeAssignment) -> list[Chart] | None:
+    """The charts of a file that passes every check ``_walk_charts``
+    makes, or None when one check fails.
+
+    The loop splits each line once, appends each member to its block's
+    list and checks each override line as the walk does. Each block is
+    then checked whole: its members are distinct cells of the complex,
+    at least one, and every override is for a member. The sections are
+    built from the probe's table and handed to ``Chart._of`` unchecked,
+    so the probe itself is checked first, once: every cell has a value,
+    and every value has the probe's arity. Chart ids must be distinct.
+    """
+    cells = probe.complex.cells.keys()
+    table = probe._table
+    arity = probe.arity
+    if not (cells <= table.keys() and set(map(len, table.values())) <= {arity}):
+        return None
+    blocks: list[tuple[str, list[CellId], dict[CellId, Descriptor]]] = []
+    members = overrides = None
+    for line in _uncommented(text):
+        words = line.split()
+        if not words:
+            continue
+        head = words[0]
+        if head == "member" and len(words) == 2 and members is not None:
+            members.append(words[1])
+        elif head == "chart" and len(words) == 2:
+            members, overrides = [], {}
+            blocks.append((words[1], members, overrides))
+        elif (head == "override" and len(words) == 2 + arity and overrides is not None
+              and words[1] not in overrides):
+            try:
+                desc = tuple(map(float, words[2:]))
+            except ValueError:
+                return None
+            if not all(map(math.isfinite, desc)):
+                return None
+            overrides[words[1]] = desc
+        else:
+            return None
+
+    cell_sets = [frozenset(members) for _, members, _ in blocks]
+    for (_, members, overrides), cell_set in zip(blocks, cell_sets):
+        if not (cell_set and len(cell_set) == len(members) and cell_set <= cells
+                and overrides.keys() <= cell_set):
+            return None
+    if len({cid for cid, _, _ in blocks}) != len(blocks):
+        return None
+    charts = []
+    for (cid, members, overrides), cell_set in zip(blocks, cell_sets):
+        section = dict(zip(members, map(table.__getitem__, members)))
+        section.update(overrides)
+        charts.append(Chart._of(cid, cell_set, section, arity))
+    return sorted(charts, key=lambda c: c.id)
+
+
+def _walk_charts(text: str, probe: ProbeAssignment, filename: str,
+                 ) -> tuple[list[Chart] | None, list[ParseDiagnostic]]:
+    """``parse_charts`` line by line: every failed check is worded, in
+    line order, and then the block checks."""
     diags, err = _diagnostics(filename)
     cells = probe.complex.cells
     arity = probe.arity
     blocks: list[tuple[int, str, set, dict]] = []
     current: tuple[int, str, set, dict] | None = None
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
+    for lineno, line in enumerate(_uncommented(text), start=1):
         words = line.split()
         if not words:
             continue
@@ -542,14 +635,16 @@ def emit_scenario(sf: ScenarioFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_scenario_file(sf: ScenarioFile, base_dir: str,
+def load_scenario_file(sf: ScenarioFile, base_dir: str, filename: str = "<scenario>",
                        ) -> tuple[Scenario | None, list[ParseDiagnostic]]:
     """Resolve a parsed scenario's referenced files and build the scenario.
 
     Each path is read relative to ``base_dir`` (``""`` is the working
     directory). Every referenced-file failure (unreadable path, bad
-    complex, bad descriptor CSV, non-monotone thetas) comes back as a
-    diagnostic against the file that caused it, named by that joined path.
+    complex, bad descriptor CSV) comes back as a diagnostic against the
+    file that caused it, named by that joined path. A failed scenario
+    invariant (thetas that do not increase, steps of different arities)
+    comes back against ``filename``, the scenario file's path.
     """
     diags: list[ParseDiagnostic] = []
 
@@ -584,7 +679,7 @@ def load_scenario_file(sf: ScenarioFile, base_dir: str,
     try:
         return Scenario(complex, tuple(steps)), diags
     except DescellError as exc:
-        diags.append(ParseDiagnostic("<scenario>", 0, "error", str(exc), "reference"))
+        diags.append(ParseDiagnostic(filename, 0, "error", str(exc), "reference"))
         return None, diags
 
 
@@ -602,7 +697,7 @@ def load_scenario(path: str) -> tuple[Scenario | None, list[ParseDiagnostic]]:
     sf, diags = read_scenario(path)
     if sf is None:
         return None, diags
-    scenario, more = load_scenario_file(sf, os.path.dirname(path))
+    scenario, more = load_scenario_file(sf, os.path.dirname(path), path)
     return scenario, diags + more
 
 

@@ -429,6 +429,19 @@ def test_persist_exit_code_follows_the_stage_that_failed(tmp_path, monkeypatch, 
         assert capsys.readouterr().err.startswith(f"{prefix}bad.scenario:2: error: ")
 
 
+def test_persist_reports_a_scenario_invariant_against_the_scenario_file(
+        tmp_path, monkeypatch, capsys):
+    scen = copy_cooling(tmp_path / "scen")
+    (scen / "back.scenario").write_text(
+        "complex square.cw\nstep 1.0 cooling_step1.csv\nstep 0.5 cooling_step2.csv\n")
+    for cwd, scenario in ((scen, "back.scenario"), (tmp_path, "scen/back.scenario"),
+                          (DATA, str(scen / "back.scenario"))):
+        monkeypatch.chdir(cwd)
+        assert main(["persist", scenario]) == 1
+        assert capsys.readouterr() == (
+            "", f"{scenario}:0: error: theta 0.5 does not increase past 1.0\n")
+
+
 # -- hostile input -------------------------------------------------------------------
 
 DISK = str(DATA / "disk3.cw")

@@ -779,10 +779,10 @@ def test_load_scenario_reports_scenario_invariants(tmp_path, data_dir, steps, me
     square = support.square()
     csv = {2: emit_descriptors(support.square_step_table(0.5)),
            1: emit_descriptors((cid, (0.5,)) for cid in square.cells)}
-    scenario, diags = load_scenario(write_scenario(
-        tmp_path, data_dir, [(theta, csv[arity]) for theta, arity in steps]))
+    path = write_scenario(tmp_path, data_dir, [(theta, csv[arity]) for theta, arity in steps])
+    scenario, diags = load_scenario(path)
     assert scenario is None
-    assert [str(d) for d in diags] == [f"<scenario>:0: error: {message}"]
+    assert [str(d) for d in diags] == [f"{path}:0: error: {message}"]
     assert diags[0].code == "reference"
 
 

@@ -29,8 +29,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 import formats_reference  # noqa: E402
 import support  # noqa: E402
-from descell import ProbeAssignment, assign_probe  # noqa: E402
+from descell import Chart, ProbeAssignment, assign_probe  # noqa: E402
+from descell.errors import ArityMismatchError  # noqa: E402
 from descell.formats import (  # noqa: E402
+    _walk_charts,
     emit_complex,
     emit_descriptors,
     load_probe,
@@ -296,3 +298,108 @@ def test_parse_charts_matches_reference_on_torus_cover():
     charts, diags = parse_charts(text, probe)
     assert diags == [] and len(charts) == 24
     assert (charts, diags) == formats_reference.parse_charts(text, probe)
+
+
+# -- the chart parser's accepting loop and its walk -----------------------------
+
+TORUS_PROBE = support.random_probe(random.Random(10), TORUS, 2, support.decimal_value)
+COVER = [sorted(cells) for cells in support.grid_windows(10, (6, 4), 5)]
+assert len(COVER) == 24
+
+
+def cover_text(*extra, comments=False, crlf=False):
+    """The 24-chart torus cover, each block with an override of its first
+    member, then the ``extra`` lines; maybe with comments and tab-indented
+    members, and CRLF line breaks."""
+    lines = []
+    for n, cells in enumerate(COVER):
+        lines.append(f"chart ch{n:02d}" + ("  # window" if comments else ""))
+        lines += [("\tmember " if comments else "member ") + c for c in cells]
+        lines.append(f"override {cells[0]} 0.5 {n}")
+    lines += extra
+    return ("\r\n" if crlf else "\n").join(lines) + "\n"
+
+
+LAST = COVER[-1]
+OUTSIDE_LAST = sorted(set(TORUS.cells) - set(LAST))[:1]
+COVERS = {
+    "clean": cover_text(),
+    "comments, tabs and CRLF": cover_text(comments=True, crlf=True),
+    "duplicate member in the last block": cover_text(f"member {LAST[3]}"),
+    "unknown member in the last block": cover_text("member nope"),
+    "override for a non-member": cover_text(f"override {OUTSIDE_LAST[0]} 1 2"),
+    "override given twice": cover_text(f"override {LAST[0]} 1 2"),
+    "empty final block": cover_text("chart zz"),
+    "member before any chart": "member " + LAST[0] + "\n" + cover_text(),
+}
+ACCEPTED = ("clean", "comments, tabs and CRLF")
+
+
+def counting_charts(monkeypatch):
+    """The names of the Chart builders called from now on, in order."""
+    calls = []
+    real_of, real_init = Chart._of.__func__, Chart.__init__
+
+    def of(cls, *args):
+        calls.append("_of")
+        return real_of(cls, *args)
+
+    def init(self, *args, **kwargs):
+        calls.append("__init__")
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Chart, "_of", classmethod(of))
+    monkeypatch.setattr(Chart, "__init__", init)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(COVERS))
+def test_parse_charts_matches_reference_and_walk_on_torus_covers(name, monkeypatch):
+    """One defect at a time in the 24-chart cover: a clean file is accepted
+    by the collecting loop and its charts handed to ``Chart._of``; any
+    other is walked, with the reference's diagnostics, and builds no
+    chart."""
+    text = COVERS[name]
+    expected = formats_reference.parse_charts(text, TORUS_PROBE, "t.chart")
+    assert (expected[0] is not None) == (name in ACCEPTED)
+    assert _walk_charts(text, TORUS_PROBE, "t.chart") == expected
+    calls = counting_charts(monkeypatch)
+    assert parse_charts(text, TORUS_PROBE, "t.chart") == expected
+    assert calls == (["_of"] * 24 if name in ACCEPTED else [])
+
+
+def outcome(parse, *args):
+    """What ``parse`` returns, or the type and text of what it raises."""
+    try:
+        return parse(*args)
+    except (ArityMismatchError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("cells,value,error", [
+    (LAST[:1], (0.5,), None),       # overridden in every block that holds it
+    (LAST[1:2], (0.5, 0.25, 0.0), ArityMismatchError),
+    (OUTSIDE_LAST, (0.5,), ArityMismatchError),
+    # Cells of later blocks only: a chart is built before the KeyError.
+    ([c for c in LAST if c not in COVER[0]][:6], None, KeyError),
+])
+def test_parse_charts_raises_as_the_walk_on_a_hand_built_probe(cells, value, error,
+                                                                monkeypatch):
+    """A probe built by hand with a value of another arity, or with cells
+    left out, is not checked by its constructor. Its charts are built
+    through ``Chart.__init__``, as the walk and the reference build them:
+    the same charts, or the same exception."""
+    table = dict(TORUS_PROBE.values)
+    for cell in cells:
+        if value is None:
+            del table[cell]
+        else:
+            table[cell] = value
+    probe = ProbeAssignment(TORUS, table, 2)
+    text = cover_text()
+    expected = outcome(formats_reference.parse_charts, text, probe, "t.chart")
+    assert (expected[0] if error else type(expected[0])) is (error or list)
+    assert outcome(_walk_charts, text, probe, "t.chart") == expected
+    calls = counting_charts(monkeypatch)
+    assert outcome(parse_charts, text, probe, "t.chart") == expected
+    assert calls and "_of" not in calls
