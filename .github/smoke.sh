@@ -4,6 +4,16 @@
 #   bash .github/smoke.sh descell
 #   PYTHONPATH=src bash .github/smoke.sh python -m descell
 set -euo pipefail
+# Some steps run from another directory, so a relative PYTHONPATH entry is
+# resolved against the starting one.
+if [ -n "${PYTHONPATH:-}" ]; then
+  IFS=: read -ra entries <<< "$PYTHONPATH"
+  for i in "${!entries[@]}"; do
+    case "${entries[i]}" in /*) ;; *) entries[i]="$PWD/${entries[i]}" ;; esac
+  done
+  PYTHONPATH="$(IFS=:; echo "${entries[*]}")"
+  export PYTHONPATH
+fi
 data="$(cd "$(dirname "${BASH_SOURCE[0]}")/../tests/data" && pwd)"
 "$@" homology "$data/torus.cw" | tail -n 1 | grep -qx "betti 1 2 1"
 "$@" homology "$data/torus.cw" --oracle | tail -n 1 | grep -qx "betti 1 2 1"

@@ -44,8 +44,8 @@ class Chart(Record):
         cells, section = frozenset(cells), dict(section)
         if section.keys() != cells:
             raise ForeignCellError(f"chart {id!r} section must cover exactly its cells")
-        # No Python-level loop: parse_charts builds the charts of a file it
-        # walks line by line through here.
+        # No Python-level loop: make_chart and with_overrides build whole
+        # covers through here, and so does parse_charts on a hand-built probe.
         wrong = set(map(len, section.values())) - {arity}
         if wrong:
             raise ArityMismatchError(

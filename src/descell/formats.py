@@ -27,12 +27,13 @@ adds its degree into its cell's face dict; the checks that word an
 error run only when that test fails. It hands those face dicts to
 ``CellComplex._of`` uncopied, with no tuple-keyed table on the way; the
 complex's one setup sorts the ids and drops the totals that cancel.
-``parse_charts`` reads a chart file in one loop that only collects: a
-``member`` line appends to its block's list, and an ``override`` line
-is checked as it comes. Each block is then checked as a whole, and the
-charts go to ``Chart._of`` with no second copy or check. A file that
-fails a check is walked line by line, to word the diagnostics. Lines
-are cut at '#' only when the text holds one.
+``parse_charts`` reads a chart file in one loop: a canonical ``member``
+line only appends to its block's list, an ``override`` line is checked
+as it comes, and any other line is worded where it stands. Each block is
+then checked as a whole; only a block that fails is worded, its member
+lines found from the numbers the other lines took. The charts go to
+``Chart._of`` with no second copy or check. Lines are cut at '#' only
+when the text holds one.
 
 Formats:
   complex      ``cell <id> <dim>`` (0 <= dim <= MAX_CELL_DIM) and
@@ -57,7 +58,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable, Iterable
-from itertools import chain, repeat
+from itertools import chain, count, filterfalse, repeat
 
 from ._record import Record
 from .bundle import Chart
@@ -102,14 +103,6 @@ def _uncommented(text: str) -> list[str]:
     if "#" in text:
         return [line.partition("#")[0] for line in lines]
     return lines
-
-
-def _logical_lines(text: str):
-    """Yield (line number, content) with comments and blanks dropped."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
 
 
 def _fmt_float(value: float) -> str:
@@ -395,127 +388,44 @@ def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
                  ) -> tuple[list[Chart] | None, list[ParseDiagnostic]]:
     """Parse chart blocks; sections default to the probe, overrides win.
 
-    A file is accepted by ``_collect_charts`` in one loop that only
-    collects, with each block checked as a whole after it. Those checks
-    fail only where a check of ``_walk_charts`` fails, so a file is
-    accepted exactly when the line-by-line walk would find no error.
-    Otherwise the walk runs, and its charts, diagnostics or exception are
-    the result.
+    One loop splits each line once. A canonical ``member`` line in an
+    open block only appends its cell to the block's list; every other
+    line is numbered, and worded where it stands unless it opens a block
+    or is a valid override. A bad or repeated ``chart`` line closes the
+    open block. Each block is then checked whole: its members are
+    distinct cells of the complex, at least one, and every override is
+    for a member. Only a block that fails is worded: its member lines are
+    those after its ``chart`` line that no other line took, so its member
+    errors sort among the line errors; the block errors follow them.
+
+    The sections are read from the probe's table, whose values are
+    checked once per call for the probe's arity, and the charts go to
+    ``Chart._of`` uncopied. A probe built by hand that fails that check
+    has its charts built through ``Chart``, which raises as it would.
     """
-    charts = _collect_charts(text, probe)
-    if charts is None:
-        return _walk_charts(text, probe, filename)
-    return charts, []
-
-
-def _collect_charts(text: str, probe: ProbeAssignment) -> list[Chart] | None:
-    """The charts of a file that passes every check ``_walk_charts``
-    makes, or None when one check fails.
-
-    The loop splits each line once, appends each member to its block's
-    list and checks each override line as the walk does. Each block is
-    then checked whole: its members are distinct cells of the complex,
-    at least one, and every override is for a member. The sections are
-    built from the probe's table and handed to ``Chart._of`` unchecked,
-    so the probe itself is checked first, once: every cell has a value,
-    and every value has the probe's arity. Chart ids must be distinct.
-    """
+    diags, err = _diagnostics(filename)
     cells = probe.complex.cells.keys()
-    table = probe._table
     arity = probe.arity
-    if not (cells <= table.keys() and set(map(len, table.values())) <= {arity}):
-        return None
-    blocks: list[tuple[str, list[CellId], dict[CellId, Descriptor]]] = []
-    members = overrides = None
+    blocks: dict[str, tuple[int, list[CellId], dict[CellId, tuple[int, Descriptor]]]] = {}
+    numbered: list[int] = []        # every line but a member of an open block
+    members: list[CellId] = []      # the last block's members
+    listed = 0                      # the member lines of the blocks before it
+    cid = overrides = None          # the open block's; no block is open at None
     for line in _uncommented(text):
         words = line.split()
+        if words and words[0] == "member" and len(words) == 2 and cid is not None:
+            members.append(words[1])
+            continue
+        lineno = listed + len(members) + len(numbered) + 1
+        numbered.append(lineno)
         if not words:
             continue
         head = words[0]
-        if head == "member" and len(words) == 2 and members is not None:
-            members.append(words[1])
-        elif head == "chart" and len(words) == 2:
-            members, overrides = [], {}
-            blocks.append((words[1], members, overrides))
-        elif (head == "override" and len(words) == 2 + arity and overrides is not None
-              and words[1] not in overrides):
-            try:
-                desc = tuple(map(float, words[2:]))
-            except ValueError:
-                return None
-            if not all(map(math.isfinite, desc)):
-                return None
-            overrides[words[1]] = desc
-        else:
-            return None
-
-    cell_sets = [frozenset(members) for _, members, _ in blocks]
-    for (_, members, overrides), cell_set in zip(blocks, cell_sets):
-        if not (cell_set and len(cell_set) == len(members) and cell_set <= cells
-                and overrides.keys() <= cell_set):
-            return None
-    if len({cid for cid, _, _ in blocks}) != len(blocks):
-        return None
-    charts = []
-    for (cid, members, overrides), cell_set in zip(blocks, cell_sets):
-        section = dict(zip(members, map(table.__getitem__, members)))
-        section.update(overrides)
-        charts.append(Chart._of(cid, cell_set, section, arity))
-    return sorted(charts, key=lambda c: c.id)
-
-
-def _walk_charts(text: str, probe: ProbeAssignment, filename: str,
-                 ) -> tuple[list[Chart] | None, list[ParseDiagnostic]]:
-    """``parse_charts`` line by line: every failed check is worded, in
-    line order, and then the block checks."""
-    diags, err = _diagnostics(filename)
-    cells = probe.complex.cells
-    arity = probe.arity
-    blocks: list[tuple[int, str, set, dict]] = []
-    current: tuple[int, str, set, dict] | None = None
-    seen_ids: set[str] = set()
-    for lineno, line in enumerate(_uncommented(text), start=1):
-        words = line.split()
-        if not words:
-            continue
-        if words[0] == "chart":
-            if len(words) != 2:
-                err(lineno, f"expected 'chart <id>', got {line.strip()!r}")
-                current = None
-                continue
-            cid = words[1]
-            if cid in seen_ids:
-                err(lineno, f"chart {cid!r} declared twice", "reference")
-                current = None
-                continue
-            seen_ids.add(cid)
-            current = (lineno, cid, set(), {})
-            blocks.append(current)
-        elif words[0] == "member":
-            if current is None:
-                err(lineno, "member line before any chart declaration")
-                continue
-            if len(words) != 2:
-                err(lineno, f"expected 'member <cell>', got {line.strip()!r}")
-                continue
-            cell = words[1]
-            if cell not in cells:
-                err(lineno, f"unknown cell {cell!r}", "reference")
-                continue
-            if cell in current[2]:
-                err(lineno, f"cell {cell!r} listed twice in chart {current[1]!r}",
-                    "reference")
-                continue
-            current[2].add(cell)
-        elif words[0] == "override":
-            if current is None:
-                err(lineno, "override line before any chart declaration")
-                continue
-            if len(words) != 2 + arity:
-                err(lineno,
-                    f"expected 'override <cell>' plus {arity} values, got {line.strip()!r}")
-                continue
-            cell = words[1]
+        if head == "chart" and len(words) == 2 and words[1] not in blocks:
+            listed += len(members)
+            cid, members, overrides = words[1], [], {}
+            blocks[cid] = (lineno, members, overrides)
+        elif head == "override" and len(words) == 2 + arity and cid is not None:
             try:
                 desc = tuple(map(float, words[2:]))
             except ValueError:
@@ -523,45 +433,91 @@ def _walk_charts(text: str, probe: ProbeAssignment, filename: str,
                 continue
             if not all(map(math.isfinite, desc)):
                 err(lineno, f"non-finite override value in {line.strip()!r}")
-                continue
-            if cell in current[3]:
-                err(lineno, f"override for {cell!r} given twice in chart {current[1]!r}",
+            elif words[1] in overrides:
+                err(lineno, f"override for {words[1]!r} given twice in chart {cid!r}",
                     "reference")
-                continue
-            current[3][cell] = (lineno, desc)
+            else:
+                overrides[words[1]] = (lineno, desc)
+        elif head == "chart":
+            cid = None
+            if len(words) != 2:
+                err(lineno, f"expected 'chart <id>', got {line.strip()!r}")
+            else:
+                err(lineno, f"chart {words[1]!r} declared twice", "reference")
+        elif head in ("member", "override") and cid is None:
+            err(lineno, f"{head} line before any chart declaration")
+        elif head == "member":
+            err(lineno, f"expected 'member <cell>', got {line.strip()!r}")
+        elif head == "override":
+            err(lineno,
+                f"expected 'override <cell>' plus {arity} values, got {line.strip()!r}")
         else:
-            err(lineno, f"unknown directive {words[0]!r}")
+            err(lineno, f"unknown directive {head!r}")
 
-    for lineno, cid, members, overrides in blocks:
-        if not members:
-            err(lineno, f"chart {cid!r} has no members", "reference")
-            continue
-        for cell, (oline, _) in overrides.items():
-            if cell not in members:
-                err(oline, f"override for {cell!r}, which is not a member of {cid!r}",
-                    "reference")
-    if has_errors(diags):
-        return None, diags
+    block_diags, block_err = _diagnostics(filename)
+    cell_sets = []
+    taken = None
+    for cid, (lineno, members, overrides) in blocks.items():
+        cell_set = frozenset(members)
+        if not (cell_set and len(cell_set) == len(members) and cell_set <= cells
+                and overrides.keys() <= cell_set):
+            taken = taken or frozenset(numbered)
+            member_lines = filterfalse(taken.__contains__, count(lineno + 1))
+            cell_set = set()
+            for cell, mline in zip(members, member_lines):
+                if cell not in cells:
+                    err(mline, f"unknown cell {cell!r}", "reference")
+                elif cell in cell_set:
+                    err(mline, f"cell {cell!r} listed twice in chart {cid!r}", "reference")
+                else:
+                    cell_set.add(cell)
+            if not cell_set:
+                block_err(lineno, f"chart {cid!r} has no members", "reference")
+            else:
+                for cell, (oline, _) in overrides.items():
+                    if cell not in cell_set:
+                        block_err(oline, f"override for {cell!r}, which is not a member "
+                                  f"of {cid!r}", "reference")
+        cell_sets.append(cell_set)
+    if diags or block_diags:
+        diags.sort(key=lambda d: d.line)
+        return None, diags + block_diags
 
-    values = probe.values
-    charts: list[Chart] = []
-    for _, cid, members, overrides in blocks:
-        section = {cell: values[cell] for cell in members}
+    table = probe._table
+    checked = cells <= table.keys() and set(map(len, table.values())) <= {arity}
+    build = Chart._of if checked else Chart
+    charts = []
+    for (cid, (_, members, overrides)), cell_set in zip(blocks.items(), cell_sets):
+        # The list is the faster to read; a failed probe raises at the first
+        # cell it lacks that no override gives, in the set's order.
+        keys = members if checked else [cell for cell in cell_set if cell not in overrides]
+        section = dict(zip(keys, map(table.__getitem__, keys)))
         section.update((cell, desc) for cell, (_, desc) in overrides.items())
-        charts.append(Chart(cid, members, section, arity))
+        charts.append(build(cid, cell_set, section, arity))
     return sorted(charts, key=lambda c: c.id), diags
 
 
 def emit_charts(charts: Iterable[Chart], probe: ProbeAssignment) -> str:
     """Canonical chart blocks: charts by id, members sorted, override
-    lines only where the section deviates from the probe."""
+    lines only where the section deviates from the probe. A chart its
+    parser rejects raises ValueError: an id given twice, no members, a
+    member outside the probe's complex or an arity other than the
+    probe's."""
     lines = []
+    previous = None
     for chart in sorted(charts, key=lambda c: c.id):
+        if chart.id == previous:
+            raise ValueError(f"chart id {chart.id!r} given twice cannot be serialized")
+        previous = chart.id
+        if not chart.cells:
+            raise ValueError(f"chart {chart.id!r} with no members cannot be serialized")
+        _readable([chart.arity], "chart arity", probe.arity.__eq__)
+        _readable(sorted(chart.cells), "member", probe.complex.cells.__contains__)
         lines.append(f"chart {_serializable(chart.id, 'chart id', '#')}")
         for cell in sorted(chart.cells):
             lines.append(f"member {_serializable(cell, 'cell id', '#')}")
         for cell in sorted(chart.cells):
-            if cell in probe.complex and chart.section[cell] != probe[cell]:
+            if chart.section[cell] != probe[cell]:
                 _readable(chart.section[cell], "override value")
                 vals = " ".join(_fmt_float(v) for v in chart.section[cell])
                 lines.append(f"override {cell} {vals}")
@@ -585,7 +541,10 @@ def parse_scenario(text: str, filename: str = "<scenario>",
     diags, err = _diagnostics(filename)
     complex_path: str | None = None
     steps: list[tuple[float, str]] = []
-    for lineno, line in _logical_lines(text):
+    for lineno, line in enumerate(_uncommented(text), start=1):
+        line = line.strip()
+        if not line:
+            continue
         if "\0" in line:       # no file path can hold one
             err(lineno, "line holds a NUL character")
             continue

@@ -409,6 +409,10 @@ def test_scenario_roundtrip():
     lambda: emit_charts([Chart("x#y", {"v"}, {"v": (0.5,)}, 1)], POINT_PROBE),
     lambda: emit_charts([Chart("two words", {"v"}, {"v": (0.5,)}, 1)], POINT_PROBE),
     lambda: emit_charts([Chart("", {"v"}, {"v": (0.5,)}, 1)], POINT_PROBE),
+    lambda: emit_charts([Chart("c", {"w"}, {"w": (0.5,)}, 1)], POINT_PROBE),
+    lambda: emit_charts([Chart("c", set(), {}, 1)], POINT_PROBE),
+    lambda: emit_charts([Chart("c", {"v"}, {"v": (0.5,)}, 1)] * 2, POINT_PROBE),
+    lambda: emit_charts([Chart("c", {"v"}, {"v": (0.5, 0.25)}, 2)], POINT_PROBE),
     lambda: emit_descriptors([(" a", (0.5,))]),
     lambda: emit_descriptors([("a\nb", (0.5,))]),
     lambda: emit_descriptors([("a,b", (0.5,))]),
@@ -420,7 +424,8 @@ def test_scenario_roundtrip():
     lambda: emit_signature(PersistenceSignature("remove", 0.0, 0, (0.0,), ((),), (0,),
                                                 {(0, (), 0): 1})),
 ], ids=["step-hash", "step-lead", "complex-hash", "step-newline", "complex-nul",
-        "chart-hash", "chart-space", "chart-empty", "cell-lead", "cell-newline", "cell-comma",
+        "chart-hash", "chart-space", "chart-empty", "chart-unknown-cell", "chart-no-members",
+        "chart-id-twice", "chart-arity-2", "cell-lead", "cell-newline", "cell-comma",
         "arity-0-row", "complex-space", "complex-dim-65", "complex-ghost-face",
         "complex-2-0-entry", "arity-0-alpha"])
 def test_emitters_refuse_what_their_parsers_cannot_read_back(emit):

@@ -32,7 +32,6 @@ import support  # noqa: E402
 from descell import Chart, ProbeAssignment, assign_probe  # noqa: E402
 from descell.errors import ArityMismatchError  # noqa: E402
 from descell.formats import (  # noqa: E402
-    _walk_charts,
     emit_complex,
     emit_descriptors,
     load_probe,
@@ -300,28 +299,32 @@ def test_parse_charts_matches_reference_on_torus_cover():
     assert (charts, diags) == formats_reference.parse_charts(text, probe)
 
 
-# -- the chart parser's accepting loop and its walk -----------------------------
+# -- the chart parser on a 24-chart torus cover ---------------------------------
 
 TORUS_PROBE = support.random_probe(random.Random(10), TORUS, 2, support.decimal_value)
 COVER = [sorted(cells) for cells in support.grid_windows(10, (6, 4), 5)]
 assert len(COVER) == 24
 
 
-def cover_text(*extra, comments=False, crlf=False):
+def cover_text(*extra, comments=False, crlf=False, at=None):
     """The 24-chart torus cover, each block with an override of its first
-    member, then the ``extra`` lines; maybe with comments and tab-indented
-    members, and CRLF line breaks."""
+    member, with the ``extra`` lines inserted before line ``at`` or at the
+    end; maybe with comments and tab-indented members, and CRLF line
+    breaks."""
     lines = []
     for n, cells in enumerate(COVER):
         lines.append(f"chart ch{n:02d}" + ("  # window" if comments else ""))
         lines += [("\tmember " if comments else "member ") + c for c in cells]
         lines.append(f"override {cells[0]} 0.5 {n}")
-    lines += extra
+    at = len(lines) if at is None else at
+    lines[at:at] = extra
     return ("\r\n" if crlf else "\n").join(lines) + "\n"
 
 
 LAST = COVER[-1]
 OUTSIDE_LAST = sorted(set(TORUS.cells) - set(LAST))[:1]
+# A line inside block 12, before its last two members and its override.
+MIDDLE = sum(len(cells) + 2 for cells in COVER[:13]) - 3
 COVERS = {
     "clean": cover_text(),
     "comments, tabs and CRLF": cover_text(comments=True, crlf=True),
@@ -331,6 +334,17 @@ COVERS = {
     "override given twice": cover_text(f"override {LAST[0]} 1 2"),
     "empty final block": cover_text("chart zz"),
     "member before any chart": "member " + LAST[0] + "\n" + cover_text(),
+    # The rest of block 12, its override included, then belongs to no chart.
+    "3-word chart line in the middle": cover_text("chart mid x", at=MIDDLE),
+    "chart declared twice, then members and an override": cover_text(
+        "chart ch03", f"member {LAST[0]}", "member nope", f"override {LAST[0]} 1 2"),
+    "override before any chart": f"override {LAST[0]} 1 2\n" + cover_text(),
+    # Member errors fall between the line errors; the override's comes last.
+    "unknown, repeated and overridden member among bad lines": cover_text(
+        "frob", "member nope", "member", f"member {LAST[3]}", "override nope 1 2",
+        "override nope 1 x"),
+    # Every member unknown: "has no members" comes after every line error.
+    "every member unknown": cover_text("chart zz", "member nope", "member nada", "frob"),
 }
 ACCEPTED = ("clean", "comments, tabs and CRLF")
 
@@ -354,15 +368,13 @@ def counting_charts(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(COVERS))
-def test_parse_charts_matches_reference_and_walk_on_torus_covers(name, monkeypatch):
-    """One defect at a time in the 24-chart cover: a clean file is accepted
-    by the collecting loop and its charts handed to ``Chart._of``; any
-    other is walked, with the reference's diagnostics, and builds no
-    chart."""
+def test_parse_charts_matches_reference_on_torus_covers(name, monkeypatch):
+    """One defect at a time in the 24-chart cover: a clean file has its
+    charts handed to ``Chart._of``; any other gets the reference's
+    diagnostics, in its order, and builds no chart."""
     text = COVERS[name]
     expected = formats_reference.parse_charts(text, TORUS_PROBE, "t.chart")
     assert (expected[0] is not None) == (name in ACCEPTED)
-    assert _walk_charts(text, TORUS_PROBE, "t.chart") == expected
     calls = counting_charts(monkeypatch)
     assert parse_charts(text, TORUS_PROBE, "t.chart") == expected
     assert calls == (["_of"] * 24 if name in ACCEPTED else [])
@@ -378,17 +390,18 @@ def outcome(parse, *args):
 
 @pytest.mark.parametrize("cells,value,error", [
     (LAST[:1], (0.5,), None),       # overridden in every block that holds it
+    (LAST[:1], None, None),
     (LAST[1:2], (0.5, 0.25, 0.0), ArityMismatchError),
     (OUTSIDE_LAST, (0.5,), ArityMismatchError),
     # Cells of later blocks only: a chart is built before the KeyError.
     ([c for c in LAST if c not in COVER[0]][:6], None, KeyError),
 ])
-def test_parse_charts_raises_as_the_walk_on_a_hand_built_probe(cells, value, error,
-                                                                monkeypatch):
+def test_parse_charts_raises_as_the_reference_on_a_hand_built_probe(cells, value, error,
+                                                                     monkeypatch):
     """A probe built by hand with a value of another arity, or with cells
     left out, is not checked by its constructor. Its charts are built
-    through ``Chart.__init__``, as the walk and the reference build them:
-    the same charts, or the same exception."""
+    through ``Chart.__init__``, as the reference builds them: the same
+    charts, or the same exception."""
     table = dict(TORUS_PROBE.values)
     for cell in cells:
         if value is None:
@@ -399,7 +412,6 @@ def test_parse_charts_raises_as_the_walk_on_a_hand_built_probe(cells, value, err
     text = cover_text()
     expected = outcome(formats_reference.parse_charts, text, probe, "t.chart")
     assert (expected[0] if error else type(expected[0])) is (error or list)
-    assert outcome(_walk_charts, text, probe, "t.chart") == expected
     calls = counting_charts(monkeypatch)
     assert outcome(parse_charts, text, probe, "t.chart") == expected
     assert calls and "_of" not in calls
