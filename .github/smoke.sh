@@ -28,6 +28,15 @@ data="$(cd "$(dirname "${BASH_SOURCE[0]}")/../tests/data" && pwd)"
   | cmp - <(printf 'alpha %s cells 14 betti 1 1 0\n' 0.2 0.5 0.9)
 "$@" descriptive "$data/disk3.cw" --probe "$data/disk3_probe.csv" --spectrum \
     --dim 1 --mode retain --delta 0.3 | cmp - <(echo "alpha 0.0 cells 15 betti 1 0 0")
+# The torus times a circle at removal dimension 2: the cascade removes the
+# 3-cell with either of its triangles.
+"$@" descriptive "$data/torus_x_circle.cw" --probe "$data/torus_x_circle_probe.csv" \
+    --spectrum --dim 2 --delta 0.25 \
+  | cmp - <(printf '%s\n' "alpha 0.0 cells 6 betti 1 3 2 0" "alpha 0.5 cells 6 betti 1 3 2 0" \
+      "alpha 1.0 cells 7 betti 1 3 2 1")
+"$@" descriptive "$data/torus_x_circle.cw" --probe "$data/torus_x_circle_probe.csv" \
+    --spectrum --dim 2 --delta 0.25 --mode retain \
+  | cmp - <(printf 'alpha %s cells 5 betti 1 3 1 0\n' 0.0 0.5 1.0)
 "$@" validate "$data/torus.cw" | cmp - <(echo OK)
 # The torus times a circle: a 3-cell, so the top map d_3 is not empty.
 "$@" homology "$data/torus_x_circle.cw" --oracle | tail -n 1 | grep -qx "betti 1 3 3 1"

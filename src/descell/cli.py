@@ -19,7 +19,7 @@ import sys
 
 from .bundle import verify_cocycle
 from .cellcomplex import CellComplex
-from .descriptive import DescriptorBall, _carver, alpha_spectrum
+from .descriptive import DescriptorBall, _carver, _spectrum, _value_masks
 from .errors import DescellError, InvalidComplexError, TooLargeError
 from .formats import (
     MAX_CELL_DIM,
@@ -186,14 +186,15 @@ def cmd_descriptive(args) -> int:
     # exactly when its sub-complex with nothing removed is.
     betti = _masked_betti(complex, complex.max_dim, args.dim)
     try:
-        betti(frozenset())
+        betti(())
     except InvalidComplexError:
         return _fail("complex is invalid", SEMANTIC_ERROR)
     probe, code = _load_probe_for(complex, args.probe)
     if probe is None:
         return code
+    groups = _value_masks(probe, args.dim)
     if args.spectrum:
-        alphas = alpha_spectrum(probe, args.dim)
+        alphas = _spectrum(groups)
     else:
         alpha = _parse_alpha(args.alpha)
         if alpha is None:
@@ -202,11 +203,12 @@ def cmd_descriptive(args) -> int:
             return _fail(
                 f"alpha has arity {len(alpha)}, probe has {probe.arity}", USAGE_ERROR)
         alphas = [alpha]
-    carve = _carver(probe, args.dim, args.mode)
+    carve = _carver(probe, args.dim, args.mode, groups)
     for alpha in alphas:
         removed = carve(DescriptorBall(alpha, args.delta))
         bettis = " ".join(str(b) for b in betti(removed))
-        print(f"alpha {_fmt_descriptor(alpha)} cells {len(complex) - len(removed)} betti {bettis}")
+        kept = len(complex) - sum(mask.bit_count() for mask in removed)
+        print(f"alpha {_fmt_descriptor(alpha)} cells {kept} betti {bettis}")
     return 0
 
 

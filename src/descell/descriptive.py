@@ -5,6 +5,13 @@ cell of a complex. Picking a reference value and a radius carves out the
 cells whose descriptors fall inside that ball; removing them (or keeping
 only them) and cascading the deletion upward through cofaces yields a
 sub-complex whose homology reflects the chosen feature region.
+
+Inside the engine a removed set is a tuple of int masks indexed by
+dimension, each over ``cells_of_dim`` order: ``_carver`` makes them, and
+``descriptive_homology``, ``signature`` and ``betti_curve`` hand them to
+the homology layer as they are. Cell ids appear only at the public
+edges: ``removed_cells`` reads the masks as ids, and
+``derive_subcomplex`` builds its complex from those ids.
 """
 
 from __future__ import annotations
@@ -22,7 +29,15 @@ from .errors import (
     MissingCellError,
 )
 # bench/test_bench.py::test_tracer_wraps_every_binding_and_restores pins homology.
-from .homology import Chain, HomologyResult, _check_survivors, _reduce_maps, homology  # noqa: F401
+from .homology import (  # noqa: F401
+    Chain,
+    HomologyResult,
+    _check_survivors,
+    _reduce_maps,
+    _removed_ids,
+    _selected,
+    homology,
+)
 
 Descriptor = tuple[float, ...]
 
@@ -133,9 +148,10 @@ def removed_cells(probe: ProbeAssignment, ball: DescriptorBall,
     In "remove" mode these are the p-cells inside the ball; in "retain"
     mode the p-cells outside it. Cells of dimension below p always
     survive. Every higher cell whose closure meets a deleted cell is
-    deleted too, so each surviving cell keeps all of its faces.
+    deleted too, so each surviving cell keeps all of its faces. These are
+    the ids of the masks that ``_carver`` returns.
     """
-    return _carver(probe, p, mode)(ball)
+    return _removed_ids(probe.complex, _carver(probe, p, mode)(ball))
 
 
 def _check_carving(p: int, mode: str) -> None:
@@ -147,11 +163,28 @@ def _check_carving(p: int, mode: str) -> None:
         raise ValueError(f"dimension must be non-negative, got {p}")
 
 
-def _carver(probe: ProbeAssignment, p: int, mode: str
-            ) -> Callable[[DescriptorBall], frozenset[CellId]]:
-    """``removed_cells`` as a function of the ball. The p-cells are grouped
-    by value (equal values, signed zeros included, lie at equal distances),
-    and the values indexed by first component. A ball calls ``contains``
+def _value_masks(probe: ProbeAssignment, p: int) -> dict[Descriptor, int]:
+    """The p-cells grouped by value, in the order of each value's first
+    cell: value -> the mask over ``cells_of_dim(p)`` order of the cells
+    holding it. Equal values (signed zeros included) share a group. The
+    values are read in one C-level pass over the probe's table. Raises
+    nothing."""
+    groups: dict[Descriptor, int] = {}
+    for i, value in enumerate(map(probe._table.__getitem__, probe.complex.cells_of_dim(p))):
+        groups[value] = groups.get(value, 0) | 1 << i
+    return groups
+
+
+def _carver(probe: ProbeAssignment, p: int, mode: str,
+            groups: dict[Descriptor, int] | None = None,
+            ) -> Callable[[DescriptorBall], tuple[int, ...]]:
+    """The cells ``removed_cells`` deletes, as a function of the ball, in
+    index form: one mask per dimension 0 .. max(``max_dim``, p) over
+    ``cells_of_dim`` order, the form ``_masked_betti`` and
+    ``_reduce_maps`` take. ``groups`` is ``_value_masks(probe, p)``,
+    built here unless the caller holds it.
+
+    The values are indexed by first component. A ball calls ``contains``
     only on the values whose first component lies in its window [c0 - r,
     c0 + r], widened by a margin that covers the rounding of the window
     and of ``math.dist``, and on those whose first component is NaN, which
@@ -159,21 +192,29 @@ def _carver(probe: ProbeAssignment, p: int, mode: str
     at an infinite distance). ``contains`` decides every hit, and each
     selection of values is carved once. A ball of another arity than
     some value, or of arity 0, tests every value in id order of their
-    first cell, so the same value raises ArityMismatchError."""
+    first cell, so the same value raises ArityMismatchError.
+
+    A selection's cut is the OR of its values' masks, XORed with the full
+    p-mask in retain mode. The cascade follows ``cofaces`` from the cut
+    p-cells: a coface c of a removed cell x is removed when it is a
+    declared cell above dimension p that comes after x in (dimension,
+    basis position) order. That is the ascending sweep's result, which
+    removes a cell when a face that comes before it was removed, also
+    where a face is recorded at the wrong dimension, or at its own."""
     # Imported here: `import descell` under `python -S` loads no bisect.
     from bisect import bisect_left, bisect_right
 
     _check_carving(p, mode)
     base = probe.complex
-    groups: dict[Descriptor, list[CellId]] = {}
-    for cid in base.cells_of_dim(p):
-        groups.setdefault(probe[cid], []).append(cid)
+    if groups is None:
+        groups = _value_masks(probe, p)
     arities = {len(value) for value in groups}
     unordered = [v for v in groups if v and math.isnan(v[0])]
     ordered = sorted((v for v in groups if v and not math.isnan(v[0])), key=lambda v: v[0])
     firsts = [v[0] for v in ordered]
-    retain, top, p_cells = mode == "retain", base.max_dim, frozenset(base.cells_of_dim(p))
-    memo: dict[tuple[Descriptor, ...], frozenset[CellId]] = {}
+    top, dim_of = base.max_dim, base.cells.get
+    full = (1 << len(base.cells_of_dim(p))) - 1 if mode == "retain" else 0
+    memo: dict[tuple[Descriptor, ...], tuple[int, ...]] = {}
 
     def hits(ball: DescriptorBall) -> tuple[Descriptor, ...]:
         if arities != {len(ball.center)} or not ball.center:
@@ -183,19 +224,30 @@ def _carver(probe: ProbeAssignment, p: int, mode: str
         window = ordered[bisect_left(firsts, c0 - r):bisect_right(firsts, c0 + r)]
         return tuple(filter(ball.contains, window + unordered))
 
-    def carve(ball: DescriptorBall) -> frozenset[CellId]:
+    def cascade(cut: int) -> tuple[int, ...]:
+        masks = [0] * (max(top, p) + 1)
+        masks[p] = cut
+        above: dict[CellId, int] = {}
+        work = [(p, x) for x in _selected(base.cells_of_dim(p), cut)] if p < top else []
+        while work:
+            q, x = work.pop()
+            for c in base.cofaces(x):
+                d = dim_of(c)
+                if d is not None and d > p and (d, c) > (q, x) and c not in above:
+                    above[c] = d
+                    work.append((d, c))
+        for c, d in above.items():
+            masks[d] |= 1 << bisect_left(base.cells_of_dim(d), c)
+        return tuple(masks)
+
+    def carve(ball: DescriptorBall) -> tuple[int, ...]:
         selected = hits(ball)
         removed = memo.get(selected)
         if removed is None:
-            cut = {c for v in selected for c in groups[v]}
-            if retain:
-                cut = set(p_cells.difference(cut))
-            # One ascending sweep: the faces of a q-cell were settled at q-1.
-            for q in range(p + 1, top + 1):
-                for cid in base.cells_of_dim(q):
-                    if any(fid in cut for fid in base.faces(cid)):
-                        cut.add(cid)
-            removed = memo[selected] = frozenset(cut)
+            cut = full
+            for value in selected:  # disjoint groups: XOR is their OR
+                cut ^= groups[value]
+            removed = memo[selected] = cascade(cut)
         return removed
     return carve
 
@@ -218,20 +270,28 @@ def descriptive_homology(probe: ProbeAssignment, ball: DescriptorBall,
                          p: int = 2, mode: str = "remove",
                          max_p: int | None = None) -> HomologyResult:
     """``homology(derive_subcomplex(probe, ball, p, mode).complex, max_p)``,
-    from the base's validation and its maps less the ``removed_cells``
-    columns, with no sub-complex built. ``max_p`` defaults to the base
-    complex's top dimension so Betti vectors stay comparable across
-    different balls.
+    from the base's validation and its maps less the columns of the
+    carver's masks, with no sub-complex built and no ids read. ``max_p``
+    defaults to the base complex's top dimension so Betti vectors stay
+    comparable across different balls.
     """
-    removed = removed_cells(probe, ball, p, mode)
+    removed = _carver(probe, p, mode)(ball)
     base = probe.complex
-    _check_survivors(base.validate(), removed)
+    _check_survivors(base, base.validate(), removed)
     return _reduce_maps(base, removed, max_p)
 
 
 def alpha_spectrum(probe: ProbeAssignment, p: int) -> list[Descriptor]:
     """Distinct descriptor values of the p-cells, lexicographically sorted."""
-    return sorted({probe[cid] for cid in probe.complex.cells_of_dim(p)})
+    return _spectrum(probe[cid] for cid in probe.complex.cells_of_dim(p))
+
+
+def _spectrum(values: Iterable[Descriptor]) -> list[Descriptor]:
+    """The distinct values, sorted. The set is built one value at a time,
+    so that values holding NaN, which sort by their input order, come out
+    of ``alpha_spectrum`` and of a carver's groups (``_value_masks``) in
+    the same order."""
+    return sorted({value for value in values})
 
 
 def chain_inclusion(sub: DescriptiveSubcomplex, chain: Chain) -> Chain:

@@ -13,7 +13,10 @@ dependent (clearing). ``_masked_betti`` (the signature entries) takes
 each map of the base once and reads every sub-complex's Betti numbers
 off the base's ranks and the kernel bases of the maps that lose cells,
 or, for a map that keeps fewer cells than it loses, off the rank of its
-kept columns.
+kept columns. Both take the removed cells as one int mask per dimension
+over ``cells_of_dim`` order, and read the columns and kernel rows they
+need by position; ``_check_survivors`` reads the masks as cell ids only
+when the base has violations to test.
 ``oracle_homology`` recomputes the same numbers by exhaustive
 enumeration of every chain, over its own int columns, as an independent
 cross-check on small complexes.
@@ -22,7 +25,7 @@ cross-check on small complexes.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from ._record import Record
 from .cellcomplex import CellComplex, CellId, Violation
@@ -209,14 +212,20 @@ def _reduce(columns: Iterable[int]) -> tuple[dict[int, int], dict[int, int]]:
     return pivots, dependent
 
 
+def _selected(items: Sequence, mask: int) -> Iterator:
+    """The items at the set bits of ``mask``, bit i for ``items[i]``, in
+    order. Each next set bit is found by a C-level scan of the mask's
+    binary digits, so a sparse mask costs little more than its bits."""
+    bits = bin(mask)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield items[i]
+        i = bits.find("1", i + 1)
+
+
 def _chain(p: int, cells: tuple[CellId, ...], bits: int) -> Chain:
     """The p-chain whose support is the cells at the set bit positions."""
-    support = []
-    while bits:
-        low = bits & -bits
-        support.append(cells[low.bit_length() - 1])
-        bits ^= low
-    return Chain(p, frozenset(support))
+    return Chain(p, frozenset(_selected(cells, bits)))
 
 
 def rank_mod2(matrix) -> int:
@@ -277,12 +286,14 @@ def _top_dim(base: CellComplex, max_p: int | None) -> int:
     return max_p
 
 
-def _reduce_maps(base: CellComplex, removed: frozenset[CellId],
+def _reduce_maps(base: CellComplex, removed: tuple[int, ...],
                  max_p: int | None) -> HomologyResult:
     """Homology 0 .. ``_top_dim(base, max_p)`` of ``base`` less the
-    ``removed`` cells, which must be closed upward (as ``removed_cells``
-    makes them), so that every surviving column is zero on the removed
-    rows.
+    ``removed`` cells, given as one mask per dimension over
+    ``cells_of_dim`` order (a dimension past the tuple's end loses
+    nothing, so ``()`` removes nothing). The removed cells must be closed
+    upward (as ``_carver`` makes them), so that every surviving column is
+    zero on the removed rows.
 
     Each map is reduced once, from d_(top+1) down to d_0, over the base's
     columns with the removed ones zeroed, and with clearing: a p-column
@@ -308,14 +319,14 @@ def _reduce_maps(base: CellComplex, removed: frozenset[CellId],
     image: dict[int, int] = {}
     for p in range(top + 1, -1, -1):
         cells = base.cells_of_dim(p)
-        cut = {j for j, cid in enumerate(cells) if cid in removed} if removed else ()
-        zeroed = image.keys() | cut if cut else image
+        cut = removed[p] if p < len(removed) else 0
+        zeroed = image.keys() | _selected(range(len(cells)), cut) if cut else image
         columns = (0 if j in zeroed else col for j, col in enumerate(base.boundary_columns(p)))
         if p > top:
             image = _pivots(columns)
             continue
         pivots, kernel = _reduce(columns)
-        n = len(cells) - len(cut)
+        n = len(cells) - cut.bit_count()
         z, b = n - len(pivots), len(image)
         records.append(DimensionHomology(p, n, z, b, z - b, tuple(
             _chain(p, cells, k) for j, k in kernel.items() if j not in zeroed)))
@@ -334,84 +345,86 @@ def homology(complex: CellComplex, max_p: int | None = None) -> HomologyResult:
     violations = complex.validate()
     if violations:
         raise InvalidComplexError(violations)
-    return _reduce_maps(complex, frozenset(), max_p)
+    return _reduce_maps(complex, (), max_p)
 
 
-def _check_survivors(violations: list[Violation], removed: frozenset[CellId]) -> None:
-    """Raise what ``homology`` raises on a base less the ``removed`` cells:
-    the base's violations whose cells all survive, less the dangling
-    faces, whose entries ``CellComplex._induced`` drops."""
-    found = [v for v in violations if v.code != "dangling-face" and removed.isdisjoint(v.cells)]
+def _removed_ids(base: CellComplex, removed: tuple[int, ...]) -> frozenset[CellId]:
+    """The ids of the cells that the per-dimension masks ``removed`` hold."""
+    return frozenset(cid for q, mask in enumerate(removed)
+                     for cid in _selected(base.cells_of_dim(q), mask))
+
+
+def _check_survivors(base: CellComplex, violations: list[Violation],
+                     removed: tuple[int, ...]) -> None:
+    """Raise what ``homology`` raises on ``base`` less the ``removed``
+    cells (masks, as ``_reduce_maps`` takes them), given the base's
+    violations: those whose cells all survive, less the dangling faces,
+    whose entries ``CellComplex._induced`` drops. The masks are read as
+    ids only when the base has violations."""
+    ids = _removed_ids(base, removed) if violations else frozenset()
+    found = [v for v in violations if v.code != "dangling-face" and ids.isdisjoint(v.cells)]
     if found:
         raise InvalidComplexError(found)
 
 
 def _masked_betti(base: CellComplex, max_p: int, removal_dim: int,
-                  ) -> Callable[[frozenset[CellId]], tuple[int, ...]]:
+                  ) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """Betti numbers 0 .. max_p of the sub-complexes of ``base`` that
-    ``removed_cells`` carves at ``removal_dim``, as a function of the
-    removed set that raises what ``_check_survivors`` raises. The base is
-    validated once, and each map d_0 .. d_(max_p+1) of the base is taken
-    once, without clearing (the base may be invalid where a sub-complex
-    is not); no entry calls ``_reduce``.
+    ``_carver`` carves at ``removal_dim``, as a function of the removed
+    masks (one per dimension, over ``cells_of_dim`` order) that raises
+    what ``_check_survivors`` raises. The base is validated once, and
+    each map d_0 .. d_(max_p+1) of the base is taken once, without
+    clearing (the base may be invalid where a sub-complex is not); no
+    entry calls ``_reduce``.
 
     A removed set is closed upward and holds no cell below
     ``removal_dim``, so the maps below it are only ranked, and only the
     maps d_q with q >= ``removal_dim`` are reduced for their kernel basis
     Z_q. The sub-complex's d_q is the base's d_q on the surviving
-    columns: n_q - |S_q| of them, for the removed q-cells S_q. Its rank
-    is either of two equal counts; the second is taken when the
-    survivors are fewer than both |S_q| and dim Z_q, which bound the
-    rows and the rank of the first:
+    columns: n_q - |S_q| of them, for the removed q-cells S_q, the set
+    bits of mask q. Its rank is either of two equal counts; the second is
+    taken when the survivors are fewer than both |S_q| and dim Z_q,
+    which bound the rows and the rank of the first:
 
     - the survivors less the dimension of the base kernel vectors that
       vanish on S_q, that is dim Z_q less the rank of Z_q restricted to
       S_q. That rank is read from the rows of the basis's transpose at
-      S_q (per q-cell, a bitset of the kernel vectors that hold it, built
-      for a map on first need), and it stops at dim Z_q;
+      S_q (per q-cell position, a bitset of the kernel vectors that hold
+      it, built for a map on first need), and it stops at dim Z_q;
     - the rank of the surviving columns (a ball that keeps few cells).
 
     Then betti_q = (n_q - |S_q|) - rank d_q - rank d_(q+1), both ranks
     on the survivors."""
     violations = base.validate()
     dims = range(max_p + 2)
-    cells = [base.cells_of_dim(q) for q in dims]
-    cell_sets = [frozenset(c) for c in cells]
+    sizes = [len(base.cells_of_dim(q)) for q in dims]
     kernels = {q: tuple(_reduce(base.boundary_columns(q))[1].values())
                for q in dims if q >= removal_dim}
-    ranks = [len(cells[q]) - len(kernels[q]) if q in kernels
+    ranks = [sizes[q] - len(kernels[q]) if q in kernels
              else len(_pivots(base.boundary_columns(q))) for q in dims]
 
     @functools.cache
-    def transpose(q: int) -> dict[CellId, int]:
-        rows = [0] * len(cells[q])
+    def transpose(q: int) -> list[int]:
+        rows = [0] * sizes[q]
         for k, z in enumerate(kernels[q]):
-            while z:
-                low = z & -z
-                rows[low.bit_length() - 1] |= 1 << k
-                z ^= low
-        return {cid: row for cid, row in zip(cells[q], rows) if row}
+            for i in _selected(range(sizes[q]), z):
+                rows[i] |= 1 << k
+        return rows
 
-    @functools.cache
-    def columns(q: int) -> dict[CellId, int]:
-        return dict(zip(cells[q], base.boundary_columns(q)))
-
-    def rank(q: int, cut: frozenset[CellId], kept: int) -> int:
+    def rank(q: int, cut: int, kept: int) -> int:
         nullity = len(kernels[q])
-        if kept < min(len(cut), nullity):
-            cols = columns(q)
-            return len(_pivots(cols[cid] for cid in cell_sets[q] - cut))
-        rows = transpose(q)
-        return kept - nullity + len(_pivots((rows[cid] for cid in cut if cid in rows),
-                                            bound=nullity))
+        if kept < min(sizes[q] - kept, nullity):
+            survivors = cut ^ (1 << sizes[q]) - 1
+            return len(_pivots(_selected(base.boundary_columns(q), survivors)))
+        return kept - nullity + len(_pivots(_selected(transpose(q), cut), bound=nullity))
 
     @functools.cache
-    def betti(removed: frozenset[CellId]) -> tuple[int, ...]:
-        _check_survivors(violations, removed)
+    def betti(removed: tuple[int, ...]) -> tuple[int, ...]:
+        _check_survivors(base, violations, removed)
         kept, masked = [], []
         for q in dims:
-            cut = removed & cell_sets[q] if q >= removal_dim else ()
-            kept.append(len(cells[q]) - len(cut))
+            cut = removed[q] if removal_dim <= q < len(removed) else 0
+            kept.append(sizes[q] - cut.bit_count())
             masked.append(rank(q, cut, kept[q]) if cut else ranks[q])
         return tuple(kept[q] - masked[q] - masked[q + 1] for q in range(max_p + 1))
 

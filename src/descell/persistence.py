@@ -22,7 +22,8 @@ from .descriptive import (  # noqa: F401
     ProbeAssignment,
     _carver,
     _check_carving,
-    alpha_spectrum,
+    _spectrum,
+    _value_masks,
     assign_probe,
     descriptive_homology,
 )
@@ -90,7 +91,8 @@ def betti_curve(scenario: Scenario, ball: DescriptorBall, p: int,
                 mode: str = "remove", removal_dim: int = 2) -> list[tuple[float, int]]:
     """The dimension-p Betti number per step for one descriptor ball:
     ``descriptive_homology(step.probe, ball, removal_dim, mode,
-    max_p=p).betti(p)``, from the carving and reduction ``signature`` uses.
+    max_p=p).betti(p)``, from the carving and reduction ``signature`` uses:
+    each step's carver hands its removed masks to ``_masked_betti``.
     ``mode`` and ``removal_dim`` are checked even with no step."""
     max_p = _top_dim(scenario.complex, p)
     _check_carving(removal_dim, mode)
@@ -146,22 +148,28 @@ def signature(scenario: Scenario, delta: float = 0.0, mode: str = "remove",
     complex: it is validated once and each of its boundary maps reduced
     once, every entry's Betti numbers are read off those reductions' ranks
     and kernel bases, or off the rank of a map's kept columns where they
-    are the fewer rows (``_masked_betti``), and
-    each step's ``_carver`` tests a ball only on the distinct values in its
-    window of first components. ``mode`` and ``removal_dim`` are checked
-    even with no entry. The table does not depend on the order.
+    are the fewer rows (``_masked_betti``). Each step's p-cells are
+    grouped by value once (``_value_masks``): the groups' values are the
+    step's share of the alphas, and its ``_carver`` ORs the masks of the
+    values a ball selects, testing a ball only on the distinct values in
+    its window of first components. The removed masks go to
+    ``_masked_betti`` as they are, with no cell id read. After ``max_p``
+    is checked, the values are grouped (which raises nothing), the balls
+    built, and then ``mode`` and ``removal_dim`` checked, even with no
+    entry, so the errors come in that order. The table does not depend on the order.
     """
     max_p = _top_dim(scenario.complex, max_p)
+    groups = [_value_masks(step.probe, removal_dim) for step in scenario.steps]
     alphas: set[Descriptor] = set()
-    for step in scenario.steps:
-        alphas.update(alpha_spectrum(step.probe, removal_dim))
+    for step_groups in groups:
+        alphas.update(_spectrum(step_groups))
     balls = {alpha: DescriptorBall(alpha, delta) for alpha in sorted(alphas)}
     _check_carving(removal_dim, mode)
     dims = tuple(range(0, max_p + 1))
     betti = _masked_betti(scenario.complex, max_p, removal_dim)
     table: dict[tuple[int, Descriptor, int], int] = {}
-    for ti, step in enumerate(scenario.steps):
-        carve = _carver(step.probe, removal_dim, mode)
+    for ti, (step, step_groups) in enumerate(zip(scenario.steps, groups)):
+        carve = _carver(step.probe, removal_dim, mode, step_groups)
         for alpha, ball in balls.items():
             bettis = betti(carve(ball))
             for p in dims:

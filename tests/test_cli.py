@@ -17,7 +17,7 @@ from descell import (
     homology,
 )
 from descell.cli import build_parser, main
-from descell.formats import emit_complex, emit_descriptors
+from descell.formats import emit_complex, emit_descriptors, load_probe, parse_complex
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "tests" / "data"
@@ -155,6 +155,25 @@ def test_descriptive_disk3_output(args, expected, capsys):
     assert main(["descriptive", str(DATA / "disk3.cw"),
                  "--probe", str(DATA / "disk3_probe.csv"), *args]) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("mode,expected", [
+    ("remove", "alpha 0.0 cells 6 betti 1 3 2 0\nalpha 0.5 cells 6 betti 1 3 2 0\n"
+               "alpha 1.0 cells 7 betti 1 3 2 1\n"),
+    ("retain", "alpha 0.0 cells 5 betti 1 3 1 0\nalpha 0.5 cells 5 betti 1 3 1 0\n"
+               "alpha 1.0 cells 5 betti 1 3 1 0\n"),
+])
+def test_descriptive_torus_x_circle_cascades_to_the_3_cell(mode, expected, capsys):
+    """The 3-cell f*a has the triangles a*a and b*a as faces, so the cascade
+    removes it with either; the cell counts come from the removed masks."""
+    args = ["descriptive", str(DATA / "torus_x_circle.cw"), "--probe",
+            str(DATA / "torus_x_circle_probe.csv"), "--spectrum", "--dim", "2",
+            "--delta", "0.25", "--mode", mode]
+    assert main(args) == 0
+    assert capsys.readouterr().out == expected
+    base, _ = parse_complex((DATA / "torus_x_circle.cw").read_text())
+    probe, _ = load_probe((DATA / "torus_x_circle_probe.csv").read_text(), base)
+    assert _descriptive_reference(base, probe, 0.25, 2, mode) == (0, expected)
 
 
 def test_descriptive_spectrum_prints_the_first_signed_zero(tmp_path, capsys):

@@ -10,6 +10,9 @@ message, on valid and corrupted complexes, in both modes, at every
 removal dimension, for balls of the probe's arity and of another one, on
 probes that hold both -0.0 and 0.0, and on hand-built probes that hold
 nan and infinite components, with balls of infinite radius among them.
+The carver's masks are compared through the id conversion that
+``removed_cells`` uses. Hand-built complexes with same-dimension, upward,
+dangling and undeclared incidences pin the cascade's order rule.
 ``signature`` on such probes is compared with ``signature_reference``.
 """
 
@@ -30,6 +33,7 @@ from descell import (
     signature,
 )
 from descell.descriptive import _carver, removed_cells
+from descell.homology import _removed_ids
 
 MODES = ("remove", "retain")
 DELTAS = (0.0, 0.25, 0.6)
@@ -109,7 +113,8 @@ def assert_same(rng, probe, p, mode, delta, balls=None):
         expected = outcome(descriptive_reference.removed_cells, probe, ball, p, mode)
         assert outcome(removed_cells, probe, ball, p, mode) == expected
         if callable(carve):  # one carver for every ball, as ``signature`` holds one per step
-            assert outcome(carve, ball) == expected
+            # Its masks, read as ids through the conversion ``removed_cells`` uses.
+            assert outcome(lambda b: _removed_ids(probe.complex, carve(b)), ball) == expected
         else:
             assert carve == expected
 
@@ -137,6 +142,52 @@ def test_bad_mode_and_dimension_raise_as_before():
     probe = random_probe(rng, k, 1)
     for p, mode in ((-1, "remove"), (2, "bogus"), (-1, "bogus"), (7, "bogus")):
         assert_same(rng, probe, p, mode, 0.0)
+
+
+# Hand-built complexes on which the cascade's order rule shows: a coface
+# is removed only after a removed face that comes before it in (dimension,
+# basis position) order, as the ascending sweep removes it.
+ORDER_RULE_COMPLEXES = {
+    # The 3-cell c2 records c1, which sorts before it, and c3, which sorts
+    # after it; c1 and c3 each lie on a triangle of their own.
+    "same-dimension faces": (
+        {"a": 0, "e": 1, "t1": 2, "t3": 2, "c1": 3, "c2": 3, "c3": 3},
+        {("e", "a"): 2, ("t1", "e"): 1, ("t3", "e"): 1,
+         ("c1", "t1"): 2, ("c3", "t3"): 2, ("c2", "c1"): 1, ("c2", "c3"): 1}),
+    # The triangle t records the 3-cell c, one dimension above it.
+    "a face above": (
+        {"a": 0, "e": 1, "f": 1, "s": 2, "t": 2, "c": 3},
+        {("e", "a"): 2, ("f", "a"): 2, ("s", "e"): 1, ("t", "f"): 1,
+         ("c", "s"): 2, ("t", "c"): 1}),
+    # The edge e records the undeclared face ghost.
+    "a dangling face": (
+        {"a": 0, "e": 1, "t": 2},
+        {("e", "a"): 2, ("e", "ghost"): 1, ("t", "e"): 1}),
+    # The undeclared cell phantom records the edge e.
+    "an undeclared cell": (
+        {"a": 0, "e": 1, "t": 2},
+        {("e", "a"): 2, ("t", "e"): 1, ("phantom", "e"): 1, ("phantom", "t"): 1}),
+}
+
+
+def test_cascade_follows_the_sweep_order_on_hand_built_complexes():
+    for name, (cells, incidence) in ORDER_RULE_COMPLEXES.items():
+        k = CellComplex(cells, incidence)
+        ids = sorted(cells)
+        probe = assign_probe(k, [(cid, (float(i),)) for i, cid in enumerate(ids)])
+        for p in range(k.max_dim + 1):
+            for mode in MODES:
+                for i in range(len(ids)):
+                    ball = DescriptorBall((float(i),), 0.0)
+                    assert removed_cells(probe, ball, p, mode) == \
+                        descriptive_reference.removed_cells(probe, ball, p, mode), (name, p, mode, i)
+    # Removing t1 removes c1, and then c2 after it; removing t3 removes c3
+    # but not c2, which comes before c3.
+    cells, incidence = ORDER_RULE_COMPLEXES["same-dimension faces"]
+    k = CellComplex(cells, incidence)
+    probe = assign_probe(k, [(cid, (float(cid == "t1"),)) for cid in cells])
+    assert removed_cells(probe, DescriptorBall((1.0,), 0.0), 2) == {"t1", "c1", "c2"}
+    assert removed_cells(probe, DescriptorBall((0.0,), 0.0), 2) == {"t3", "c3"}
 
 
 def test_signed_zeros_select_together():
