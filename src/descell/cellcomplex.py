@@ -207,7 +207,8 @@ class CellComplex:
         return MappingProxyType(self._faces.get(cell_id, {}))
 
     def cofaces(self, cell_id: CellId) -> tuple[CellId, ...]:
-        """Cells one dimension up whose boundary touches the given cell."""
+        """Every cell that records the given cell as a face, of any
+        dimension, declared or not, in sorted id order."""
         return self._cofaces.get(cell_id, ())
 
     # -- construction ----------------------------------------------------

@@ -151,7 +151,8 @@ def removed_cells(probe: ProbeAssignment, ball: DescriptorBall,
     deleted too, so each surviving cell keeps all of its faces. These are
     the ids of the masks that ``_carver`` returns.
     """
-    return _removed_ids(probe.complex, _carver(probe, p, mode)(ball))
+    carve = _carver(probe, p, mode, _value_masks(probe, p))
+    return _removed_ids(probe.complex, carve(ball))
 
 
 def _check_carving(p: int, mode: str) -> None:
@@ -175,14 +176,12 @@ def _value_masks(probe: ProbeAssignment, p: int) -> dict[Descriptor, int]:
     return groups
 
 
-def _carver(probe: ProbeAssignment, p: int, mode: str,
-            groups: dict[Descriptor, int] | None = None,
+def _carver(probe: ProbeAssignment, p: int, mode: str, groups: dict[Descriptor, int],
             ) -> Callable[[DescriptorBall], tuple[int, ...]]:
     """The cells ``removed_cells`` deletes, as a function of the ball, in
     index form: one mask per dimension 0 .. max(``max_dim``, p) over
     ``cells_of_dim`` order, the form ``_masked_betti`` and
-    ``_reduce_maps`` take. ``groups`` is ``_value_masks(probe, p)``,
-    built here unless the caller holds it.
+    ``_reduce_maps`` take. ``groups`` is ``_value_masks(probe, p)``.
 
     The values are indexed by first component. A ball calls ``contains``
     only on the values whose first component lies in its window [c0 - r,
@@ -195,24 +194,18 @@ def _carver(probe: ProbeAssignment, p: int, mode: str,
     first cell, so the same value raises ArityMismatchError.
 
     A selection's cut is the OR of its values' masks, XORed with the full
-    p-mask in retain mode. The cascade follows ``cofaces`` from the cut
-    p-cells: a coface c of a removed cell x is removed when it is a
-    declared cell above dimension p that comes after x in (dimension,
-    basis position) order. That is the ascending sweep's result, which
-    removes a cell when a face that comes before it was removed, also
-    where a face is recorded at the wrong dimension, or at its own."""
+    p-mask in retain mode. Above p, one ascending sweep removes each cell
+    that records a removed face and sets its bit."""
     # Imported here: `import descell` under `python -S` loads no bisect.
     from bisect import bisect_left, bisect_right
 
     _check_carving(p, mode)
     base = probe.complex
-    if groups is None:
-        groups = _value_masks(probe, p)
     arities = {len(value) for value in groups}
     unordered = [v for v in groups if v and math.isnan(v[0])]
     ordered = sorted((v for v in groups if v and not math.isnan(v[0])), key=lambda v: v[0])
     firsts = [v[0] for v in ordered]
-    top, dim_of = base.max_dim, base.cells.get
+    top = base.max_dim
     full = (1 << len(base.cells_of_dim(p))) - 1 if mode == "retain" else 0
     memo: dict[tuple[Descriptor, ...], tuple[int, ...]] = {}
 
@@ -227,17 +220,14 @@ def _carver(probe: ProbeAssignment, p: int, mode: str,
     def cascade(cut: int) -> tuple[int, ...]:
         masks = [0] * (max(top, p) + 1)
         masks[p] = cut
-        above: dict[CellId, int] = {}
-        work = [(p, x) for x in _selected(base.cells_of_dim(p), cut)] if p < top else []
-        while work:
-            q, x = work.pop()
-            for c in base.cofaces(x):
-                d = dim_of(c)
-                if d is not None and d > p and (d, c) > (q, x) and c not in above:
-                    above[c] = d
-                    work.append((d, c))
-        for c, d in above.items():
-            masks[d] |= 1 << bisect_left(base.cells_of_dim(d), c)
+        if p < top:
+            gone = set(_selected(base.cells_of_dim(p), cut))
+            # One ascending sweep: the faces of a q-cell were settled at q-1.
+            for q in range(p + 1, top + 1):
+                for i, cid in enumerate(base.cells_of_dim(q)):
+                    if any(fid in gone for fid in base.faces(cid)):
+                        gone.add(cid)
+                        masks[q] |= 1 << i
         return tuple(masks)
 
     def carve(ball: DescriptorBall) -> tuple[int, ...]:
@@ -275,7 +265,7 @@ def descriptive_homology(probe: ProbeAssignment, ball: DescriptorBall,
     defaults to the base complex's top dimension so Betti vectors stay
     comparable across different balls.
     """
-    removed = _carver(probe, p, mode)(ball)
+    removed = _carver(probe, p, mode, _value_masks(probe, p))(ball)
     base = probe.complex
     _check_survivors(base, base.validate(), removed)
     return _reduce_maps(base, removed, max_p)
@@ -283,15 +273,14 @@ def descriptive_homology(probe: ProbeAssignment, ball: DescriptorBall,
 
 def alpha_spectrum(probe: ProbeAssignment, p: int) -> list[Descriptor]:
     """Distinct descriptor values of the p-cells, lexicographically sorted."""
-    return _spectrum(probe[cid] for cid in probe.complex.cells_of_dim(p))
+    return _spectrum(_value_masks(probe, p))
 
 
-def _spectrum(values: Iterable[Descriptor]) -> list[Descriptor]:
-    """The distinct values, sorted. The set is built one value at a time,
-    so that values holding NaN, which sort by their input order, come out
-    of ``alpha_spectrum`` and of a carver's groups (``_value_masks``) in
-    the same order."""
-    return sorted({value for value in values})
+def _spectrum(groups: dict[Descriptor, int]) -> list[Descriptor]:
+    """The values of a carver's groups, sorted."""
+    # Inserted one at a time, as a set of the cells' values is built, so
+    # values holding NaN (which sort by input order) keep that order.
+    return sorted({value for value in groups})
 
 
 def chain_inclusion(sub: DescriptiveSubcomplex, chain: Chain) -> Chain:

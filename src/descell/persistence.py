@@ -97,7 +97,9 @@ def betti_curve(scenario: Scenario, ball: DescriptorBall, p: int,
     max_p = _top_dim(scenario.complex, p)
     _check_carving(removal_dim, mode)
     betti = _masked_betti(scenario.complex, max_p, removal_dim)
-    return [(step.theta, betti(_carver(step.probe, removal_dim, mode)(ball))[p])
+    return [(step.theta,
+             betti(_carver(step.probe, removal_dim, mode,
+                           _value_masks(step.probe, removal_dim))(ball))[p])
             for step in scenario.steps]
 
 

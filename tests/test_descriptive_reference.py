@@ -12,7 +12,8 @@ probes that hold both -0.0 and 0.0, and on hand-built probes that hold
 nan and infinite components, with balls of infinite radius among them.
 The carver's masks are compared through the id conversion that
 ``removed_cells`` uses. Hand-built complexes with same-dimension, upward,
-dangling and undeclared incidences pin the cascade's order rule.
+dangling and undeclared incidences pin the cascade where the sweep's
+order decides what it removes.
 ``signature`` on such probes is compared with ``signature_reference``.
 """
 
@@ -32,7 +33,7 @@ from descell import (
     assign_probe,
     signature,
 )
-from descell.descriptive import _carver, removed_cells
+from descell.descriptive import _carver, _value_masks, removed_cells
 from descell.homology import _removed_ids
 
 MODES = ("remove", "retain")
@@ -108,7 +109,7 @@ def balls_for(rng, probe, p, delta):
 
 
 def assert_same(rng, probe, p, mode, delta, balls=None):
-    carve = outcome(_carver, probe, p, mode)
+    carve = outcome(_carver, probe, p, mode, _value_masks(probe, p))
     for ball in balls_for(rng, probe, p, delta) if balls is None else balls:
         expected = outcome(descriptive_reference.removed_cells, probe, ball, p, mode)
         assert outcome(removed_cells, probe, ball, p, mode) == expected
@@ -144,10 +145,10 @@ def test_bad_mode_and_dimension_raise_as_before():
         assert_same(rng, probe, p, mode, 0.0)
 
 
-# Hand-built complexes on which the cascade's order rule shows: a coface
-# is removed only after a removed face that comes before it in (dimension,
-# basis position) order, as the ascending sweep removes it.
-ORDER_RULE_COMPLEXES = {
+# Hand-built complexes with malformed incidences, on which the order of
+# the ascending sweep (dimension, then basis position) decides what the
+# cascade removes.
+MALFORMED_COMPLEXES = {
     # The 3-cell c2 records c1, which sorts before it, and c3, which sorts
     # after it; c1 and c3 each lie on a triangle of their own.
     "same-dimension faces": (
@@ -171,7 +172,7 @@ ORDER_RULE_COMPLEXES = {
 
 
 def test_cascade_follows_the_sweep_order_on_hand_built_complexes():
-    for name, (cells, incidence) in ORDER_RULE_COMPLEXES.items():
+    for name, (cells, incidence) in MALFORMED_COMPLEXES.items():
         k = CellComplex(cells, incidence)
         ids = sorted(cells)
         probe = assign_probe(k, [(cid, (float(i),)) for i, cid in enumerate(ids)])
@@ -183,7 +184,7 @@ def test_cascade_follows_the_sweep_order_on_hand_built_complexes():
                         descriptive_reference.removed_cells(probe, ball, p, mode), (name, p, mode, i)
     # Removing t1 removes c1, and then c2 after it; removing t3 removes c3
     # but not c2, which comes before c3.
-    cells, incidence = ORDER_RULE_COMPLEXES["same-dimension faces"]
+    cells, incidence = MALFORMED_COMPLEXES["same-dimension faces"]
     k = CellComplex(cells, incidence)
     probe = assign_probe(k, [(cid, (float(cid == "t1"),)) for cid in cells])
     assert removed_cells(probe, DescriptorBall((1.0,), 0.0), 2) == {"t1", "c1", "c2"}
