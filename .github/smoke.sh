@@ -75,6 +75,16 @@ shown="$(cd "$scen/.." && { "$@" persist "${scen##*/}/cooling.scenario" 2>&1 >/d
   | sed -n '1s/:.*//p')"
 [ "$shown" = "${scen##*/}/cooling_step3.csv" ]
 (cd "$scen/.." && test -f "$shown")
+# A step CSV that is not UTF-8 gets the same diagnostic line named by a
+# scenario (a scenario error, exit 1) and on the command line (a parse
+# error, exit 2).
+bytes="$(wc -c < "$data/cooling_step1.csv")"
+{ cat "$data/cooling_step1.csv"; printf '\377\n'; } > "$scen/cooling_step1.csv"
+notutf8="$scen/cooling_step1.csv:0: error: not UTF-8 text (invalid start byte at byte $((bytes)))"
+{ "$@" persist "$scen/cooling.scenario" 2>&1 >/dev/null || echo "exit $?"; } \
+  | cmp - <(printf '%s\n' "$notutf8" "exit 1")
+{ "$@" descriptive "$data/square.cw" --probe "$scen/cooling_step1.csv" --spectrum \
+    2>&1 >/dev/null || echo "exit $?"; } | cmp - <(printf '%s\n' "$notutf8" "exit 2")
 "$@" gauge "$data/disk3.cw" --probe "$data/disk3_probe.csv" --charts "$data/charts_ok.chart" \
   | cmp - <(echo OK)
 # A report with violations exits 1, which the `||` both allows and prints.

@@ -26,12 +26,12 @@ from .formats import (
     ParseDiagnostic,
     _fmt_descriptor,
     emit_signature,
+    load_file,
     load_probe,
     load_scenario_file,
     parse_charts,
     parse_complex,
-    read_scenario,
-    read_text,
+    parse_scenario,
 )
 from .homology import MAX_ORACLE_CELLS, _masked_betti, homology, oracle_homology
 from .persistence import signature
@@ -50,22 +50,8 @@ def _print_diags(diags: list[ParseDiagnostic]) -> None:
         print(str(d), file=sys.stderr)
 
 
-def _read_file(path: str) -> str | None:
-    try:
-        return read_text(path)
-    except OSError as exc:
-        print(f"descell: error: {exc}", file=sys.stderr)
-    except UnicodeDecodeError as exc:
-        print(f"descell: error: {path}: not UTF-8 text ({exc.reason} at byte {exc.start})",
-              file=sys.stderr)
-    return None
-
-
 def _load_complex(path: str) -> CellComplex | None:
-    text = _read_file(path)
-    if text is None:
-        return None
-    complex, diags = parse_complex(text, path)
+    complex, diags = load_file(path, parse_complex)
     _print_diags(diags)
     return complex
 
@@ -76,10 +62,7 @@ def _load_probe_for(complex: CellComplex, path: str):
     Coverage gaps are semantic failures (1); anything else about the
     file is a parse failure (2).
     """
-    text = _read_file(path)
-    if text is None:
-        return None, USAGE_ERROR
-    probe, diags = load_probe(text, complex, path)
+    probe, diags = load_file(path, load_probe, complex)
     _print_diags(diags)
     if probe is None:
         only_coverage = all(d.code == "coverage" for d in diags if d.severity == "error")
@@ -219,10 +202,7 @@ def cmd_gauge(args) -> int:
     probe, code = _load_probe_for(complex, args.probe)
     if probe is None:
         return code
-    text = _read_file(args.charts)
-    if text is None:
-        return USAGE_ERROR
-    charts, diags = parse_charts(text, probe, args.charts)
+    charts, diags = load_file(args.charts, parse_charts, probe)
     _print_diags(diags)
     if charts is None:
         return USAGE_ERROR
@@ -236,7 +216,7 @@ def cmd_gauge(args) -> int:
 def cmd_persist(args) -> int:
     # Failures to read or parse the scenario file itself are parse errors;
     # failures in files it references are scenario (semantic) errors.
-    sf, diags = read_scenario(args.scenario)
+    sf, diags = load_file(args.scenario, parse_scenario)
     _print_diags(diags)
     if sf is None:
         return USAGE_ERROR

@@ -2,38 +2,10 @@
 
 All formats are line-oriented UTF-8; emitters write LF endings and a
 canonical ordering so output bytes are stable, parsers accept both LF
-and CRLF. ``read_text`` reads every input file, here and in the CLI,
-and drops a leading byte order mark. Parsing never raises for bad
-content: each parser returns ``(artifact, diagnostics)`` where the
-artifact is None whenever an error-severity diagnostic is present.
-
-Each parser checks every value once and builds its artifact from the
-rows it checked, through ``ProbeAssignment``, ``Chart`` and ``Scenario``;
-``parse_descriptors`` returns the sorted rows of ``load_probe``'s probe.
-The library constructors ``assign_probe``, ``make_chart``,
-``with_overrides`` and ``build_scenario`` keep their own checks. The
-per-row work is C-level: each line is split once, and stripped only to
-quote it in a diagnostic; cell ids are looked up in the complex's
-``cells`` and section values in the probe's ``values``, each fetched
-once per call. ``load_probe`` checks a descriptor table by whole
-columns, with no Python loop per row: field counts, ids against the
-complex's cells, and one ``float`` pass over every value. It walks the
-rows one by one only when a check fails, to word the diagnostics, and
-then builds no probe. ``emit_signature`` formats each theta and alpha
-once. ``parse_complex`` reads a canonical dimension or degree
-from a table, tests each boundary entry with one combined test (a
-canonical degree, a face id, the face's dimension by one lookup) and
-adds its degree into its cell's face dict; the checks that word an
-error run only when that test fails. It hands those face dicts to
-``CellComplex._of`` uncopied, with no tuple-keyed table on the way; the
-complex's one setup sorts the ids and drops the totals that cancel.
-``parse_charts`` reads a chart file in one loop: a canonical ``member``
-line only appends to its block's list, an ``override`` line is checked
-as it comes, and any other line is worded where it stands. Each block is
-then checked as a whole; only a block that fails is worded, its member
-lines found from the numbers the other lines took. The charts go to
-``Chart._of`` with no second copy or check. Lines are cut at '#' only
-when the text holds one.
+and CRLF. ``load_file`` reads every input file, here and in the CLI,
+and hands its text to a parser. Parsing never raises for bad content:
+each parser returns ``(artifact, diagnostics)`` where the artifact is
+None whenever an error-severity diagnostic is present.
 
 Formats:
   complex      ``cell <id> <dim>`` (0 <= dim <= MAX_CELL_DIM) and
@@ -145,6 +117,22 @@ def read_text(path: str) -> str:
     return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
+def load_file(path: str, parse: Callable, *context):
+    """``parse(text, *context, path)`` on the text ``read_text`` reads from
+    ``path``. A file that cannot be read, or is not UTF-8, gives no
+    artifact and one "io" error at line 0: the OSError's message, or where
+    the decoding failed, counted in bytes from the start of the file."""
+    try:
+        text = read_text(path)
+    except OSError as exc:
+        message = str(exc)
+    except UnicodeDecodeError as exc:
+        message = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    else:
+        return parse(text, *context, path)
+    return None, [ParseDiagnostic(path, 0, "error", message, "io")]
+
+
 # -- complex format -----------------------------------------------------
 
 MAX_CELL_DIM = 64
@@ -160,7 +148,9 @@ and the usual degrees. ``int`` reads any other spelling."""
 
 def parse_complex(text: str, filename: str = "<complex>",
                   ) -> tuple[CellComplex | None, list[ParseDiagnostic]]:
-    """Parse the cell/bnd format; two passes, so declaration order is free."""
+    """Parse the cell/bnd format; two passes, so declaration order is free.
+    The degrees a face gets on its cell's bnd lines add up, and
+    ``CellComplex._of`` drops the totals that cancel."""
     diags, err = _diagnostics(filename)
     cells: dict[CellId, int] = {}
     bnd_lines: list[tuple[int, list[str]]] = []
@@ -605,31 +595,13 @@ def load_scenario_file(sf: ScenarioFile, base_dir: str, filename: str = "<scenar
     invariant (thetas that do not increase, steps of different arities)
     comes back against ``filename``, the scenario file's path.
     """
-    diags: list[ParseDiagnostic] = []
-
-    def read(path: str) -> str | None:
-        try:
-            return read_text(path)
-        except (OSError, UnicodeDecodeError) as exc:
-            diags.append(ParseDiagnostic(path, 0, "error", str(exc), "io"))
-            return None
-
-    complex_path = os.path.join(base_dir, sf.complex_path)
-    complex_text = read(complex_path)
-    if complex_text is None:
-        return None, diags
-    complex, cdiags = parse_complex(complex_text, complex_path)
-    diags.extend(cdiags)
+    complex, diags = load_file(os.path.join(base_dir, sf.complex_path), parse_complex)
     if complex is None:
         return None, diags
 
     steps = []
     for theta, rel_path in sf.steps:
-        path = os.path.join(base_dir, rel_path)
-        csv_text = read(path)
-        if csv_text is None:
-            return None, diags
-        probe, pdiags = load_probe(csv_text, complex, path)
+        probe, pdiags = load_file(os.path.join(base_dir, rel_path), load_probe, complex)
         diags.extend(pdiags)
         if probe is None:
             return None, diags
@@ -642,18 +614,9 @@ def load_scenario_file(sf: ScenarioFile, base_dir: str, filename: str = "<scenar
         return None, diags
 
 
-def read_scenario(path: str) -> tuple[ScenarioFile | None, list[ParseDiagnostic]]:
-    """Read and parse a scenario file from disk, without the files it names."""
-    try:
-        text = read_text(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        return None, [ParseDiagnostic(path, 0, "error", str(exc), "io")]
-    return parse_scenario(text, path)
-
-
 def load_scenario(path: str) -> tuple[Scenario | None, list[ParseDiagnostic]]:
     """Read, parse and resolve a scenario file from disk."""
-    sf, diags = read_scenario(path)
+    sf, diags = load_file(path, parse_scenario)
     if sf is None:
         return None, diags
     scenario, more = load_scenario_file(sf, os.path.dirname(path), path)

@@ -49,7 +49,10 @@ def test_validate_broken(capsys):
 
 
 def test_validate_missing_file(capsys):
-    assert main(["validate", str(DATA / "no_such.cw")]) == 2
+    path = DATA / "no_such.cw"
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"{path}:0: error: [Errno 2] No such file or directory: '{path}'\n")
 
 
 def test_usage_error_exits_2():
@@ -338,7 +341,21 @@ def test_decode_error_offset_counts_the_byte_order_mark(tmp_path, capsys):
     path.write_bytes(b"\xef\xbb\xbfcell v 0\n\xff\n")
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr() == (
-        "", f"descell: error: {path}: not UTF-8 text (invalid start byte at byte 12)\n")
+        "", f"{path}:0: error: not UTF-8 text (invalid start byte at byte 12)\n")
+
+
+def test_a_file_that_is_not_utf8_is_worded_alike_wherever_it_is_named(tmp_path, capsys):
+    """Named on the command line (a parse error, exit 2) or by a scenario
+    (a scenario error, exit 1), a complex that is not UTF-8 gets the same
+    diagnostic line."""
+    scen = copy_cooling(tmp_path / "scen")
+    path = scen / "square.cw"
+    path.write_bytes(b"cell v 0\n\xff\n")
+    line = f"{path}:0: error: not UTF-8 text (invalid start byte at byte 9)\n"
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", line)
+    assert main(["persist", str(scen / "cooling.scenario")]) == 1
+    assert capsys.readouterr() == ("", line)
 
 
 def test_gauge_never_compiles_the_complex_and_homology_once(monkeypatch, capsys):

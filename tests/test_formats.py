@@ -490,8 +490,7 @@ def test_load_scenario_decode_error_offset_counts_the_byte_order_mark(tmp_path, 
     scenario, diags = load_scenario(path)
     assert scenario is None
     assert [(d.file, d.line, d.code, d.message) for d in diags] == [
-        (str(tmp_path / name), 0, "io",
-         "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte")]
+        (str(tmp_path / name), 0, "io", "not UTF-8 text (invalid start byte at byte 12)")]
 
 
 # -- signature CSV ----------------------------------------------------------------
