@@ -28,6 +28,12 @@ data="$(cd "$(dirname "${BASH_SOURCE[0]}")/../tests/data" && pwd)"
   | cmp - <(printf 'alpha %s cells 14 betti 1 1 0\n' 0.2 0.5 0.9)
 "$@" descriptive "$data/disk3.cw" --probe "$data/disk3_probe.csv" --spectrum \
     --dim 1 --mode retain --delta 0.3 | cmp - <(echo "alpha 0.0 cells 15 betti 1 0 0")
+# An arity-1 ball whose radius falls between the two rounded edge distances:
+# |0.7 - 0.5| = 0.19999999999999996 is inside it, |0.9 - 0.7| = 0.20000000000000007 not.
+"$@" descriptive "$data/disk3.cw" --probe "$data/disk3_probe.csv" --alpha 0.7 --delta 0.2 \
+  | cmp - <(echo "alpha 0.7 cells 14 betti 1 1 0")
+"$@" descriptive "$data/disk3.cw" --probe "$data/disk3_probe.csv" --alpha 0.7 --delta 0.2 \
+    --mode retain | cmp - <(echo "alpha 0.7 cells 13 betti 1 2 0")
 # The torus times a circle at removal dimension 2: the cascade removes the
 # 3-cell with either of its triangles.
 "$@" descriptive "$data/torus_x_circle.cw" --probe "$data/torus_x_circle_probe.csv" \

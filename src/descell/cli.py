@@ -5,9 +5,9 @@ Exit codes: 0 success (and a clean report for validate/gauge),
 to stderr, results to stdout or --out. Output is deterministic: the same
 input bytes and flags always produce the same output bytes.
 
-Each call builds the argument parser of the invoked subcommand only;
-with no subcommand named first (no arguments, ``-h``, an unknown name)
-it builds all five, for the top-level help and errors.
+Each call builds the invoked subcommand's parser alone. The full tree
+of all five is built only when no subcommand comes first (no arguments,
+``-h``, an unknown name) or an argument is left over, for its help or error.
 """
 
 from __future__ import annotations
@@ -302,25 +302,13 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``descell`` argument parser: every subcommand, or with
-    ``command`` (a subcommand name) only that one, which parses that
-    subcommand's arguments to the same namespace and messages."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``descell`` argument parser, with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="descell",
         description="Mod-2 cellular homology with descriptor-driven analysis.")
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-        names = list(_COMMANDS)
-    else:
-        # The top parser's usage line, printed with an unrecognized
-        # argument, still names every subcommand. Only here: on the full
-        # tree a metavar would also rename the argument in its errors.
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(_COMMANDS) + "}")
-        names = [command]
-    for name in names:
-        summary, add_arguments, handler = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_arguments, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         add_arguments(p)
         p.set_defaults(func=handler)
@@ -330,8 +318,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = extra = None
+    if argv and argv[0] in _COMMANDS:
+        _, add_arguments, handler = _COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"descell {argv[0]}")
+        add_arguments(parser)
+        parser.set_defaults(func=handler, command=argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+    if args is None or extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DescellError as exc:

@@ -179,21 +179,29 @@ def _value_masks(probe: ProbeAssignment, p: int) -> dict[Descriptor, int]:
 def _carver(probe: ProbeAssignment, p: int, mode: str, groups: dict[Descriptor, int],
             ) -> Callable[[DescriptorBall], tuple[int, ...]]:
     """The cells ``removed_cells`` deletes, as a function of the ball, in
-    index form: one mask per dimension 0 .. max(``max_dim``, p) over
+    index form: one mask per dimension 0 .. ``max_dim`` over
     ``cells_of_dim`` order, the form ``_masked_betti`` and
-    ``_reduce_maps`` take. ``groups`` is ``_value_masks(probe, p)``.
+    ``_reduce_maps`` take (a removal dimension above the top removes
+    nothing). ``groups`` is ``_value_masks(probe, p)``.
 
-    The values are indexed by first component. A ball calls ``contains``
-    only on the values whose first component lies in its window [c0 - r,
-    c0 + r], widened by a margin that covers the rounding of the window
-    and of ``math.dist``, and on those whose first component is NaN, which
-    the sorted index cannot hold (a NaN beside an infinite component lies
-    at an infinite distance). ``contains`` decides every hit, and each
-    selection of values is carved once. A ball of another arity than
+    The values are sorted by first component, NaN left out. When the
+    values and the ball have arity 1, ``math.dist`` is exactly |c0 - v|,
+    so a ball of radius r selects the index range [lo, hi) of the sorted
+    values where c0 - v <= r and not v - c0 > r, found by bisection
+    (rounded subtraction is monotone); a NaN value, at a NaN distance, is
+    never selected. The range's cut is ``prefix[hi] ^ prefix[lo]``, from
+    the XORs of the sorted values' masks before each index.
+
+    At other arities a ball calls ``contains`` only on the values whose
+    first component lies in its window [c0 - r, c0 + r], widened by a
+    margin that covers the rounding of the window and of ``math.dist``,
+    and on those whose first component is NaN (a NaN beside an infinite
+    component lies at an infinite distance). A ball of another arity than
     some value, or of arity 0, tests every value in id order of their
-    first cell, so the same value raises ArityMismatchError.
+    first cell, so the same value raises ArityMismatchError. The cut is
+    the OR of the selected values' masks.
 
-    A selection's cut is the OR of its values' masks, XORed with the full
+    Each selection, range or values, is carved once, XORed with the full
     p-mask in retain mode. Above p, one ascending sweep removes each cell
     that records a removed face and sets its bit."""
     # Imported here: `import descell` under `python -S` loads no bisect.
@@ -205,11 +213,18 @@ def _carver(probe: ProbeAssignment, p: int, mode: str, groups: dict[Descriptor, 
     unordered = [v for v in groups if v and math.isnan(v[0])]
     ordered = sorted((v for v in groups if v and not math.isnan(v[0])), key=lambda v: v[0])
     firsts = [v[0] for v in ordered]
+    prefix = [0]
+    for value in ordered:
+        prefix.append(prefix[-1] ^ groups[value])
     top = base.max_dim
     full = (1 << len(base.cells_of_dim(p))) - 1 if mode == "retain" else 0
-    memo: dict[tuple[Descriptor, ...], tuple[int, ...]] = {}
+    memo: dict[range | tuple[Descriptor, ...], tuple[int, ...]] = {}
 
-    def hits(ball: DescriptorBall) -> tuple[Descriptor, ...]:
+    def hits(ball: DescriptorBall) -> range | tuple[Descriptor, ...]:
+        if arities == {1} and len(ball.center) == 1:
+            c0, r = ball.center[0], ball.radius
+            lo = bisect_left(firsts, True, key=lambda v: c0 - v <= r)
+            return range(lo, bisect_left(firsts, True, lo, key=lambda v: v - c0 > r))
         if arities != {len(ball.center)} or not ball.center:
             return tuple(filter(ball.contains, groups))
         c0, r = ball.center[0], ball.radius
@@ -218,9 +233,10 @@ def _carver(probe: ProbeAssignment, p: int, mode: str, groups: dict[Descriptor, 
         return tuple(filter(ball.contains, window + unordered))
 
     def cascade(cut: int) -> tuple[int, ...]:
-        masks = [0] * (max(top, p) + 1)
-        masks[p] = cut
-        if p < top:
+        masks = [0] * (top + 1)
+        if cut:  # a p-cell is cut, so p <= top
+            masks[p] = cut
+        if cut and p < top:
             gone = set(_selected(base.cells_of_dim(p), cut))
             # One ascending sweep: the faces of a q-cell were settled at q-1.
             for q in range(p + 1, top + 1):
@@ -234,9 +250,12 @@ def _carver(probe: ProbeAssignment, p: int, mode: str, groups: dict[Descriptor, 
         selected = hits(ball)
         removed = memo.get(selected)
         if removed is None:
-            cut = full
-            for value in selected:  # disjoint groups: XOR is their OR
-                cut ^= groups[value]
+            if isinstance(selected, range):
+                cut = full ^ prefix[selected.stop] ^ prefix[selected.start]
+            else:
+                cut = full
+                for value in selected:  # disjoint groups: XOR is their OR
+                    cut ^= groups[value]
             removed = memo[selected] = cascade(cut)
         return removed
     return carve

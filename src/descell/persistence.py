@@ -153,8 +153,9 @@ def signature(scenario: Scenario, delta: float = 0.0, mode: str = "remove",
     are the fewer rows (``_masked_betti``). Each step's p-cells are
     grouped by value once (``_value_masks``): the groups' values are the
     step's share of the alphas, and its ``_carver`` ORs the masks of the
-    values a ball selects, testing a ball only on the distinct values in
-    its window of first components. The removed masks go to
+    values a ball selects: one index range of the sorted values on a
+    scalar probe, else the values in its window of first components that
+    it holds. The removed masks go to
     ``_masked_betti`` as they are, with no cell id read. After ``max_p``
     is checked, the values are grouped (which raises nothing), the balls
     built, and then ``mode`` and ``removal_dim`` checked, even with no

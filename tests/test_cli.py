@@ -140,6 +140,15 @@ def test_descriptive_retain_large_delta(capsys):
     assert capsys.readouterr().out == "alpha 0.5 cells 15 betti 1 0 0\n"
 
 
+def test_descriptive_removal_dimension_far_above_the_top(capsys):
+    """A removal dimension above the top removes nothing, however large."""
+    for dim in ("3", "1000000000000"):
+        assert main(["descriptive", str(DATA / "disk3.cw"),
+                     "--probe", str(DATA / "disk3_probe.csv"),
+                     "--alpha", "0.5", "--dim", dim]) == 0
+        assert capsys.readouterr().out == "alpha 0.5 cells 15 betti 1 0 0\n"
+
+
 @pytest.mark.parametrize("args,expected", [
     (("--spectrum",),
      "alpha 0.2 cells 14 betti 1 1 0\nalpha 0.5 cells 14 betti 1 1 0\n"
@@ -644,14 +653,8 @@ def test_unknown_command_error_names_the_command_argument(capsys):
     assert "\ndescell: error: argument command: invalid choice: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["validate", TORUS],
-    ["homology", TORUS],
-    ["descriptive", DISK, "--probe", PROBE, "--spectrum"],
-    ["gauge", DISK, "--probe", PROBE, "--charts", CHARTS],
-    ["persist", COOLING],
-], ids=lambda v: v[0])
-def test_main_builds_only_the_invoked_subcommand(argv, monkeypatch, capsys):
+def _built_progs(argv, monkeypatch, capsys):
+    """main's outcome on ``argv``, and the progs of the parsers it built."""
     add_argument = argparse.ArgumentParser.add_argument
     progs = set()
 
@@ -660,6 +663,23 @@ def test_main_builds_only_the_invoked_subcommand(argv, monkeypatch, capsys):
         return add_argument(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert progs == {"descell", f"descell {argv[0]}"}
+    return _outcome(main, argv, capsys)[0], progs
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", TORUS],
+    ["homology", TORUS],
+    ["descriptive", DISK, "--probe", PROBE, "--spectrum"],
+    ["gauge", DISK, "--probe", PROBE, "--charts", CHARTS],
+    ["persist", COOLING],
+], ids=lambda v: v[0])
+def test_main_builds_only_the_invoked_subcommand(argv, monkeypatch, capsys):
+    assert _built_progs(argv, monkeypatch, capsys) == (0, {f"descell {argv[0]}"})
+
+
+def test_a_left_over_argument_builds_the_full_tree(monkeypatch, capsys):
+    """The top parser words an unrecognized argument, as it does on the
+    full tree, so that tree is built."""
+    code, progs = _built_progs(["homology", TORUS, "--bogus"], monkeypatch, capsys)
+    assert code == 2
+    assert progs == {"descell", *(f"descell {name}" for name in OPERANDS)}

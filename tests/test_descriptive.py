@@ -19,6 +19,7 @@ from descell import (
     homology,
     oracle_homology,
 )
+from descell.descriptive import removed_cells
 from descell.errors import (
     ArityMismatchError,
     DuplicateEntryError,
@@ -135,6 +136,11 @@ def test_retain_full_image_is_identity(disk3, disk3_probe):
 def test_remove_nothing_outside_image(disk3, disk3_probe):
     sub = derive_subcomplex(disk3_probe, DescriptorBall((55.0,), 0.0), 2, "remove")
     assert sub.complex == disk3
+
+
+def test_removal_dimension_far_above_the_top_removes_nothing(disk3_probe):
+    for mode in ("remove", "retain"):
+        assert removed_cells(disk3_probe, DescriptorBall((0.5,), 0.0), 10**12, mode) == frozenset()
 
 
 def test_bad_mode_rejected(disk3_probe):

@@ -3,8 +3,10 @@
 ``descriptive_reference`` is ``removed_cells`` as it was when it called
 ``DescriptorBall.contains`` on every p-cell and ran the coface sweep for
 every ball. Today's ``removed_cells`` and the carver it calls group the
-p-cells by value, test only the distinct values in a ball's window of
-first components, and carve each selection of values once. Both must
+p-cells by value and carve each selection once: at arity 1 a ball
+selects the index range of the sorted values that it holds, found by
+bisection, and at other arities only the distinct values in its window
+of first components are tested. Both must
 give the same removed set, or raise the same exception with the same
 message, on valid and corrupted complexes, in both modes, at every
 removal dimension, for balls of the probe's arity and of another one, on
@@ -19,6 +21,8 @@ order decides what it removes.
 
 import math
 import random
+
+import pytest
 
 import descriptive_reference
 import signature_reference
@@ -278,10 +282,13 @@ def test_nan_triangles_on_grid_surfaces():
             assert_same(rng, probe, 2, mode, None, balls)
 
 
-def test_values_at_the_rounded_window_edges_select_as_before():
+@pytest.mark.parametrize("arity", [1, 2])
+def test_values_at_the_rounded_window_edges_select_as_before(arity):
     """Decimal centres and radii, and values within an ulp of the
     computed c0 - r and c0 + r: ``math.dist`` puts many of them inside
-    the ball though they lie outside the window as computed."""
+    the ball though they lie outside the window as computed. At arity 1
+    the carver bisects for the index range of the values the ball holds,
+    and at arity 2 it tests the values of a widened window."""
     rng = random.Random(12)
     k = support.disk3()
     edges = k.cells_of_dim(1)
@@ -289,11 +296,11 @@ def test_values_at_the_rounded_window_edges_select_as_before():
         c0, r = round(rng.uniform(-2, 2), rng.randint(1, 3)), round(rng.uniform(0, 1), 2)
         edge_values = [v for end in (c0 - r, c0 + r)
                        for v in (math.nextafter(end, -INF), end, math.nextafter(end, INF))]
-        values = {cid: (rng.choice(edge_values), rng.choice(LEVELS)) for cid in edges}
-        values.update({cid: (0.5, 0.5) for cid in k.cells if cid not in values})
-        probe = ProbeAssignment(k, values, 2)
-        balls = [DescriptorBall((c0, rng.choice((0.0, 0.5))), r) for _ in range(2)]
-        balls.append(DescriptorBall((c0, 0.0), r))
+        values = {cid: (rng.choice(edge_values), rng.choice(LEVELS))[:arity] for cid in edges}
+        values.update({cid: (0.5, 0.5)[:arity] for cid in k.cells if cid not in values})
+        probe = ProbeAssignment(k, values, arity)
+        balls = [DescriptorBall((c0, rng.choice((0.0, 0.5)))[:arity], r) for _ in range(2)]
+        balls.append(DescriptorBall((c0, 0.0)[:arity], r))
         for mode in MODES:
             assert_same(rng, probe, 1, mode, None, balls)
 
