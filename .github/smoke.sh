@@ -34,6 +34,14 @@ data="$(cd "$(dirname "${BASH_SOURCE[0]}")/../tests/data" && pwd)"
   | cmp - <(echo "alpha 0.7 cells 14 betti 1 1 0")
 "$@" descriptive "$data/disk3.cw" --probe "$data/disk3_probe.csv" --alpha 0.7 --delta 0.2 \
     --mode retain | cmp - <(echo "alpha 0.7 cells 13 betti 1 2 0")
+# Arity-2 balls test each distinct value with `contains`. At (0.5, 0.75) with
+# radius 0.25, tI's first component 0.25 is at the ball's edge, but tI is not
+# in it, so only tJ goes.
+"$@" descriptive "$data/square.cw" --probe "$data/cooling_step1.csv" --spectrum --dim 1 \
+    --mode retain --delta 0.3 \
+  | cmp - <(printf '%s\n' "alpha 0.25;0.25 cells 6 betti 2 0 0" "alpha 0.75;0.75 cells 8 betti 2 0 0")
+"$@" descriptive "$data/square.cw" --probe "$data/cooling_step2.csv" --alpha "0.5;0.75" \
+    --delta 0.25 | cmp - <(echo "alpha 0.5;0.75 cells 10 betti 1 1 0")
 # The torus times a circle at removal dimension 2: the cascade removes the
 # 3-cell with either of its triangles.
 "$@" descriptive "$data/torus_x_circle.cw" --probe "$data/torus_x_circle_probe.csv" \

@@ -19,7 +19,7 @@ import sys
 
 from .bundle import verify_cocycle
 from .cellcomplex import CellComplex
-from .descriptive import DescriptorBall, _carver, _spectrum, _value_masks
+from .descriptive import DescriptorBall, _carver
 from .errors import DescellError, InvalidComplexError, TooLargeError
 from .formats import (
     MAX_CELL_DIM,
@@ -148,15 +148,13 @@ def cmd_homology(args) -> int:
             reference = oracle_homology(complex, max_cells=args.oracle_bound)
         except TooLargeError as exc:
             return _fail(str(exc), SEMANTIC_ERROR)
-        # The oracle has a record for each dimension of the complex.
-        for eng, ref in zip(result.records, reference.records):
-            if (eng.cycle_rank, eng.boundary_rank, eng.betti) != (
-                    ref.cycle_rank, ref.boundary_rank, ref.betti):
+        # The oracle has a record for each dimension of the complex, in
+        # order from 0; the engine's stop at --max-dim.
+        for dim, (eng, ref) in enumerate(zip(result.ranks(), reference.ranks())):
+            if eng != ref:
                 return _fail(
-                    f"oracle disagreement at dim {eng.dim}: engine "
-                    f"(z={eng.cycle_rank}, b={eng.boundary_rank}, betti={eng.betti}) "
-                    f"vs oracle (z={ref.cycle_rank}, b={ref.boundary_rank}, "
-                    f"betti={ref.betti})", SEMANTIC_ERROR)
+                    "oracle disagreement at dim {}: engine (z={}, b={}, betti={}) "
+                    "vs oracle (z={}, b={}, betti={})".format(dim, *eng, *ref), SEMANTIC_ERROR)
     sys.stdout.write(result.to_text(include_generators=args.generators))
     return 0
 
@@ -175,10 +173,8 @@ def cmd_descriptive(args) -> int:
     probe, code = _load_probe_for(complex, args.probe)
     if probe is None:
         return code
-    groups = _value_masks(probe, args.dim)
-    if args.spectrum:
-        alphas = _spectrum(groups)
-    else:
+    alphas, carve = _carver(probe, args.dim, args.mode)
+    if not args.spectrum:
         alpha = _parse_alpha(args.alpha)
         if alpha is None:
             return _fail(f"malformed alpha {args.alpha!r}", USAGE_ERROR)
@@ -186,7 +182,6 @@ def cmd_descriptive(args) -> int:
             return _fail(
                 f"alpha has arity {len(alpha)}, probe has {probe.arity}", USAGE_ERROR)
         alphas = [alpha]
-    carve = _carver(probe, args.dim, args.mode, groups)
     for alpha in alphas:
         removed = carve(DescriptorBall(alpha, args.delta))
         bettis = " ".join(str(b) for b in betti(removed))

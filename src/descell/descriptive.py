@@ -6,12 +6,15 @@ cells whose descriptors fall inside that ball; removing them (or keeping
 only them) and cascading the deletion upward through cofaces yields a
 sub-complex whose homology reflects the chosen feature region.
 
-Inside the engine a removed set is a tuple of int masks indexed by
-dimension, each over ``cells_of_dim`` order: ``_carver`` makes them, and
-``descriptive_homology``, ``signature`` and ``betti_curve`` hand them to
-the homology layer as they are. Cell ids appear only at the public
-edges: ``removed_cells`` reads the masks as ids, and
-``derive_subcomplex`` builds its complex from those ids.
+One ``_carver`` per probe and removal dimension owns the carve: it
+groups the p-cells by value, hands back the sorted values (the alphas
+that ``alpha_spectrum``, ``signature`` and ``descell descriptive --spectrum``
+walk), and carves each ball. Inside the engine a removed set is a tuple
+of int masks indexed by dimension, each over ``cells_of_dim`` order:
+the carver makes them, and ``descriptive_homology``, ``signature`` and
+``betti_curve`` hand them to the homology layer as they are. Cell ids
+appear only at the public edges: ``removed_cells`` reads the masks as
+ids, and ``derive_subcomplex`` builds its complex from those ids.
 """
 
 from __future__ import annotations
@@ -151,93 +154,83 @@ def removed_cells(probe: ProbeAssignment, ball: DescriptorBall,
     deleted too, so each surviving cell keeps all of its faces. These are
     the ids of the masks that ``_carver`` returns.
     """
-    carve = _carver(probe, p, mode, _value_masks(probe, p))
+    _check_carving(p, mode)
+    _, carve = _carver(probe, p, mode)
     return _removed_ids(probe.complex, carve(ball))
 
 
 def _check_carving(p: int, mode: str) -> None:
     """Raise ValueError unless ``mode`` and the removal dimension ``p`` are
-    ones ``_carver`` can carve with."""
+    ones ``_carver`` can carve with. ``_carver`` checks neither, so each
+    caller that carves calls this first, at the point its errors are due."""
     if mode not in ("remove", "retain"):
         raise ValueError(f"mode must be 'remove' or 'retain', got {mode!r}")
     if p < 0:
         raise ValueError(f"dimension must be non-negative, got {p}")
 
 
-def _value_masks(probe: ProbeAssignment, p: int) -> dict[Descriptor, int]:
-    """The p-cells grouped by value, in the order of each value's first
-    cell: value -> the mask over ``cells_of_dim(p)`` order of the cells
-    holding it. Equal values (signed zeros included) share a group. The
-    values are read in one C-level pass over the probe's table. Raises
-    nothing."""
-    groups: dict[Descriptor, int] = {}
-    for i, value in enumerate(map(probe._table.__getitem__, probe.complex.cells_of_dim(p))):
-        groups[value] = groups.get(value, 0) | 1 << i
-    return groups
-
-
-def _carver(probe: ProbeAssignment, p: int, mode: str, groups: dict[Descriptor, int],
-            ) -> Callable[[DescriptorBall], tuple[int, ...]]:
-    """The cells ``removed_cells`` deletes, as a function of the ball, in
+def _carver(probe: ProbeAssignment, p: int, mode: str,
+            ) -> tuple[list[Descriptor], Callable[[DescriptorBall], tuple[int, ...]]]:
+    """A step's carve at removal dimension ``p``: its alphas (the distinct
+    values of its p-cells, sorted, as ``alpha_spectrum`` returns them)
+    and the cells ``removed_cells`` deletes, as a function of the ball, in
     index form: one mask per dimension 0 .. ``max_dim`` over
     ``cells_of_dim`` order, the form ``_masked_betti`` and
     ``_reduce_maps`` take (a removal dimension above the top removes
-    nothing). ``groups`` is ``_value_masks(probe, p)``.
+    nothing). Raises nothing: ``_check_carving`` checks ``p`` and
+    ``mode``, and a carve raises what ``contains`` raises.
 
-    The values are sorted by first component, NaN left out. When the
-    values and the ball have arity 1, ``math.dist`` is exactly |c0 - v|,
-    so a ball of radius r selects the index range [lo, hi) of the sorted
-    values where c0 - v <= r and not v - c0 > r, found by bisection
-    (rounded subtraction is monotone); a NaN value, at a NaN distance, is
-    never selected. The range's cut is ``prefix[hi] ^ prefix[lo]``, from
-    the XORs of the sorted values' masks before each index.
+    The p-cells are grouped by value, in the order of each value's first
+    cell, each group a mask of the cells holding it; equal values (signed
+    zeros included) share a group. A ball selects whole groups, in one of
+    two ways. When the values and the ball have arity 1, ``math.dist`` is
+    exactly |c0 - v|, so a ball of radius r selects the index range
+    [lo, hi) of the values sorted (NaN left out) where c0 - v <= r and
+    not v - c0 > r, found by bisection (rounded subtraction is monotone);
+    a NaN value, at a NaN distance, is never selected. The range's cut is
+    ``prefix[hi] ^ prefix[lo]``, from the XORs of the sorted values' masks
+    before each index. Any other ball calls ``contains`` on every value,
+    in first-cell order, so a ball of another arity raises
+    ArityMismatchError on the first value; the cut is the OR of the
+    masks of the values it holds.
 
-    At other arities a ball calls ``contains`` only on the values whose
-    first component lies in its window [c0 - r, c0 + r], widened by a
-    margin that covers the rounding of the window and of ``math.dist``,
-    and on those whose first component is NaN (a NaN beside an infinite
-    component lies at an infinite distance). A ball of another arity than
-    some value, or of arity 0, tests every value in id order of their
-    first cell, so the same value raises ArityMismatchError. The cut is
-    the OR of the selected values' masks.
-
-    Each selection, range or values, is carved once, XORed with the full
-    p-mask in retain mode. Above p, one ascending sweep removes each cell
-    that records a removed face and sets its bit."""
+    In retain mode the cut is XORed with the full p-mask. Above p, one
+    ascending sweep removes each cell that records a removed face and sets
+    its bit."""
     # Imported here: `import descell` under `python -S` loads no bisect.
-    from bisect import bisect_left, bisect_right
+    from bisect import bisect_left
 
-    _check_carving(p, mode)
     base = probe.complex
-    arities = {len(value) for value in groups}
-    unordered = [v for v in groups if v and math.isnan(v[0])]
-    ordered = sorted((v for v in groups if v and not math.isnan(v[0])), key=lambda v: v[0])
-    firsts = [v[0] for v in ordered]
+    cells = base.cells_of_dim(p)
+    groups: dict[Descriptor, int] = {}
+    for i, value in enumerate(map(probe._table.__getitem__, cells)):
+        groups[value] = groups.get(value, 0) | 1 << i
+    # Inserted one at a time, as a set of the cells' values is built, so
+    # values holding NaN (which sort by input order) keep that order.
+    alphas = sorted({value for value in groups})
+    scalar = all(len(value) == 1 for value in groups)
+    firsts = sorted(v[0] for v in groups if not math.isnan(v[0])) if scalar else []
     prefix = [0]
-    for value in ordered:
-        prefix.append(prefix[-1] ^ groups[value])
+    for first in firsts:
+        prefix.append(prefix[-1] ^ groups[(first,)])
     top = base.max_dim
-    full = (1 << len(base.cells_of_dim(p))) - 1 if mode == "retain" else 0
-    memo: dict[range | tuple[Descriptor, ...], tuple[int, ...]] = {}
+    full = (1 << len(cells)) - 1 if mode == "retain" else 0
 
-    def hits(ball: DescriptorBall) -> range | tuple[Descriptor, ...]:
-        if arities == {1} and len(ball.center) == 1:
+    def carve(ball: DescriptorBall) -> tuple[int, ...]:
+        if scalar and len(ball.center) == 1:
             c0, r = ball.center[0], ball.radius
             lo = bisect_left(firsts, True, key=lambda v: c0 - v <= r)
-            return range(lo, bisect_left(firsts, True, lo, key=lambda v: v - c0 > r))
-        if arities != {len(ball.center)} or not ball.center:
-            return tuple(filter(ball.contains, groups))
-        c0, r = ball.center[0], ball.radius
-        r += 8 * math.ulp(abs(c0) + r)
-        window = ordered[bisect_left(firsts, c0 - r):bisect_right(firsts, c0 + r)]
-        return tuple(filter(ball.contains, window + unordered))
-
-    def cascade(cut: int) -> tuple[int, ...]:
+            hi = bisect_left(firsts, True, lo, key=lambda v: v - c0 > r)
+            cut = full ^ prefix[hi] ^ prefix[lo]
+        else:
+            cut = full
+            for value in filter(ball.contains, groups):  # disjoint groups: XOR is their OR
+                cut ^= groups[value]
         masks = [0] * (top + 1)
         if cut:  # a p-cell is cut, so p <= top
             masks[p] = cut
         if cut and p < top:
-            gone = set(_selected(base.cells_of_dim(p), cut))
+            gone = set(_selected(cells, cut))
             # One ascending sweep: the faces of a q-cell were settled at q-1.
             for q in range(p + 1, top + 1):
                 for i, cid in enumerate(base.cells_of_dim(q)):
@@ -245,20 +238,7 @@ def _carver(probe: ProbeAssignment, p: int, mode: str, groups: dict[Descriptor, 
                         gone.add(cid)
                         masks[q] |= 1 << i
         return tuple(masks)
-
-    def carve(ball: DescriptorBall) -> tuple[int, ...]:
-        selected = hits(ball)
-        removed = memo.get(selected)
-        if removed is None:
-            if isinstance(selected, range):
-                cut = full ^ prefix[selected.stop] ^ prefix[selected.start]
-            else:
-                cut = full
-                for value in selected:  # disjoint groups: XOR is their OR
-                    cut ^= groups[value]
-            removed = memo[selected] = cascade(cut)
-        return removed
-    return carve
+    return alphas, carve
 
 
 def derive_subcomplex(probe: ProbeAssignment, ball: DescriptorBall,
@@ -284,7 +264,8 @@ def descriptive_homology(probe: ProbeAssignment, ball: DescriptorBall,
     defaults to the base complex's top dimension so Betti vectors stay
     comparable across different balls.
     """
-    removed = _carver(probe, p, mode, _value_masks(probe, p))(ball)
+    _check_carving(p, mode)
+    removed = _carver(probe, p, mode)[1](ball)
     base = probe.complex
     _check_survivors(base, base.validate(), removed)
     return _reduce_maps(base, removed, max_p)
@@ -292,14 +273,7 @@ def descriptive_homology(probe: ProbeAssignment, ball: DescriptorBall,
 
 def alpha_spectrum(probe: ProbeAssignment, p: int) -> list[Descriptor]:
     """Distinct descriptor values of the p-cells, lexicographically sorted."""
-    return _spectrum(_value_masks(probe, p))
-
-
-def _spectrum(groups: dict[Descriptor, int]) -> list[Descriptor]:
-    """The values of a carver's groups, sorted."""
-    # Inserted one at a time, as a set of the cells' values is built, so
-    # values holding NaN (which sort by input order) keep that order.
-    return sorted({value for value in groups})
+    return _carver(probe, p, "remove")[0]
 
 
 def chain_inclusion(sub: DescriptiveSubcomplex, chain: Chain) -> Chain:

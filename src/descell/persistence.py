@@ -22,8 +22,6 @@ from .descriptive import (  # noqa: F401
     ProbeAssignment,
     _carver,
     _check_carving,
-    _spectrum,
-    _value_masks,
     assign_probe,
     descriptive_homology,
 )
@@ -97,9 +95,7 @@ def betti_curve(scenario: Scenario, ball: DescriptorBall, p: int,
     max_p = _top_dim(scenario.complex, p)
     _check_carving(removal_dim, mode)
     betti = _masked_betti(scenario.complex, max_p, removal_dim)
-    return [(step.theta,
-             betti(_carver(step.probe, removal_dim, mode,
-                           _value_masks(step.probe, removal_dim))(ball))[p])
+    return [(step.theta, betti(_carver(step.probe, removal_dim, mode)[1](ball))[p])
             for step in scenario.steps]
 
 
@@ -150,29 +146,27 @@ def signature(scenario: Scenario, delta: float = 0.0, mode: str = "remove",
     complex: it is validated once and each of its boundary maps reduced
     once, every entry's Betti numbers are read off those reductions' ranks
     and kernel bases, or off the rank of a map's kept columns where they
-    are the fewer rows (``_masked_betti``). Each step's p-cells are
-    grouped by value once (``_value_masks``): the groups' values are the
-    step's share of the alphas, and its ``_carver`` ORs the masks of the
-    values a ball selects: one index range of the sorted values on a
-    scalar probe, else the values in its window of first components that
-    it holds. The removed masks go to
-    ``_masked_betti`` as they are, with no cell id read. After ``max_p``
-    is checked, the values are grouped (which raises nothing), the balls
-    built, and then ``mode`` and ``removal_dim`` checked, even with no
-    entry, so the errors come in that order. The table does not depend on the order.
+    are the fewer rows (``_masked_betti``). Each step has one ``_carver``,
+    which groups its p-cells by value once: the groups' sorted values are
+    the step's share of the alphas, and a ball selects whole groups, one
+    index range of the sorted values on a scalar probe, else the values
+    it ``contains``. The removed masks go to ``_masked_betti`` as they
+    are, with no cell id read. After ``max_p`` is checked, the carvers are
+    built (which raises nothing), the balls built, and then ``mode`` and
+    ``removal_dim`` checked, even with no entry, so the errors come in
+    that order. The table does not depend on the order.
     """
     max_p = _top_dim(scenario.complex, max_p)
-    groups = [_value_masks(step.probe, removal_dim) for step in scenario.steps]
+    carvers = [_carver(step.probe, removal_dim, mode) for step in scenario.steps]
     alphas: set[Descriptor] = set()
-    for step_groups in groups:
-        alphas.update(_spectrum(step_groups))
+    for step_alphas, _ in carvers:
+        alphas.update(step_alphas)
     balls = {alpha: DescriptorBall(alpha, delta) for alpha in sorted(alphas)}
     _check_carving(removal_dim, mode)
     dims = tuple(range(0, max_p + 1))
     betti = _masked_betti(scenario.complex, max_p, removal_dim)
     table: dict[tuple[int, Descriptor, int], int] = {}
-    for ti, (step, step_groups) in enumerate(zip(scenario.steps, groups)):
-        carve = _carver(step.probe, removal_dim, mode, step_groups)
+    for ti, (_, carve) in enumerate(carvers):
         for alpha, ball in balls.items():
             bettis = betti(carve(ball))
             for p in dims:

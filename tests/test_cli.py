@@ -11,10 +11,13 @@ import support
 from descell import (
     CellComplex,
     DescriptorBall,
+    DimensionHomology,
+    HomologyResult,
     alpha_spectrum,
     assign_probe,
     derive_subcomplex,
     homology,
+    oracle_homology,
 )
 from descell.cli import build_parser, main
 from descell.formats import emit_complex, emit_descriptors, load_probe, parse_complex
@@ -73,6 +76,23 @@ def test_homology_torus(capsys):
 def test_homology_oracle_agrees(capsys):
     assert main(["homology", str(DATA / "sphere.cw"), "--oracle"]) == 0
     assert capsys.readouterr().out.endswith("betti 1 0 1\n")
+
+
+def test_homology_oracle_disagreement(monkeypatch, capsys):
+    """An oracle whose boundary rank at dimension 1 is off by one: the
+    first dimension whose ranks differ is reported, and nothing printed."""
+    def wrong_oracle(complex, max_cells):
+        records = list(oracle_homology(complex, max_cells=max_cells).records)
+        d1 = records[1]
+        records[1] = DimensionHomology(d1.dim, d1.n_cells, d1.cycle_rank,
+                                       d1.boundary_rank + 1, d1.betti)
+        return HomologyResult(tuple(records))
+
+    monkeypatch.setattr("descell.cli.oracle_homology", wrong_oracle)
+    assert main(["homology", str(DATA / "torus.cw"), "--oracle"]) == 1
+    assert capsys.readouterr() == ("", (
+        "descell: error: oracle disagreement at dim 1: engine (z=2, b=0, betti=2) "
+        "vs oracle (z=2, b=1, betti=2)\n"))
 
 
 def test_homology_max_dim_zero(capsys):

@@ -3,11 +3,9 @@
 ``descriptive_reference`` is ``removed_cells`` as it was when it called
 ``DescriptorBall.contains`` on every p-cell and ran the coface sweep for
 every ball. Today's ``removed_cells`` and the carver it calls group the
-p-cells by value and carve each selection once: at arity 1 a ball
-selects the index range of the sorted values that it holds, found by
-bisection, and at other arities only the distinct values in its window
-of first components are tested. Both must
-give the same removed set, or raise the same exception with the same
+p-cells by value: at arity 1 a ball selects the index range of the
+sorted values that it holds, found by bisection, and at other arities
+it tests each distinct value once. Both must give the same removed set, or raise the same exception with the same
 message, on valid and corrupted complexes, in both modes, at every
 removal dimension, for balls of the probe's arity and of another one, on
 probes that hold both -0.0 and 0.0, and on hand-built probes that hold
@@ -37,7 +35,7 @@ from descell import (
     assign_probe,
     signature,
 )
-from descell.descriptive import _carver, _value_masks, removed_cells
+from descell.descriptive import _carver, _check_carving, removed_cells
 from descell.homology import _removed_ids
 
 MODES = ("remove", "retain")
@@ -113,7 +111,7 @@ def balls_for(rng, probe, p, delta):
 
 
 def assert_same(rng, probe, p, mode, delta, balls=None):
-    carve = outcome(_carver, probe, p, mode, _value_masks(probe, p))
+    carve = outcome(lambda: _check_carving(p, mode) or _carver(probe, p, mode)[1])
     for ball in balls_for(rng, probe, p, delta) if balls is None else balls:
         expected = outcome(descriptive_reference.removed_cells, probe, ball, p, mode)
         assert outcome(removed_cells, probe, ball, p, mode) == expected
@@ -288,7 +286,7 @@ def test_values_at_the_rounded_window_edges_select_as_before(arity):
     computed c0 - r and c0 + r: ``math.dist`` puts many of them inside
     the ball though they lie outside the window as computed. At arity 1
     the carver bisects for the index range of the values the ball holds,
-    and at arity 2 it tests the values of a widened window."""
+    and at arity 2 it calls ``contains`` on every distinct value."""
     rng = random.Random(12)
     k = support.disk3()
     edges = k.cells_of_dim(1)

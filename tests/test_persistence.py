@@ -1,8 +1,10 @@
+import math
 import random
 from pathlib import Path
 
 import pytest
 
+import signature_reference
 import support
 from descell import (
     CellComplex,
@@ -226,6 +228,26 @@ def test_signature_checks_mode_and_removal_dim_without_steps(kwargs, message):
     with pytest.raises(ValueError) as raised:
         betti_curve(scenario, DescriptorBall(RED, 0.0), 1, **kwargs)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("steps,kwargs,message", [
+    (True, {"delta": -1.0, "mode": "bogus"}, "radius must be non-negative, got -1.0"),
+    (True, {"delta": math.nan, "removal_dim": -1}, "dimension must be non-negative, got -1"),
+    (False, {"delta": -1.0, "mode": "bogus"}, "mode must be 'remove' or 'retain', got 'bogus'"),
+])
+def test_signature_builds_the_balls_before_it_checks_the_carving(steps, kwargs, message):
+    """The radius is checked as the balls are built, before ``mode`` and
+    ``removal_dim``: with no (-1)-cell there is no alpha and no ball, and
+    with no step neither, so only the carving settings can raise."""
+    if steps:
+        scenario, diags = load_scenario(str(DATA / "cooling.scenario"))
+        assert scenario is not None, diags
+    else:
+        scenario = Scenario(support.square(), ())
+    for build in (signature, signature_reference.signature):
+        with pytest.raises(ValueError) as raised:
+            build(scenario, **kwargs)
+        assert str(raised.value) == message
 
 
 def test_signature_tests_each_ball_once_per_distinct_value(monkeypatch):

@@ -3,8 +3,9 @@
 ``signature_reference`` is ``signature`` as it was when it reduced every
 distinct removed set again and tested each ball on every distinct value
 of a step. Today's ``signature`` reads each entry's ranks off the base's
-kernel bases and tests a ball only on the values in its window. Both must
-give the same table, or raise the same exception with the same message,
+kernel bases, and its carvers select a ball's values as one index range
+on a scalar probe, else test each distinct value once. Both must give
+the same table, or raise the same exception with the same message,
 on a corrupted random corpus, on the cooling scenario of the golden
 tables, on tori with one level per triangle and on a 3-dimensional
 product, where removing a 2-cell cascades into the 3-cells on it.
