@@ -142,10 +142,6 @@ class GaugeViolation(Record):
 
     __slots__ = ("identity", "charts", "cell", "residual", "norm")
 
-    def __init__(self, identity: str, charts: tuple[str, ...], cell: CellId,
-                 residual: Descriptor, norm: float):
-        super().__init__(identity, charts, cell, residual, norm)
-
     def __str__(self) -> str:
         vec = ";".join(repr(v) for v in self.residual)
         return (f"{self.identity} charts {','.join(self.charts)} "
@@ -156,9 +152,6 @@ class GaugeReport(Record):
     """Outcome of checking the gauge identities over a chart family."""
 
     __slots__ = ("tolerance", "violations")
-
-    def __init__(self, tolerance: float, violations: tuple[GaugeViolation, ...]):
-        super().__init__(tolerance, violations)
 
     @property
     def clean(self) -> bool:

@@ -39,9 +39,6 @@ class Violation(Record):
 
     __slots__ = ("code", "severity", "cells", "message")
 
-    def __init__(self, code: str, severity: str, cells: tuple[CellId, ...], message: str):
-        super().__init__(code, severity, cells, message)
-
     def __str__(self) -> str:
         return f"{self.code} [{' '.join(self.cells)}] {self.message}"
 
@@ -359,9 +356,6 @@ class Skeleton(Record):
     """An n-skeleton: the induced sub-complex of cells of dimension <= n."""
 
     __slots__ = ("parent", "level", "complex")
-
-    def __init__(self, parent: CellComplex, level: int, complex: CellComplex):
-        super().__init__(parent, level, complex)
 
 
 def from_simplices(simplices: Iterable[Iterable]) -> CellComplex:

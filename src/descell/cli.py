@@ -260,7 +260,8 @@ def _descriptive_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("complex")
     p.add_argument("--probe", required=True, help="descriptor CSV path")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--alpha", help="ball center, ';'-joined reals")
+    group.add_argument("--alpha", help="ball center, ';'-joined reals; write one that "
+                       "starts with '-' as --alpha=-0.5;0.25")
     group.add_argument("--spectrum", action="store_true",
                        help="one block per observed descriptor value")
     p.add_argument("--delta", type=_non_negative_float, default=0.0,

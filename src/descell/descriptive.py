@@ -139,10 +139,6 @@ class DescriptiveSubcomplex(Record):
 
     __slots__ = ("probe", "ball", "dim", "mode", "complex", "removed")
 
-    def __init__(self, probe: ProbeAssignment, ball: DescriptorBall, dim: int, mode: str,
-                 complex: CellComplex, removed: frozenset[CellId]):
-        super().__init__(probe, ball, dim, mode, complex, removed)
-
 
 def removed_cells(probe: ProbeAssignment, ball: DescriptorBall,
                   p: int = 2, mode: str = "remove") -> frozenset[CellId]:

@@ -45,10 +45,7 @@ class ParseDiagnostic(Record):
     error or warning; ``code`` is syntax, reference, coverage or io."""
 
     __slots__ = ("file", "line", "severity", "message", "code")
-
-    def __init__(self, file: str, line: int, severity: str, message: str,
-                 code: str = "syntax"):
-        super().__init__(file, line, severity, message, code)
+    _defaults = ("syntax",)
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}: {self.severity}: {self.message}"
@@ -521,9 +518,6 @@ class ScenarioFile(Record):
     """The textual form of a scenario: paths, not loaded artifacts."""
 
     __slots__ = ("complex_path", "steps")
-
-    def __init__(self, complex_path: str, steps: tuple[tuple[float, str], ...]):
-        super().__init__(complex_path, steps)
 
 
 def parse_scenario(text: str, filename: str = "<scenario>",

@@ -81,10 +81,7 @@ class DimensionHomology(Record):
     """Homology data for a single dimension."""
 
     __slots__ = ("dim", "n_cells", "cycle_rank", "boundary_rank", "betti", "generators")
-
-    def __init__(self, dim: int, n_cells: int, cycle_rank: int, boundary_rank: int,
-                 betti: int, generators: tuple[Chain, ...] = ()):
-        super().__init__(dim, n_cells, cycle_rank, boundary_rank, betti, generators)
+    _defaults = ((),)
 
 
 class HomologyResult(Record):
@@ -92,9 +89,6 @@ class HomologyResult(Record):
     generator cycles."""
 
     __slots__ = ("records",)
-
-    def __init__(self, records: tuple[DimensionHomology, ...]):
-        super().__init__(records)
 
     def record(self, p: int) -> DimensionHomology:
         for r in self.records:

@@ -19,7 +19,6 @@ from .cellcomplex import CellComplex, CellId
 from .descriptive import (  # noqa: F401
     Descriptor,
     DescriptorBall,
-    ProbeAssignment,
     _carver,
     _check_carving,
     assign_probe,
@@ -41,9 +40,6 @@ class ScenarioStep(Record):
     base complex there."""
 
     __slots__ = ("theta", "probe")
-
-    def __init__(self, theta: float, probe: ProbeAssignment):
-        super().__init__(theta, probe)
 
 
 class Scenario(Record):
@@ -182,10 +178,6 @@ class TransitionTrace(Record):
     the overlap."""
 
     __slots__ = ("pair", "overlap", "entries")
-
-    def __init__(self, pair: tuple[str, str], overlap: tuple[CellId, ...],
-                 entries: tuple[tuple[float, Descriptor], ...]):
-        super().__init__(pair, overlap, entries)
 
     def component_series(self, k: int) -> list[tuple[float, float]]:
         """One descriptor component of the translation per step."""

@@ -199,6 +199,12 @@ def test_verify_cocycle_needs_charts():
         verify_cocycle([])
 
 
+def test_verify_cocycle_needs_unique_chart_ids(disk3_probe):
+    charts = [make_chart(disk3_probe, {"A"}, "c"), make_chart(disk3_probe, {"B"}, "c")]
+    with pytest.raises(ValueError, match="^chart ids must be unique$"):
+        verify_cocycle(charts)
+
+
 def test_negative_tolerance_rejected(disk3_probe):
     with pytest.raises(ValueError):
         verify_cocycle([make_chart(disk3_probe, {"A"}, "c")], tolerance=-1.0)

@@ -70,6 +70,17 @@ def test_add_cell_missing_face():
         CellComplex().add_cell("e", 1, [("v", 1)])
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: CellComplex({"v": 0, "w": -1}, {}), "cell 'w' has negative dimension -1"),
+    (lambda: CellComplex().add_cell("v", -1), "dimension must be non-negative, got -1"),
+    (lambda: support.interval().boundary_columns(-1), "dimension must be non-negative, got -1"),
+    (lambda: from_simplices([("a", "b", "a")]), r"simplex \('a', 'a', 'b'\) repeats a vertex"),
+], ids=["constructor-dim", "add-cell-dim", "boundary-columns", "repeated-vertex"])
+def test_negative_dimensions_and_repeated_vertices_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_add_cell_dimension_mismatch():
     k = CellComplex().add_cell("v", 0)
     with pytest.raises(DimensionMismatchError):

@@ -284,6 +284,15 @@ def test_descriptive_spectrum_validates_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_descriptive_negative_arity_2_alpha(capsys):
+    """argparse reads a separate value that starts with '-' and is not a
+    plain number as an option, so a negative ';'-joined alpha is written
+    with '='."""
+    assert main(["descriptive", str(DATA / "square.cw"),
+                 "--probe", str(DATA / "cooling_step1.csv"), "--alpha=-0.5;0.25"]) == 0
+    assert capsys.readouterr() == ("alpha -0.5;0.25 cells 11 betti 1 0 0\n", "")
+
+
 def test_descriptive_malformed_alpha(capsys):
     code = main(["descriptive", str(DATA / "disk3.cw"),
                  "--probe", str(DATA / "disk3_probe.csv"), "--alpha", "red"])

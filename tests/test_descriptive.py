@@ -264,6 +264,12 @@ def test_inclusion_rejects_removed_cells(disk3_probe):
         chain_inclusion(sub, Chain(2, {"C-D-E"}))
 
 
+def test_inclusion_rejects_a_chain_of_another_dimension(disk3_probe):
+    sub = derive_subcomplex(disk3_probe, DescriptorBall((0.9,), 0.0), 2, "remove")
+    with pytest.raises(ForeignCellError, match="^cell 'A-B' has dimension 1, chain claims 0$"):
+        chain_inclusion(sub, Chain(0, {"A-B"}))
+
+
 def test_inclusion_is_additive():
     rng = random.Random(43)
     for _ in range(20):

@@ -433,6 +433,11 @@ def test_emitters_refuse_what_their_parsers_cannot_read_back(emit):
         emit()
 
 
+def test_emit_descriptors_refuses_mixed_arities():
+    with pytest.raises(ValueError, match=r"^row 'v' has arity 1, expected 2$"):
+        emit_descriptors([("u", (0.5, 1.0)), ("v", (0.5,))])
+
+
 def one_row_signature(delta=0.0, rdim=0, theta=0.0, alpha=(0.5,), dim=0, betti=1):
     return PersistenceSignature("remove", delta, rdim, (theta,), (alpha,), (dim,),
                                 {(0, alpha, dim): betti})
@@ -525,6 +530,8 @@ SIGNATURE_HEAD = "# mode remove\n# delta 0.0\n# rdim 2\ntheta,alpha,dim,betti\n"
     ("0.0,1e999,0,1", "non-finite value in row '0.0,1e999,0,1'"),
     ("0.0,1.0,-3,1", "negative dimension -3"),
     ("nan,inf,-3,1", "non-finite value in row 'nan,inf,-3,1'"),
+    ("0.0,1.0,0", "expected 4 fields, got 3"),
+    ("0.0,1.0,0,-2", "negative betti -2"),
 ])
 def test_signature_rejects_non_finite_and_negative_values(row, message):
     parsed, diags = parse_signature(SIGNATURE_HEAD + "0.0,1.0,0,1\n" + row + "\n", "s.csv")
@@ -574,6 +581,7 @@ def test_signature_without_rows_round_trips():
     ("# dims 0;-1\n", "", "dims must be non-negative, got 0;-1"),
     ("# dims 0;x\n", "", "malformed metadata values"),
     ("# dims 0\n", "0.0,1.0,0,1\n", "'# thetas' and '# dims' belong to a signature with no rows"),
+    ("", "0.0,1.0,0,1\n0.0,1.0,0,2\n", "duplicate row for theta 0.0, alpha (1.0,), dim 0"),
 ])
 def test_signature_rejects_bad_listed_thetas_and_dims(lines, rows, message):
     parsed, diags = parse_signature(SIGNATURE_HEAD.replace("theta", lines + "theta") + rows)

@@ -250,6 +250,15 @@ def test_homology_max_p_restriction(torus):
     assert result.betti_vector() == (1,)
 
 
+def test_homology_record_of_a_missing_dimension(torus):
+    result = homology(torus, max_p=0)
+    assert result.record(0).betti == 1
+    with pytest.raises(KeyError, match="no homology record for dimension 1"):
+        result.record(1)
+    with pytest.raises(KeyError, match="no homology record for dimension 1"):
+        result.betti(1)
+
+
 def test_homology_empty_complex():
     assert homology(CellComplex()).betti_vector() == ()
 

@@ -343,6 +343,20 @@ def test_trace_requires_overlap(square):
         transition_evolution(scen, {"tI"}, {"tJ"})
 
 
+@pytest.mark.parametrize("cells_i,cells_j,reps,error,message", [
+    ({"tI", "ghost"}, {"tI"}, {}, ForeignCellError,
+     "cell 'ghost' is not in the scenario complex"),
+    (set(), {"tI"}, {}, EmptyOverlapError, "regions must be nonempty"),
+    (support.REGION_I, support.REGION_J, {"rep_i": "tJ"}, ForeignCellError,
+     "representatives must belong to their regions"),
+    (support.REGION_I, support.REGION_J, {"rep_j": "ghost"}, ForeignCellError,
+     "representatives must belong to their regions"),
+], ids=["foreign-cell", "empty-region", "rep-i-outside", "rep-j-foreign"])
+def test_trace_rejects_bad_regions(cells_i, cells_j, reps, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        transition_evolution(cooling_scenario(), cells_i, cells_j, **reps)
+
+
 def test_traces_telescope_per_step():
     scen = cooling_scenario()
     r1 = support.REGION_I

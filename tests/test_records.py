@@ -4,10 +4,13 @@ Each record is built by position and by keyword, compares equal to an
 equal record of its own class only, hashes by its fields (or refuses to,
 when a field is unhashable), has a ``Name(field=value, ...)`` repr,
 refuses assignment and deletion, normalises and checks its arguments on
-construction, and survives ``copy``, ``deepcopy`` and ``pickle``.
+construction, and survives ``copy``, ``deepcopy`` and ``pickle``. A
+record class that writes no ``__init__`` gets one whose parameters are
+its ``__slots__``.
 """
 
 import copy
+import inspect
 import math
 import pickle
 from types import MappingProxyType
@@ -154,6 +157,39 @@ def test_record_contract(cls, fields, args, other_args, text, hashable):
                   pickle.loads(pickle.dumps(record))):
         assert type(clone) is cls
         assert clone == record
+
+
+# The records whose constructor Record builds from __slots__, and the
+# defaults of their trailing fields.
+GENERATED = {Violation: (), Skeleton: (), DimensionHomology: ((),), HomologyResult: (),
+             DescriptiveSubcomplex: (), GaugeViolation: (), GaugeReport: (),
+             ScenarioStep: (), TransitionTrace: (), ParseDiagnostic: ("syntax",),
+             ScenarioFile: ()}
+
+
+def test_only_the_records_that_normalise_or_check_write_a_constructor():
+    written = {cls for cls, *_ in CASES
+               if cls.__init__.__code__.co_filename == inspect.getsourcefile(cls)}
+    assert {cls.__name__ for cls in written} == {
+        "Chain", "DescriptorBall", "ProbeAssignment", "Chart", "TransitionFunction",
+        "Scenario", "PersistenceSignature"}
+    assert written | set(GENERATED) == {cls for cls, *_ in CASES}
+
+
+@pytest.mark.parametrize("cls, defaults", GENERATED.items(), ids=[c.__name__ for c in GENERATED])
+def test_generated_constructor(cls, defaults):
+    init = cls.__init__
+    assert init.__qualname__ == f"{cls.__name__}.__init__"
+    assert init.__module__ == cls.__module__
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == list(cls.__slots__)
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    required = len(params) - len(defaults)
+    assert [p.default for p in params] == [inspect.Parameter.empty] * required + list(defaults)
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) missing"):
+        cls()
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) takes"):
+        cls(*range(len(params) + 1))
 
 
 def test_record_defaults():
