@@ -42,9 +42,10 @@ data="$(cd "$(dirname "${BASH_SOURCE[0]}")/../tests/data" && pwd)"
   | cmp - <(printf '%s\n' "alpha 0.25;0.25 cells 6 betti 2 0 0" "alpha 0.75;0.75 cells 8 betti 2 0 0")
 "$@" descriptive "$data/square.cw" --probe "$data/cooling_step2.csv" --alpha "0.5;0.75" \
     --delta 0.25 | cmp - <(echo "alpha 0.5;0.75 cells 10 betti 1 1 0")
-# A separate value that starts with '-' would be read as an option: the
-# documented form of a negative ';'-joined alpha is '--alpha=...'.
+# A negative ';'-joined alpha, after '=' and as a separate value.
 "$@" descriptive "$data/square.cw" --probe "$data/cooling_step1.csv" --alpha="-0.5;0.25" \
+  | cmp - <(echo "alpha -0.5;0.25 cells 11 betti 1 0 0")
+"$@" descriptive "$data/square.cw" --probe "$data/cooling_step1.csv" --alpha "-0.5;0.25" \
   | cmp - <(echo "alpha -0.5;0.25 cells 11 betti 1 0 0")
 # The torus times a circle at removal dimension 2: the cascade removes the
 # 3-cell with either of its triangles.

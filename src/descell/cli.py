@@ -13,6 +13,7 @@ of all five is built only when no subcommand comes first (no arguments,
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -260,8 +261,7 @@ def _descriptive_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("complex")
     p.add_argument("--probe", required=True, help="descriptor CSV path")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--alpha", help="ball center, ';'-joined reals; write one that "
-                       "starts with '-' as --alpha=-0.5;0.25")
+    group.add_argument("--alpha", help="ball center, ';'-joined reals")
     group.add_argument("--spectrum", action="store_true",
                        help="one block per observed descriptor value")
     p.add_argument("--delta", type=_non_negative_float, default=0.0,
@@ -311,22 +311,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_alpha(argv: list[str]) -> None:
+    """Join, in place, each ``--alpha`` before any ``--`` with the next
+    token into one ``--alpha=VALUE`` when ``_parse_alpha`` reads that
+    token: argparse would take a separate value that starts with '-' for
+    an option. Any other next token is left to argparse's messages."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    for i in reversed(range(end - 1)):
+        if argv[i] == "--alpha" and _parse_alpha(argv[i + 1]) is not None:
+            argv[i:i + 2] = [f"--alpha={argv[i + 1]}"]
+
+
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = extra = None
-    if argv and argv[0] in _COMMANDS:
-        _, add_arguments, handler = _COMMANDS[argv[0]]
-        parser = argparse.ArgumentParser(prog=f"descell {argv[0]}")
-        add_arguments(parser)
-        parser.set_defaults(func=handler, command=argv[0])
-        args, extra = parser.parse_known_args(argv[1:])
-    if args is None or extra:
-        args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The cyclic collector is paused while the command runs: the files it
+    # parses and the results it builds hold no reference cycles, so the
+    # passes their allocations would trigger free nothing. The earlier
+    # state is restored however the command ends.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = extra = None
+        if argv and argv[0] in _COMMANDS:
+            if argv[0] == "descriptive":
+                _join_alpha(argv)
+            _, add_arguments, handler = _COMMANDS[argv[0]]
+            parser = argparse.ArgumentParser(prog=f"descell {argv[0]}")
+            add_arguments(parser)
+            parser.set_defaults(func=handler, command=argv[0])
+            args, extra = parser.parse_known_args(argv[1:])
+        if args is None or extra:
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except DescellError as exc:
         return _fail(str(exc), SEMANTIC_ERROR)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

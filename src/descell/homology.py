@@ -179,18 +179,20 @@ def _pivots(columns: Iterable[int], pivots: dict[int, int] | None = None,
     return pivots
 
 
-def _reduce(columns: Iterable[int]) -> tuple[dict[int, int], dict[int, int]]:
-    """``_pivots``, also recording column combinations. Returns the pivot
-    map and, for each column j that reduces to zero, in ascending order,
-    a combination bitset over column indices: bit j plus the earlier
-    nonzero columns it was reduced by. These are a kernel basis, each the
-    unique kernel vector with j as its only free column, which is what a
-    reduced row echelon form yields.
+def _reduce(columns: Iterable[tuple[int, int]]) -> tuple[dict[int, int], dict[int, int]]:
+    """``_pivots`` over ``(index, column)`` pairs in ascending index, also
+    recording column combinations. Returns the pivot map and, for each
+    column j that reduces to zero, in ascending order, a combination
+    bitset over column indices: bit j plus the earlier nonzero columns it
+    was reduced by. These are a kernel basis, each the unique kernel
+    vector with j as its only free column, which is what a reduced row
+    echelon form yields. An index left out is a zero column that adds no
+    kernel vector.
     """
     pivots: dict[int, int] = {}
     combos: dict[int, int] = {}
     dependent: dict[int, int] = {}
-    for j, col in enumerate(columns):
+    for j, col in columns:
         combo = 1 << j
         while col:
             top = col.bit_length() - 1
@@ -253,7 +255,7 @@ def cycle_basis(complex: CellComplex, p: int) -> list[Chain]:
     the unique set of earlier independent cells its boundary cancels
     against. Dimension 0 therefore gives the singleton vertex chains.
     """
-    _, kernel = _reduce(complex.boundary_columns(p))
+    _, kernel = _reduce(enumerate(complex.boundary_columns(p)))
     cells = complex.cells_of_dim(p)
     return [_chain(p, cells, z) for z in kernel.values()]
 
@@ -290,13 +292,13 @@ def _reduce_maps(base: CellComplex, removed: tuple[int, ...],
     zero on the removed rows.
 
     Each map is reduced once, from d_(top+1) down to d_0, over the base's
-    columns with the removed ones zeroed, and with clearing: a p-column
-    whose index is a pivot of the reduced d_(p+1) is zeroed too. Only the
+    columns with the removed ones skipped, and with clearing: a p-column
+    whose index is a pivot of the reduced d_(p+1) is skipped too. Only the
     pivots of d_(top+1) are read, so ``_pivots`` reduces it, and
-    ``_reduce`` the maps below. Without the zero rows and columns this is
-    the reduction of the ``derive_subcomplex`` complex, and a removed
-    column is no cycle of it. The generators are those a full reduction
-    picks, by three steps:
+    ``_reduce`` the maps below, given each column with its index. Without
+    the zero rows and the skipped columns this is the reduction of the
+    ``derive_subcomplex`` complex, and a removed column is no cycle of it.
+    The generators are those a full reduction picks, by three steps:
 
     - a cleared column j is the top bit of a boundary b in the image, and
       d_p b = 0 makes column j a sum of the columns before it, so the full
@@ -314,16 +316,17 @@ def _reduce_maps(base: CellComplex, removed: tuple[int, ...],
     for p in range(top + 1, -1, -1):
         cells = base.cells_of_dim(p)
         cut = removed[p] if p < len(removed) else 0
-        zeroed = image.keys() | _selected(range(len(cells)), cut) if cut else image
-        columns = (0 if j in zeroed else col for j, col in enumerate(base.boundary_columns(p)))
+        skipped = image.keys() | _selected(range(len(cells)), cut) if cut else image
+        columns = [(j, col) for j, col in enumerate(base.boundary_columns(p))
+                   if j not in skipped]
         if p > top:
-            image = _pivots(columns)
+            image = _pivots(col for _, col in columns)
             continue
         pivots, kernel = _reduce(columns)
         n = len(cells) - cut.bit_count()
         z, b = n - len(pivots), len(image)
         records.append(DimensionHomology(p, n, z, b, z - b, tuple(
-            _chain(p, cells, k) for j, k in kernel.items() if j not in zeroed)))
+            _chain(p, cells, k) for k in kernel.values())))
         image = pivots
     return HomologyResult(tuple(records[::-1]))
 
@@ -392,7 +395,7 @@ def _masked_betti(base: CellComplex, max_p: int, removal_dim: int,
     violations = base.validate()
     dims = range(max_p + 2)
     sizes = [len(base.cells_of_dim(q)) for q in dims]
-    kernels = {q: tuple(_reduce(base.boundary_columns(q))[1].values())
+    kernels = {q: tuple(_reduce(enumerate(base.boundary_columns(q)))[1].values())
                for q in dims if q >= removal_dim}
     ranks = [sizes[q] - len(kernels[q]) if q in kernels
              else len(_pivots(base.boundary_columns(q))) for q in dims]

@@ -45,6 +45,7 @@ def test_add_circle_loop_degree_zero():
     k = CellComplex().add_cell("v", 0).add_cell("a", 1, [("v", 0)])
     assert dict(k.faces("a")) == {}
     assert k == support.circle()
+    assert k != "k" and not k == "k"
 
 
 def test_add_cell_is_functional():

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import os
 import random
 import subprocess
@@ -20,6 +21,7 @@ from descell import (
     oracle_homology,
 )
 from descell.cli import build_parser, main
+from descell.errors import DescellError
 from descell.formats import emit_complex, emit_descriptors, load_probe, parse_complex
 
 REPO = Path(__file__).resolve().parent.parent
@@ -284,13 +286,27 @@ def test_descriptive_spectrum_validates_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_descriptive_negative_arity_2_alpha(capsys):
-    """argparse reads a separate value that starts with '-' and is not a
-    plain number as an option, so a negative ';'-joined alpha is written
-    with '='."""
-    assert main(["descriptive", str(DATA / "square.cw"),
-                 "--probe", str(DATA / "cooling_step1.csv"), "--alpha=-0.5;0.25"]) == 0
-    assert capsys.readouterr() == ("alpha -0.5;0.25 cells 11 betti 1 0 0\n", "")
+@pytest.mark.parametrize("complex,probe,alpha,expected", [
+    ("square.cw", "cooling_step1.csv", "-0.5;0.25", "alpha -0.5;0.25 cells 11 betti 1 0 0\n"),
+    ("disk3.cw", "disk3_probe.csv", "-1e-3", "alpha -0.001 cells 15 betti 1 0 0\n"),
+], ids=["square", "disk3"])
+def test_descriptive_negative_alpha_separate_or_joined(complex, probe, alpha, expected, capsys):
+    """An alpha that starts with '-' and is not a plain number may follow
+    --alpha as a separate value, as well as after '='."""
+    head = ["descriptive", str(DATA / complex), "--probe", str(DATA / probe)]
+    assert main([*head, f"--alpha={alpha}"]) == 0
+    assert capsys.readouterr() == (expected, "")
+    assert main([*head, "--alpha", alpha]) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
+@pytest.mark.parametrize("follower", ["--spectrum", "-h"])
+def test_descriptive_alpha_before_an_option_lacks_its_value(follower, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["descriptive", DISK, "--probe", PROBE, "--alpha", follower])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "descell descriptive: error: argument --alpha: expected one argument\n")
 
 
 def test_descriptive_malformed_alpha(capsys):
@@ -616,6 +632,66 @@ def test_repeated_runs_byte_identical(args):
     second = run_cli(*args)
     assert first == second
     assert first[0] == 0
+
+
+# -- the cyclic collector ----------------------------------------------------------
+
+
+def test_a_command_runs_with_the_collector_paused(tmp_path, capsys):
+    path = tmp_path / "grid.cw"
+    path.write_text(emit_complex(support.grid_surface(18)))
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        assert main(["homology", str(path), "--generators"]) == 0
+    finally:
+        gc.callbacks.remove(hook)
+    assert len(parse_complex(path.read_text())[0]) == 1944
+    assert capsys.readouterr().out.endswith("betti 1 2 1\n")
+    assert starts == []
+
+
+@pytest.fixture
+def collector():
+    """The collector's state, restored after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+# A run of main per way it can end, with the exit code it ends with.
+ENDINGS = {
+    "clean": (["validate", str(DATA / "torus.cw")], 0),
+    "semantic": (["validate", str(DATA / "broken_dd.cw")], 1),
+    "malformed": (["validate", "{malformed}"], 2),
+    "usage": (["validate", str(DATA / "torus.cw"), "--bogus"], 2),
+    "caught": (["validate", str(DATA / "torus.cw")], 1),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("ending", list(ENDINGS))
+def test_main_restores_the_collector_state(ending, enabled, collector, tmp_path,
+                                          monkeypatch, capsys):
+    malformed = tmp_path / "malformed.cw"
+    malformed.write_text("cell v zero\n")
+    if ending == "caught":
+        def fail(self):
+            raise DescellError("raised inside the command")
+        monkeypatch.setattr(CellComplex, "validate", fail)
+    argv, code = ENDINGS[ending]
+    (gc.enable if enabled else gc.disable)()
+    outcome = _outcome(main, [a.format(malformed=malformed) for a in argv], capsys)
+    assert gc.isenabled() == enabled
+    assert outcome[0] == code
+    if ending == "caught":
+        assert outcome[1:] == ("", "descell: error: raised inside the command\n")
 
 
 # -- argument parsing --------------------------------------------------------------

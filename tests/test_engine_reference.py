@@ -69,10 +69,10 @@ def test_homology_reduces_each_boundary_map_once(monkeypatch):
     calls = []
     reduce, pivots = engine._reduce, engine._pivots
 
-    def counted(columns):
-        columns = list(columns)
-        calls.append(("_reduce", columns))
-        return reduce(columns)
+    def counted(pairs):
+        pairs = list(pairs)
+        calls.append(("_reduce", pairs))
+        return reduce(pairs)
 
     def counted_pivots(columns, *args, **kwargs):
         columns = list(columns)
@@ -96,13 +96,15 @@ def test_homology_reduces_each_boundary_map_once(monkeypatch):
             # d_(top+1) are read, so it records no kernel combinations.
             assert [name for name, _ in calls] == ["_pivots"] + ["_reduce"] * (top + 1)
             image = {}
-            for (_, columns), p in zip(calls, range(top + 1, -1, -1)):
+            for (name, handed), p in zip(calls, range(top + 1, -1, -1)):
                 full = k.boundary_columns(p)
-                # The map's columns, but those at the pivots of the map
-                # above are cleared.
-                assert columns == [0 if j in image else col for j, col in enumerate(full)]
+                # The map's columns with their indices, but those at the
+                # pivots of the map above are cleared: not handed over at
+                # all. _pivots takes the columns alone.
+                kept = [(j, col) for j, col in enumerate(full) if j not in image]
+                assert handed == (kept if name == "_reduce" else [col for _, col in kept])
                 cleared += sum(col != 0 for j, col in enumerate(full) if j in image)
-                image = pivots(columns)
+                image = pivots(col for _, col in kept)
     assert cleared > 100
 
 

@@ -30,6 +30,7 @@ def test_chain_add_symmetric_difference():
     c1 = Chain(1, {"e1", "e2"})
     c2 = Chain(1, {"e2", "e3"})
     assert (c1 + c2).support == {"e1", "e3"}
+    assert len(c1) == 2 and len(c1 + c2 + c1 + c2) == 0
 
 
 def test_chain_self_inverse():
@@ -45,6 +46,8 @@ def test_chain_identity():
 def test_chain_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
         Chain(1, {"e"}) + Chain(2, {"f"})
+    with pytest.raises(TypeError):
+        Chain(1, {"e"}) + frozenset({"e"})
 
 
 def test_chain_group_laws():

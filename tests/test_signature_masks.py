@@ -216,8 +216,12 @@ def test_signature_validates_once_and_reduces_only_the_base(mode, monkeypatch):
                         lambda self, *a: validations.append(1) or validate(self, *a))
     monkeypatch.setattr(CellComplex, "__init__",
                         lambda self, *a: inits.append(1) or init(self, *a))
-    monkeypatch.setattr(engine, "_reduce",
-                        lambda columns: reductions.append(columns) or reduce(columns))
+
+    def counted(pairs):
+        reductions.append(list(pairs))
+        return reduce(reductions[-1])
+
+    monkeypatch.setattr(engine, "_reduce", counted)
     sig = signature(scen, 0.0, mode)
     assert len(sig) == 4 * 4 * 3
     assert len(validations) == 1 and not inits
@@ -225,7 +229,7 @@ def test_signature_validates_once_and_reduces_only_the_base(mode, monkeypatch):
     # removal dim 2 (d_2 and d_3; d_0 and d_1 are only ranked), and none
     # per entry, though several distinct removed sets change the map d_2.
     assert 2 < len(removed) <= 8
-    assert reductions == [k.boundary_columns(2), k.boundary_columns(3)]
+    assert reductions == [list(enumerate(k.boundary_columns(q))) for q in (2, 3)]
 
 
 @pytest.mark.parametrize("compute", [
