@@ -24,6 +24,11 @@ data="$(cd "$(dirname "${BASH_SOURCE[0]}")/../tests/data" && pwd)"
 "$@" persist "$data/cooling.scenario" | cmp - "$data/golden_cooling_signature.csv"
 "$@" persist "$data/cooling.scenario" --mode retain --delta 0.25 \
   | cmp - "$data/golden_cooling_signature_retain.csv"
+# A command line with each option spelled in full is read without argparse,
+# in either form of a value; argparse reads an abbreviated option alike.
+"$@" persist "$data/cooling.scenario" --delta 0 | cmp - "$data/golden_cooling_signature.csv"
+"$@" persist "$data/cooling.scenario" --delta=0 | cmp - "$data/golden_cooling_signature.csv"
+"$@" homology "$data/torus.cw" --gen | cmp - <("$@" homology "$data/torus.cw" --generators)
 "$@" descriptive "$data/disk3.cw" --probe "$data/disk3_probe.csv" --spectrum \
   | cmp - <(printf 'alpha %s cells 14 betti 1 1 0\n' 0.2 0.5 0.9)
 "$@" descriptive "$data/disk3.cw" --probe "$data/disk3_probe.csv" --spectrum \

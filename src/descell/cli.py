@@ -5,18 +5,22 @@ Exit codes: 0 success (and a clean report for validate/gauge),
 to stderr, results to stdout or --out. Output is deterministic: the same
 input bytes and flags always produce the same output bytes.
 
-Each call builds the invoked subcommand's parser alone. The full tree
-of all five is built only when no subcommand comes first (no arguments,
-``-h``, an unknown name) or an argument is left over, for its help or error.
+A command line that names a subcommand and spells each of its options in
+full is read without argparse (``_read_argv``), from the same table of
+options that argparse's parsers are built from. Any other command line,
+help and every error go to argparse, which is imported only then: it
+builds the invoked subcommand's parser, and the full tree of all five
+only when no subcommand comes first (no arguments, ``-h``, an unknown
+name) or an argument is left over, to word its help or error.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from .bundle import verify_cocycle
 from .cellcomplex import CellComplex
@@ -86,6 +90,7 @@ def _non_negative_float(text: str) -> float:
     except ValueError:
         value = math.nan
     if not (math.isfinite(value) and value >= 0):
+        import argparse
         raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
     return value
 
@@ -97,6 +102,7 @@ def _non_negative_int(text: str) -> int:
     except ValueError:
         value = -1
     if value < 0:
+        import argparse
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return value
 
@@ -106,6 +112,7 @@ def _int_up_to(limit: int):
     def parse(text: str) -> int:
         value = _non_negative_int(text)
         if value > limit:
+            import argparse
             raise argparse.ArgumentTypeError(
                 f"expected an integer from 0 to {limit}, got {text!r}")
         return value
@@ -240,75 +247,159 @@ def cmd_persist(args) -> int:
 
 # -- parser ------------------------------------------------------------
 
+# Every option with its argparse keywords, stated once for all the
+# subcommands that take it (its dest is argparse's, from the name). The
+# argparse builders and ``_read_argv`` both read this table.
+_OPTIONS = {
+    "--max-dim": {"type": _max_dim},
+    "--generators": {"action": "store_true"},
+    "--oracle": {"action": "store_true"},
+    "--oracle-bound": {"type": _oracle_bound, "default": 14},
+    "--probe": {"required": True},
+    "--alpha": {},
+    "--spectrum": {"action": "store_true"},
+    "--delta": {"type": _non_negative_float, "default": 0.0},
+    "--dim": {"type": _non_negative_int, "default": 2},
+    "--mode": {"choices": ("remove", "retain"), "default": "remove"},
+    "--charts": {"required": True},
+    "--tolerance": {"type": _non_negative_float, "default": 0.0},
+    "--out": {},
+}
 
-def _validate_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("complex", help="complex file path")
-
-
-def _homology_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("complex")
-    p.add_argument("--max-dim", dest="max_dim", type=_max_dim, default=None)
-    p.add_argument("--generators", action="store_true",
-                   help="also print a generator line per homology class")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check against the enumeration oracle")
-    p.add_argument("--oracle-bound", dest="oracle_bound", type=_oracle_bound,
-                   default=14, help="cell-count bound for the oracle, "
-                   f"0 to {MAX_ORACLE_CELLS} (default 14)")
-
-
-def _descriptive_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("complex")
-    p.add_argument("--probe", required=True, help="descriptor CSV path")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--alpha", help="ball center, ';'-joined reals")
-    group.add_argument("--spectrum", action="store_true",
-                       help="one block per observed descriptor value")
-    p.add_argument("--delta", type=_non_negative_float, default=0.0,
-                   help="ball radius (default 0)")
-    p.add_argument("--dim", type=_non_negative_int, default=2,
-                   help="dimension of the cells selected by the ball (default 2)")
-    p.add_argument("--mode", choices=("remove", "retain"), default="remove")
-
-
-def _gauge_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("complex")
-    p.add_argument("--probe", required=True, help="descriptor CSV path")
-    p.add_argument("--charts", required=True, help="chart file path")
-    p.add_argument("--tolerance", type=_non_negative_float, default=0.0)
-
-
-def _persist_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("scenario", help="scenario file path")
-    p.add_argument("--delta", type=_non_negative_float, default=0.0)
-    p.add_argument("--mode", choices=("remove", "retain"), default="remove")
-    p.add_argument("--max-dim", dest="max_dim", type=_max_dim, default=None)
-    p.add_argument("--out", default=None, help="write the CSV here and print the row count")
-
-
-# name -> (help, function that adds its arguments, handler)
+# name -> (help, handler, its arguments in order, the positional first,
+# each with its help text or None, and the names of which exactly one
+# must be given)
 _COMMANDS = {
-    "validate": ("check structural integrity of a complex file",
-                 _validate_args, cmd_validate),
-    "homology": ("Betti numbers and ranks of a complex", _homology_args, cmd_homology),
-    "descriptive": ("Betti numbers of descriptor-ball sub-complexes",
-                    _descriptive_args, cmd_descriptive),
-    "gauge": ("check the gauge identities of a chart cover", _gauge_args, cmd_gauge),
-    "persist": ("signature table of a scenario", _persist_args, cmd_persist),
+    "validate": ("check structural integrity of a complex file", cmd_validate,
+                 {"complex": "complex file path"}, ()),
+    "homology": ("Betti numbers and ranks of a complex", cmd_homology, {
+        "complex": None,
+        "--max-dim": None,
+        "--generators": "also print a generator line per homology class",
+        "--oracle": "cross-check against the enumeration oracle",
+        "--oracle-bound": "cell-count bound for the oracle, "
+                          f"0 to {MAX_ORACLE_CELLS} (default %(default)s)"}, ()),
+    "descriptive": ("Betti numbers of descriptor-ball sub-complexes", cmd_descriptive, {
+        "complex": None,
+        "--probe": "descriptor CSV path",
+        "--alpha": "ball center, ';'-joined reals",
+        "--spectrum": "one block per observed descriptor value",
+        "--delta": "ball radius (default 0)",
+        "--dim": "dimension of the cells selected by the ball (default %(default)s)",
+        "--mode": None}, ("--alpha", "--spectrum")),
+    "gauge": ("check the gauge identities of a chart cover", cmd_gauge, {
+        "complex": None,
+        "--probe": "descriptor CSV path",
+        "--charts": "chart file path",
+        "--tolerance": None}, ()),
+    "persist": ("signature table of a scenario", cmd_persist, {
+        "scenario": "scenario file path",
+        "--delta": None,
+        "--mode": None,
+        "--max-dim": None,
+        "--out": "write the CSV here and print the row count"}, ()),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_arguments(parser, command: str) -> None:
+    """Give an argparse parser the arguments and defaults of ``command``."""
+    _, handler, arguments, one_of = _COMMANDS[command]
+    group = parser.add_mutually_exclusive_group(required=True) if one_of else None
+    for name, text in arguments.items():
+        (group if name in one_of else parser).add_argument(
+            name, help=text, **_OPTIONS.get(name, {}))
+    parser.set_defaults(func=handler, command=command)
+
+
+def _command_parser(command: str):
+    """The argparse parser of one subcommand, as ``descell COMMAND``."""
+    import argparse
+    parser = argparse.ArgumentParser(prog=f"descell {command}")
+    _add_arguments(parser, command)
+    return parser
+
+
+def build_parser():
     """The ``descell`` argument parser, with every subcommand."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="descell",
         description="Mod-2 cellular homology with descriptor-driven analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, add_arguments, handler) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary)
-        add_arguments(p)
-        p.set_defaults(func=handler)
+    for name, (summary, *_) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=summary), name)
     return parser
+
+
+def _dest(name: str) -> str:
+    """The attribute argparse stores an option's value in."""
+    return name[2:].replace("-", "_")
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for ``argv``, read without argparse;
+    None (argparse then reads ``argv`` and words its help or error)
+    unless ``argv`` names a subcommand, gives its positional once and
+    every required option, and spells each option in full, as
+    ``--name value`` or ``--name=value``, with a value that does not
+    start with '-' after a space, no value on a flag, and every value
+    of its type and among its choices."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, *tokens = argv
+    _, handler, arguments, one_of = _COMMANDS[command]
+    positional, *names = arguments
+    values = {"func": handler, "command": command}
+    for name in names:
+        spec = _OPTIONS[name]
+        values[_dest(name)] = spec.get("default", False if "action" in spec else None)
+    seen = set()
+    rest = iter(tokens)
+    for token in rest:
+        if not token.startswith("-"):
+            if positional in values:
+                return None
+            values[positional] = token
+            continue
+        name, eq, value = token.partition("=")
+        if name not in names:
+            return None
+        spec = _OPTIONS[name]
+        if "action" in spec:
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(rest, "-")     # a missing value declines too
+                if value.startswith("-"):
+                    return None
+            if "type" in spec:
+                try:
+                    value = spec["type"](value)
+                except Exception:   # argparse words it, or raises it alike
+                    return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        values[_dest(name)] = value
+        seen.add(name)
+    required = {name for name in names if _OPTIONS[name].get("required")}
+    if (positional not in values or not required <= seen
+            or one_of and len(seen.intersection(one_of)) != 1):
+        return None
+    return SimpleNamespace(**values)
+
+
+def _parse_args(argv: list[str]):
+    """argparse's reading of ``argv``, which words the help and errors:
+    with the parser of the subcommand ``argv`` names alone, or, when no
+    subcommand comes first or an argument is left over, with every one."""
+    args = extra = None
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extra:
+        args = build_parser().parse_args(argv)
+    return args
 
 
 def _join_alpha(argv: list[str]) -> None:
@@ -331,17 +422,9 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = extra = None
-        if argv and argv[0] in _COMMANDS:
-            if argv[0] == "descriptive":
-                _join_alpha(argv)
-            _, add_arguments, handler = _COMMANDS[argv[0]]
-            parser = argparse.ArgumentParser(prog=f"descell {argv[0]}")
-            add_arguments(parser)
-            parser.set_defaults(func=handler, command=argv[0])
-            args, extra = parser.parse_known_args(argv[1:])
-        if args is None or extra:
-            args = build_parser().parse_args(argv)
+        if argv and argv[0] == "descriptive":
+            _join_alpha(argv)
+        args = _read_argv(argv) or _parse_args(argv)
         return args.func(args)
     except DescellError as exc:
         return _fail(str(exc), SEMANTIC_ERROR)

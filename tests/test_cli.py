@@ -20,7 +20,7 @@ from descell import (
     homology,
     oracle_homology,
 )
-from descell.cli import build_parser, main
+from descell.cli import _command_parser, _join_alpha, _read_argv, build_parser, main
 from descell.errors import DescellError
 from descell.formats import emit_complex, emit_descriptors, load_probe, parse_complex
 
@@ -771,15 +771,19 @@ def _built_progs(argv, monkeypatch, capsys):
     return _outcome(main, argv, capsys)[0], progs
 
 
-@pytest.mark.parametrize("argv", [
-    ["validate", TORUS],
-    ["homology", TORUS],
-    ["descriptive", DISK, "--probe", PROBE, "--spectrum"],
-    ["gauge", DISK, "--probe", PROBE, "--charts", CHARTS],
-    ["persist", COOLING],
-], ids=lambda v: v[0])
-def test_main_builds_only_the_invoked_subcommand(argv, monkeypatch, capsys):
-    assert _built_progs(argv, monkeypatch, capsys) == (0, {f"descell {argv[0]}"})
+@pytest.mark.parametrize("argv,progs", [
+    (["validate", TORUS], set()),
+    (["homology", TORUS], set()),
+    (["descriptive", DISK, "--probe", PROBE, "--spectrum"], set()),
+    (["gauge", DISK, "--probe", PROBE, "--charts", CHARTS], set()),
+    (["persist", COOLING], set()),
+    (["persist", COOLING, "--mode=retain", "--delta", "0.25", "--max-dim", "1"], set()),
+    (["homology", TORUS, "--gen"], {"descell homology"}),
+], ids=lambda v: " ".join(a.rsplit("/", 1)[-1] for a in v) if isinstance(v, list) else None)
+def test_main_builds_only_the_invoked_subcommand(argv, progs, monkeypatch, capsys):
+    """A command line whose options are spelled in full builds no parser;
+    an abbreviated option builds the invoked subcommand's parser alone."""
+    assert _built_progs(argv, monkeypatch, capsys) == (0, progs)
 
 
 def test_a_left_over_argument_builds_the_full_tree(monkeypatch, capsys):
@@ -788,3 +792,76 @@ def test_a_left_over_argument_builds_the_full_tree(monkeypatch, capsys):
     code, progs = _built_progs(["homology", TORUS, "--bogus"], monkeypatch, capsys)
     assert code == 2
     assert progs == {"descell", *(f"descell {name}" for name in OPERANDS)}
+
+
+# -- the argv reader ---------------------------------------------------------------
+
+# Every option name, with --help, and each of its prefixes; values of
+# every kind the options take or refuse; two positionals.
+NAMES = ("--max-dim", "--generators", "--oracle", "--oracle-bound", "--probe", "--alpha",
+         "--spectrum", "--delta", "--dim", "--mode", "--charts", "--tolerance", "--out",
+         "--help")
+VALUES = ("", "-1", "x", "nan", "1e400", "65", "21", "0", "0.25", "3", "remove", "retain",
+          "bad", "-0.5;0.25", "-1e-3", "0.5;0.75", "P1", "P2")
+TOKENS = sorted({*NAMES, *(n[:k] for n in NAMES for k in range(1, len(n))), "-h", "--bogus",
+                 *VALUES, *(f"{n}={v}" for n in NAMES for v in VALUES)})
+
+
+def _read_as_argparse(argv):
+    """``_read_argv`` on ``argv`` as main hands it over; asserts that it
+    declines or reads what the subcommand's argparse parser reads."""
+    argv = list(argv)
+    if argv and argv[0] == "descriptive":
+        _join_alpha(argv)
+    read = _read_argv(argv)
+    if read is not None:
+        assert vars(read) == vars(_command_parser(argv[0]).parse_args(argv[1:]))
+    return read
+
+
+def test_the_reader_reads_the_fully_spelled_argvs_as_argparse_does():
+    read = {tuple(argv) for argv in _argvs() if _read_as_argparse(argv) is not None}
+    assert read == {(c, *positional, *required) for c, (positional, required) in OPERANDS.items()}
+
+
+def test_the_reader_declines_or_agrees_with_argparse():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # A subcommand with its positional and required options, and options
+    # drawn from its own (from NAMES for validate, which takes none) and
+    # from NAMES, with values from VALUES, in any order; or tokens drawn
+    # at random.
+    required = {"validate": [], "homology": [], "persist": [],
+                "descriptive": [["--probe", "p.csv"]],
+                "gauge": [["--probe", "p.csv"], ["--charts", "c.chart"]]}
+    balls = (["--spectrum"], ["--alpha", "0.5"], ["--alpha", "-1e-3"], ["--alpha=-0.5;0.25"])
+    own = {"homology": ("--max-dim", "--generators", "--oracle", "--oracle-bound"),
+           "descriptive": ("--probe", "--alpha", "--spectrum", "--delta", "--dim", "--mode"),
+           "gauge": ("--probe", "--charts", "--tolerance"),
+           "persist": ("--delta", "--mode", "--max-dim", "--out")}
+
+    @st.composite
+    def spelled(draw):
+        command = draw(st.sampled_from(sorted(required)))
+        chunks = [["P1"], *required[command]]
+        if command == "descriptive":
+            chunks.append(draw(st.sampled_from(balls)))
+        names = st.sampled_from(own.get(command, NAMES)) | st.sampled_from(NAMES)
+        for name, value in draw(st.lists(st.tuples(names, st.sampled_from(VALUES)), max_size=4)):
+            chunks.append(draw(st.sampled_from(([name], [name, value], [f"{name}={value}"]))))
+        return [command, *(t for chunk in draw(st.permutations(chunks)) for t in chunk)]
+
+    drawn = st.tuples(st.sampled_from(sorted(required)), st.lists(st.sampled_from(TOKENS),
+                                                                  max_size=8))
+
+    @hypothesis.settings(max_examples=500, deadline=None)
+    @hypothesis.given(spelled() | drawn.map(lambda t: [t[0], *t[1]]))
+    @hypothesis.example(["homology", "P1", "--generators=0"])
+    @hypothesis.example(["homology", "P1", "--generators="])
+    @hypothesis.example(["gauge", "P1", "--charts", "c.chart", "--probe"])
+    @hypothesis.example(["persist", "P1", "--out", "--mode", "retain"])
+    @hypothesis.example(["descriptive", "P1", "--probe", "p.csv", "--alpha", "-h"])
+    def check(argv):
+        _read_as_argparse(argv)
+
+    check()

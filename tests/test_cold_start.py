@@ -1,6 +1,6 @@
 """Cold start: importing descell and running its subcommands loads nothing
 outside the standard library (numpy among it), and no dataclasses,
-inspect or typing.
+inspect or typing; a fully spelled command line loads no argparse.
 
 Only ``CellComplex.boundary_matrix`` uses numpy, and it imports it when
 called; ``rank_mod2`` and the enumeration oracle (``homology --oracle``)
@@ -24,8 +24,8 @@ DATA = REPO / "tests" / "data"
 # start-up, then its own findings. CLI_SCRIPT takes a ','-separated list of module names, then
 # argvs (each ';'-separated) to run through the CLI. It prints which of
 # those modules were loaded at start-up and after `import descell`
-# ("-" for none), then per argv its exit code and the modules loaded
-# after it ran.
+# ("-" for none), then per argv its exit code (SystemExit's, where main
+# exits) and the modules loaded after it ran.
 CLI_SCRIPT = """
 import contextlib, io, sys
 watched = sys.argv[1].split(",")
@@ -37,7 +37,10 @@ from descell.cli import main
 after = [loaded()]
 for argv in sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv.split(";"))
+        try:
+            code = main(argv.split(";"))
+        except SystemExit as exc:
+            code = exc.code
     after.append(f"{code}:{loaded()}")
 print(at_start, *after)
 """
@@ -109,6 +112,15 @@ def test_subcommands_load_no_dataclasses_inspect_or_typing():
         flags=("-S",), pythonpath=str(REPO / "src"))
     assert after_import == "-"
     assert after_runs == ["0:-"] * 6
+
+
+def test_subcommands_load_no_argparse_and_help_does():
+    """Fully spelled command lines are read without argparse and the
+    gettext it imports; argparse words the help."""
+    after_import, *after_runs = run_fresh(
+        CLI_SCRIPT, "argparse,gettext", *SUBCOMMANDS, "homology;-h")
+    assert after_import == "-"
+    assert after_runs == ["0:-"] * 6 + ["0:argparse,gettext"]
 
 
 def test_subcommands_load_only_the_standard_library():
