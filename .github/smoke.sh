@@ -52,6 +52,9 @@ data="$(cd "$(dirname "${BASH_SOURCE[0]}")/../tests/data" && pwd)"
   | cmp - <(echo "alpha -0.5;0.25 cells 11 betti 1 0 0")
 "$@" descriptive "$data/square.cw" --probe "$data/cooling_step1.csv" --alpha "-0.5;0.25" \
   | cmp - <(echo "alpha -0.5;0.25 cells 11 betti 1 0 0")
+# A separate negative value after a prefix of --alpha, as after '='.
+"$@" descriptive "$data/disk3.cw" --probe "$data/disk3_probe.csv" --alp -1e-3 \
+  | cmp - <("$@" descriptive "$data/disk3.cw" --probe "$data/disk3_probe.csv" --alpha=-1e-3)
 # The torus times a circle at removal dimension 2: the cascade removes the
 # 3-cell with either of its triangles.
 "$@" descriptive "$data/torus_x_circle.cw" --probe "$data/torus_x_circle_probe.csv" \
@@ -130,9 +133,8 @@ awk 'NR == 1 { printf "# two charts, one override\r\n" } NR == 2 { $0 = "\t" $0 
     --charts "$covers/dup.chart" 2>&1 >/dev/null || echo "exit $?"; } \
   | cmp - <(printf '%s\n' "$covers/dup.chart:22: error: cell 'C-D' listed twice in chart 'right'" \
       "exit 2")
-# Only the invoked subcommand's parser is built, but an unrecognized argument
-# still prints the usage line that names every subcommand, as an unknown
-# subcommand does; both are usage errors.
+# An unrecognized argument prints the usage line that names every subcommand,
+# as an unknown subcommand does; both are usage errors.
 bogus="$({ "$@" persist x --bogus 2>&1 >/dev/null || echo "exit $?"; } | sed -n '1p;$p')"
 nosuch="$({ "$@" nosuch 2>&1 >/dev/null || echo "exit $?"; } | sed -n '1p;$p')"
 [ "$bogus" = "$nosuch" ]

@@ -7,11 +7,9 @@ input bytes and flags always produce the same output bytes.
 
 A command line that names a subcommand and spells each of its options in
 full is read without argparse (``_read_argv``), from the same table of
-options that argparse's parsers are built from. Any other command line,
-help and every error go to argparse, which is imported only then: it
-builds the invoked subcommand's parser, and the full tree of all five
-only when no subcommand comes first (no arguments, ``-h``, an unknown
-name) or an argument is left over, to word its help or error.
+options that argparse's parser is built from. Any other command line,
+help and every error go to that parser, which is imported and built
+only then.
 """
 
 from __future__ import annotations
@@ -311,14 +309,6 @@ def _add_arguments(parser, command: str) -> None:
     parser.set_defaults(func=handler, command=command)
 
 
-def _command_parser(command: str):
-    """The argparse parser of one subcommand, as ``descell COMMAND``."""
-    import argparse
-    parser = argparse.ArgumentParser(prog=f"descell {command}")
-    _add_arguments(parser, command)
-    return parser
-
-
 def build_parser():
     """The ``descell`` argument parser, with every subcommand."""
     import argparse
@@ -390,26 +380,18 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _parse_args(argv: list[str]):
-    """argparse's reading of ``argv``, which words the help and errors:
-    with the parser of the subcommand ``argv`` names alone, or, when no
-    subcommand comes first or an argument is left over, with every one."""
-    args = extra = None
-    if argv and argv[0] in _COMMANDS:
-        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
-    if args is None or extra:
-        args = build_parser().parse_args(argv)
-    return args
-
-
 def _join_alpha(argv: list[str]) -> None:
-    """Join, in place, each ``--alpha`` before any ``--`` with the next
-    token into one ``--alpha=VALUE`` when ``_parse_alpha`` reads that
-    token: argparse would take a separate value that starts with '-' for
-    an option. Any other next token is left to argparse's messages."""
+    """Join, in place, each token before any ``--`` that argparse expands
+    to ``--alpha`` (a prefix of it that no other argument of
+    ``descriptive`` starts with) with the next token into one
+    ``--alpha=VALUE`` when ``_parse_alpha`` reads that token: argparse
+    would take a separate value that starts with '-' for an option. Any
+    other next token is left to argparse's messages."""
+    arguments = _COMMANDS["descriptive"][2]
     end = argv.index("--") if "--" in argv else len(argv)
     for i in reversed(range(end - 1)):
-        if argv[i] == "--alpha" and _parse_alpha(argv[i + 1]) is not None:
+        if ([name for name in arguments if name.startswith(argv[i])] == ["--alpha"]
+                and _parse_alpha(argv[i + 1]) is not None):
             argv[i:i + 2] = [f"--alpha={argv[i + 1]}"]
 
 
@@ -424,7 +406,7 @@ def main(argv=None) -> int:
     try:
         if argv and argv[0] == "descriptive":
             _join_alpha(argv)
-        args = _read_argv(argv) or _parse_args(argv)
+        args = _read_argv(argv) or build_parser().parse_args(argv)
         return args.func(args)
     except DescellError as exc:
         return _fail(str(exc), SEMANTIC_ERROR)

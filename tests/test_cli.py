@@ -20,7 +20,7 @@ from descell import (
     homology,
     oracle_homology,
 )
-from descell.cli import _command_parser, _join_alpha, _read_argv, build_parser, main
+from descell.cli import _join_alpha, _read_argv, build_parser, main
 from descell.errors import DescellError
 from descell.formats import emit_complex, emit_descriptors, load_probe, parse_complex
 
@@ -286,24 +286,28 @@ def test_descriptive_spectrum_validates_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("option", ["--alpha", "--a", "--alp", "--alph"])
 @pytest.mark.parametrize("complex,probe,alpha,expected", [
     ("square.cw", "cooling_step1.csv", "-0.5;0.25", "alpha -0.5;0.25 cells 11 betti 1 0 0\n"),
     ("disk3.cw", "disk3_probe.csv", "-1e-3", "alpha -0.001 cells 15 betti 1 0 0\n"),
 ], ids=["square", "disk3"])
-def test_descriptive_negative_alpha_separate_or_joined(complex, probe, alpha, expected, capsys):
+def test_descriptive_negative_alpha_separate_or_joined(complex, probe, alpha, expected, option,
+                                                       capsys):
     """An alpha that starts with '-' and is not a plain number may follow
-    --alpha as a separate value, as well as after '='."""
+    --alpha, or a prefix of it that argparse expands to it, as a separate
+    value, as well as after '='."""
     head = ["descriptive", str(DATA / complex), "--probe", str(DATA / probe)]
     assert main([*head, f"--alpha={alpha}"]) == 0
     assert capsys.readouterr() == (expected, "")
-    assert main([*head, "--alpha", alpha]) == 0
+    assert main([*head, option, alpha]) == 0
     assert capsys.readouterr() == (expected, "")
 
 
+@pytest.mark.parametrize("option", ["--alpha", "--alp"])
 @pytest.mark.parametrize("follower", ["--spectrum", "-h"])
-def test_descriptive_alpha_before_an_option_lacks_its_value(follower, capsys):
+def test_descriptive_alpha_before_an_option_lacks_its_value(option, follower, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["descriptive", DISK, "--probe", PROBE, "--alpha", follower])
+        main(["descriptive", DISK, "--probe", PROBE, option, follower])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(
         "descell descriptive: error: argument --alpha: expected one argument\n")
@@ -746,8 +750,8 @@ def _full_tree(argv):
 @pytest.mark.parametrize("argv", list(_argvs()),
                          ids=lambda v: " ".join(a.rsplit("/", 1)[-1] for a in v) or "none")
 def test_main_matches_the_full_parser(argv, columns, monkeypatch, capsys):
-    """main builds one subcommand's parser; help, errors, output and exit
-    codes are those of the parser of every subcommand."""
+    """Help, errors, output and exit codes are those of the parser of
+    every subcommand."""
     monkeypatch.setenv("COLUMNS", columns)
     assert _outcome(main, argv, capsys) == _outcome(_full_tree, argv, capsys)
 
@@ -771,27 +775,26 @@ def _built_progs(argv, monkeypatch, capsys):
     return _outcome(main, argv, capsys)[0], progs
 
 
-@pytest.mark.parametrize("argv,progs", [
-    (["validate", TORUS], set()),
-    (["homology", TORUS], set()),
-    (["descriptive", DISK, "--probe", PROBE, "--spectrum"], set()),
-    (["gauge", DISK, "--probe", PROBE, "--charts", CHARTS], set()),
-    (["persist", COOLING], set()),
-    (["persist", COOLING, "--mode=retain", "--delta", "0.25", "--max-dim", "1"], set()),
-    (["homology", TORUS, "--gen"], {"descell homology"}),
+EVERY_PROG = {"descell", *(f"descell {name}" for name in OPERANDS)}
+
+
+@pytest.mark.parametrize("argv,code,progs", [
+    (["validate", TORUS], 0, set()),
+    (["homology", TORUS], 0, set()),
+    (["homology", TORUS, "--generators"], 0, set()),
+    (["descriptive", DISK, "--probe", PROBE, "--spectrum"], 0, set()),
+    (["descriptive", DISK, "--probe", PROBE, "--alp", "-1e-3"], 0, set()),
+    (["gauge", DISK, "--probe", PROBE, "--charts", CHARTS], 0, set()),
+    (["persist", COOLING], 0, set()),
+    (["persist", COOLING, "--mode", "retain", "--delta", "0.25"], 0, set()),
+    (["persist", COOLING, "--mode=retain", "--delta", "0.25", "--max-dim", "1"], 0, set()),
+    (["homology", TORUS, "--gen"], 0, EVERY_PROG),
+    (["homology", TORUS, "--bogus"], 2, EVERY_PROG),
 ], ids=lambda v: " ".join(a.rsplit("/", 1)[-1] for a in v) if isinstance(v, list) else None)
-def test_main_builds_only_the_invoked_subcommand(argv, progs, monkeypatch, capsys):
+def test_main_builds_no_parser_or_the_full_tree(argv, code, progs, monkeypatch, capsys):
     """A command line whose options are spelled in full builds no parser;
-    an abbreviated option builds the invoked subcommand's parser alone."""
-    assert _built_progs(argv, monkeypatch, capsys) == (0, progs)
-
-
-def test_a_left_over_argument_builds_the_full_tree(monkeypatch, capsys):
-    """The top parser words an unrecognized argument, as it does on the
-    full tree, so that tree is built."""
-    code, progs = _built_progs(["homology", TORUS, "--bogus"], monkeypatch, capsys)
-    assert code == 2
-    assert progs == {"descell", *(f"descell {name}" for name in OPERANDS)}
+    any other builds the parser of every subcommand."""
+    assert _built_progs(argv, monkeypatch, capsys) == (code, progs)
 
 
 # -- the argv reader ---------------------------------------------------------------
@@ -809,13 +812,13 @@ TOKENS = sorted({*NAMES, *(n[:k] for n in NAMES for k in range(1, len(n))), "-h"
 
 def _read_as_argparse(argv):
     """``_read_argv`` on ``argv`` as main hands it over; asserts that it
-    declines or reads what the subcommand's argparse parser reads."""
+    declines or reads what the argparse parser reads."""
     argv = list(argv)
     if argv and argv[0] == "descriptive":
         _join_alpha(argv)
     read = _read_argv(argv)
     if read is not None:
-        assert vars(read) == vars(_command_parser(argv[0]).parse_args(argv[1:]))
+        assert vars(read) == vars(build_parser().parse_args(argv))
     return read
 
 

@@ -50,6 +50,7 @@ SUBCOMMANDS = [";".join(a) for a in (
     ("homology", "torus.cw", "--generators"),
     ("homology", "torus.cw", "--oracle"),
     ("descriptive", "disk3.cw", "--probe", "disk3_probe.csv", "--spectrum"),
+    ("descriptive", "disk3.cw", "--probe", "disk3_probe.csv", "--alp", "-1e-3"),
     ("gauge", "disk3.cw", "--probe", "disk3_probe.csv", "--charts", "charts_ok.chart"),
     ("persist", "cooling.scenario"))]
 
@@ -102,7 +103,7 @@ def run_fresh(script, *args, flags=(), pythonpath=None):
 def test_subcommands_run_without_numpy():
     after_import, *after_runs = run_fresh(CLI_SCRIPT, "numpy", *SUBCOMMANDS)
     assert after_import == "-"
-    assert after_runs == ["0:-"] * 6
+    assert after_runs == ["0:-"] * len(SUBCOMMANDS)
 
 
 def test_subcommands_load_no_dataclasses_inspect_or_typing():
@@ -111,22 +112,23 @@ def test_subcommands_load_no_dataclasses_inspect_or_typing():
         CLI_SCRIPT, "dataclasses,inspect,typing", *SUBCOMMANDS,
         flags=("-S",), pythonpath=str(REPO / "src"))
     assert after_import == "-"
-    assert after_runs == ["0:-"] * 6
+    assert after_runs == ["0:-"] * len(SUBCOMMANDS)
 
 
 def test_subcommands_load_no_argparse_and_help_does():
-    """Fully spelled command lines are read without argparse and the
-    gettext it imports; argparse words the help."""
+    """Fully spelled command lines, and a negative alpha after a prefix
+    of --alpha, are read without argparse and the gettext it imports;
+    argparse words the help."""
     after_import, *after_runs = run_fresh(
         CLI_SCRIPT, "argparse,gettext", *SUBCOMMANDS, "homology;-h")
     assert after_import == "-"
-    assert after_runs == ["0:-"] * 6 + ["0:argparse,gettext"]
+    assert after_runs == ["0:-"] * len(SUBCOMMANDS) + ["0:argparse,gettext"]
 
 
 def test_subcommands_load_only_the_standard_library():
     """Compared with what the interpreter had loaded before the import, so
     that a ``site`` that preloads a module does not fail the test."""
-    assert run_fresh(STDLIB_SCRIPT, *SUBCOMMANDS) == ["0"] * 6 + ["descell"]
+    assert run_fresh(STDLIB_SCRIPT, *SUBCOMMANDS) == ["0"] * len(SUBCOMMANDS) + ["descell"]
 
 
 def test_boundary_matrix_loads_numpy():
