@@ -133,6 +133,18 @@ awk 'NR == 1 { printf "# two charts, one override\r\n" } NR == 2 { $0 = "\t" $0 
     --charts "$covers/dup.chart" 2>&1 >/dev/null || echo "exit $?"; } \
   | cmp - <(printf '%s\n' "$covers/dup.chart:22: error: cell 'C-D' listed twice in chart 'right'" \
       "exit 2")
+# In the form that emit_charts writes, a cover is read in one piece; with a
+# member repeated inside the run of members before the override line it is
+# walked line by line to the same diagnostic.
+sed 1d "$data/charts_ok.chart" > "$covers/canonical.chart"
+"$@" gauge "$data/disk3.cw" --probe "$data/disk3_probe.csv" --charts "$covers/canonical.chart" \
+  | cmp - <(echo OK)
+{ head -n 20 "$data/charts_override.chart"; echo "member C-D"; tail -n +21 "$data/charts_override.chart"; } \
+  > "$covers/dup_canonical.chart"
+{ "$@" gauge "$data/disk3.cw" --probe "$data/disk3_probe.csv" \
+    --charts "$covers/dup_canonical.chart" 2>&1 >/dev/null || echo "exit $?"; } \
+  | cmp - <(printf '%s\n' \
+      "$covers/dup_canonical.chart:21: error: cell 'C-D' listed twice in chart 'right'" "exit 2")
 # An unrecognized argument prints the usage line that names every subcommand,
 # as an unknown subcommand does; both are usage errors.
 bogus="$({ "$@" persist x --bogus 2>&1 >/dev/null || echo "exit $?"; } | sed -n '1p;$p')"

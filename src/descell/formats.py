@@ -110,8 +110,11 @@ def read_text(path: str) -> str:
     UnicodeDecodeError count from its first byte; a leading byte order
     mark is dropped and CRLF and CR become LF, as in text-mode ``open``."""
     with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
-    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+        text = fh.read().decode("utf-8").removeprefix("\ufeff")
+    # Each replace scans the whole text; a search for CR costs far less.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def load_file(path: str, parse: Callable, *context):
@@ -371,11 +374,99 @@ def parse_descriptors(text: str, complex: CellComplex,
 # -- chart file ---------------------------------------------------------
 
 
+_ODD_SPACES = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f"
+"""The ASCII characters other than space and LF that ``str.split`` or
+``str.splitlines`` breaks on."""
+
+
+def _checked(probe: ProbeAssignment) -> bool:
+    """Whether the probe's table holds every cell of its complex, each
+    value of the probe's arity, as ``assign_probe`` checks."""
+    table = probe._table
+    return (probe.complex.cells.keys() <= table.keys()
+            and set(map(len, table.values())) <= {probe.arity})
+
+
+def _charts(blocks: Iterable[tuple[str, tuple[list[CellId], frozenset[CellId],
+                                               dict[CellId, Descriptor]]]],
+            probe: ProbeAssignment, checked: bool) -> list[Chart]:
+    """The charts of checked blocks ``(id, (members, member set,
+    overrides))``, sorted by id. Each section is read from the probe's
+    table, the overrides win, and the charts go to ``Chart._of``
+    uncopied when the table is ``checked``. Otherwise they are built
+    through ``Chart``, which raises as it would."""
+    table = probe._table
+    build = Chart._of if checked else Chart
+    charts = []
+    for cid, (members, cell_set, overrides) in blocks:
+        # The list is the faster to read; a failed probe raises at the first
+        # cell it lacks that no override gives, in the set's order.
+        keys = members if checked else [cell for cell in cell_set if cell not in overrides]
+        section = dict(zip(keys, map(table.__getitem__, keys)))
+        section.update(overrides)
+        charts.append(build(cid, cell_set, section, probe.arity))
+    return sorted(charts, key=lambda c: c.id)
+
+
+def _accept_charts(text: str, probe: ProbeAssignment) -> list[Chart] | None:
+    """The charts of a file in the form ``emit_charts`` writes, or None.
+
+    That form is ASCII with no '#' and an LF after every line. Each line
+    is ``chart <id>``, ``member <cell>`` or ``override <cell> <v1> ...
+    <vn>``, single-spaced, and a block's overrides follow its members.
+    A few splits per block read it; any other line, a blank one too,
+    leaves a field that is empty or holds a space or an LF, and the file
+    is refused. Every block must pass the checks the line walk makes,
+    and the probe must pass ``_checked``, before any chart is built; on
+    any failure the result is None.
+    """
+    if not (text.startswith("chart ") and text.endswith("\n") and text.isascii()
+            and "#" not in text and not any(map(text.__contains__, _ODD_SPACES))
+            and _checked(probe)):
+        return None
+    # An empty id names no member, even in a complex with a cell "".
+    cells = probe.complex.cells.keys() - {""}
+    arity = probe.arity
+    blocks = {}
+    for block in text[6:-1].split("\nchart "):
+        head, has_overrides, tail = block.partition("\noverride ")
+        cid, _, listed = head.partition("\nmember ")
+        members = listed.split("\nmember ")
+        ids = cid + "".join(members)
+        if not cid or " " in ids or "\n" in ids or cid in blocks:
+            return None
+        overrides = {}
+        if has_overrides:
+            rows = tail.split("\noverride ")
+            if "\n" in "".join(rows):
+                return None
+            for row in rows:
+                cell, *values = row.split(" ")
+                try:
+                    desc = tuple(map(float, values))
+                except ValueError:
+                    return None
+                if len(desc) != arity or not all(map(math.isfinite, desc)) or cell in overrides:
+                    return None
+                overrides[cell] = desc
+        cell_set = frozenset(members)
+        if not (len(cell_set) == len(members) and cell_set <= cells
+                and overrides.keys() <= cell_set):
+            return None
+        blocks[cid] = (members, cell_set, overrides)
+    return _charts(blocks.items(), probe, True)
+
+
 def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
                  ) -> tuple[list[Chart] | None, list[ParseDiagnostic]]:
     """Parse chart blocks; sections default to the probe, overrides win.
 
-    One loop splits each line once. A canonical ``member`` line in an
+    A file in the form ``emit_charts`` writes is accepted whole by
+    ``_accept_charts``. Any other file, or one that fails a check, is
+    walked line by line to word each failure, and its charts are built,
+    if it has no error, as the accept builds them.
+
+    The walk splits each line once. A canonical ``member`` line in an
     open block only appends its cell to the block's list; every other
     line is numbered, and worded where it stands unless it opens a block
     or is a valid override. A bad or repeated ``chart`` line closes the
@@ -384,12 +475,11 @@ def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
     for a member. Only a block that fails is worded: its member lines are
     those after its ``chart`` line that no other line took, so its member
     errors sort among the line errors; the block errors follow them.
-
-    The sections are read from the probe's table, whose values are
-    checked once per call for the probe's arity, and the charts go to
-    ``Chart._of`` uncopied. A probe built by hand that fails that check
-    has its charts built through ``Chart``, which raises as it would.
     """
+    charts = _accept_charts(text, probe)
+    if charts is not None:
+        return charts, []
+
     diags, err = _diagnostics(filename)
     cells = probe.complex.cells.keys()
     arity = probe.arity
@@ -470,18 +560,9 @@ def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
         diags.sort(key=lambda d: d.line)
         return None, diags + block_diags
 
-    table = probe._table
-    checked = cells <= table.keys() and set(map(len, table.values())) <= {arity}
-    build = Chart._of if checked else Chart
-    charts = []
-    for (cid, (_, members, overrides)), cell_set in zip(blocks.items(), cell_sets):
-        # The list is the faster to read; a failed probe raises at the first
-        # cell it lacks that no override gives, in the set's order.
-        keys = members if checked else [cell for cell in cell_set if cell not in overrides]
-        section = dict(zip(keys, map(table.__getitem__, keys)))
-        section.update((cell, desc) for cell, (_, desc) in overrides.items())
-        charts.append(build(cid, cell_set, section, arity))
-    return sorted(charts, key=lambda c: c.id), diags
+    walked = [(cid, (members, cell_set, {cell: desc for cell, (_, desc) in overrides.items()}))
+              for (cid, (_, members, overrides)), cell_set in zip(blocks.items(), cell_sets)]
+    return _charts(walked, probe, _checked(probe)), diags
 
 
 def emit_charts(charts: Iterable[Chart], probe: ProbeAssignment) -> str:

@@ -32,6 +32,7 @@ from descell.formats import (
     parse_descriptors,
     parse_scenario,
     parse_signature,
+    read_text,
 )
 from test_persistence import cooling_scenario
 
@@ -497,6 +498,37 @@ def test_load_scenario_decode_error_offset_counts_the_byte_order_mark(tmp_path, 
     assert [(d.file, d.line, d.code, d.message) for d in diags] == [
         (str(tmp_path / name), 0, "io", "not UTF-8 text (invalid start byte at byte 12)")]
 
+
+
+# -- reading files ---------------------------------------------------------------
+
+
+def read_bytes(tmp_path, data):
+    """``read_text`` on a file that holds ``data``."""
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    return read_text(str(path))
+
+
+def test_read_text_drops_a_leading_byte_order_mark(tmp_path):
+    assert read_bytes(tmp_path, b"\xef\xbb\xbfchart a\r\n") == "chart a\n"
+    # A mark anywhere else is text.
+    assert read_bytes(tmp_path, b"a\xef\xbb\xbf\n") == "a\ufeff\n"
+
+
+@pytest.mark.parametrize("data,text", [
+    (b"a\r\nb\r\n", "a\nb\n"),
+    (b"a\rb\r", "a\nb\n"),
+    # CR LF is one break, LF CR two.
+    (b"a\r\r\nb\n\rc\r", "a\n\nb\n\nc\n"),
+])
+def test_read_text_makes_every_line_break_lf(tmp_path, data, text):
+    assert read_bytes(tmp_path, data) == text
+
+
+def test_read_text_returns_a_text_without_cr_as_it_is(tmp_path):
+    text = "chart a\n\tmember v\x0b\x1f # \u00e9\u2028\x85\n\n"
+    assert read_bytes(tmp_path, text.encode()) == text
 
 # -- signature CSV ----------------------------------------------------------------
 

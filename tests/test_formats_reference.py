@@ -15,7 +15,9 @@ written ``+1``, ``1_0``, with an Arabic-Indic digit (U+0663) or with
 wrong-dimension faces, and repeated rows, members and overrides. A
 600-row torus probe, clean and with one defect at a time, exercises both
 sides of ``load_probe``'s whole-column acceptance: a file it accepts in
-one pass, and one whose rows it walks to word the diagnostics.
+one pass, and one whose rows it walks to word the diagnostics. Chart
+texts that ``emit_charts`` writes, as they are and with one defect
+each, exercise both sides of ``parse_charts``' whole-file accept.
 """
 
 import random
@@ -29,9 +31,18 @@ from hypothesis import strategies as st  # noqa: E402
 
 import formats_reference  # noqa: E402
 import support  # noqa: E402
-from descell import Chart, ProbeAssignment, assign_probe  # noqa: E402
+from descell import (  # noqa: E402
+    CellComplex,
+    Chart,
+    ProbeAssignment,
+    assign_probe,
+    make_chart,
+    with_overrides,
+)
 from descell.errors import ArityMismatchError  # noqa: E402
 from descell.formats import (  # noqa: E402
+    _accept_charts,
+    emit_charts,
     emit_complex,
     emit_descriptors,
     load_probe,
@@ -345,8 +356,12 @@ COVERS = {
         "override nope 1 x"),
     # Every member unknown: "has no members" comes after every line error.
     "every member unknown": cover_text("chart zz", "member nope", "member nada", "frob"),
+    "canonical, as emit_charts writes it": emit_charts(
+        formats_reference.parse_charts(cover_text(), TORUS_PROBE)[0], TORUS_PROBE),
 }
-ACCEPTED = ("clean", "comments, tabs and CRLF")
+# The files in the form emit_charts writes, which _accept_charts takes whole.
+CANONICAL = ("clean", "canonical, as emit_charts writes it")
+ACCEPTED = CANONICAL + ("comments, tabs and CRLF",)
 
 
 def counting_charts(monkeypatch):
@@ -370,11 +385,13 @@ def counting_charts(monkeypatch):
 @pytest.mark.parametrize("name", sorted(COVERS))
 def test_parse_charts_matches_reference_on_torus_covers(name, monkeypatch):
     """One defect at a time in the 24-chart cover: a clean file has its
-    charts handed to ``Chart._of``; any other gets the reference's
-    diagnostics, in its order, and builds no chart."""
+    charts handed to ``Chart._of``, by the whole-file accept when it is
+    canonical; any other gets the reference's diagnostics, in its order,
+    and builds no chart."""
     text = COVERS[name]
     expected = formats_reference.parse_charts(text, TORUS_PROBE, "t.chart")
     assert (expected[0] is not None) == (name in ACCEPTED)
+    assert (_accept_charts(text, TORUS_PROBE) is not None) == (name in CANONICAL)
     calls = counting_charts(monkeypatch)
     assert parse_charts(text, TORUS_PROBE, "t.chart") == expected
     assert calls == (["_of"] * 24 if name in ACCEPTED else [])
@@ -415,3 +432,151 @@ def test_parse_charts_raises_as_the_reference_on_a_hand_built_probe(cells, value
     calls = counting_charts(monkeypatch)
     assert outcome(parse_charts, text, probe, "t.chart") == expected
     assert calls and "_of" not in calls
+
+
+
+# -- the whole-file accept of canonical chart files ------------------------------
+#
+# Texts that emit_charts writes for random covers, each taken whole by
+# _accept_charts, and each again with one defect that leaves that form:
+# the line walk reads those, and both must match the reference.
+
+
+def on_lines(mutate):
+    """A change of a canonical text by ``mutate(lines, rng, probe)``,
+    which edits the list of its lines in place."""
+    def change(text, rng, probe):
+        lines = text.split("\n")[:-1]
+        mutate(lines, rng, probe)
+        return "\n".join(lines) + "\n"
+    return change
+
+
+def pick(lines, rng, prefix):
+    """The index of a random line that starts with ``prefix``."""
+    return rng.choice([i for i, line in enumerate(lines) if line.startswith(prefix)])
+
+
+def edit(prefix, change):
+    """Rewrite a random line that starts with ``prefix`` by ``change(line, rng)``."""
+    def mutate(lines, rng, probe):
+        i = pick(lines, rng, prefix)
+        lines[i] = change(lines[i], rng)
+    return on_lines(mutate)
+
+
+def insert(prefix, new):
+    """Insert the lines ``new(line, members, rng, probe)`` after a random
+    line that starts with ``prefix``; ``members`` are its block's."""
+    def mutate(lines, rng, probe):
+        i = pick(lines, rng, prefix)
+        start = max(j for j in range(i + 1) if lines[j].startswith("chart "))
+        end = next((j for j in range(start + 1, len(lines)) if lines[j].startswith("chart ")),
+                   len(lines))
+        members = [line[7:] for line in lines[start:end] if line.startswith("member ")]
+        lines[i + 1:i + 1] = new(lines[i], members, rng, probe)
+    return on_lines(mutate)
+
+
+def override(cell, values):
+    return " ".join(["override", cell, *values])
+
+
+def good_values(probe, rng):
+    return [rng.choice(["0.5", "-0.25", "3"]) for _ in range(probe.arity)]
+
+
+def append_overrides(new):
+    """Append the override lines ``new(members, rng, probe)`` to the last
+    block, after its members and overrides."""
+    def mutate(lines, rng, probe):
+        start = max(i for i, line in enumerate(lines) if line.startswith("chart "))
+        lines += new([line[7:] for line in lines[start:] if line.startswith("member ")],
+                     rng, probe)
+    return on_lines(mutate)
+
+
+ODD_SPACES = "\x0b\x0c\x1c\x1d\x1e\x1f"
+MUTATIONS = {
+    # Whitespace
+    "tab": edit("", lambda line, rng: line.replace(" ", "\t", 1)),
+    "double space": edit("", lambda line, rng: line.replace(" ", "  ", 1)),
+    "trailing space": edit("", lambda line, rng: line + " "),
+    "blank line": on_lines(lambda lines, rng, probe: lines.insert(rng.randint(0, len(lines)), "")),
+    "comment": edit("", lambda line, rng: rng.choice([line + " # c", line + "#", "#" + line])),
+    "CR": edit("", lambda line, rng: line + "\r"),
+    "odd space": edit("", lambda line, rng: rng.choice(
+        [line.replace(" ", rng.choice(ODD_SPACES), 1), line + rng.choice(ODD_SPACES)])),
+    # Ids
+    "non-ASCII id": edit(("chart ", "member "), lambda line, rng: line + "\u00e9"),
+    "empty id": edit(("chart ", "member "), lambda line, rng: line.split(" ")[0] + " "),
+    "repeated chart id": insert("chart ", lambda line, members, rng, probe: [
+        "member " + rng.choice(members), line, "member " + rng.choice(members)]),
+    "repeated member": insert("member ", lambda line, members, rng, probe: [line]),
+    "unknown member": insert("member ", lambda line, members, rng, probe: ["member nope"]),
+    "member member x": edit("member ", lambda line, rng: "member " + line),
+    # Overrides
+    "override before a member": insert("chart ", lambda line, members, rng, probe: [
+        override(rng.choice(members), good_values(probe, rng))]),
+    "override for a non-member": append_overrides(lambda members, rng, probe: [
+        override(rng.choice([c for c in CELLS if c not in members] + ["nope"]),
+                 good_values(probe, rng))]),
+    "override given twice": append_overrides(lambda members, rng, probe: [
+        override(rng.choice(members), good_values(probe, rng))] * 2),
+    "non-finite value": append_overrides(lambda members, rng, probe: [
+        override(rng.choice(members), good_values(probe, rng)[1:]
+                 + [rng.choice(["inf", "-inf", "nan", "1e999"])])]),
+    "wrong arity": append_overrides(lambda members, rng, probe: [
+        override(rng.choice(members),
+                 (good_values(probe, rng) + ["1"])[:probe.arity + rng.choice([-1, 1])])]),
+    # Layout
+    "missing final newline": lambda text, rng, probe: text[:-1],
+    "empty block": on_lines(lambda lines, rng, probe: lines.insert(
+        rng.choice([i for i, line in enumerate(lines) if line.startswith("chart ")]
+                   + [len(lines)]), "chart zz")),
+}
+override_component = st.sampled_from([0.5, -0.25, 1e-3, 3.0])
+
+
+@st.composite
+def covers(draw):
+    """A probe of arity 1 or 2 and a random cover of its complex, whose
+    charts may override some of their cells."""
+    probe = draw(st.sampled_from(PROBES))
+    charts = []
+    for cid in draw(st.lists(st.sampled_from(["a", "b", "ch01", "chart", "member", "override"]),
+                             min_size=1, max_size=4, unique=True)):
+        cells = draw(st.lists(st.sampled_from(CELLS), min_size=1, max_size=8, unique=True))
+        overridden = draw(st.lists(st.sampled_from(cells), max_size=2, unique=True))
+        value = st.tuples(*[override_component] * probe.arity)
+        charts.append(with_overrides(make_chart(probe, cells, cid),
+                                     {cell: draw(value) for cell in overridden}))
+    return probe, sorted(charts, key=lambda c: c.id)
+
+
+@pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+@settings(max_examples=40, deadline=None)
+@given(cover=covers(), rng=st.randoms(use_true_random=False))
+def test_canonical_chart_files_are_accepted_whole(mutation, cover, rng):
+    """A text as emit_charts writes it is taken whole, to the charts it
+    came from; with any one mutation, the line walk reads it. Either way
+    the result is the reference's."""
+    probe, charts = cover
+    text = emit_charts(charts, probe)
+    if mutation is not None:
+        text = MUTATIONS[mutation](text, rng, probe)
+    expected = formats_reference.parse_charts(text, probe, "c.chart")
+    assert parse_charts(text, probe, "c.chart") == expected
+    if mutation is None:
+        assert _accept_charts(text, probe) == expected[0] == charts
+    else:
+        assert _accept_charts(text, probe) is None
+
+
+def test_an_empty_member_is_refused_on_a_complex_with_an_empty_cell_id():
+    """``CellComplex`` allows a cell "", which no member line can name."""
+    probe = assign_probe(CellComplex({"": 0, "v": 0}, {}), [("", (0.5,)), ("v", (1.0,))])
+    text = "chart a\nmember \nmember v\n"
+    assert _accept_charts(text, probe) is None
+    assert parse_charts(text, probe) == formats_reference.parse_charts(text, probe)
+    assert parse_charts(text, probe)[0] is None
