@@ -145,6 +145,18 @@ sed 1d "$data/charts_ok.chart" > "$covers/canonical.chart"
     --charts "$covers/dup_canonical.chart" 2>&1 >/dev/null || echo "exit $?"; } \
   | cmp - <(printf '%s\n' \
       "$covers/dup_canonical.chart:21: error: cell 'C-D' listed twice in chart 'right'" "exit 2")
+# Line, member and block errors interleaved: each is worded on its line, in
+# line order, and the block errors follow.
+printf '%s\n' "chart a" "member X" "bogus line" "member A" "member A" "chart b" \
+  "override A 0.5" "# note" "chart a" "member B" > "$covers/mixed.chart"
+{ "$@" gauge "$data/disk3.cw" --probe "$data/disk3_probe.csv" \
+    --charts "$covers/mixed.chart" 2>&1 >/dev/null || echo "exit $?"; } \
+  | cmp - <(printf '%s\n' "$covers/mixed.chart:2: error: unknown cell 'X'" \
+      "$covers/mixed.chart:3: error: unknown directive 'bogus'" \
+      "$covers/mixed.chart:5: error: cell 'A' listed twice in chart 'a'" \
+      "$covers/mixed.chart:9: error: chart 'a' declared twice" \
+      "$covers/mixed.chart:10: error: member line before any chart declaration" \
+      "$covers/mixed.chart:6: error: chart 'b' has no members" "exit 2")
 # An unrecognized argument prints the usage line that names every subcommand,
 # as an unknown subcommand does; both are usage errors.
 bogus="$({ "$@" persist x --bogus 2>&1 >/dev/null || echo "exit $?"; } | sed -n '1p;$p')"

@@ -225,7 +225,8 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
        that include a chart deviating there are checked, and all of
        them at a listed cell, except where a supplied transition omits
        the cell. A pair with both directions supplied is also checked
-       at the cells both list outside the overlap.
+       at the cells both list outside the overlap. Only the rows it
+       reports are kept, and then sorted by chart ids and cell.
     4. Only the cells where a section differs from the probe are sorted
        for the trivialization rows.
 
@@ -256,18 +257,19 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
 
     violations: list[GaugeViolation] = []
 
-    def record(identity: str, ids: tuple[str, ...], cell: CellId, residual: Descriptor):
+    def record(rows: list[GaugeViolation], identity: str, ids: tuple[str, ...],
+               cell: CellId, residual: Descriptor):
         # An all-zero residual has norm 0.0, which never exceeds a tolerance >= 0.
         if any(residual):
             norm = _norm(residual)
             if norm > tolerance:
-                violations.append(GaugeViolation(identity, ids, cell, residual, norm))
+                rows.append(GaugeViolation(identity, ids, cell, residual, norm))
 
     for chart in charts:
         if (chart.id, chart.id) in table:
             t_ii = table[(chart.id, chart.id)]
             for cell in t_ii.cells():
-                record("reflexivity", (chart.id,), cell, t_ii.values[cell])
+                record(violations, "reflexivity", (chart.id,), cell, t_ii.values[cell])
 
     reference: dict[CellId, Descriptor] = {}
     for chart in reversed(charts):
@@ -289,7 +291,8 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
             return table[charts[a].id, charts[b].id].values.get(cell)
         return _vec_sub(charts[a].section[cell], charts[b].section[cell])
 
-    pairs, triples = [], []     # rows of chart indices, cell, residual
+    pairs: list[GaugeViolation] = []
+    triples: list[GaugeViolation] = []
     listed = {cell for (i, j), t_ij in table.items() if i != j for cell in t_ij.values}
     suspects = listed.union(*deviations)
     holders: dict[CellId, list[int]] = {cell: [] for cell in suspects}
@@ -302,12 +305,14 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
             if da or db:
                 t_ab, t_ba = t(a, b, cell), t(b, a, cell)
                 if t_ab is not None and t_ba is not None:
-                    pairs.append((a, b, cell, _vec_add(t_ab, t_ba)))
+                    record(pairs, "symmetry", (charts[a].id, charts[b].id), cell,
+                           _vec_add(t_ab, t_ba))
         for (a, da), (b, db), (c, dc) in combinations(flagged, 3):
             if da or db or dc:
                 t_ab, t_bc, t_ac = t(a, b, cell), t(b, c, cell), t(a, c, cell)
                 if t_ab is not None and t_bc is not None and t_ac is not None:
-                    triples.append((a, b, c, cell, _vec_sub(t_ac, _vec_add(t_ab, t_bc))))
+                    record(triples, "cocycle", (charts[a].id, charts[b].id, charts[c].id),
+                           cell, _vec_sub(t_ac, _vec_add(t_ab, t_bc)))
 
     # Both directions supplied: also the cells both list outside the overlap.
     index = {chart.id: a for a, chart in enumerate(charts)}
@@ -317,13 +322,13 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
             overlap = charts[a].cells & charts[b].cells
             if overlap:
                 both = table[i, j].values.keys() & table[j, i].values.keys()
-                pairs += [(a, b, cell, _vec_add(t(a, b, cell), t(b, a, cell)))
-                          for cell in both - overlap]
+                for cell in both - overlap:
+                    record(pairs, "symmetry", (i, j), cell,
+                           _vec_add(t(a, b, cell), t(b, a, cell)))
 
-    for a, b, cell, residual in sorted(pairs):
-        record("symmetry", (charts[a].id, charts[b].id), cell, residual)
-    for a, b, c, cell, residual in sorted(triples):
-        record("cocycle", (charts[a].id, charts[b].id, charts[c].id), cell, residual)
+    # Each (charts, cell) is checked once, and the charts are in id order.
+    for found in (pairs, triples):
+        violations += sorted(found, key=lambda v: (v.charts, v.cell))
 
     if probe is not None:
         values = probe.values
@@ -337,6 +342,7 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
             rows = (off & chart.cells) - deviant
             rows.update(cell for cell in deviant if section[cell] != values.get(cell))
             for cell in sorted(rows):
-                record("trivialization", (chart.id,), cell, _vec_sub(section[cell], probe[cell]))
+                record(violations, "trivialization", (chart.id,), cell,
+                       _vec_sub(section[cell], probe[cell]))
 
     return GaugeReport(tolerance=tolerance, violations=tuple(violations))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable, Iterable
-from itertools import chain, count, filterfalse, repeat
+from itertools import chain, repeat
 
 from ._record import Record
 from .bundle import Chart
@@ -66,8 +66,7 @@ def _diagnostics(filename: str):
 
 def _uncommented(text: str) -> list[str]:
     """The text's lines, each cut at its first '#'; when the text holds
-    no '#', ``splitlines`` alone. A list, not a generator: resuming one
-    per line cost about a tenth of the chart parse."""
+    no '#', ``splitlines`` alone."""
     lines = text.splitlines()
     if "#" in text:
         return [line.partition("#")[0] for line in lines]
@@ -463,18 +462,10 @@ def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
 
     A file in the form ``emit_charts`` writes is accepted whole by
     ``_accept_charts``. Any other file, or one that fails a check, is
-    walked line by line to word each failure, and its charts are built,
-    if it has no error, as the accept builds them.
-
-    The walk splits each line once. A canonical ``member`` line in an
-    open block only appends its cell to the block's list; every other
-    line is numbered, and worded where it stands unless it opens a block
-    or is a valid override. A bad or repeated ``chart`` line closes the
-    open block. Each block is then checked whole: its members are
-    distinct cells of the complex, at least one, and every override is
-    for a member. Only a block that fails is worded: its member lines are
-    those after its ``chart`` line that no other line took, so its member
-    errors sort among the line errors; the block errors follow them.
+    walked line by line, as ``load_probe`` walks its rows: each failure
+    is worded on its line, a member's too, a bad or repeated ``chart``
+    line closes the open block, and the block errors follow in block
+    order. With no error, the charts are built as the accept builds them.
     """
     charts = _accept_charts(text, probe)
     if charts is not None:
@@ -483,24 +474,23 @@ def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
     diags, err = _diagnostics(filename)
     cells = probe.complex.cells.keys()
     arity = probe.arity
-    blocks: dict[str, tuple[int, list[CellId], dict[CellId, tuple[int, Descriptor]]]] = {}
-    numbered: list[int] = []        # every line but a member of an open block
-    members: list[CellId] = []      # the last block's members
-    listed = 0                      # the member lines of the blocks before it
-    cid = overrides = None          # the open block's; no block is open at None
-    for line in _uncommented(text):
+    blocks: dict[str, tuple[int, dict[CellId, None], dict[CellId, tuple[int, Descriptor]]]] = {}
+    cid = members = overrides = None    # the open block's; no block is open at None
+    for lineno, line in enumerate(_uncommented(text), start=1):
         words = line.split()
-        if words and words[0] == "member" and len(words) == 2 and cid is not None:
-            members.append(words[1])
-            continue
-        lineno = listed + len(members) + len(numbered) + 1
-        numbered.append(lineno)
         if not words:
             continue
         head = words[0]
-        if head == "chart" and len(words) == 2 and words[1] not in blocks:
-            listed += len(members)
-            cid, members, overrides = words[1], [], {}
+        if head == "member" and len(words) == 2 and cid is not None:
+            cell = words[1]
+            if cell not in cells:
+                err(lineno, f"unknown cell {cell!r}", "reference")
+            elif cell in members:
+                err(lineno, f"cell {cell!r} listed twice in chart {cid!r}", "reference")
+            else:
+                members[cell] = None
+        elif head == "chart" and len(words) == 2 and words[1] not in blocks:
+            cid, members, overrides = words[1], {}, {}
             blocks[cid] = (lineno, members, overrides)
         elif head == "override" and len(words) == 2 + arity and cid is not None:
             try:
@@ -531,37 +521,20 @@ def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
         else:
             err(lineno, f"unknown directive {head!r}")
 
-    block_diags, block_err = _diagnostics(filename)
-    cell_sets = []
-    taken = None
     for cid, (lineno, members, overrides) in blocks.items():
-        cell_set = frozenset(members)
-        if not (cell_set and len(cell_set) == len(members) and cell_set <= cells
-                and overrides.keys() <= cell_set):
-            taken = taken or frozenset(numbered)
-            member_lines = filterfalse(taken.__contains__, count(lineno + 1))
-            cell_set = set()
-            for cell, mline in zip(members, member_lines):
-                if cell not in cells:
-                    err(mline, f"unknown cell {cell!r}", "reference")
-                elif cell in cell_set:
-                    err(mline, f"cell {cell!r} listed twice in chart {cid!r}", "reference")
-                else:
-                    cell_set.add(cell)
-            if not cell_set:
-                block_err(lineno, f"chart {cid!r} has no members", "reference")
-            else:
-                for cell, (oline, _) in overrides.items():
-                    if cell not in cell_set:
-                        block_err(oline, f"override for {cell!r}, which is not a member "
-                                  f"of {cid!r}", "reference")
-        cell_sets.append(cell_set)
-    if diags or block_diags:
-        diags.sort(key=lambda d: d.line)
-        return None, diags + block_diags
+        if not members:
+            err(lineno, f"chart {cid!r} has no members", "reference")
+            continue
+        for cell, (oline, _) in overrides.items():
+            if cell not in members:
+                err(oline, f"override for {cell!r}, which is not a member of {cid!r}",
+                    "reference")
+    if diags:
+        return None, diags
 
-    walked = [(cid, (members, cell_set, {cell: desc for cell, (_, desc) in overrides.items()}))
-              for (cid, (_, members, overrides)), cell_set in zip(blocks.items(), cell_sets)]
+    walked = [(cid, (list(members), frozenset(members),
+                     {cell: desc for cell, (_, desc) in overrides.items()}))
+              for cid, (_, members, overrides) in blocks.items()]
     return _charts(walked, probe, _checked(probe)), diags
 
 

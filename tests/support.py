@@ -7,7 +7,8 @@ are meaningful; ``decimal_value`` draws values whose differences round.
 
 from itertools import combinations
 
-from descell import CellComplex, Chain, assign_probe, from_simplices, make_chart
+from descell import (CellComplex, Chain, assign_probe, from_simplices, make_chart,
+                     with_overrides)
 
 GRID = 64
 
@@ -362,3 +363,11 @@ def random_cover(rng, k, probe, n_charts):
         members = {anchor} | {c for c in cells if rng.random() < 0.5}
         charts.append(make_chart(probe, members, f"u{i}"))
     return charts
+
+
+def one_vertex_cover(n_charts, value):
+    """The probe (0.0,) on a point, and ``n_charts`` charts that each hold
+    its vertex and override it with ``value(i)``, the i-th in id order."""
+    probe = assign_probe(point(), [("v", (0.0,))])
+    return probe, [with_overrides(make_chart(probe, {"v"}, f"c{i:03d}"), {"v": value(i)})
+                   for i in range(n_charts)]

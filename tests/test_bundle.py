@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 
 import support
 from descell import (
     Chart,
+    GaugeViolation,
     TransitionFunction,
     assign_probe,
     make_chart,
@@ -192,6 +194,24 @@ def test_tolerance_masks_small_residuals(disk3_probe):
     cj = with_overrides(make_chart(disk3_probe, {"B", "C", "D"}, "j"), {"C": (0.05,)})
     assert not verify_cocycle([ci, cj], tolerance=0.0, probe=disk3_probe).clean
     assert verify_cocycle([ci, cj], tolerance=0.1, probe=disk3_probe).clean
+
+
+def test_verify_cocycle_keeps_only_the_rows_it_reports():
+    """Sixty charts hold one vertex, chart i with the value i + 1: every
+    pair and triple of them is checked there, and each residual is an
+    exact zero. Only the sixty trivialization rows are kept; a row per
+    triple would take megabytes."""
+    probe, charts = support.one_vertex_cover(60, lambda i: (i + 1.0,))
+    tracemalloc.start()
+    try:
+        report = verify_cocycle(charts, probe=probe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.violations == tuple(
+        GaugeViolation("trivialization", (chart.id,), "v", (i + 1.0,), i + 1.0)
+        for i, chart in enumerate(charts))
+    assert peak < 1_000_000
 
 
 def test_verify_cocycle_needs_charts():

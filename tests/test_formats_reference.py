@@ -478,6 +478,14 @@ def insert(prefix, new):
     return on_lines(mutate)
 
 
+def shuffle_blocks(lines, rng, probe):
+    """Put the blocks of ``lines`` in a random order, in place."""
+    starts = [i for i, line in enumerate(lines) if line.startswith("chart ")]
+    blocks = [lines[i:j] for i, j in zip(starts, starts[1:] + [len(lines)])]
+    rng.shuffle(blocks)
+    lines[:] = [line for block in blocks for line in block]
+
+
 def override(cell, values):
     return " ".join(["override", cell, *values])
 
@@ -535,6 +543,9 @@ MUTATIONS = {
         rng.choice([i for i, line in enumerate(lines) if line.startswith("chart ")]
                    + [len(lines)]), "chart zz")),
 }
+# A change that keeps that form: the benchmark's covers list their blocks
+# shuffled, and the accept must take them whole too.
+REORDERINGS = {"shuffled blocks": on_lines(shuffle_blocks)}
 override_component = st.sampled_from([0.5, -0.25, 1e-3, 3.0])
 
 
@@ -554,23 +565,23 @@ def covers(draw):
     return probe, sorted(charts, key=lambda c: c.id)
 
 
-@pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+@pytest.mark.parametrize("mutation", [None, *REORDERINGS, *MUTATIONS])
 @settings(max_examples=40, deadline=None)
 @given(cover=covers(), rng=st.randoms(use_true_random=False))
 def test_canonical_chart_files_are_accepted_whole(mutation, cover, rng):
-    """A text as emit_charts writes it is taken whole, to the charts it
-    came from; with any one mutation, the line walk reads it. Either way
-    the result is the reference's."""
+    """A text as emit_charts writes it, its blocks in any order, is taken
+    whole, to the charts it came from; with any one mutation, the line
+    walk reads it. Either way the result is the reference's."""
     probe, charts = cover
     text = emit_charts(charts, probe)
     if mutation is not None:
-        text = MUTATIONS[mutation](text, rng, probe)
+        text = {**REORDERINGS, **MUTATIONS}[mutation](text, rng, probe)
     expected = formats_reference.parse_charts(text, probe, "c.chart")
     assert parse_charts(text, probe, "c.chart") == expected
-    if mutation is None:
-        assert _accept_charts(text, probe) == expected[0] == charts
-    else:
+    if mutation in MUTATIONS:
         assert _accept_charts(text, probe) is None
+    else:
+        assert _accept_charts(text, probe) == expected[0] == charts
 
 
 def test_an_empty_member_is_refused_on_a_complex_with_an_empty_cell_id():

@@ -101,6 +101,10 @@ def test_random_covers_match_reference():
         if i % 3 == 0:
             charts = own_sections(charts, lambda: decimal_vector(rng, probe.arity))
         seen += tally(assert_same(charts, probe=probe if i % 2 else None))
+    # Twelve charts on one vertex, each with its own non-dyadic value: the
+    # cocycle rows that rounding leaves come out among many zero ones.
+    probe, charts = support.one_vertex_cover(12, lambda i: (0.1 * (i + 1),))
+    seen += tally(assert_same(charts, probe=probe))
     assert all(seen[identity] for identity in ("cocycle", "trivialization", "rounding"))
 
 

@@ -4,7 +4,8 @@ round-trip.
 Whatever text they get, ``parse_complex``, ``parse_descriptors``,
 ``load_probe``, ``parse_charts``, ``parse_scenario`` and
 ``parse_signature`` return an artifact or error diagnostics, and the
-artifact is None exactly when there is an error. The texts mix
+artifact is None exactly when there is an error; ``parse_charts`` also
+gives what ``formats_reference.parse_charts`` gives. The texts mix
 arbitrary strings with lines built from the formats' own words, real
 cell ids and awkward numbers (``nan``, ``inf``, overflowing exponents,
 5,000-digit integers), so most of them get past the header and the
@@ -37,6 +38,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import formats_reference  # noqa: E402
 import support  # noqa: E402
 from descell import (  # noqa: E402
     CellComplex,
@@ -150,6 +152,7 @@ def test_descriptor_parsers_never_raise(text):
 def test_parse_charts_never_raises(text):
     charts, diags = parse_charts(text, PROBE)
     assert (charts is None) == has_errors(diags)
+    assert (charts, diags) == formats_reference.parse_charts(text, PROBE)
 
 
 @settings(max_examples=200, deadline=None)
