@@ -163,3 +163,18 @@ bogus="$({ "$@" persist x --bogus 2>&1 >/dev/null || echo "exit $?"; } | sed -n 
 nosuch="$({ "$@" nosuch 2>&1 >/dev/null || echo "exit $?"; } | sed -n '1p;$p')"
 [ "$bogus" = "$nosuch" ]
 [ "${bogus##*$'\n'}" = "exit 2" ]
+# Two thousand charts hold one vertex, chart cI overriding it with I + 1: every
+# cocycle residual there is an exact zero, so the report is one trivialization
+# row per chart, and it comes well inside the time limit.
+many="$(mktemp -d)"
+trap 'rm -rf "$tri" "$scen" "$covers" "$many"' EXIT
+printf 'cell A 0\n' > "$many/point.cw"
+printf 'cell,f1\nA,0.0\n' > "$many/point_probe.csv"
+for ((i = 0; i < 2000; i++)); do
+  printf 'chart c%d\nmember A\noverride A %d\n' "$i" "$((i + 1))"
+done > "$many/point.chart"
+code=0
+timeout 20 "$@" gauge "$many/point.cw" --probe "$many/point_probe.csv" \
+  --charts "$many/point.chart" > "$many/report" || code=$?
+[ "$code" = 1 ]
+[ "$(wc -l < "$many/report")" = 2000 ]

@@ -14,6 +14,7 @@ sections that disagree with the governing probe.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Mapping
 from itertools import combinations
 
@@ -171,11 +172,35 @@ def _norm(vec: Descriptor) -> float:
 
 
 def _vec_add(a: Descriptor, b: Descriptor) -> Descriptor:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _vec_sub(a: Descriptor, b: Descriptor) -> Descriptor:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
+
+
+# Values below 2**50 units leave every difference below 2**51 units, and every
+# sum of two differences below 2**52, inside a float's 53 bits.
+_EXACT_UNITS = 2 ** 50
+
+
+def _exact_differences(values: list[Descriptor]) -> bool:
+    """Whether every difference of two of ``values``, and every sum of two
+    such differences, is exact in floating point: each value is a tuple of
+    floats, each component an integer multiple of one power of two 2**-E
+    and below 2**50 * 2**-E in magnitude. ``float.as_integer_ratio``
+    raises on inf and nan, so they fail."""
+    if not all(type(value) is tuple for value in values):
+        return False
+    components = [x for value in values for x in value]
+    if not all(type(x) is float for x in components):
+        return False
+    try:
+        ratios = list(map(float.as_integer_ratio, components))
+    except (OverflowError, ValueError):
+        return False
+    unit = max((q for _, q in ratios), default=1)  # 2**E; each q is a power of two
+    return all(abs(p) * (unit // q) < _EXACT_UNITS for p, q in ratios)
 
 
 def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
@@ -205,30 +230,39 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
     overlaps, and the report is the same as a walk over every cell of
     every overlap and triple:
 
-    1. Where the sections involved agree at a cell, every section
-       difference there is +-0.0, or nan for an infinite or nan
-       component, so no residual built from them is reported: a nan
-       norm never exceeds the tolerance. A default transition can
-       break an identity only at cells where its two sections differ;
-       a supplied one is suspect at every cell it lists.
-    2. Each cell's reference value is its section value in the first
-       chart, in id order, that holds it, and each chart keeps the
-       cells where its value differs from that reference: one
-       comparison per chart cell. Tuple equality compares components
-       by identity, then ``==``, which on floats is an equivalence
-       (0.0 == -0.0, and a nan equals only itself). So two charts that
-       both match the reference agree with each other, and where two
-       sections differ one of them deviates.
+    1. Each chart is measured against one baseline table: the probe when
+       one is given, else a reference table holding each cell's value in
+       the first chart, in id order, that holds it. A chart whose
+       section items are all among the baseline's (one C-level test)
+       has no deviation; only the others are walked cell by cell. Both
+       tests compare tuples componentwise by identity, then ``==``,
+       which on floats is an equivalence (0.0 == -0.0, and a nan equals
+       only itself). So two charts that match the baseline at a cell
+       agree with each other there, and where two sections differ one
+       of them deviates. Where sections agree, every section difference
+       is +-0.0, or nan for an infinite or nan component, and no
+       residual built from them is reported: a nan norm never exceeds
+       the tolerance.
+    2. With a probe, a chart's trivialization rows are exactly its
+       deviations, sorted: everywhere else its section equals the probe.
     3. A suspect cell is one where a chart deviates, or one that a
        supplied transition between two charts lists. Each is visited
-       once, with the charts that hold it: the pairs and triples of them
-       that include a chart deviating there are checked, and all of
-       them at a listed cell, except where a supplied transition omits
-       the cell. A pair with both directions supplied is also checked
-       at the cells both list outside the overlap. Only the rows it
-       reports are kept, and then sorted by chart ids and cell.
-    4. Only the cells where a section differs from the probe are sorted
-       for the trivialization rows.
+       once, with the charts that hold it, and each holder is flagged
+       where its value differs from the first holder's, the reference
+       value there; at a listed cell every holder is flagged. The pairs
+       and triples that include a flagged chart are checked, except
+       where a supplied transition omits the cell. A cell that no
+       supplied transition lists, where every holder's value is a tuple
+       of floats on one power-of-two grid and below 2**50 grid units
+       (``_exact_differences``), is skipped: every transition there is
+       a section difference computed exactly, so each t_ij + t_ji and
+       t_ik - (t_ij + t_jk) is exactly +-0.0. The work at such a cell
+       grows with its holders, not with their triples. A pair with both
+       directions supplied is also checked at the cells both list
+       outside the overlap. Only the rows it reports are kept, and then
+       sorted by chart ids and cell.
+    4. At a visited cell each transition is computed once, and kept for
+       the pairs and triples that use it.
 
     Every reported residual is computed with the same operations, in the
     same order, as the walk over every cell, so it is the same bit for bit.
@@ -271,10 +305,15 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
             for cell in t_ii.cells():
                 record(violations, "reflexivity", (chart.id,), cell, t_ii.values[cell])
 
-    reference: dict[CellId, Descriptor] = {}
-    for chart in reversed(charts):
-        reference.update(chart.section)
-    deviations = [{cell for cell, value in chart.section.items() if value != reference[cell]}
+    if probe is not None:
+        baseline = probe._table
+    else:
+        baseline = {}
+        for chart in reversed(charts):
+            baseline.update(chart.section)
+    items, get = baseline.items(), baseline.get
+    deviations = [set() if chart.section.items() <= items else
+                  {cell for cell, value in chart.section.items() if value != get(cell)}
                   for chart in charts]
 
     # Raises for the first pair, in id order, that a walk over the pairs would.
@@ -285,11 +324,17 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
                     if (x.id, y.id) not in table and not ci.cells.isdisjoint(cj.cells):
                         _check_arities(x, y)
 
-    def t(a: int, b: int, cell: CellId) -> Descriptor | None:
-        """t_ab at the cell, or None where a supplied t_ab omits it."""
-        if (charts[a].id, charts[b].id) in table:
-            return table[charts[a].id, charts[b].id].values.get(cell)
-        return _vec_sub(charts[a].section[cell], charts[b].section[cell])
+    def t(a: int, b: int, cell: CellId, memo: dict) -> Descriptor | None:
+        """t_ab at the cell, or None where a supplied t_ab omits it;
+        ``memo`` keeps the cell's transitions once computed."""
+        found = memo.get((a, b), memo)    # memo itself marks a miss: None is a value
+        if found is memo:
+            if (charts[a].id, charts[b].id) in table:
+                found = table[charts[a].id, charts[b].id].values.get(cell)
+            else:
+                found = _vec_sub(charts[a].section[cell], charts[b].section[cell])
+            memo[a, b] = found
+        return found
 
     pairs: list[GaugeViolation] = []
     triples: list[GaugeViolation] = []
@@ -300,16 +345,26 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
         for cell in chart.cells & suspects:
             holders[cell].append(a)
     for cell, held in holders.items():
-        flagged = [(a, cell in listed or cell in deviations[a]) for a in held]
+        if not held:    # a listed cell that no chart holds
+            continue
+        values = [charts[a].section[cell] for a in held]
+        if cell in listed:
+            flags = [True] * len(held)
+        else:
+            flags = [value != values[0] for value in values]
+            if not any(flags) or _exact_differences(values):
+                continue
+        flagged = list(zip(held, flags))
+        memo: dict[tuple[int, int], Descriptor | None] = {}
         for (a, da), (b, db) in combinations(flagged, 2):
             if da or db:
-                t_ab, t_ba = t(a, b, cell), t(b, a, cell)
+                t_ab, t_ba = t(a, b, cell, memo), t(b, a, cell, memo)
                 if t_ab is not None and t_ba is not None:
                     record(pairs, "symmetry", (charts[a].id, charts[b].id), cell,
                            _vec_add(t_ab, t_ba))
         for (a, da), (b, db), (c, dc) in combinations(flagged, 3):
             if da or db or dc:
-                t_ab, t_bc, t_ac = t(a, b, cell), t(b, c, cell), t(a, c, cell)
+                t_ab, t_bc, t_ac = t(a, b, cell, memo), t(b, c, cell, memo), t(a, c, cell, memo)
                 if t_ab is not None and t_bc is not None and t_ac is not None:
                     record(triples, "cocycle", (charts[a].id, charts[b].id, charts[c].id),
                            cell, _vec_sub(t_ac, _vec_add(t_ab, t_bc)))
@@ -318,31 +373,22 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
     index = {chart.id: a for a, chart in enumerate(charts)}
     for i, j in table:
         if i < j and i in index and j in index and (j, i) in table:
-            a, b = index[i], index[j]
-            overlap = charts[a].cells & charts[b].cells
+            overlap = charts[index[i]].cells & charts[index[j]].cells
             if overlap:
-                both = table[i, j].values.keys() & table[j, i].values.keys()
-                for cell in both - overlap:
-                    record(pairs, "symmetry", (i, j), cell,
-                           _vec_add(t(a, b, cell), t(b, a, cell)))
+                t_ij, t_ji = table[i, j].values, table[j, i].values
+                for cell in (t_ij.keys() & t_ji.keys()) - overlap:
+                    record(pairs, "symmetry", (i, j), cell, _vec_add(t_ij[cell], t_ji[cell]))
 
     # Each (charts, cell) is checked once, and the charts are in id order.
     for found in (pairs, triples):
         violations += sorted(found, key=lambda v: (v.charts, v.cell))
 
     if probe is not None:
-        values = probe.values
-        # Off its deviations a section equals the reference, so it differs
-        # from the probe where the reference does. A cell off the probe is
-        # among the rows, so probe[cell] raises the KeyError a walk over
-        # every sorted cell would.
-        off = {cell for cell, value in reference.items() if value != values.get(cell)}
+        # A cell off the probe is among the deviations, so probe[cell]
+        # raises the KeyError a walk over every sorted cell would.
         for chart, deviant in zip(charts, deviations):
-            section = chart.section
-            rows = (off & chart.cells) - deviant
-            rows.update(cell for cell in deviant if section[cell] != values.get(cell))
-            for cell in sorted(rows):
+            for cell in sorted(deviant):
                 record(violations, "trivialization", (chart.id,), cell,
-                       _vec_sub(section[cell], probe[cell]))
+                       _vec_sub(chart.section[cell], probe[cell]))
 
     return GaugeReport(tolerance=tolerance, violations=tuple(violations))

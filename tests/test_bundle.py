@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 import support
+from descell import bundle
 from descell import (
     Chart,
     GaugeViolation,
@@ -197,10 +198,9 @@ def test_tolerance_masks_small_residuals(disk3_probe):
 
 
 def test_verify_cocycle_keeps_only_the_rows_it_reports():
-    """Sixty charts hold one vertex, chart i with the value i + 1: every
-    pair and triple of them is checked there, and each residual is an
-    exact zero. Only the sixty trivialization rows are kept; a row per
-    triple would take megabytes."""
+    """Sixty charts hold one vertex, chart i with the value i + 1: each
+    symmetry and cocycle residual there is an exact zero. Only the sixty
+    trivialization rows are kept; a row per triple would take megabytes."""
     probe, charts = support.one_vertex_cover(60, lambda i: (i + 1.0,))
     tracemalloc.start()
     try:
@@ -212,6 +212,25 @@ def test_verify_cocycle_keeps_only_the_rows_it_reports():
         GaugeViolation("trivialization", (chart.id,), "v", (i + 1.0,), i + 1.0)
         for i, chart in enumerate(charts))
     assert peak < 1_000_000
+
+
+def test_verify_cocycle_skips_a_cell_of_exact_zeros(monkeypatch):
+    """On the same cover every section difference at the vertex is exact,
+    so no pair or triple is visited there: the vector arithmetic is one
+    subtraction per reported row, not one per pair and triple."""
+    probe, charts = support.one_vertex_cover(60, lambda i: (i + 1.0,))
+    calls = {"add": 0, "sub": 0}
+
+    def counted(name, op):
+        def wrapped(a, b):
+            calls[name] += 1
+            return op(a, b)
+        return wrapped
+    monkeypatch.setattr(bundle, "_vec_add", counted("add", bundle._vec_add))
+    monkeypatch.setattr(bundle, "_vec_sub", counted("sub", bundle._vec_sub))
+    report = verify_cocycle(charts, probe=probe)
+    assert len(report.violations) == 60
+    assert calls["add"] + calls["sub"] <= len(report.violations)
 
 
 def test_verify_cocycle_needs_charts():

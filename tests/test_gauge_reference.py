@@ -8,7 +8,9 @@ are non-dyadic, so floating-point rounding leaves tiny residuals that a
 tolerance of 0 reports; they must come out bit for bit the same.
 """
 
+import math
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -355,6 +357,47 @@ def test_shared_and_distinct_nan_objects_match_reference():
         seen += tally(assert_same_with_and_without_table(rng, charts, probe))
     assert seen["shared nan"] and seen["own nan"]
     assert all(seen[identity] for identity in IDENTITIES)
+
+
+# -- values at the edge of exact arithmetic -----------------------------------
+#
+# verify_cocycle skips a cell that no supplied transition lists when every
+# holder's value there is a tuple of floats on one grid 2**-E, each below
+# 2**50 grid units: its symmetry and cocycle residuals are exact zeros. These
+# covers put values on both sides of that bound at one cell, and values that
+# fail the test in other ways: huge, not finite, or not dyadic.
+
+
+def edge_values():
+    values = [math.ldexp(n, -e) for e in (0, 3, 52, 1074)
+              for n in (2 ** 50 - 1, 2 ** 50, 2 ** 50 + 1)]
+    return values + [5e-324, 7 * 5e-324, 1e-310, 0.0, -0.0, 1e300, sys.float_info.max,
+                     float("inf"), float("-inf"), float("nan"), 0.1, 0.3, 2.5]
+
+
+def test_edge_values_match_reference():
+    """Each cell draws its charts' components, with either sign, from a
+    few edge values, so one cell mixes grids and magnitudes."""
+    rng = random.Random(2 ** 50)
+    pool = edge_values()
+    seen = Counter()
+    for n in range(90):
+        k = support.random_cw_complex(rng, max_cells=6)
+        arity = rng.randint(1, 2)
+        choices = {cell: rng.sample(pool, 3) for cell in k.cells}
+
+        def draw(cell):
+            return tuple(rng.choice((1.0, -1.0)) * rng.choice(choices[cell])
+                         for _ in range(arity))
+        probe = ProbeAssignment(k, {cell: draw(cell) for cell in k.cells}, arity)
+        charts = [Chart(c.id, c.cells, {cell: draw(cell) for cell in sorted(c.cells)}, arity)
+                  for c in support.random_cover(rng, k, probe, rng.randint(2, 6))]
+        table = partial_table(rng, charts)
+        for kwargs in ({}, {"probe": probe}, {"transitions": table},
+                       {"probe": probe, "transitions": table}):
+            seen += tally(assert_same(charts, **kwargs))
+    assert all(seen[identity] for identity in IDENTITIES)
+    assert seen["rounding"]
 
 
 @pytest.mark.parametrize("overrides", [0, 3])
