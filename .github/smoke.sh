@@ -145,6 +145,21 @@ sed 1d "$data/charts_ok.chart" > "$covers/canonical.chart"
     --charts "$covers/dup_canonical.chart" 2>&1 >/dev/null || echo "exit $?"; } \
   | cmp - <(printf '%s\n' \
       "$covers/dup_canonical.chart:21: error: cell 'C-D' listed twice in chart 'right'" "exit 2")
+# Non-dyadic overrides: cell C's three values leave a cocycle residual that
+# rounds, and each override is a trivialization row; exit 1. Taken whole, and
+# walked line by line with a comment and CRLF endings, the report is the same.
+code=0
+"$@" gauge "$data/disk3.cw" --probe "$data/disk3_probe.csv" \
+  --charts "$data/charts_cocycle.chart" > "$covers/cocycle.report" || code=$?
+[ "$code" = 1 ]
+cmp "$covers/cocycle.report" "$data/golden_charts_cocycle.txt"
+awk 'NR == 1 { printf "# three charts around C\r\n" } { printf "%s\r\n", $0 }' \
+  "$data/charts_cocycle.chart" > "$covers/cocycle_crlf.chart"
+code=0
+"$@" gauge "$data/disk3.cw" --probe "$data/disk3_probe.csv" \
+  --charts "$covers/cocycle_crlf.chart" > "$covers/cocycle_crlf.report" || code=$?
+[ "$code" = 1 ]
+cmp "$covers/cocycle_crlf.report" "$data/golden_charts_cocycle.txt"
 # Line, member and block errors interleaved: each is worded on its line, in
 # line order, and the block errors follow.
 printf '%s\n' "chart a" "member X" "bogus line" "member A" "member A" "chart b" \

@@ -386,14 +386,17 @@ def _checked(probe: ProbeAssignment) -> bool:
             and set(map(len, table.values())) <= {probe.arity})
 
 
-def _charts(blocks: Iterable[tuple[str, tuple[list[CellId], frozenset[CellId],
-                                               dict[CellId, Descriptor]]]],
-            probe: ProbeAssignment, checked: bool) -> list[Chart]:
-    """The charts of checked blocks ``(id, (members, member set,
-    overrides))``, sorted by id. Each section is read from the probe's
-    table, the overrides win, and the charts go to ``Chart._of``
-    uncopied when the table is ``checked``. Otherwise they are built
-    through ``Chart``, which raises as it would."""
+_Block = tuple[list[CellId], frozenset[CellId], dict[CellId, Descriptor]]
+"""A checked chart block's members, member set and overrides, kept under
+its chart id."""
+
+
+def _charts(blocks: Iterable[tuple[str, _Block]], probe: ProbeAssignment, checked: bool,
+            ) -> list[Chart]:
+    """The charts of checked blocks, in their order. Each section is read
+    from the probe's table, the overrides win, and the charts go to
+    ``Chart._of`` uncopied when the table is ``checked``. Otherwise they
+    are built through ``Chart``, which raises as it would."""
     table = probe._table
     build = Chart._of if checked else Chart
     charts = []
@@ -404,11 +407,12 @@ def _charts(blocks: Iterable[tuple[str, tuple[list[CellId], frozenset[CellId],
         section = dict(zip(keys, map(table.__getitem__, keys)))
         section.update(overrides)
         charts.append(build(cid, cell_set, section, probe.arity))
-    return sorted(charts, key=lambda c: c.id)
+    return charts
 
 
-def _accept_charts(text: str, probe: ProbeAssignment) -> list[Chart] | None:
-    """The charts of a file in the form ``emit_charts`` writes, or None.
+def _accept_blocks(text: str, probe: ProbeAssignment) -> list[tuple[str, _Block]] | None:
+    """The blocks of a file in the form ``emit_charts`` writes, sorted by
+    id, or None.
 
     That form is ASCII with no '#' and an LF after every line. Each line
     is ``chart <id>``, ``member <cell>`` or ``override <cell> <v1> ...
@@ -416,8 +420,8 @@ def _accept_charts(text: str, probe: ProbeAssignment) -> list[Chart] | None:
     A few splits per block read it; any other line, a blank one too,
     leaves a field that is empty or holds a space or an LF, and the file
     is refused. Every block must pass the checks the line walk makes,
-    and the probe must pass ``_checked``, before any chart is built; on
-    any failure the result is None.
+    and the probe must pass ``_checked``; on any failure the result is
+    None.
     """
     if not (text.startswith("chart ") and text.endswith("\n") and text.isascii()
             and "#" not in text and not any(map(text.__contains__, _ODD_SPACES))
@@ -453,23 +457,38 @@ def _accept_charts(text: str, probe: ProbeAssignment) -> list[Chart] | None:
                 and overrides.keys() <= cell_set):
             return None
         blocks[cid] = (members, cell_set, overrides)
-    return _charts(blocks.items(), probe, True)
+    return sorted(blocks.items())
+
+
+def _accept_charts(text: str, probe: ProbeAssignment) -> list[Chart] | None:
+    """The charts of the blocks ``_accept_blocks`` takes, or None."""
+    blocks = _accept_blocks(text, probe)
+    return None if blocks is None else _charts(blocks, probe, True)
 
 
 def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
                  ) -> tuple[list[Chart] | None, list[ParseDiagnostic]]:
     """Parse chart blocks; sections default to the probe, overrides win.
+    The charts are built from the blocks ``parse_chart_blocks`` reads."""
+    blocks, diags = parse_chart_blocks(text, probe, filename)
+    return (None if blocks is None else _charts(blocks, probe, _checked(probe))), diags
+
+
+def parse_chart_blocks(text: str, probe: ProbeAssignment, filename: str = "<charts>",
+                       ) -> tuple[list[tuple[str, _Block]] | None, list[ParseDiagnostic]]:
+    """A chart file's blocks, sorted by id, or None, and its diagnostics.
+    ``descell gauge`` checks the blocks with no chart built.
 
     A file in the form ``emit_charts`` writes is accepted whole by
-    ``_accept_charts``. Any other file, or one that fails a check, is
+    ``_accept_blocks``. Any other file, or one that fails a check, is
     walked line by line, as ``load_probe`` walks its rows: each failure
     is worded on its line, a member's too, a bad or repeated ``chart``
     line closes the open block, and the block errors follow in block
-    order. With no error, the charts are built as the accept builds them.
+    order. With no error, the blocks are those the accept would give.
     """
-    charts = _accept_charts(text, probe)
-    if charts is not None:
-        return charts, []
+    blocks = _accept_blocks(text, probe)
+    if blocks is not None:
+        return blocks, []
 
     diags, err = _diagnostics(filename)
     cells = probe.complex.cells.keys()
@@ -532,10 +551,9 @@ def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
     if diags:
         return None, diags
 
-    walked = [(cid, (list(members), frozenset(members),
-                     {cell: desc for cell, (_, desc) in overrides.items()}))
-              for cid, (_, members, overrides) in blocks.items()]
-    return _charts(walked, probe, _checked(probe)), diags
+    return sorted((cid, (list(members), frozenset(members),
+                         {cell: desc for cell, (_, desc) in overrides.items()}))
+                  for cid, (_, members, overrides) in blocks.items()), diags
 
 
 def emit_charts(charts: Iterable[Chart], probe: ProbeAssignment) -> str:

@@ -11,6 +11,7 @@ import pytest
 import support
 from descell import (
     CellComplex,
+    Chart,
     DescriptorBall,
     DimensionHomology,
     HomologyResult,
@@ -20,6 +21,7 @@ from descell import (
     homology,
     oracle_homology,
 )
+from descell import formats
 from descell.cli import _join_alpha, _read_argv, build_parser, main
 from descell.errors import DescellError
 from descell.formats import emit_complex, emit_descriptors, load_probe, parse_complex
@@ -365,6 +367,17 @@ def test_gauge_bad_chart_file(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["", "# no charts here\n\n"], ids=["empty", "comment_only"])
+def test_gauge_chart_file_with_no_charts(tmp_path, capsys, text):
+    charts = tmp_path / "none.chart"
+    charts.write_text(text)
+    code = main(["gauge", str(DATA / "disk3.cw"),
+                 "--probe", str(DATA / "disk3_probe.csv"),
+                 "--charts", str(charts)])
+    assert code == 2
+    assert capsys.readouterr() == ("", "descell: error: chart file declares no charts\n")
+
+
 def test_gauge_single_chart(tmp_path, capsys):
     charts = tmp_path / "one.chart"
     charts.write_text("chart only\nmember A\nmember B\n")
@@ -425,6 +438,24 @@ def test_gauge_never_compiles_the_complex_and_homology_once(monkeypatch, capsys)
     assert built == []
     assert main(["homology", str(DATA / "torus.cw"), "--generators"]) == 0
     assert len(built) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["charts_override.chart", "charts_ok.chart"])
+def test_gauge_builds_no_chart(monkeypatch, capsys, name):
+    """``gauge`` checks a chart file as the probe plus its override lines,
+    whether the file is taken whole (no comment) or walked line by line
+    (a comment): no section is built, and no ``Chart``."""
+    calls = []
+    real_of, real_init = Chart._of.__func__, Chart.__init__
+    monkeypatch.setattr(Chart, "_of", classmethod(
+        lambda cls, *args: calls.append("_of") or real_of(cls, *args)))
+    monkeypatch.setattr(Chart, "__init__", lambda self, *args, **kwargs:
+                        calls.append("__init__") or real_init(self, *args, **kwargs))
+    monkeypatch.setattr(formats, "_charts", lambda *args: calls.append("_charts"))
+    code = main(["gauge", str(DATA / "disk3.cw"), "--probe", str(DATA / "disk3_probe.csv"),
+                 "--charts", str(DATA / name)])
+    assert (code, calls) == (name == "charts_override.chart", [])
     capsys.readouterr()
 
 

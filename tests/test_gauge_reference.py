@@ -400,25 +400,94 @@ def test_edge_values_match_reference():
     assert seen["rounding"]
 
 
-@pytest.mark.parametrize("overrides", [0, 3])
-def test_gauge_command_on_the_benchmark_cover(tmp_path, capsys, overrides):
-    """``descell gauge`` on the 24-chart torus cover, written to files,
-    prints the reference report and exits 0 on a clean one, 1 otherwise."""
-    rng = random.Random(24 + overrides)
+def benchmark_cover(rng, shape):
+    """The 24-chart torus cover with a non-dyadic probe, and its charts.
+    ``shape`` is "honest"; "three", three overrides; "shared", eight
+    cells held by three or more charts, each overridden by two of its
+    holders in its second component only, so that cocycle residuals
+    round; or "signed zero", a cell whose probe value is (0.0, -0.1)
+    and that the first three of its holders override with (-0.0, -0.1),
+    equal to the probe, (0.0, 0.1) and (0.0, 0.7)."""
     k = support.grid_surface(10)
-    probe = support.random_probe(rng, k, 2, support.decimal_value)
-    charts = [make_chart(probe, cells, f"ch{n:02d}")
-              for n, cells in enumerate(support.grid_windows(10, (6, 4), 5))]
-    for n in rng.sample(range(len(charts)), overrides):
-        cell = rng.choice(sorted(charts[n].cells))
-        charts[n] = with_overrides(charts[n], {cell: decimal_vector(rng, 2)})
+    windows = support.grid_windows(10, (6, 4), 5)
+    holders = {}
+    for n, cells in enumerate(windows):
+        for cell in sorted(cells):
+            holders.setdefault(cell, []).append(n)
+    shared = sorted(cell for cell, held in holders.items() if len(held) >= 3)
+    table = dict(support.random_probe_table(rng, k, 2, support.decimal_value))
+    if shape == "signed zero":
+        table[shared[0]] = (0.0, -0.1)
+    probe = ProbeAssignment(k, table, 2)
+    charts = [make_chart(probe, cells, f"ch{n:02d}") for n, cells in enumerate(windows)]
+    overrides = {}
+    if shape == "three":
+        for n in rng.sample(range(len(charts)), 3):
+            overrides[n] = {rng.choice(sorted(charts[n].cells)): decimal_vector(rng, 2)}
+    elif shape == "shared":
+        for cell in rng.sample(shared, 8):
+            first = table[cell][0]
+            for n in rng.sample(holders[cell], 2):
+                overrides.setdefault(n, {})[cell] = (first, support.decimal_value(rng))
+    elif shape == "signed zero":
+        a, b, c = holders[shared[0]][:3]
+        overrides = {a: {shared[0]: (-0.0, -0.1)}, b: {shared[0]: (0.0, 0.1)},
+                     c: {shared[0]: (0.0, 0.7)}}
+    for n, values in overrides.items():
+        charts[n] = with_overrides(charts[n], values)
+    return k, probe, charts
+
+
+def chart_text(charts, probe):
+    """The chart file ``emit_charts`` writes, but with an override line
+    wherever a section value is not the probe's own, an equal one too."""
+    lines = []
+    for chart in sorted(charts, key=lambda c: c.id):
+        lines.append(f"chart {chart.id}")
+        lines += [f"member {cell}" for cell in sorted(chart.cells)]
+        lines += [f"override {cell} " + " ".join(map(repr, chart.section[cell]))
+                  for cell in sorted(chart.cells) if chart.section[cell] is not probe[cell]]
+    return "\n".join(lines) + "\n"
+
+
+FORMS = {"as written": lambda text: text,
+         "CRLF": lambda text: text.replace("\n", "\r\n"),
+         "commented": lambda text: "# the benchmark cover\n" + text}
+
+
+@pytest.mark.parametrize("shape,tolerance,form", [
+    ("honest", None, "as written"),
+    ("three", None, "as written"),
+    ("shared", None, "as written"),
+    ("shared", "1e-12", "as written"),
+    ("shared", None, "CRLF"),
+    ("shared", "1e-12", "commented"),
+    ("signed zero", None, "as written"),
+    ("signed zero", None, "CRLF"),
+    ("signed zero", None, "commented"),
+])
+def test_gauge_command_on_the_benchmark_cover(tmp_path, capsys, shape, tolerance, form):
+    """``descell gauge`` on the 24-chart torus cover, written to files,
+    prints the reference report and exits 0 on a clean one, 1 otherwise:
+    taken whole as written, and walked line by line with CRLF endings or
+    a comment. No symmetry row can appear: section differences a - b
+    and b - a round to exact negatives."""
+    rng = random.Random(f"{shape} cover")
+    k, probe, charts = benchmark_cover(rng, shape)
     paths = {name: tmp_path / name for name in ("torus.cw", "probe.csv", "cover.chart")}
     paths["torus.cw"].write_text(emit_complex(k))
     paths["probe.csv"].write_text(emit_descriptors(probe.values.items()))
-    paths["cover.chart"].write_text(emit_charts(charts, probe))
+    paths["cover.chart"].write_bytes(FORMS[form](chart_text(charts, probe)).encode())
     code = main(["gauge", str(paths["torus.cw"]), "--probe", str(paths["probe.csv"]),
-                 "--charts", str(paths["cover.chart"])])
-    expected = gauge_reference.verify_cocycle(charts, probe=probe)
+                 "--charts", str(paths["cover.chart"]),
+                 *(["--tolerance", tolerance] if tolerance else [])])
+    expected = gauge_reference.verify_cocycle(charts, float(tolerance or 0), probe=probe)
     out, err = capsys.readouterr()
     assert (code, out, err) == (0 if expected.clean else 1, expected.to_text(), "")
-    assert expected.clean == (overrides == 0)
+    rows = tally([expected])
+    assert expected.clean == (shape == "honest")
+    assert not rows["symmetry"]
+    assert bool(rows["cocycle"]) == (shape in ("shared", "signed zero") and not tolerance)
+    if shape == "signed zero":
+        # The -0.0 override is no deviation, yet its sign shows in a residual.
+        assert rows["trivialization"] == 2 and "residual -0.0;" in out
