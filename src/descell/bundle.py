@@ -65,6 +65,14 @@ class Chart(Record):
         return chart
 
 
+class _ChartLines(Record):
+    """A chart as a chart file states it, for ``verify_cocycle`` given
+    the file's probe: ``section`` holds only the override lines, and
+    every other member takes the probe's value. No section is built."""
+
+    __slots__ = ("id", "cells", "section", "arity")
+
+
 def make_chart(probe: ProbeAssignment, cells: Iterable[CellId], chart_id: str) -> Chart:
     """Restrict a probe to a cell subset.
 
@@ -232,21 +240,23 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
 
     1. Each chart is measured against one baseline table: the probe when
        one is given, else a reference table holding each cell's value in
-       the first chart, in id order, that holds it. A chart's deviations
-       come from its ``Chart.section``: one whose section items are all
-       among the baseline's (one C-level test) has none; only the others
-       are walked cell by cell. ``descell gauge`` reads a chart file as
-       the probe plus override lines and builds no section
-       (``gauge_report``): a chart's deviations are its overrides that
-       ``!=`` the probe, and its value at a cell is its override there,
-       even one ``==`` the probe's, else the probe's. Each test compares
-       tuples componentwise by identity, then ``==``, which on floats is
-       an equivalence (0.0 == -0.0, and a nan equals only itself). So
-       two charts that match the baseline at a cell agree with each
-       other there, and where two sections differ one of them deviates.
-       Where sections agree, every section difference is +-0.0, or nan
-       for an infinite or nan component, and no residual built from
-       them is reported: a nan norm never exceeds the tolerance.
+       the first chart, in id order, that holds it. A chart's
+       deviations come from its section: one whose section items are
+       all among the baseline's (one C-level test) has none; only the
+       others are walked cell by cell. A library caller's ``Chart``
+       holds a value at every member. ``descell gauge`` reads a chart
+       file as the probe plus override lines and passes each chart with
+       only its overrides as its section (``formats.parse_chart_lines``):
+       its value at a member is its override there, even one ``==`` the
+       probe's, else the probe's, and its deviations are the overrides
+       that ``!=`` the probe. Both tests compare tuples componentwise
+       by identity, then ``==``, which on floats is an equivalence
+       (0.0 == -0.0, and a nan equals only itself). So two charts that
+       match the baseline at a cell agree with each other there, and
+       where two sections differ one of them deviates. Where sections
+       agree, every section difference is +-0.0, or nan for an infinite
+       or nan component, and no residual built from them is reported:
+       a nan norm never exceeds the tolerance.
     2. With a probe, a chart's trivialization rows are exactly its
        deviations, sorted: everywhere else its section equals the probe.
     3. A suspect cell is one where a chart deviates, or one that a
@@ -293,6 +303,22 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
                     f"chart {chart.id!r} has arity {chart.arity}, probe has {probe.arity}")
     table = transitions or {}
 
+    violations: list[GaugeViolation] = []
+
+    def record(rows: list[GaugeViolation], identity: str, ids: tuple[str, ...],
+               cell: CellId, residual: Descriptor):
+        # An all-zero residual has norm 0.0, which never exceeds a tolerance >= 0.
+        if any(residual):
+            norm = _norm(residual)
+            if norm > tolerance:
+                rows.append(GaugeViolation(identity, ids, cell, residual, norm))
+
+    for chart in charts:
+        if (chart.id, chart.id) in table:
+            t_ii = table[(chart.id, chart.id)]
+            for cell in t_ii.cells():
+                record(violations, "reflexivity", (chart.id,), cell, t_ii.values[cell])
+
     if probe is not None:
         baseline = probe._table
     else:
@@ -300,10 +326,9 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
         for chart in reversed(charts):
             baseline.update(chart.section)
     items, get = baseline.items(), baseline.get
-    rows = [(chart.id, chart.cells, chart.section,
-             set() if chart.section.items() <= items else
-             {cell for cell, value in chart.section.items() if value != get(cell)})
-            for chart in charts]
+    deviations = [set() if chart.section.items() <= items else
+                  {cell for cell, value in chart.section.items() if value != get(cell)}
+                  for chart in charts]
 
     # Raises for the first pair, in id order, that a walk over the pairs would.
     if len({chart.arity for chart in charts}) > 1:
@@ -313,49 +338,17 @@ def verify_cocycle(charts: Iterable[Chart], tolerance: float = 0.0, *,
                     if (x.id, y.id) not in table and not ci.cells.isdisjoint(cj.cells):
                         _check_arities(x, y)
 
-    return gauge_report(rows, baseline, tolerance, probe, table)
-
-
-def gauge_report(charts: list[tuple[str, frozenset[CellId], Mapping[CellId, Descriptor],
-                                    set[CellId]]],
-                 baseline: Mapping[CellId, Descriptor], tolerance: float,
-                 probe: ProbeAssignment | None,
-                 table: Mapping[tuple[str, str], TransitionFunction]) -> GaugeReport:
-    """``verify_cocycle``'s report on checked charts ``(id, cells, values,
-    deviations)``, sorted by unique ids. A chart's value at one of its
-    cells is ``values[cell]`` where ``values`` holds the cell, else
-    ``baseline[cell]``; its deviations are the cells where that value
-    ``!=`` the baseline's, all held by ``values``. With ``probe`` given,
-    ``baseline`` is its table; overlapping charts have one arity unless
-    ``table`` supplies the pair, and every arity is the probe's."""
-    ids, members, maps, deviations = zip(*charts)
-    violations: list[GaugeViolation] = []
-
-    def record(rows: list[GaugeViolation], identity: str, names: tuple[str, ...],
-               cell: CellId, residual: Descriptor):
-        # An all-zero residual has norm 0.0, which never exceeds a tolerance >= 0.
-        if any(residual):
-            norm = _norm(residual)
-            if norm > tolerance:
-                rows.append(GaugeViolation(identity, names, cell, residual, norm))
-
-    for i in ids:
-        if (i, i) in table:
-            t_ii = table[i, i]
-            for cell in t_ii.cells():
-                record(violations, "reflexivity", (i,), cell, t_ii.values[cell])
-
     def at(a: int, cell: CellId) -> Descriptor:
-        values = maps[a]
-        return values[cell] if cell in values else baseline[cell]
+        section = charts[a].section
+        return section[cell] if cell in section else baseline[cell]
 
     def t(a: int, b: int, cell: CellId, memo: dict) -> Descriptor | None:
         """t_ab at the cell, or None where a supplied t_ab omits it;
         ``memo`` keeps the cell's transitions once computed."""
         found = memo.get((a, b), memo)    # memo itself marks a miss: None is a value
         if found is memo:
-            if (ids[a], ids[b]) in table:
-                found = table[ids[a], ids[b]].values.get(cell)
+            if (charts[a].id, charts[b].id) in table:
+                found = table[charts[a].id, charts[b].id].values.get(cell)
             else:
                 found = _vec_sub(at(a, cell), at(b, cell))
             memo[a, b] = found
@@ -366,8 +359,8 @@ def gauge_report(charts: list[tuple[str, frozenset[CellId], Mapping[CellId, Desc
     listed = {cell for (i, j), t_ij in table.items() if i != j for cell in t_ij.values}
     suspects = listed.union(*deviations)
     holders: dict[CellId, list[int]] = {cell: [] for cell in suspects}
-    for a, cells in enumerate(members):
-        for cell in cells & suspects:
+    for a, chart in enumerate(charts):
+        for cell in chart.cells & suspects:
             holders[cell].append(a)
     for cell, held in holders.items():
         if not held:    # a listed cell that no chart holds
@@ -385,20 +378,20 @@ def gauge_report(charts: list[tuple[str, frozenset[CellId], Mapping[CellId, Desc
             if da or db:
                 t_ab, t_ba = t(a, b, cell, memo), t(b, a, cell, memo)
                 if t_ab is not None and t_ba is not None:
-                    record(pairs, "symmetry", (ids[a], ids[b]), cell,
+                    record(pairs, "symmetry", (charts[a].id, charts[b].id), cell,
                            _vec_add(t_ab, t_ba))
         for (a, da), (b, db), (c, dc) in combinations(flagged, 3):
             if da or db or dc:
                 t_ab, t_bc, t_ac = t(a, b, cell, memo), t(b, c, cell, memo), t(a, c, cell, memo)
                 if t_ab is not None and t_bc is not None and t_ac is not None:
-                    record(triples, "cocycle", (ids[a], ids[b], ids[c]),
+                    record(triples, "cocycle", (charts[a].id, charts[b].id, charts[c].id),
                            cell, _vec_sub(t_ac, _vec_add(t_ab, t_bc)))
 
     # Both directions supplied: also the cells both list outside the overlap.
-    index = {i: a for a, i in enumerate(ids)}
+    index = {chart.id: a for a, chart in enumerate(charts)}
     for i, j in table:
         if i < j and i in index and j in index and (j, i) in table:
-            overlap = members[index[i]] & members[index[j]]
+            overlap = charts[index[i]].cells & charts[index[j]].cells
             if overlap:
                 t_ij, t_ji = table[i, j].values, table[j, i].values
                 for cell in (t_ij.keys() & t_ji.keys()) - overlap:
@@ -411,9 +404,9 @@ def gauge_report(charts: list[tuple[str, frozenset[CellId], Mapping[CellId, Desc
     if probe is not None:
         # A cell off the probe is among the deviations, so probe[cell]
         # raises the KeyError a walk over every sorted cell would.
-        for i, values, deviant in zip(ids, maps, deviations):
+        for chart, deviant in zip(charts, deviations):
             for cell in sorted(deviant):
-                record(violations, "trivialization", (i,), cell,
-                       _vec_sub(values[cell], probe[cell]))
+                record(violations, "trivialization", (chart.id,), cell,
+                       _vec_sub(chart.section[cell], probe[cell]))
 
     return GaugeReport(tolerance=tolerance, violations=tuple(violations))

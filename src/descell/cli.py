@@ -20,7 +20,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .bundle import gauge_report
+from .bundle import verify_cocycle
 from .cellcomplex import CellComplex
 from .descriptive import DescriptorBall, _carver
 from .errors import DescellError, InvalidComplexError, TooLargeError
@@ -32,7 +32,7 @@ from .formats import (
     load_file,
     load_probe,
     load_scenario_file,
-    parse_chart_blocks,
+    parse_chart_lines,
     parse_complex,
     parse_scenario,
 )
@@ -203,22 +203,13 @@ def cmd_gauge(args) -> int:
     probe, code = _load_probe_for(complex, args.probe)
     if probe is None:
         return code
-    blocks, diags = load_file(args.charts, parse_chart_blocks, probe)
+    charts, diags = load_file(args.charts, parse_chart_lines, probe)
     _print_diags(diags)
-    if blocks is None:
+    if charts is None:
         return USAGE_ERROR
-    if not blocks:
+    if not charts:
         return _fail("chart file declares no charts", USAGE_ERROR)
-    # Each chart is the probe plus its override lines, checked with no
-    # section built: its deviations are the overrides that differ from the
-    # probe. verify_cocycle's argument checks hold here: a parsed file has
-    # unique ids, members in the probe's table and the probe's arity.
-    table = probe._table
-    report = gauge_report(
-        [(cid, cells, overrides,
-          {cell for cell, value in overrides.items() if value != table[cell]})
-         for cid, (_, cells, overrides) in blocks],
-        table, args.tolerance, probe, {})
+    report = verify_cocycle(charts, tolerance=args.tolerance, probe=probe)
     sys.stdout.write(report.to_text())
     return 0 if report.clean else SEMANTIC_ERROR
 

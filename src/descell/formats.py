@@ -33,7 +33,7 @@ from collections.abc import Callable, Iterable
 from itertools import chain, repeat
 
 from ._record import Record
-from .bundle import Chart
+from .bundle import Chart, _ChartLines
 from .cellcomplex import CellComplex, CellId
 from .descriptive import Descriptor, ProbeAssignment
 from .errors import DescellError
@@ -460,24 +460,34 @@ def _accept_blocks(text: str, probe: ProbeAssignment) -> list[tuple[str, _Block]
     return sorted(blocks.items())
 
 
-def _accept_charts(text: str, probe: ProbeAssignment) -> list[Chart] | None:
-    """The charts of the blocks ``_accept_blocks`` takes, or None."""
-    blocks = _accept_blocks(text, probe)
-    return None if blocks is None else _charts(blocks, probe, True)
-
-
 def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
                  ) -> tuple[list[Chart] | None, list[ParseDiagnostic]]:
     """Parse chart blocks; sections default to the probe, overrides win.
-    The charts are built from the blocks ``parse_chart_blocks`` reads."""
-    blocks, diags = parse_chart_blocks(text, probe, filename)
-    return (None if blocks is None else _charts(blocks, probe, _checked(probe))), diags
+    The charts are built from the blocks ``_chart_blocks`` reads."""
+    blocks, diags, accepted = _chart_blocks(text, probe, filename)
+    if blocks is None:
+        return None, diags
+    return _charts(blocks, probe, accepted or _checked(probe)), diags
 
 
-def parse_chart_blocks(text: str, probe: ProbeAssignment, filename: str = "<charts>",
-                       ) -> tuple[list[tuple[str, _Block]] | None, list[ParseDiagnostic]]:
-    """A chart file's blocks, sorted by id, or None, and its diagnostics.
-    ``descell gauge`` checks the blocks with no chart built.
+def parse_chart_lines(text: str, probe: ProbeAssignment, filename: str = "<charts>",
+                      ) -> tuple[list[_ChartLines] | None, list[ParseDiagnostic]]:
+    """A chart file's charts as the probe plus their override lines,
+    sorted by id, for ``verify_cocycle`` given that probe; or None. No
+    section is built, so the probe's table is taken to hold every cell
+    at the probe's arity, as a loaded probe's does. The blocks and
+    diagnostics are ``parse_charts``'."""
+    blocks, diags, _ = _chart_blocks(text, probe, filename)
+    if blocks is None:
+        return None, diags
+    return [_ChartLines(cid, cell_set, overrides, probe.arity)
+            for cid, (_, cell_set, overrides) in blocks], diags
+
+
+def _chart_blocks(text: str, probe: ProbeAssignment, filename: str,
+                  ) -> tuple[list[tuple[str, _Block]] | None, list[ParseDiagnostic], bool]:
+    """A chart file's blocks, sorted by id, or None; its diagnostics; and
+    whether ``_accept_blocks`` took it, which checks the probe's table.
 
     A file in the form ``emit_charts`` writes is accepted whole by
     ``_accept_blocks``. Any other file, or one that fails a check, is
@@ -488,7 +498,7 @@ def parse_chart_blocks(text: str, probe: ProbeAssignment, filename: str = "<char
     """
     blocks = _accept_blocks(text, probe)
     if blocks is not None:
-        return blocks, []
+        return blocks, [], True
 
     diags, err = _diagnostics(filename)
     cells = probe.complex.cells.keys()
@@ -549,11 +559,11 @@ def parse_chart_blocks(text: str, probe: ProbeAssignment, filename: str = "<char
                 err(oline, f"override for {cell!r}, which is not a member of {cid!r}",
                     "reference")
     if diags:
-        return None, diags
+        return None, diags, False
 
     return sorted((cid, (list(members), frozenset(members),
                          {cell: desc for cell, (_, desc) in overrides.items()}))
-                  for cid, (_, members, overrides) in blocks.items()), diags
+                  for cid, (_, members, overrides) in blocks.items()), diags, False
 
 
 def emit_charts(charts: Iterable[Chart], probe: ProbeAssignment) -> str:

@@ -39,9 +39,11 @@ from descell import (  # noqa: E402
     make_chart,
     with_overrides,
 )
+from descell import formats  # noqa: E402
 from descell.errors import ArityMismatchError  # noqa: E402
 from descell.formats import (  # noqa: E402
-    _accept_charts,
+    _accept_blocks,
+    _charts,
     emit_charts,
     emit_complex,
     emit_descriptors,
@@ -359,7 +361,7 @@ COVERS = {
     "canonical, as emit_charts writes it": emit_charts(
         formats_reference.parse_charts(cover_text(), TORUS_PROBE)[0], TORUS_PROBE),
 }
-# The files in the form emit_charts writes, which _accept_charts takes whole.
+# The files in the form emit_charts writes, which _accept_blocks takes whole.
 CANONICAL = ("clean", "canonical, as emit_charts writes it")
 ACCEPTED = CANONICAL + ("comments, tabs and CRLF",)
 
@@ -387,14 +389,22 @@ def test_parse_charts_matches_reference_on_torus_covers(name, monkeypatch):
     """One defect at a time in the 24-chart cover: a clean file has its
     charts handed to ``Chart._of``, by the whole-file accept when it is
     canonical; any other gets the reference's diagnostics, in its order,
-    and builds no chart."""
+    and builds no chart. The probe's table is checked once for a file
+    that gives charts, by the accept or after the walk, and at most once
+    for any other."""
     text = COVERS[name]
     expected = formats_reference.parse_charts(text, TORUS_PROBE, "t.chart")
     assert (expected[0] is not None) == (name in ACCEPTED)
-    assert (_accept_charts(text, TORUS_PROBE) is not None) == (name in CANONICAL)
+    assert (_accept_blocks(text, TORUS_PROBE) is not None) == (name in CANONICAL)
     calls = counting_charts(monkeypatch)
+    checked = formats._checked
+    monkeypatch.setattr(formats, "_checked", lambda probe: calls.append("_checked")
+                        or checked(probe))
     assert parse_charts(text, TORUS_PROBE, "t.chart") == expected
-    assert calls == (["_of"] * 24 if name in ACCEPTED else [])
+    if name in ACCEPTED:
+        assert calls == ["_checked"] + ["_of"] * 24
+    else:
+        assert calls in ([], ["_checked"])
 
 
 def outcome(parse, *args):
@@ -438,7 +448,7 @@ def test_parse_charts_raises_as_the_reference_on_a_hand_built_probe(cells, value
 # -- the whole-file accept of canonical chart files ------------------------------
 #
 # Texts that emit_charts writes for random covers, each taken whole by
-# _accept_charts, and each again with one defect that leaves that form:
+# _accept_blocks, and each again with one defect that leaves that form:
 # the line walk reads those, and both must match the reference.
 
 
@@ -579,15 +589,15 @@ def test_canonical_chart_files_are_accepted_whole(mutation, cover, rng):
     expected = formats_reference.parse_charts(text, probe, "c.chart")
     assert parse_charts(text, probe, "c.chart") == expected
     if mutation in MUTATIONS:
-        assert _accept_charts(text, probe) is None
+        assert _accept_blocks(text, probe) is None
     else:
-        assert _accept_charts(text, probe) == expected[0] == charts
+        assert _charts(_accept_blocks(text, probe), probe, True) == expected[0] == charts
 
 
 def test_an_empty_member_is_refused_on_a_complex_with_an_empty_cell_id():
     """``CellComplex`` allows a cell "", which no member line can name."""
     probe = assign_probe(CellComplex({"": 0, "v": 0}, {}), [("", (0.5,)), ("v", (1.0,))])
     text = "chart a\nmember \nmember v\n"
-    assert _accept_charts(text, probe) is None
+    assert _accept_blocks(text, probe) is None
     assert parse_charts(text, probe) == formats_reference.parse_charts(text, probe)
     assert parse_charts(text, probe)[0] is None

@@ -456,6 +456,8 @@ FORMS = {"as written": lambda text: text,
 
 
 @pytest.mark.parametrize("shape,tolerance,form", [
+    ("honest", None, "emit_charts"),
+    ("three", None, "emit_charts"),
     ("honest", None, "as written"),
     ("three", None, "as written"),
     ("shared", None, "as written"),
@@ -469,15 +471,21 @@ FORMS = {"as written": lambda text: text,
 def test_gauge_command_on_the_benchmark_cover(tmp_path, capsys, shape, tolerance, form):
     """``descell gauge`` on the 24-chart torus cover, written to files,
     prints the reference report and exits 0 on a clean one, 1 otherwise:
-    taken whole as written, and walked line by line with CRLF endings or
-    a comment. No symmetry row can appear: section differences a - b
-    and b - a round to exact negatives."""
+    as ``emit_charts`` writes it, which loses nothing on the honest cover
+    and on three overrides; and with an override line wherever a value
+    is not the probe's own, taken whole as written, and walked line by
+    line with CRLF endings or a comment. No symmetry row can appear:
+    section differences a - b and b - a round to exact negatives."""
     rng = random.Random(f"{shape} cover")
     k, probe, charts = benchmark_cover(rng, shape)
     paths = {name: tmp_path / name for name in ("torus.cw", "probe.csv", "cover.chart")}
     paths["torus.cw"].write_text(emit_complex(k))
     paths["probe.csv"].write_text(emit_descriptors(probe.values.items()))
-    paths["cover.chart"].write_bytes(FORMS[form](chart_text(charts, probe)).encode())
+    if form == "emit_charts":
+        text = emit_charts(charts, probe)
+    else:
+        text = FORMS[form](chart_text(charts, probe))
+    paths["cover.chart"].write_bytes(text.encode())
     code = main(["gauge", str(paths["torus.cw"]), "--probe", str(paths["probe.csv"]),
                  "--charts", str(paths["cover.chart"]),
                  *(["--tolerance", tolerance] if tolerance else [])])
