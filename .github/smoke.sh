@@ -68,10 +68,23 @@ data="$(cd "$(dirname "${BASH_SOURCE[0]}")/../tests/data" && pwd)"
 # The torus times a circle: a 3-cell, so the top map d_3 is not empty.
 "$@" homology "$data/torus_x_circle.cw" --oracle | tail -n 1 | grep -qx "betti 1 3 3 1"
 "$@" validate "$data/torus_x_circle.cw" | cmp - <(echo OK)
+# A 2-cell attached once to one edge: its composite boundary is odd at both
+# ends of the edge, and the compile of its face rows finds it; exit 1.
+{ "$@" validate "$data/broken_dd.cw" || echo "exit $?"; } \
+  | cmp - <(printf '%s\n' "composite-odd [f v0] composite boundary coefficient 1 is odd" \
+      "composite-odd [f v1] composite boundary coefficient 1 is odd" "exit 1")
+# An undeclared face and a face of the wrong dimension: the file is walked
+# line by line to word both, a parse error.
+faces="$(mktemp -d)"
+trap 'rm -rf "$faces"' EXIT
+printf '%s\n' "cell v 0" "cell e 1" "cell t 2" "bnd e v:1 ghost:1" "bnd t v:1" > "$faces/bad.cw"
+{ "$@" validate "$faces/bad.cw" 2>&1 >/dev/null || echo "exit $?"; } \
+  | cmp - <(printf '%s\n' "$faces/bad.cw:4: error: bnd references undeclared face 'ghost'" \
+      "$faces/bad.cw:5: error: face 'v' has dimension 0, expected 1" "exit 2")
 # A triangle boundary with each edge's faces on two bnd lines, and a face of
 # ca entered on both of its lines with degrees that cancel.
 tri="$(mktemp)"
-trap 'rm -f "$tri"' EXIT
+trap 'rm -rf "$faces" "$tri"' EXIT
 printf '%s\n' "cell a 0" "cell b 0" "cell c 0" "cell ab 1" "cell bc 1" "cell ca 1" \
   "bnd ab a:1" "bnd ab b:1" "bnd bc b:1" "bnd bc c:1" "bnd ca c:1 b:1" "bnd ca a:1 b:-1" > "$tri"
 "$@" homology "$tri" --generators \
@@ -81,7 +94,7 @@ printf '%s\n' "cell a 0" "cell b 0" "cell c 0" "cell ab 1" "cell bc 1" "cell ca 
 # Descriptor tables from the CLI: a clean one is accepted by whole columns,
 # and a broken one is walked row by row to word each error.
 scen="$(mktemp -d)"
-trap 'rm -rf "$tri" "$scen"' EXIT
+trap 'rm -rf "$faces" "$tri" "$scen"' EXIT
 cp "$data/cooling.scenario" "$data/square.cw" "$data"/cooling_step[123].csv "$scen"
 # A blank line and ids padded with a space and a tab: the same signature.
 awk -F, -v OFS=, 'NR == 4 { print "" } NR > 1 { $1 = " " $1 "\t" } 1' \
@@ -122,7 +135,7 @@ notutf8="$scen/cooling_step1.csv:0: error: not UTF-8 text (invalid start byte at
 # the same report; a member repeated in the second block is walked line by
 # line to its diagnostic, a parse error.
 covers="$(mktemp -d)"
-trap 'rm -rf "$tri" "$scen" "$covers"' EXIT
+trap 'rm -rf "$faces" "$tri" "$scen" "$covers"' EXIT
 awk 'NR == 1 { printf "# two charts, one override\r\n" } NR == 2 { $0 = "\t" $0 }
   { printf "%s\r\n", $0 }' "$data/charts_override.chart" > "$covers/crlf.chart"
 { "$@" gauge "$data/disk3.cw" --probe "$data/disk3_probe.csv" \
@@ -182,7 +195,7 @@ nosuch="$({ "$@" nosuch 2>&1 >/dev/null || echo "exit $?"; } | sed -n '1p;$p')"
 # cocycle residual there is an exact zero, so the report is one trivialization
 # row per chart, and it comes well inside the time limit.
 many="$(mktemp -d)"
-trap 'rm -rf "$tri" "$scen" "$covers" "$many"' EXIT
+trap 'rm -rf "$faces" "$tri" "$scen" "$covers" "$many"' EXIT
 printf 'cell A 0\n' > "$many/point.cw"
 printf 'cell,f1\nA,0.0\n' > "$many/point_probe.csv"
 for ((i = 0; i < 2000; i++)); do

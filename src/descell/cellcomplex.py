@@ -8,20 +8,21 @@ stored as given; all homology arithmetic downstream reduces degrees
 mod 2, so a net-zero degree carries no information and is dropped at
 construction time. A face with even multiplicity should therefore be
 recorded with an even nonzero degree (e.g. 2) if the contact matters for
-sub-complex derivation. Every builder (the constructor, ``add_cell``,
-``skeleton``, ``derive_subcomplex``, ``from_simplices`` and
-``formats.parse_complex``) hands its cells and per-cell faces to one
-private setup, which sorts each dimension's ids into the basis order and
-drops the net-zero degrees. The per-cell faces are the one incidence
-store: the tuple-keyed ``incidence`` table is a view built on its first
-read, and the mod-2 boundary columns are compiled from the faces on
-first use, by the one code that turns degrees into columns.
+sub-complex derivation. The basis order (each dimension's ids, sorted)
+and each id's row in it are set here only, by ``_basis`` and
+``_row_index``. Every builder (the constructor, ``add_cell``,
+``skeleton``, ``derive_subcomplex`` and ``from_simplices``) hands its
+cells and per-cell faces to one private setup, which drops the net-zero
+degrees. ``formats.parse_complex`` may hand over instead each bnd line's
+face rows, whose per-cell faces are built only when read. One core
+compiles face rows into the mod-2 boundary columns, on first use.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from functools import cached_property
+from itertools import compress
 from types import MappingProxyType
 
 from ._record import Record
@@ -49,18 +50,18 @@ class CellComplex:
     ``cells`` maps ``str`` ids to ``int`` dimensions; ``incidence`` maps
     (cell, face) id pairs to ``int`` degrees. Construction converts
     nothing: it rejects a negative dimension, groups the degrees by cell
-    and hands them to ``_setup``, which every builder shares: it sorts
-    each dimension's ids and keeps each cell's nonzero degrees as the
-    per-cell face map that ``faces`` reads, the one incidence store; no
-    cell keeps an empty one. ``add_cell`` and ``from_simplices`` convert
-    their own arguments.
-    All query methods are pure, so instances are safe to share across
-    threads. ``add_cell`` returns a new complex rather than mutating.
-    The compiled form (the mod-2 boundary columns, the malformed entries
-    and the cells with an odd composite boundary) is built on the first
-    ``boundary_columns`` or ``validate`` call, the ``incidence`` view on
-    its first read and the coface map behind ``cofaces`` on its first
-    use; each is built at most once.
+    and hands them to ``_setup``, which every builder but the parser
+    (``_of_rows``) shares: it sorts each dimension's ids and keeps each
+    cell's nonzero degrees as the per-cell face map that ``faces`` reads;
+    no cell keeps an empty one. ``add_cell`` and ``from_simplices``
+    convert their own arguments. All query methods are pure, so
+    instances are safe to share across threads. ``add_cell`` returns a
+    new complex rather than mutating. The compiled form (the mod-2
+    boundary columns, the malformed entries and the cells with an odd
+    composite boundary) is built on the first ``boundary_columns`` or
+    ``validate`` call, a parsed complex's face maps on their first read,
+    the ``incidence`` view on its first read and the coface map behind
+    ``cofaces`` on its first use; each is built at most once.
     """
 
     def __init__(self,
@@ -86,15 +87,22 @@ class CellComplex:
         k._setup(cells, faces)
         return k
 
+    @classmethod
+    def _of_rows(cls, cells: dict[CellId, int], by_dim: dict[int, tuple[CellId, ...]],
+                 rows: list[tuple[int, int, list[int]]]) -> "CellComplex":
+        """A complex on ``cells``, ``_basis(cells)`` and, per bnd line, the
+        cell's dimension d, its position among the d-cells and its faces'
+        rows among the (d-1)-cells, each of degree 1, handed over uncopied."""
+        k = cls.__new__(cls)
+        k._cells, k._by_dim, k._rows = cells, by_dim, rows
+        return k
+
     def _setup(self, cells: dict[CellId, int], faces: dict[CellId, dict[CellId, int]]) -> None:
-        """The one setup of every builder. It sorts each dimension's ids
-        (the basis order), and drops zero degrees and then face dicts
-        left empty: net-zero degrees are indistinguishable from absence
-        mod 2. Each cell is scanned for them only when one C-level pass
-        over the degrees finds an empty face dict or a zero."""
-        by_dim: dict[int, list[CellId]] = {}
-        for cid, dim in cells.items():
-            by_dim.setdefault(dim, []).append(cid)
+        """The setup of every builder but ``_of_rows``. It sorts each
+        dimension's ids (the basis order) and drops zero degrees and then
+        face dicts left empty: net-zero degrees are indistinguishable from
+        absence mod 2. Each cell is scanned for them only when one C-level
+        pass over the degrees finds an empty face dict or a zero."""
         if not (all(faces.values()) and all(map(all, map(dict.values, faces.values())))):
             for cid in [c for c, entries in faces.items() if not entries or 0 in entries.values()]:
                 entries = {fid: deg for fid, deg in faces[cid].items() if deg}
@@ -103,9 +111,24 @@ class CellComplex:
                 else:
                     del faces[cid]
         self._cells: dict[CellId, int] = cells
-        self._by_dim: dict[int, tuple[CellId, ...]] = {
-            d: tuple(sorted(ids)) for d, ids in by_dim.items()}
+        self._by_dim: dict[int, tuple[CellId, ...]] = _basis(cells)
         self._faces: dict[CellId, dict[CellId, int]] = faces
+
+    # The face rows of a complex built by ``_of_rows``, kept once its face
+    # dicts are built, so a concurrent first read still finds them.
+    _rows: list[tuple[int, int, list[int]]] | None = None
+
+    @cached_property
+    def _faces(self) -> dict[CellId, dict[CellId, int]]:
+        """A complex's face dicts from its rows, in their order, the
+        degrees of a repeated face added up; ``_setup`` sets the others'."""
+        by_dim, faces = self._by_dim, {}
+        for d, pos, rows in self._rows:
+            below = by_dim[d - 1]
+            acc = faces.setdefault(by_dim[d][pos], {})
+            for i in rows:
+                acc[below[i]] = acc.get(below[i], 0) + 1
+        return faces
 
     @cached_property
     def _compiled(self) -> tuple[dict[int, tuple[int, ...]], list[tuple], list[CellId]]:
@@ -116,36 +139,43 @@ class CellComplex:
         d(d(cell)) is odd somewhere, in basis order, dimension by
         dimension. ``validate`` reports the last two.
 
-        Dimensions are compiled in ascending order. Each face is looked
-        up once, among the sorted ids one dimension below its cell: its
-        row there is its bit, and a miss makes the entry malformed. The
-        XOR of the columns of a cell's odd faces is its composite mod 2."""
-        cells, faces = self._cells, self._faces
-        columns: dict[int, tuple[int, ...]] = {}
-        malformed = []
-        odd = []
-        no_faces: dict[CellId, int] = {}
-        for d in sorted(self._by_dim):
-            below = self._by_dim.get(d - 1, ())
-            row = dict(zip(below, range(len(below))))
-            lower = columns.get(d - 1, ())
-            cols = []
-            for cid in self._by_dim[d]:
-                col = composite = 0
-                for fid, deg in faces.get(cid, no_faces).items():
-                    i = row.get(fid)
-                    if i is None:
-                        malformed.append((cid, fid, d, cells.get(fid)))
-                    elif deg % 2:
-                        col |= 1 << i
-                        composite ^= lower[i]
-                if composite:
-                    odd.append(cid)
-                cols.append(col)
-            columns[d] = tuple(cols)
-        for cid in faces.keys() - cells.keys():
-            malformed.extend((cid, fid, None, cells.get(fid)) for fid in faces[cid])
-        return columns, malformed, odd
+        The core compiles face rows: a parsed complex's own, which have no
+        malformed entry, or each cell's odd faces found among the ids one
+        dimension down, a miss being malformed. A row's bit is XORed into
+        its cell's column, so repeats cancel mod 2; then the XOR of the
+        lower columns at a cell's rows is its composite mod 2."""
+        cells, by_dim, rows, malformed = self._cells, self._by_dim, self._rows, []
+        if rows is None:
+            faces, rows, no_faces = self._faces, [], {}
+            for d, ids in by_dim.items():
+                row = _row_index(by_dim.get(d - 1, ()))
+                for pos, cid in enumerate(ids):
+                    odd_rows = []
+                    for fid, deg in faces.get(cid, no_faces).items():
+                        i = row.get(fid)
+                        if i is None:
+                            malformed.append((cid, fid, d, cells.get(fid)))
+                        elif deg % 2:
+                            odd_rows.append(i)
+                    if odd_rows:
+                        rows.append((d, pos, odd_rows))
+            for cid in faces.keys() - cells.keys():
+                malformed.extend((cid, fid, None, cells.get(fid)) for fid in faces[cid])
+        columns = {d: [0] * len(ids) for d, ids in by_dim.items()}
+        for d, pos, face_rows in rows:
+            col = 0
+            for i in face_rows:
+                col ^= 1 << i
+            columns[d][pos] ^= col
+        composites = {d: [0] * len(ids) for d, ids in by_dim.items() if d > 1}
+        for d, pos, face_rows in rows:
+            if d > 1:
+                lower, composite = columns[d - 1], 0
+                for i in face_rows:
+                    composite ^= lower[i]
+                composites[d][pos] ^= composite
+        odd = [cid for d in sorted(composites) for cid in compress(by_dim[d], composites[d])]
+        return {d: tuple(cols) for d, cols in columns.items()}, malformed, odd
 
     @cached_property
     def _incidence(self) -> dict[tuple[CellId, CellId], int]:
@@ -350,6 +380,21 @@ class CellComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(ids) for d, ids in self._by_dim.items())
+
+
+def _basis(cells: Mapping[CellId, int]) -> dict[int, tuple[CellId, ...]]:
+    """Each dimension's cell ids, sorted: the basis order of the chains,
+    whose positions are the rows and columns of the boundary maps."""
+    by_dim: dict[int, list[CellId]] = {}
+    for cid, dim in cells.items():
+        by_dim.setdefault(dim, []).append(cid)
+    return {d: tuple(sorted(ids)) for d, ids in by_dim.items()}
+
+
+def _row_index(ids: tuple[CellId, ...], suffix: str = "") -> dict[CellId, int]:
+    """Each id's row, its position in ``ids`` (one dimension's basis
+    order), keyed by the id with ``suffix`` appended."""
+    return dict(zip([cid + suffix for cid in ids] if suffix else ids, range(len(ids))))
 
 
 class Skeleton(Record):

@@ -34,7 +34,7 @@ from itertools import chain, repeat
 
 from ._record import Record
 from .bundle import Chart, _ChartLines
-from .cellcomplex import CellComplex, CellId
+from .cellcomplex import CellComplex, CellId, _basis, _row_index
 from .descriptive import Descriptor, ProbeAssignment
 from .errors import DescellError
 from .persistence import PersistenceSignature, Scenario, ScenarioStep
@@ -148,8 +148,11 @@ and the usual degrees. ``int`` reads any other spelling."""
 def parse_complex(text: str, filename: str = "<complex>",
                   ) -> tuple[CellComplex | None, list[ParseDiagnostic]]:
     """Parse the cell/bnd format; two passes, so declaration order is free.
-    The degrees a face gets on its cell's bnd lines add up, and
-    ``CellComplex._of`` drops the totals that cancel."""
+    A file with no first-pass error whose every bnd entry is ``<face>:1``
+    with a face one dimension down is kept as face rows (``_bnd_rows``).
+    Any other is walked again from its bnd lines: the walk words each
+    diagnostic, the degrees a face gets on its cell's bnd lines add up,
+    and ``CellComplex._of`` drops the totals that cancel."""
     diags, err = _diagnostics(filename)
     cells: dict[CellId, int] = {}
     bnd_lines: list[tuple[int, list[str]]] = []
@@ -194,6 +197,12 @@ def parse_complex(text: str, filename: str = "<complex>",
         else:
             err(lineno, f"unknown directive {words[0]!r}")
 
+    if not diags:
+        by_dim = _basis(cells)
+        rows = _bnd_rows(cells, by_dim, bnd_lines)
+        if rows is not None:
+            return CellComplex._of_rows(cells, by_dim, rows), diags
+
     # Each cell's faces, with the degrees of its bnd lines added up.
     faces: dict[CellId, dict[CellId, int]] = {}
     for lineno, words in bnd_lines:
@@ -233,6 +242,27 @@ def parse_complex(text: str, filename: str = "<complex>",
     if has_errors(diags):
         return None, diags
     return CellComplex._of(cells, faces), diags
+
+
+def _bnd_rows(cells: dict[CellId, int], by_dim: dict[int, tuple[CellId, ...]],
+              bnd_lines: list[tuple[int, list[str]]]) -> list[tuple[int, int, list[int]]] | None:
+    """The face rows ``CellComplex._of_rows`` takes, one per bnd line in
+    file order, if every entry is ``<face>:1`` with a face one dimension
+    below its declared cell; else None. The row indices are keyed by
+    ``<id>:1``, so one lookup of an entry both checks it and gives its row."""
+    index = {d: _row_index(ids, ":1") for d, ids in by_dim.items()}
+    rows = []
+    for _, words in bnd_lines:
+        # An undeclared cell reads as a 0-cell: no row index lies below it.
+        dim = cells.get(words[1], 0)
+        below = index.get(dim - 1)
+        if below is None:
+            return None
+        faces = [below.get(entry) for entry in words[2:]]
+        if None in faces:
+            return None
+        rows.append((dim, index[dim][words[1] + ":1"], faces))
+    return rows
 
 
 def emit_complex(complex: CellComplex) -> str:

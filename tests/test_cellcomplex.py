@@ -13,10 +13,12 @@ from descell import (
     CellComplex,
     Chain,
     boundary_of,
+    build_scenario,
     cycle_basis,
     from_simplices,
     homology,
     is_boundary,
+    signature,
 )
 from descell.errors import (
     DimensionMismatchError,
@@ -334,8 +336,10 @@ def test_homology_builds_no_face_maps():
 
 
 def test_homology_layer_reads_only_the_compiled_columns(monkeypatch):
-    # The chain operations and the reduction read boundary_columns, never
-    # a cell's faces.
+    # The chain operations, the reduction and a signature at the top
+    # dimension read boundary_columns, never a cell's faces. A file whose
+    # every degree is 1 is compiled from its face rows, so none of its
+    # per-cell face dicts is ever built.
     k, diags = parse_complex(emit_complex(support.grid_surface(5)))
     assert not diags
 
@@ -351,6 +355,10 @@ def test_homology_layer_reads_only_the_compiled_columns(monkeypatch):
     assert not is_boundary(k, Chain(1, {"v0x0-v0x1"}))
     assert len(cycle_basis(k, 1)) == 75 - 25 + 1
     assert homology(k).betti_vector() == (1, 2, 1)
+    rng = random.Random(5)
+    tables = [[(cid, (rng.choice((0.0, 0.5, 1.0)),)) for cid in k.cells] for _ in range(2)]
+    assert len(signature(build_scenario(k, enumerate(tables)), delta=0.25).table) == 2 * 3 * 3
+    assert "_faces" not in vars(k)
 
 
 def test_boundary_matrix_ordering_is_sorted(disk3):

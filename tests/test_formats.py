@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -169,6 +171,21 @@ def test_parse_declaration_order_is_free():
     k, diags = parse_complex(text)
     assert not diags
     assert k == support.interval()
+
+
+@pytest.mark.parametrize("read", [False, True])
+def test_parsed_complex_survives_copy_and_pickle(read):
+    """Before and after its face dicts are first built, a complex parsed
+    into face rows copies and pickles to an equal complex that reads alike."""
+    text = "bnd ab b:1\ncell a 0\ncell b 0\ncell ab 1\nbnd ab a:1 a:1 a:1\n"
+    k, _ = parse_complex(text)
+    if read:
+        assert dict(k.faces("ab")) == {"b": 1, "a": 3}
+    assert ("_faces" in vars(k)) == read
+    for again in (copy.deepcopy(k), pickle.loads(pickle.dumps(k))):
+        assert again == k and again.boundary_columns(1) == k.boundary_columns(1) == (0b11,)
+        assert list(again.incidence.items()) == [(("ab", "b"), 1), (("ab", "a"), 3)]
+        assert again._rows == k._rows
 
 
 def test_emit_torus_canonical(torus):

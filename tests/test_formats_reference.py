@@ -101,28 +101,69 @@ DECLARED = [["cell", "v", "0"], ["cell", "w", "0"], ["cell", "e", "1"], ["cell",
             ["cell", "t", "2"]]
 FACES = {"e": ["v", "w"], "f": ["v", "w"], "t": ["e", "f"]}
 degree = st.sampled_from(["1", "-1", "2", "3", "+1", "1_0", "\u0663"])
-good_bnd = st.sampled_from(sorted(FACES)).flatmap(lambda cid: st.lists(
-    st.builds("{}:{}".format, st.sampled_from(FACES[cid]), degree), min_size=1,
-    max_size=4).map(lambda entries: ["bnd", cid] + entries))
+
+
+def good_bnd(degree):
+    return st.sampled_from(sorted(FACES)).flatmap(lambda cid: st.lists(
+        st.builds("{}:{}".format, st.sampled_from(FACES[cid]), degree), min_size=1,
+        max_size=4).map(lambda entries: ["bnd", cid] + entries))
 
 
 @st.composite
-def complex_texts(draw):
-    lines = DECLARED + draw(st.lists(good_bnd, max_size=5))
+def complex_texts(draw, degree=degree, extra=cell_words | bnd_words | other_words):
+    lines = DECLARED + draw(st.lists(good_bnd(degree), max_size=5))
     lines = [draw(line_of(st.just(words), commented_out=False)) for words in lines]
-    lines += draw(st.lists(line_of(cell_words | bnd_words | other_words), max_size=2))
+    lines += draw(st.lists(line_of(extra), max_size=2))
     return "".join(line + draw(st.sampled_from(BREAKS)) for line in draw(st.permutations(lines)))
 
 
+# Texts whose every degree is spelled 1 are parsed into face rows (faces
+# that repeat and cells on several lines among them); the rest are walked
+# into face dicts.
 complex_text = (complex_texts()
+                | complex_texts(st.just("1"), cell_words | bnd_words)
                 | text_of(line_of(cell_words | bnd_words | other_words))
                 | st.text())
+
+
+def assert_same_complex(got, want):
+    """Equal complexes that read alike: boundary columns, validation with
+    warnings, cofaces, the order of the incidence table, and the text
+    ``emit_complex`` writes or the error it raises."""
+    assert got == want
+    for p in range(max(got.max_dim, want.max_dim) + 2):
+        assert got.boundary_columns(p) == want.boundary_columns(p)
+    assert got.validate(include_warnings=True) == want.validate(include_warnings=True)
+    assert list(got.incidence.items()) == list(want.incidence.items())
+    for cid in {*got.cells, *(f for _, f in got.incidence)}:
+        assert got.cofaces(cid) == want.cofaces(cid)
+    emitted = []
+    for k in (got, want):
+        try:
+            emitted.append(emit_complex(k))
+        except ValueError as exc:
+            emitted.append(str(exc))
+    assert emitted[0] == emitted[1]
+
+
+def assert_parses_like_reference(text, filename="<complex>"):
+    """``parse_complex`` returns what the reference parser returns, and
+    its complex reads like the reference's and like the one the
+    constructor builds from the same tables. Returns the complex."""
+    got = parse_complex(text, filename)
+    want = formats_reference.parse_complex(text, filename)
+    assert got == want
+    k = got[0]
+    if k is not None:
+        assert_same_complex(k, want[0])
+        assert_same_complex(parse_complex(text)[0], CellComplex(k.cells, k.incidence))
+    return k
 
 
 @settings(max_examples=200, deadline=None)
 @given(complex_text)
 def test_parse_complex_matches_reference(text):
-    assert parse_complex(text, "k.cw") == formats_reference.parse_complex(text, "k.cw")
+    assert_parses_like_reference(text, "k.cw")
 
 
 def test_parse_complex_matches_reference_on_surfaces():
@@ -136,10 +177,31 @@ def test_parse_complex_matches_reference_on_surfaces():
         lines.append(lines[0])
         lines.append("bnd " + k.cells_of_dim(2)[0] + " " + k.cells_of_dim(0)[0] + ":1 nope:1")
         text = "\r\n".join(lines)
-        assert parse_complex(text) == formats_reference.parse_complex(text)
+        assert assert_parses_like_reference(text) is None
         text = "\n".join(lines[:-2])
-        got = parse_complex(text)
-        assert got == formats_reference.parse_complex(text) and got == (k, [])
+        got = assert_parses_like_reference(text)
+        assert got == k and got._rows is not None
+        # One bnd line changed at a time, with CRLF endings and the comment:
+        # a degree spelled otherwise than 1 sends the file to the walk that
+        # builds face dicts; a face repeated on its line or on a second
+        # line, a cell on two lines and a bnd line ahead of its cell's are
+        # read into face rows.
+        bnd = next(i for i, line in enumerate(lines) if line.startswith("bnd") and "#" not in line)
+        words = lines[bnd].split()
+        cell = next(i for i, line in enumerate(lines[:-2]) if line.split()[:2] == ["cell", words[1]])
+        variants = [(f"{lines[bnd][:-1]}{deg}", False) for deg in ("+1", "01", "2", "-1")]
+        variants += [(f"{lines[bnd]} {words[2]}", True),
+                     (f"{' '.join(words[:3])}\r\nbnd {words[1]} {' '.join(words[3:])}", True),
+                     (f"{lines[bnd]}\r\nbnd {words[1]} {words[2]}", True)]
+        for line, rows in variants:
+            changed = lines[:-2]
+            changed[bnd] = line
+            got = assert_parses_like_reference("\r\n".join(changed))
+            assert (got._rows is not None) == rows
+        ahead = [lines[bnd], *(line for i, line in enumerate(lines[:-2]) if i not in (bnd, cell)),
+                 lines[cell]]
+        got = assert_parses_like_reference("\r\n".join(ahead))
+        assert got == k and got._rows is not None
 
 
 # -- descriptors --------------------------------------------------------------
