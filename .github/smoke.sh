@@ -73,8 +73,8 @@ data="$(cd "$(dirname "${BASH_SOURCE[0]}")/../tests/data" && pwd)"
 { "$@" validate "$data/broken_dd.cw" || echo "exit $?"; } \
   | cmp - <(printf '%s\n' "composite-odd [f v0] composite boundary coefficient 1 is odd" \
       "composite-odd [f v1] composite boundary coefficient 1 is odd" "exit 1")
-# An undeclared face and a face of the wrong dimension: the file is walked
-# line by line to word both, a parse error.
+# An undeclared face and a face of the wrong dimension: the row index misses
+# both, and each line is read again word by word to word its parse error.
 faces="$(mktemp -d)"
 trap 'rm -rf "$faces"' EXIT
 printf '%s\n' "cell v 0" "cell e 1" "cell t 2" "bnd e v:1 ghost:1" "bnd t v:1" > "$faces/bad.cw"

@@ -13,9 +13,10 @@ and each id's row in it are set here only, by ``_basis`` and
 ``_row_index``. Every builder (the constructor, ``add_cell``,
 ``skeleton``, ``derive_subcomplex`` and ``from_simplices``) hands its
 cells and per-cell faces to one private setup, which drops the net-zero
-degrees. ``formats.parse_complex`` may hand over instead each bnd line's
-face rows, whose per-cell faces are built only when read. One core
-compiles face rows into the mod-2 boundary columns, on first use.
+degrees. ``formats.parse_complex`` hands over instead each bnd line's
+face rows, from which the per-cell faces are built only when read and
+the mod-2 boundary columns are compiled with no id looked up. The
+columns of any complex are compiled on first use.
 """
 
 from __future__ import annotations
@@ -89,46 +90,43 @@ class CellComplex:
 
     @classmethod
     def _of_rows(cls, cells: dict[CellId, int], by_dim: dict[int, tuple[CellId, ...]],
-                 rows: list[tuple[int, int, list[int]]]) -> "CellComplex":
-        """A complex on ``cells``, ``_basis(cells)`` and, per bnd line, the
-        cell's dimension d, its position among the d-cells and its faces'
-        rows among the (d-1)-cells, each of degree 1, handed over uncopied."""
+                 rows: list[tuple[int, int, list[int], dict[CellId, int] | None]],
+                 ) -> "CellComplex":
+        """A complex on ``cells``, ``_basis(cells)`` and face rows, handed
+        over uncopied. Each row holds a cell's dimension d, its position
+        among the d-cells, the rows among the (d-1)-cells of its faces of
+        odd degree, and either None, when each of its faces has degree 1,
+        or its faces' degrees by id."""
         k = cls.__new__(cls)
         k._cells, k._by_dim, k._rows = cells, by_dim, rows
         return k
 
     def _setup(self, cells: dict[CellId, int], faces: dict[CellId, dict[CellId, int]]) -> None:
-        """The setup of every builder but ``_of_rows``. It sorts each
-        dimension's ids (the basis order) and drops zero degrees and then
-        face dicts left empty: net-zero degrees are indistinguishable from
-        absence mod 2. Each cell is scanned for them only when one C-level
-        pass over the degrees finds an empty face dict or a zero."""
-        if not (all(faces.values()) and all(map(all, map(dict.values, faces.values())))):
-            for cid in [c for c, entries in faces.items() if not entries or 0 in entries.values()]:
-                entries = {fid: deg for fid, deg in faces[cid].items() if deg}
-                if entries:
-                    faces[cid] = entries
-                else:
-                    del faces[cid]
+        """The setup of every builder but ``_of_rows``: it sorts each
+        dimension's ids (the basis order) and drops the net-zero degrees."""
         self._cells: dict[CellId, int] = cells
         self._by_dim: dict[int, tuple[CellId, ...]] = _basis(cells)
-        self._faces: dict[CellId, dict[CellId, int]] = faces
+        self._faces: dict[CellId, dict[CellId, int]] = _drop_zeros(faces)
 
     # The face rows of a complex built by ``_of_rows``, kept once its face
     # dicts are built, so a concurrent first read still finds them.
-    _rows: list[tuple[int, int, list[int]]] | None = None
+    _rows: list[tuple[int, int, list[int], dict[CellId, int] | None]] | None = None
 
     @cached_property
     def _faces(self) -> dict[CellId, dict[CellId, int]]:
         """A complex's face dicts from its rows, in their order, the
         degrees of a repeated face added up; ``_setup`` sets the others'."""
         by_dim, faces = self._by_dim, {}
-        for d, pos, rows in self._rows:
-            below = by_dim[d - 1]
+        for d, pos, odd_rows, line_faces in self._rows:
             acc = faces.setdefault(by_dim[d][pos], {})
-            for i in rows:
-                acc[below[i]] = acc.get(below[i], 0) + 1
-        return faces
+            if line_faces is None:
+                below = by_dim[d - 1]
+                for i in odd_rows:
+                    acc[below[i]] = acc.get(below[i], 0) + 1
+            else:
+                for fid, deg in line_faces.items():
+                    acc[fid] = acc.get(fid, 0) + deg
+        return _drop_zeros(faces)
 
     @cached_property
     def _compiled(self) -> tuple[dict[int, tuple[int, ...]], list[tuple], list[CellId]]:
@@ -139,43 +137,62 @@ class CellComplex:
         d(d(cell)) is odd somewhere, in basis order, dimension by
         dimension. ``validate`` reports the last two.
 
-        The core compiles face rows: a parsed complex's own, which have no
-        malformed entry, or each cell's odd faces found among the ids one
-        dimension down, a miss being malformed. A row's bit is XORed into
-        its cell's column, so repeats cancel mod 2; then the XOR of the
-        lower columns at a cell's rows is its composite mod 2."""
-        cells, by_dim, rows, malformed = self._cells, self._by_dim, self._rows, []
-        if rows is None:
-            faces, rows, no_faces = self._faces, [], {}
-            for d, ids in by_dim.items():
-                row = _row_index(by_dim.get(d - 1, ()))
-                for pos, cid in enumerate(ids):
-                    odd_rows = []
-                    for fid, deg in faces.get(cid, no_faces).items():
-                        i = row.get(fid)
-                        if i is None:
-                            malformed.append((cid, fid, d, cells.get(fid)))
-                        elif deg % 2:
-                            odd_rows.append(i)
-                    if odd_rows:
-                        rows.append((d, pos, odd_rows))
-            for cid in faces.keys() - cells.keys():
-                malformed.extend((cid, fid, None, cells.get(fid)) for fid in faces[cid])
+        A column has the bit of each row of an odd face, and a cell's
+        composite mod 2 is the XOR of the lower columns at those rows.
+        A parsed complex's rows are compiled in two passes, so that the
+        lower columns are whole before any composite is read; a cell
+        may have several rows, and a repeated face's bits cancel. Other
+        complexes are compiled dimension by dimension in ascending order
+        from their face dicts, each face looked up once among the ids one
+        dimension down, a miss being malformed: making rows for them
+        first costs more than their whole compile."""
+        if self._rows is not None:
+            return self._compiled_rows()
+        cells, faces = self._cells, self._faces
+        columns: dict[int, tuple[int, ...]] = {}
+        malformed = []
+        odd = []
+        no_faces: dict[CellId, int] = {}
+        for d in sorted(self._by_dim):
+            row = _row_index(self._by_dim.get(d - 1, ()))
+            lower = columns.get(d - 1, ())
+            cols = []
+            for cid in self._by_dim[d]:
+                col = composite = 0
+                for fid, deg in faces.get(cid, no_faces).items():
+                    i = row.get(fid)
+                    if i is None:
+                        malformed.append((cid, fid, d, cells.get(fid)))
+                    elif deg % 2:
+                        col |= 1 << i
+                        composite ^= lower[i]
+                if composite:
+                    odd.append(cid)
+                cols.append(col)
+            columns[d] = tuple(cols)
+        for cid in faces.keys() - cells.keys():
+            malformed.extend((cid, fid, None, cells.get(fid)) for fid in faces[cid])
+        return columns, malformed, odd
+
+    def _compiled_rows(self) -> tuple[dict[int, tuple[int, ...]], list[tuple], list[CellId]]:
+        """``_compiled`` of a complex built by ``_of_rows``, which has no
+        malformed entry."""
+        by_dim, rows = self._by_dim, self._rows
         columns = {d: [0] * len(ids) for d, ids in by_dim.items()}
-        for d, pos, face_rows in rows:
+        for d, pos, odd_rows, _ in rows:
             col = 0
-            for i in face_rows:
+            for i in odd_rows:
                 col ^= 1 << i
             columns[d][pos] ^= col
         composites = {d: [0] * len(ids) for d, ids in by_dim.items() if d > 1}
-        for d, pos, face_rows in rows:
+        for d, pos, odd_rows, _ in rows:
             if d > 1:
                 lower, composite = columns[d - 1], 0
-                for i in face_rows:
+                for i in odd_rows:
                     composite ^= lower[i]
                 composites[d][pos] ^= composite
         odd = [cid for d in sorted(composites) for cid in compress(by_dim[d], composites[d])]
-        return {d: tuple(cols) for d, cols in columns.items()}, malformed, odd
+        return {d: tuple(cols) for d, cols in columns.items()}, [], odd
 
     @cached_property
     def _incidence(self) -> dict[tuple[CellId, CellId], int]:
@@ -389,6 +406,22 @@ def _basis(cells: Mapping[CellId, int]) -> dict[int, tuple[CellId, ...]]:
     for cid, dim in cells.items():
         by_dim.setdefault(dim, []).append(cid)
     return {d: tuple(sorted(ids)) for d, ids in by_dim.items()}
+
+
+def _drop_zeros(faces: dict[CellId, dict[CellId, int]]) -> dict[CellId, dict[CellId, int]]:
+    """``faces`` without its zero degrees and then without the face dicts
+    left empty: net-zero degrees are indistinguishable from absence mod 2.
+    A face dict is replaced, never changed, so it may be shared with
+    another complex; each is scanned only when one C-level pass over the
+    degrees finds an empty face dict or a zero."""
+    if not (all(faces.values()) and all(map(all, map(dict.values, faces.values())))):
+        for cid in [c for c, entries in faces.items() if not entries or 0 in entries.values()]:
+            entries = {fid: deg for fid, deg in faces[cid].items() if deg}
+            if entries:
+                faces[cid] = entries
+            else:
+                del faces[cid]
+    return faces
 
 
 def _row_index(ids: tuple[CellId, ...], suffix: str = "") -> dict[CellId, int]:

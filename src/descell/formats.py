@@ -145,14 +145,19 @@ _SMALL_INTS = {str(n): n for n in range(MAX_CELL_DIM + 1)}
 and the usual degrees. ``int`` reads any other spelling."""
 
 
+_DEGREES = {**_SMALL_INTS, "-1": -1, "-2": -2}
+"""``_SMALL_INTS`` and -1, -2: the usual degrees of an oriented complex,
+by their canonical spellings. ``int`` reads any other spelling."""
+
+
 def parse_complex(text: str, filename: str = "<complex>",
                   ) -> tuple[CellComplex | None, list[ParseDiagnostic]]:
     """Parse the cell/bnd format; two passes, so declaration order is free.
-    A file with no first-pass error whose every bnd entry is ``<face>:1``
-    with a face one dimension down is kept as face rows (``_bnd_rows``).
-    Any other is walked again from its bnd lines: the walk words each
-    diagnostic, the degrees a face gets on its cell's bnd lines add up,
-    and ``CellComplex._of`` drops the totals that cancel."""
+    The second keeps each bnd line as face rows (``CellComplex._of_rows``):
+    the cell's dimension and position and its odd faces' rows one
+    dimension down, and, if an entry is not ``<face>:1``, its faces'
+    degrees. The complex adds up a face's degrees and drops the totals
+    that cancel."""
     diags, err = _diagnostics(filename)
     cells: dict[CellId, int] = {}
     bnd_lines: list[tuple[int, list[str]]] = []
@@ -197,14 +202,14 @@ def parse_complex(text: str, filename: str = "<complex>",
         else:
             err(lineno, f"unknown directive {words[0]!r}")
 
-    if not diags:
-        by_dim = _basis(cells)
-        rows = _bnd_rows(cells, by_dim, bnd_lines)
-        if rows is not None:
-            return CellComplex._of_rows(cells, by_dim, rows), diags
-
-    # Each cell's faces, with the degrees of its bnd lines added up.
-    faces: dict[CellId, dict[CellId, int]] = {}
+    # Each bnd line as its cell's dimension and position, and its odd
+    # faces' rows among the ids one dimension down. The row index is
+    # keyed by ``<id>:1``, so one lookup of a ``<face>:1`` entry both
+    # checks its face and gives its row.
+    by_dim = _basis(cells)
+    index = {d: _row_index(ids, ":1") for d, ids in by_dim.items()}
+    rows: list[tuple[int, int, list[int], dict[CellId, int] | None]] = []
+    no_rows: dict[str, int] = {}
     for lineno, words in bnd_lines:
         cid = words[1]
         dim = cells.get(cid)
@@ -212,57 +217,50 @@ def parse_complex(text: str, filename: str = "<complex>",
             err(lineno, f"bnd references undeclared cell {cid!r}", "reference")
             continue
         below = dim - 1
-        acc = faces.get(cid)
-        if acc is None:
-            acc = faces[cid] = {}
+        row = index.get(below, no_rows)
+        pos = index[dim][cid + ":1"]
+        odd_rows: list[int] = []
+        for entry in words[2:]:
+            i = row.get(entry)
+            if i is None:
+                break
+            odd_rows.append(i)
+        else:
+            rows.append((dim, pos, odd_rows, None))
+            continue
+        # A line with any other entry is read again word by word, and it
+        # keeps its faces' degrees, added up, for the complex's face dicts.
+        odd_rows, faces = [], {}
         for entry in words[2:]:
             fid, sep, deg_s = entry.rpartition(":")
-            deg = _SMALL_INTS.get(deg_s)
             # An empty fid also stands for a missing ':'.
-            if deg is None or not fid or cells.get(fid) != below:
-                if not sep or not fid:
-                    err(lineno, f"expected '<face>:<degree>', got {entry!r}")
+            if not sep or not fid:
+                err(lineno, f"expected '<face>:<degree>', got {entry!r}")
+                continue
+            deg = _DEGREES.get(deg_s)
+            if deg is None:
+                try:
+                    deg = int(deg_s)
+                except ValueError:
+                    err(lineno, f"degree {deg_s!r} is not an integer")
                     continue
-                if deg is None:
-                    try:
-                        deg = int(deg_s)
-                    except ValueError:
-                        err(lineno, f"degree {deg_s!r} is not an integer")
-                        continue
+            i = row.get(fid + ":1")
+            if i is None:
                 fdim = cells.get(fid)
-                if fdim != below:
-                    if fdim is None:
-                        err(lineno, f"bnd references undeclared face {fid!r}", "reference")
-                    else:
-                        err(lineno, f"face {fid!r} has dimension {fdim}, expected {below}",
-                            "reference")
-                    continue
-            acc[fid] = acc.get(fid, 0) + deg
+                if fdim is None:
+                    err(lineno, f"bnd references undeclared face {fid!r}", "reference")
+                else:
+                    err(lineno, f"face {fid!r} has dimension {fdim}, expected {below}",
+                        "reference")
+                continue
+            faces[fid] = faces.get(fid, 0) + deg
+            if deg % 2:
+                odd_rows.append(i)
+        rows.append((dim, pos, odd_rows, faces))
 
     if has_errors(diags):
         return None, diags
-    return CellComplex._of(cells, faces), diags
-
-
-def _bnd_rows(cells: dict[CellId, int], by_dim: dict[int, tuple[CellId, ...]],
-              bnd_lines: list[tuple[int, list[str]]]) -> list[tuple[int, int, list[int]]] | None:
-    """The face rows ``CellComplex._of_rows`` takes, one per bnd line in
-    file order, if every entry is ``<face>:1`` with a face one dimension
-    below its declared cell; else None. The row indices are keyed by
-    ``<id>:1``, so one lookup of an entry both checks it and gives its row."""
-    index = {d: _row_index(ids, ":1") for d, ids in by_dim.items()}
-    rows = []
-    for _, words in bnd_lines:
-        # An undeclared cell reads as a 0-cell: no row index lies below it.
-        dim = cells.get(words[1], 0)
-        below = index.get(dim - 1)
-        if below is None:
-            return None
-        faces = [below.get(entry) for entry in words[2:]]
-        if None in faces:
-            return None
-        rows.append((dim, index[dim][words[1] + ":1"], faces))
-    return rows
+    return CellComplex._of_rows(cells, by_dim, rows), diags
 
 
 def emit_complex(complex: CellComplex) -> str:

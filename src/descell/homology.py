@@ -438,7 +438,10 @@ MAX_ORACLE_CELLS = 20
 def _dense_boundary(complex: CellComplex, p: int) -> list[int]:
     # Built here from the raw incidence table so the oracle does not share
     # the engine's matrix path: one int per p-cell, bit i set when the
-    # i-th sorted (p-1)-cell is an odd face.
+    # i-th sorted (p-1)-cell is an odd face. A parsed complex builds its
+    # faces from the same face rows as its columns, so for it the oracle
+    # checks the compile and the reduction, not the parser's rows; the
+    # reference parser's tests check those.
     pos = {cid: i for i, cid in enumerate(complex.cells_of_dim(p - 1))}
     return [sum(1 << pos[fid] for fid, deg in complex.faces(cid).items() if deg % 2 and fid in pos)
             for cid in complex.cells_of_dim(p)]

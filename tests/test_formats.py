@@ -176,9 +176,11 @@ def test_parse_declaration_order_is_free():
 @pytest.mark.parametrize("read", [False, True])
 def test_parsed_complex_survives_copy_and_pickle(read):
     """Before and after its face dicts are first built, a complex parsed
-    into face rows copies and pickles to an equal complex that reads alike."""
-    text = "bnd ab b:1\ncell a 0\ncell b 0\ncell ab 1\nbnd ab a:1 a:1 a:1\n"
+    into face rows copies and pickles to an equal complex that reads alike.
+    Its second bnd line has degrees not spelled 1, so it keeps them."""
+    text = "bnd ab b:1\ncell a 0\ncell b 0\ncell ab 1\nbnd ab a:1 a:-1 a:3\n"
     k, _ = parse_complex(text)
+    assert k._rows == [(1, 0, [1], None), (1, 0, [0, 0, 0], {"a": 3})]
     if read:
         assert dict(k.faces("ab")) == {"b": 1, "a": 3}
     assert ("_faces" in vars(k)) == read

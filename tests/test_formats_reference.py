@@ -117,9 +117,9 @@ def complex_texts(draw, degree=degree, extra=cell_words | bnd_words | other_word
     return "".join(line + draw(st.sampled_from(BREAKS)) for line in draw(st.permutations(lines)))
 
 
-# Texts whose every degree is spelled 1 are parsed into face rows (faces
-# that repeat and cells on several lines among them); the rest are walked
-# into face dicts.
+# In texts whose every degree is spelled 1 each bnd line is read through
+# the row index alone (faces that repeat and cells on several lines among
+# them); in the rest, a line with another degree keeps its faces' degrees.
 complex_text = (complex_texts()
                 | complex_texts(st.just("1"), cell_words | bnd_words)
                 | text_of(line_of(cell_words | bnd_words | other_words))
@@ -180,28 +180,30 @@ def test_parse_complex_matches_reference_on_surfaces():
         assert assert_parses_like_reference(text) is None
         text = "\n".join(lines[:-2])
         got = assert_parses_like_reference(text)
-        assert got == k and got._rows is not None
+        assert got == k and all(faces is None for *_, faces in got._rows)
         # One bnd line changed at a time, with CRLF endings and the comment:
-        # a degree spelled otherwise than 1 sends the file to the walk that
-        # builds face dicts; a face repeated on its line or on a second
-        # line, a cell on two lines and a bnd line ahead of its cell's are
-        # read into face rows.
+        # a degree spelled otherwise than 1 makes that one line keep its
+        # faces' degrees; a face repeated on its line or on a second line,
+        # a cell on two lines and a bnd line ahead of its cell's are read
+        # through the row index alone.
         bnd = next(i for i, line in enumerate(lines) if line.startswith("bnd") and "#" not in line)
         words = lines[bnd].split()
         cell = next(i for i, line in enumerate(lines[:-2]) if line.split()[:2] == ["cell", words[1]])
-        variants = [(f"{lines[bnd][:-1]}{deg}", False) for deg in ("+1", "01", "2", "-1")]
-        variants += [(f"{lines[bnd]} {words[2]}", True),
-                     (f"{' '.join(words[:3])}\r\nbnd {words[1]} {' '.join(words[3:])}", True),
-                     (f"{lines[bnd]}\r\nbnd {words[1]} {words[2]}", True)]
-        for line, rows in variants:
+        variants = [(f"{lines[bnd][:-1]}{deg}", int(deg)) for deg in ("+1", "01", "2", "-1")]
+        variants += [(f"{lines[bnd]} {words[2]}", None),
+                     (f"{' '.join(words[:3])}\r\nbnd {words[1]} {' '.join(words[3:])}", None),
+                     (f"{lines[bnd]}\r\nbnd {words[1]} {words[2]}", None)]
+        for line, deg in variants:
             changed = lines[:-2]
             changed[bnd] = line
             got = assert_parses_like_reference("\r\n".join(changed))
-            assert (got._rows is not None) == rows
+            kept = [faces for *_, faces in got._rows if faces is not None]
+            assert kept == ([] if deg is None else
+                            [{**{e[:-2]: 1 for e in words[2:-1]}, words[-1][:-2]: deg}])
         ahead = [lines[bnd], *(line for i, line in enumerate(lines[:-2]) if i not in (bnd, cell)),
                  lines[cell]]
         got = assert_parses_like_reference("\r\n".join(ahead))
-        assert got == k and got._rows is not None
+        assert got == k and all(faces is None for *_, faces in got._rows)
 
 
 # -- descriptors --------------------------------------------------------------
