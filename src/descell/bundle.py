@@ -45,24 +45,14 @@ class Chart(Record):
         cells, section = frozenset(cells), dict(section)
         if section.keys() != cells:
             raise ForeignCellError(f"chart {id!r} section must cover exactly its cells")
-        # No Python-level loop: make_chart and with_overrides build whole
-        # covers through here, and so does parse_charts on a hand-built probe.
+        # No Python-level loop: make_chart, with_overrides and parse_charts
+        # build whole covers through here.
         wrong = set(map(len, section.values())) - {arity}
         if wrong:
             raise ArityMismatchError(
                 f"chart {id!r} has arity {arity}, "
                 f"but a section value has arity {min(wrong)}")
         super().__init__(id, cells, section, arity)
-
-    @classmethod
-    def _of(cls, id: str, cells: frozenset[CellId], section: dict[CellId, Descriptor],
-            arity: int) -> "Chart":
-        """A chart on fields its caller built and checked, handed over
-        uncopied: ``section``'s keys are ``cells`` and each of its values
-        has ``arity`` components."""
-        chart = cls.__new__(cls)
-        Record.__init__(chart, id, cells, section, arity)
-        return chart
 
 
 class _ChartLines(Record):

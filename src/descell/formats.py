@@ -406,54 +406,20 @@ _ODD_SPACES = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f"
 ``str.splitlines`` breaks on."""
 
 
-def _checked(probe: ProbeAssignment) -> bool:
-    """Whether the probe's table holds every cell of its complex, each
-    value of the probe's arity, as ``assign_probe`` checks."""
-    table = probe._table
-    return (probe.complex.cells.keys() <= table.keys()
-            and set(map(len, table.values())) <= {probe.arity})
-
-
-_Block = tuple[list[CellId], frozenset[CellId], dict[CellId, Descriptor]]
-"""A checked chart block's members, member set and overrides, kept under
-its chart id."""
-
-
-def _charts(blocks: Iterable[tuple[str, _Block]], probe: ProbeAssignment, checked: bool,
-            ) -> list[Chart]:
-    """The charts of checked blocks, in their order. Each section is read
-    from the probe's table, the overrides win, and the charts go to
-    ``Chart._of`` uncopied when the table is ``checked``. Otherwise they
-    are built through ``Chart``, which raises as it would."""
-    table = probe._table
-    build = Chart._of if checked else Chart
-    charts = []
-    for cid, (members, cell_set, overrides) in blocks:
-        # The list is the faster to read; a failed probe raises at the first
-        # cell it lacks that no override gives, in the set's order.
-        keys = members if checked else [cell for cell in cell_set if cell not in overrides]
-        section = dict(zip(keys, map(table.__getitem__, keys)))
-        section.update(overrides)
-        charts.append(build(cid, cell_set, section, probe.arity))
-    return charts
-
-
-def _accept_blocks(text: str, probe: ProbeAssignment) -> list[tuple[str, _Block]] | None:
-    """The blocks of a file in the form ``emit_charts`` writes, sorted by
-    id, or None.
+def _accept_blocks(text: str, probe: ProbeAssignment) -> list[_ChartLines] | None:
+    """The charts of a file in the form ``emit_charts`` writes, as
+    ``parse_chart_lines`` gives them, or None.
 
     That form is ASCII with no '#' and an LF after every line. Each line
     is ``chart <id>``, ``member <cell>`` or ``override <cell> <v1> ...
     <vn>``, single-spaced, and a block's overrides follow its members.
     A few splits per block read it; any other line, a blank one too,
     leaves a field that is empty or holds a space or an LF, and the file
-    is refused. Every block must pass the checks the line walk makes,
-    and the probe must pass ``_checked``; on any failure the result is
-    None.
+    is refused. Every block must pass the checks the line walk makes; on
+    any failure the result is None.
     """
     if not (text.startswith("chart ") and text.endswith("\n") and text.isascii()
-            and "#" not in text and not any(map(text.__contains__, _ODD_SPACES))
-            and _checked(probe)):
+            and "#" not in text and not any(map(text.__contains__, _ODD_SPACES))):
         return None
     # An empty id names no member, even in a complex with a cell "".
     cells = probe.complex.cells.keys() - {""}
@@ -484,49 +450,49 @@ def _accept_blocks(text: str, probe: ProbeAssignment) -> list[tuple[str, _Block]
         if not (len(cell_set) == len(members) and cell_set <= cells
                 and overrides.keys() <= cell_set):
             return None
-        blocks[cid] = (members, cell_set, overrides)
-    return sorted(blocks.items())
+        blocks[cid] = _ChartLines(cid, cell_set, overrides, arity)
+    return [blocks[cid] for cid in sorted(blocks)]
 
 
 def parse_charts(text: str, probe: ProbeAssignment, filename: str = "<charts>",
                  ) -> tuple[list[Chart] | None, list[ParseDiagnostic]]:
     """Parse chart blocks; sections default to the probe, overrides win.
-    The charts are built from the blocks ``_chart_blocks`` reads."""
-    blocks, diags, accepted = _chart_blocks(text, probe, filename)
-    if blocks is None:
+
+    Each chart of ``parse_chart_lines`` is built through ``Chart``: a
+    member it does not override takes the probe's value, read in the
+    member set's order. So a probe built by hand that lacks such a
+    member raises KeyError, and one with a value of another arity
+    raises as ``Chart`` does."""
+    records, diags = parse_chart_lines(text, probe, filename)
+    if records is None:
         return None, diags
-    return _charts(blocks, probe, accepted or _checked(probe)), diags
+    table = probe._table
+    charts = []
+    for record in records:
+        section = {cell: table[cell] for cell in record.cells if cell not in record.section}
+        section.update(record.section)
+        charts.append(Chart(record.id, record.cells, section, record.arity))
+    return charts, diags
 
 
 def parse_chart_lines(text: str, probe: ProbeAssignment, filename: str = "<charts>",
                       ) -> tuple[list[_ChartLines] | None, list[ParseDiagnostic]]:
     """A chart file's charts as the probe plus their override lines,
-    sorted by id, for ``verify_cocycle`` given that probe; or None. No
-    section is built, so the probe's table is taken to hold every cell
-    at the probe's arity, as a loaded probe's does. The blocks and
-    diagnostics are ``parse_charts``'."""
-    blocks, diags, _ = _chart_blocks(text, probe, filename)
-    if blocks is None:
-        return None, diags
-    return [_ChartLines(cid, cell_set, overrides, probe.arity)
-            for cid, (_, cell_set, overrides) in blocks], diags
-
-
-def _chart_blocks(text: str, probe: ProbeAssignment, filename: str,
-                  ) -> tuple[list[tuple[str, _Block]] | None, list[ParseDiagnostic], bool]:
-    """A chart file's blocks, sorted by id, or None; its diagnostics; and
-    whether ``_accept_blocks`` took it, which checks the probe's table.
+    sorted by id, or None; and its diagnostics. No section is built and
+    the probe's table is not read: the records are for ``verify_cocycle``
+    given a probe whose table holds every cell at the probe's arity, as
+    a loaded probe's does.
 
     A file in the form ``emit_charts`` writes is accepted whole by
     ``_accept_blocks``. Any other file, or one that fails a check, is
     walked line by line, as ``load_probe`` walks its rows: each failure
     is worded on its line, a member's too, a bad or repeated ``chart``
     line closes the open block, and the block errors follow in block
-    order. With no error, the blocks are those the accept would give.
+    order. With no error, the charts are those the accept would give.
     """
-    blocks = _accept_blocks(text, probe)
-    if blocks is not None:
-        return blocks, [], True
+    charts = _accept_blocks(text, probe)
+    if charts is not None:
+        return charts, []
 
     diags, err = _diagnostics(filename)
     cells = probe.complex.cells.keys()
@@ -587,11 +553,10 @@ def _chart_blocks(text: str, probe: ProbeAssignment, filename: str,
                 err(oline, f"override for {cell!r}, which is not a member of {cid!r}",
                     "reference")
     if diags:
-        return None, diags, False
-
-    return sorted((cid, (list(members), frozenset(members),
-                         {cell: desc for cell, (_, desc) in overrides.items()}))
-                  for cid, (_, members, overrides) in blocks.items()), diags, False
+        return None, diags
+    return [_ChartLines(cid, frozenset(members),
+                        {cell: desc for cell, (_, desc) in overrides.items()}, arity)
+            for cid, (_, members, overrides) in sorted(blocks.items())], diags
 
 
 def emit_charts(charts: Iterable[Chart], probe: ProbeAssignment) -> str:

@@ -21,7 +21,6 @@ from descell import (
     homology,
     oracle_homology,
 )
-from descell import formats
 from descell.cli import _join_alpha, _read_argv, build_parser, main
 from descell.errors import DescellError
 from descell.formats import emit_complex, emit_descriptors, load_probe, parse_complex
@@ -447,12 +446,9 @@ def test_gauge_builds_no_chart(monkeypatch, capsys, name):
     whether the file is taken whole (no comment) or walked line by line
     (a comment): no section is built, and no ``Chart``."""
     calls = []
-    real_of, real_init = Chart._of.__func__, Chart.__init__
-    monkeypatch.setattr(Chart, "_of", classmethod(
-        lambda cls, *args: calls.append("_of") or real_of(cls, *args)))
+    real_init = Chart.__init__
     monkeypatch.setattr(Chart, "__init__", lambda self, *args, **kwargs:
                         calls.append("__init__") or real_init(self, *args, **kwargs))
-    monkeypatch.setattr(formats, "_charts", lambda *args: calls.append("_charts"))
     code = main(["gauge", str(DATA / "disk3.cw"), "--probe", str(DATA / "disk3_probe.csv"),
                  "--charts", str(DATA / name)])
     assert (code, calls) == (name == "charts_override.chart", [])

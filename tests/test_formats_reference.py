@@ -17,7 +17,7 @@ wrong-dimension faces, and repeated rows, members and overrides. A
 sides of ``load_probe``'s whole-column acceptance: a file it accepts in
 one pass, and one whose rows it walks to word the diagnostics. Chart
 texts that ``emit_charts`` writes, as they are and with one defect
-each, exercise both sides of ``parse_charts``' whole-file accept.
+each, exercise both sides of ``parse_chart_lines``' whole-file accept.
 """
 
 import random
@@ -39,15 +39,14 @@ from descell import (  # noqa: E402
     make_chart,
     with_overrides,
 )
-from descell import formats  # noqa: E402
 from descell.errors import ArityMismatchError  # noqa: E402
 from descell.formats import (  # noqa: E402
     _accept_blocks,
-    _charts,
     emit_charts,
     emit_complex,
     emit_descriptors,
     load_probe,
+    parse_chart_lines,
     parse_charts,
     parse_complex,
     parse_descriptors,
@@ -353,12 +352,33 @@ def chart_cases(draw):
 chart_text = text_of(line_of(chart_words)) | st.text()
 
 
+def assert_chart_lines_match(text, probe, filename, expected):
+    """``parse_chart_lines`` gives the diagnostics of ``expected``, the
+    reference's result for ``filename``. Where that has charts, it gives
+    them in the same order, with the same member sets and arity, each
+    override a value of the reference's section and each other member's
+    reference value the probe's."""
+    records, diags = parse_chart_lines(text, probe, filename)
+    charts, want = expected
+    assert diags == want
+    if charts is None:
+        assert records is None
+        return
+    assert ([(r.id, r.cells, r.arity) for r in records]
+            == [(c.id, c.cells, c.arity) for c in charts])
+    for record, chart in zip(records, charts):
+        assert record.section.items() <= chart.section.items()
+        assert all(chart.section[cell] == probe[cell]
+                   for cell in record.cells - record.section.keys())
+
+
 @settings(max_examples=200, deadline=None)
 @given(chart_cases() | st.tuples(chart_text, st.sampled_from(PROBES)))
 def test_parse_charts_matches_reference(case):
     text, probe = case
-    assert (parse_charts(text, probe, "c.chart")
-            == formats_reference.parse_charts(text, probe, "c.chart"))
+    expected = formats_reference.parse_charts(text, probe, "c.chart")
+    assert parse_charts(text, probe, "c.chart") == expected
+    assert_chart_lines_match(text, probe, "c.chart", expected)
 
 
 def test_parse_charts_matches_reference_on_torus_cover():
@@ -431,19 +451,14 @@ ACCEPTED = CANONICAL + ("comments, tabs and CRLF",)
 
 
 def counting_charts(monkeypatch):
-    """The names of the Chart builders called from now on, in order."""
+    """A list that gets one "__init__" for each ``Chart`` built from now on."""
     calls = []
-    real_of, real_init = Chart._of.__func__, Chart.__init__
-
-    def of(cls, *args):
-        calls.append("_of")
-        return real_of(cls, *args)
+    real_init = Chart.__init__
 
     def init(self, *args, **kwargs):
         calls.append("__init__")
         real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Chart, "_of", classmethod(of))
     monkeypatch.setattr(Chart, "__init__", init)
     return calls
 
@@ -451,24 +466,18 @@ def counting_charts(monkeypatch):
 @pytest.mark.parametrize("name", sorted(COVERS))
 def test_parse_charts_matches_reference_on_torus_covers(name, monkeypatch):
     """One defect at a time in the 24-chart cover: a clean file has its
-    charts handed to ``Chart._of``, by the whole-file accept when it is
-    canonical; any other gets the reference's diagnostics, in its order,
-    and builds no chart. The probe's table is checked once for a file
-    that gives charts, by the accept or after the walk, and at most once
-    for any other."""
+    24 charts built through ``Chart``, after the whole-file accept when it
+    is canonical; any other gets the reference's diagnostics, in its
+    order, and builds no chart. ``parse_chart_lines`` builds none."""
     text = COVERS[name]
     expected = formats_reference.parse_charts(text, TORUS_PROBE, "t.chart")
     assert (expected[0] is not None) == (name in ACCEPTED)
     assert (_accept_blocks(text, TORUS_PROBE) is not None) == (name in CANONICAL)
     calls = counting_charts(monkeypatch)
-    checked = formats._checked
-    monkeypatch.setattr(formats, "_checked", lambda probe: calls.append("_checked")
-                        or checked(probe))
+    assert_chart_lines_match(text, TORUS_PROBE, "t.chart", expected)
+    assert calls == []
     assert parse_charts(text, TORUS_PROBE, "t.chart") == expected
-    if name in ACCEPTED:
-        assert calls == ["_checked"] + ["_of"] * 24
-    else:
-        assert calls in ([], ["_checked"])
+    assert calls == ["__init__"] * (24 if name in ACCEPTED else 0)
 
 
 def outcome(parse, *args):
@@ -479,6 +488,7 @@ def outcome(parse, *args):
         return type(exc), str(exc)
 
 
+@pytest.mark.parametrize("comment", ["", "# a comment line\n"])
 @pytest.mark.parametrize("cells,value,error", [
     (LAST[:1], (0.5,), None),       # overridden in every block that holds it
     (LAST[:1], None, None),
@@ -488,11 +498,12 @@ def outcome(parse, *args):
     ([c for c in LAST if c not in COVER[0]][:6], None, KeyError),
 ])
 def test_parse_charts_raises_as_the_reference_on_a_hand_built_probe(cells, value, error,
-                                                                     monkeypatch):
+                                                                     comment, monkeypatch):
     """A probe built by hand with a value of another arity, or with cells
     left out, is not checked by its constructor. Its charts are built
     through ``Chart.__init__``, as the reference builds them: the same
-    charts, or the same exception."""
+    charts, or the same exception, whether the file is taken whole or,
+    after a comment line, walked."""
     table = dict(TORUS_PROBE.values)
     for cell in cells:
         if value is None:
@@ -500,12 +511,13 @@ def test_parse_charts_raises_as_the_reference_on_a_hand_built_probe(cells, value
         else:
             table[cell] = value
     probe = ProbeAssignment(TORUS, table, 2)
-    text = cover_text()
+    text = comment + cover_text()
+    assert (_accept_blocks(text, probe) is None) == bool(comment)
     expected = outcome(formats_reference.parse_charts, text, probe, "t.chart")
     assert (expected[0] if error else type(expected[0])) is (error or list)
     calls = counting_charts(monkeypatch)
     assert outcome(parse_charts, text, probe, "t.chart") == expected
-    assert calls and "_of" not in calls
+    assert calls
 
 
 
@@ -644,18 +656,23 @@ def covers(draw):
 @given(cover=covers(), rng=st.randoms(use_true_random=False))
 def test_canonical_chart_files_are_accepted_whole(mutation, cover, rng):
     """A text as emit_charts writes it, its blocks in any order, is taken
-    whole, to the charts it came from; with any one mutation, the line
-    walk reads it. Either way the result is the reference's."""
+    whole, to the ids, member sets and override lines of the charts it
+    came from; with any one mutation, the line walk reads it. Either way
+    the result is the reference's."""
     probe, charts = cover
     text = emit_charts(charts, probe)
     if mutation is not None:
         text = {**REORDERINGS, **MUTATIONS}[mutation](text, rng, probe)
     expected = formats_reference.parse_charts(text, probe, "c.chart")
     assert parse_charts(text, probe, "c.chart") == expected
+    records = _accept_blocks(text, probe)
     if mutation in MUTATIONS:
-        assert _accept_blocks(text, probe) is None
+        assert records is None
     else:
-        assert _charts(_accept_blocks(text, probe), probe, True) == expected[0] == charts
+        assert expected[0] == charts
+        assert [(r.id, r.cells, r.section, r.arity) for r in records] == [
+            (c.id, c.cells, {cell: v for cell, v in c.section.items() if v != probe[cell]},
+             probe.arity) for c in charts]
 
 
 def test_an_empty_member_is_refused_on_a_complex_with_an_empty_cell_id():
